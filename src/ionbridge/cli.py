@@ -261,11 +261,8 @@ def cmd_density(args) -> int:
         z2 = np.linspace(gauss.center[1] - reach, gauss.center[1] + reach, args.points)
         density = pair_density(state, z1, z2)
 
-        rows = [
-            (z1[i] * 1e6, z2[j] * 1e6, density[i, j] * 1e-12)
-            for i in range(z1.size)
-            for j in range(z2.size)
-        ]
+        grid_z1, grid_z2 = np.meshgrid(z1 * 1e6, z2 * 1e6, indexing="ij")
+        rows = np.column_stack([grid_z1.ravel(), grid_z2.ravel(), density.ravel() * 1e-12])
         path = write_table(
             out_dir / f"density_{sep_um:g}um.csv",
             _metadata("density", digest, separation_um=sep_um,

@@ -7,9 +7,11 @@ Layout of every table:
     1.5,2.25,...           (data rows, floats rendered with %.12g)
 
 Floats go through a fixed format so repeated runs produce byte-identical
-files.  Writes land in a temporary file in the target directory and are
-moved into place with os.replace, so a crashed run never leaves a
-truncated table behind.
+files.  A float array of rows is formatted a row at a time with that
+format; any other rows go cell by cell through ``format_value``, which
+gives the same bytes for a float.  Writes land in a temporary file in
+the target directory and are moved into place with os.replace, so a
+crashed run never leaves a truncated table behind.
 """
 
 from __future__ import annotations
@@ -18,9 +20,13 @@ import os
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError
 
 __all__ = ["format_value", "write_table"]
+
+_FLOAT_FORMAT = "%.12g"
 
 
 def format_value(value) -> str:
@@ -29,11 +35,11 @@ def format_value(value) -> str:
     if isinstance(value, (int,)):
         return str(value)
     if isinstance(value, float):
-        return format(value, ".12g")
+        return _FLOAT_FORMAT % value
     if isinstance(value, str):
         return value
     try:
-        return format(float(value), ".12g")
+        return _FLOAT_FORMAT % float(value)
     except (TypeError, ValueError):
         return str(value)
 
@@ -47,11 +53,17 @@ def write_table(path, metadata, header, rows, overwrite: bool = False) -> Path:
 
     lines = [f"# {key} = {format_value(value)}" for key, value in dict(metadata).items()]
     lines.append(",".join(header))
-    for row in rows:
-        cells = [format_value(cell) for cell in row]
-        if len(cells) != len(header):
-            raise ValueError(f"row width {len(cells)} does not match header {len(header)}")
-        lines.append(",".join(cells))
+    if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
+        if rows.ndim != 2 or rows.shape[1] != len(header):
+            raise ValueError(f"rows of shape {rows.shape} do not match header {len(header)}")
+        row_format = ",".join([_FLOAT_FORMAT] * len(header))
+        lines.extend(row_format % tuple(row) for row in rows.tolist())
+    else:
+        for row in rows:
+            cells = [format_value(cell) for cell in row]
+            if len(cells) != len(header):
+                raise ValueError(f"row width {len(cells)} does not match header {len(header)}")
+            lines.append(",".join(cells))
     text = "\n".join(lines) + "\n"
 
     handle = tempfile.NamedTemporaryFile(

@@ -5,6 +5,14 @@ states centered at +z0 and -z0; the untruncated axial interaction is
 integrated with Gauss-Hermite quadrature, whose weight absorbs the
 basis Gaussians exactly.  The radial degrees of freedom stay frozen in
 their ground state and contribute the constant 2 hbar omega_rho.
+
+``basis_ground_state`` never forms the (N^2, N^2) matrix: it applies the
+quadrature block to a coefficient matrix through the node grid, as in a
+discrete variable representation (Light, Hamilton and Lill, JCP 82,
+1400 (1985)), and Lanczos (ARPACK, Lehoucq et al. 1998) finds the lowest
+pair.  ``axial_hamiltonian_matrix`` and ``symmetric_eigensolve`` build
+and diagonalize the dense matrix; they are the reference it is tested
+against.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from . import constants as cst
-from .errors import AccuracyError, InstabilityError
+from .errors import AccuracyError, ConfigError, InstabilityError
 from .model import SystemConfig
 from .phonons import equilibrium_shift, phonon_spectrum
 
@@ -37,6 +45,7 @@ _MAX_BASIS = 60
 _RAMP_LIMIT = 50
 _CONVERGENCE_STEP = 4
 _QUAD_MARGIN = 8
+_NORM_TOL = 1e-3   # relative tolerance of the Lanczos estimate of ||D||_2
 
 
 def hermite_values(n_max: int, xi: np.ndarray) -> np.ndarray:
@@ -249,26 +258,150 @@ def _constant_offset(config: SystemConfig) -> float:
         + 2.0 * cst.HBAR * config.atom_trap.radial
 
 
-def basis_ground_state(config: SystemConfig, z0: float, n_max: int = 30) -> BasisExpansionState:
+def _interaction_grid(config: SystemConfig, z0: float, n_max: int, order: int,
+                      potential_fn) -> tuple[np.ndarray, np.ndarray]:
+    """Hermite values Q[a, n] = p_n(xi_a) at the Gauss-Hermite nodes and the
+    weighted interaction w_a w_b W(z1_a, z2_b) on the node grid, hbar w_az.
+
+    With these, the block of ``_quadrature_block`` is the action
+    C -> Q^T (grid * (Q C Q^T)) Q on (N, N) coefficient matrices
+    (``_block_action``).
+    """
+    length = math.sqrt(cst.HBAR / (config.atom.mass * config.atom_trap.axial))
+    xi, weights = hermgauss(order)
+    grid = potential_fn(z0 + length * xi[:, None], -z0 + length * xi[None, :])
+    grid = grid * np.outer(weights, weights) / _axial_energy_scale(config)
+    if not np.all(np.isfinite(grid)):
+        raise AccuracyError(f"interaction is not finite on the order-{order} quadrature grid")
+    return hermite_values(n_max, xi), grid
+
+
+def _block_action(q: np.ndarray, grid: np.ndarray, c: np.ndarray) -> np.ndarray:
+    return q.T @ (grid * (q @ c @ q.T)) @ q
+
+
+def _extreme_pair(apply, n: int, which: str, tol: float) -> tuple[float, np.ndarray]:
+    """Lowest ("SA") or largest-magnitude ("LM") eigenpair of the symmetric
+    operator ``apply`` on (n, n) coefficient matrices, flattened row-major.
+
+    ARPACK needs a dimension above 2; smaller operators are applied to
+    the identity and diagonalized densely.
+    """
+    dim = n * n
+    if dim <= 2:
+        matrix = np.column_stack([apply(e.reshape(n, n)).ravel() for e in np.eye(dim)])
+        values, vectors = symmetric_eigensolve(0.5 * (matrix + matrix.T))
+        k = 0 if which == "SA" else int(np.argmax(np.abs(values)))
+        return values[k], vectors[:, k]
+
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
+    operator = LinearOperator((dim, dim), matvec=lambda v: apply(v.reshape(n, n)).ravel(),
+                              dtype=float)
+    try:
+        values, vectors = eigsh(operator, k=1, which=which, tol=tol, v0=np.ones(dim))
+    except ArpackError as err:
+        raise AccuracyError(f"Lanczos ({which}) failed at dimension {dim}: {err}") from err
+    return values[0], vectors[:, 0]
+
+
+def lowest_pair(config: SystemConfig, z0: float, n_max: int,
+                potential_fn=None) -> tuple[float, np.ndarray, float]:
+    """Lowest eigenpair of ``axial_hamiltonian_matrix``, without forming it.
+
+    Returns the energy in J, the unit coefficient vector (flat index
+    n1 * N + n2, largest-magnitude component positive) and the relative
+    quadrature drift.  ``potential_fn`` and the folded constants are as
+    in ``axial_hamiltonian_matrix``.  Work is in units of hbar w_az with
+    the constants left out, so the kinetic part is the diagonal
+    n1 + n2 + 1.  Two gates, each at least as strict as the dense one:
+
+    - quadrature: the drift operator D between orders 4n+8 and 4n+24
+      obeys ||D||_2 <= 1e-8 max|diag B| (B at order 4n+24).  Since
+      max|D_ij| <= ||D||_2 and max|diag B| <= max|B_ij|, this implies
+      the entrywise max|D_ij| <= 1e-8 max|B_ij|.  ||D||_2 is a Lanczos
+      estimate scaled up by (1 + its tolerance).
+    - residual: ||H v - E v|| <= 1e-10 max|diag H|, with the constants
+      folded into H as in the dense matrix; max|diag H| <= ||H||_2, the
+      scale of the dense gate on every pair.
+    """
+    if not 0 <= n_max <= _MAX_BASIS:
+        raise ConfigError(f"n_max must lie in [0, {_MAX_BASIS}], got {n_max}")
+    offset = 0.0
+    if potential_fn is None:
+        threshold = axial_collision_threshold(config)
+        if z0 <= threshold:
+            raise InstabilityError(
+                f"no bound axial well at z0 = {z0:.4g} m; collision threshold is "
+                f"{threshold:.4g} m"
+            )
+        potential_fn = _axial_interaction(config)
+        offset = _constant_offset(config)
+
+    n = n_max + 1
+    order = 4 * n_max + _QUAD_MARGIN
+    q_lo, grid_lo = _interaction_grid(config, z0, n_max, order, potential_fn)
+    q, grid = _interaction_grid(config, z0, n_max, order + 16, potential_fn)
+    q_sq = q * q
+    diag_b = q_sq.T @ grid @ q_sq
+    if np.any(grid_lo) or np.any(grid):
+        theta, _ = _extreme_pair(
+            lambda c: _block_action(q_lo, grid_lo, c) - _block_action(q, grid, c),
+            n, "LM", _NORM_TOL)
+        drift_norm = abs(theta) * (1.0 + _NORM_TOL)
+    else:
+        drift_norm = 0.0
+    scale = np.max(np.abs(diag_b))
+    if drift_norm > 1e-8 * scale:
+        raise AccuracyError(
+            f"quadrature not converged: orders {order} and {order + 16} differ by "
+            f"||D||_2 = {drift_norm:.3g} > 1e-8 max|diag B| = {1e-8 * scale:.3g} hbar w_az"
+        )
+    drift = drift_norm / scale if scale > 0.0 else 0.0
+
+    kinetic = np.add.outer(np.arange(n), np.arange(n)) + 1.0
+
+    def hamiltonian(c):
+        return kinetic * c + _block_action(q, grid, c)
+
+    value, vector = _extreme_pair(hamiltonian, n, "SA", 0.0)
+    lead = np.argmax(np.abs(vector))
+    if vector[lead] < 0.0:
+        vector = -vector
+
+    unit = _axial_energy_scale(config)
+    residual = np.linalg.norm(hamiltonian(vector.reshape(n, n)).ravel() - value * vector)
+    limit = 1e-10 * np.max(np.abs(kinetic + diag_b + offset / unit))
+    if not residual <= limit:
+        raise AccuracyError(
+            f"eigenpair residual {residual:.3g} exceeds 1e-10 max|diag H| = {limit:.3g} hbar w_az"
+        )
+    return unit * value + offset, vector, drift
+
+
+def basis_ground_state(config: SystemConfig, z0: float, n_max: int = 30,
+                       potential_fn=None) -> BasisExpansionState:
     """Variational ground state of the full axial pair Hamiltonian.
 
     The basis is ramped from ``n_max`` to 50 if the ground energy has
     not settled to 1e-6 relative (measured on the axial part of the
-    energy) between n_max and n_max + 4.
+    energy) between n_max and n_max + 4.  Each basis size is solved by
+    ``lowest_pair``; ``potential_fn`` is passed on to it.
     """
+    cap = _MAX_BASIS - _CONVERGENCE_STEP
+    if not 0 <= n_max <= cap:
+        raise ConfigError(
+            f"n_max must lie in [0, {cap}]: the basis is capped at {_MAX_BASIS} and the "
+            f"convergence check solves at n_max + {_CONVERGENCE_STEP}; got {n_max}"
+        )
     a_z = math.sqrt(cst.HBAR / (config.atom.mass * config.atom_trap.axial))
-    offset = _constant_offset(config)
-
-    def solve(n):
-        h = axial_hamiltonian_matrix(config, z0, n)
-        values, vectors = symmetric_eigensolve(h)
-        return values[0], vectors[:, 0]
+    offset = _constant_offset(config) if potential_fn is None else 0.0
 
     for attempt, n in enumerate((n_max, _RAMP_LIMIT)):
         if attempt and n <= n_max:
             break
-        energy, vector = solve(n)
-        energy_check, _ = solve(n + _CONVERGENCE_STEP)
+        energy, vector, _ = lowest_pair(config, z0, n, potential_fn)
+        energy_check, _, _ = lowest_pair(config, z0, n + _CONVERGENCE_STEP, potential_fn)
         scale = max(abs(energy_check - offset), _axial_energy_scale(config))
         residual = abs(energy - energy_check) / scale
         if residual < 1e-6:

@@ -195,6 +195,13 @@ class TestDensity:
         assert run(capsys, *base, "--points", "8")[0] == 2
         assert run(capsys, *base, "--separations-um", "-3")[0] == 2
 
+    def test_basis_above_the_cap_is_a_config_error(self, config_file, tmp_path, capsys):
+        code, _, err = run(capsys, "density", "--config", str(config_file()),
+                           "--out", str(tmp_path / "x"), "--n-max", "58")
+        assert code == 2
+        assert "[0, 56]" in err and "capped at 60" in err
+        assert "Traceback" not in err
+
 
 class TestGauge:
     def test_writes_connection_and_phases(self, config_file, tmp_path, capsys):

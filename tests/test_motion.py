@@ -2,13 +2,19 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
 
+import ionbridge
 from ionbridge import (
     AccuracyError,
+    ConfigError,
     InstabilityError,
     InteractionCoefficients,
     axial_collision_threshold,
@@ -19,10 +25,17 @@ from ionbridge import (
     gaussian_ground_state,
     pair_density,
     quadratic_potential,
+    reference_config,
     state_overlap,
     symmetric_eigensolve,
 )
-from ionbridge.motion import hermite_values
+from ionbridge.motion import (
+    _QUAD_MARGIN,
+    _axial_interaction,
+    _quadrature_block,
+    hermite_values,
+    lowest_pair,
+)
 
 
 def density_grids(config, state, gauss, points=161):
@@ -216,3 +229,140 @@ class TestGroundStates:
         z1 = np.linspace(gauss.center[0] - reach, gauss.center[0] + reach, 161)
         z2 = np.linspace(gauss.center[1] - reach, gauss.center[1] + reach, 161)
         assert state_overlap(gauss, gauss, z1, z2) == pytest.approx(1.0, abs=1e-10)
+
+
+def entrywise_drift(config, z0, n_max, potential_fn):
+    """The dense gate's measure: max|B1 - B2| / max|B2| between orders
+    4n+8 and 4n+24 of ``_quadrature_block``."""
+    order = 4 * n_max + _QUAD_MARGIN
+    coarse = _quadrature_block(config, z0, n_max, order, potential_fn)
+    fine = _quadrature_block(config, z0, n_max, order + 16, potential_fn)
+    return np.max(np.abs(coarse - fine)) / np.max(np.abs(fine))
+
+
+def gaussian_bump(config, width):
+    """hbar w_az exp(-(xi1^2 + xi2^2) / (2 width^2)) in local oscillator units:
+    smooth, but not a polynomial, so its quadrature drift is resolvable."""
+    z0 = config.half_separation_z0
+    a_z = math.sqrt(cst.HBAR / (config.atom.mass * config.atom_trap.axial))
+    unit = cst.HBAR * config.atom_trap.axial
+
+    def potential(z1, z2):
+        r_sq = ((z1 - z0) / a_z) ** 2 + ((z2 + z0) / a_z) ** 2
+        return unit * np.exp(-r_sq / (2.0 * width**2))
+
+    return potential
+
+
+SOLVER_CASES = [
+    (pair, n_max, separation_um)
+    for pair in ("rr", "rg", "gg")
+    for n_max in (1, 4, 12, 30)
+    for separation_um in (12, 16, 24)
+]
+
+
+class TestMatrixFreeSolver:
+    @pytest.mark.parametrize("pair, n_max, separation_um", SOLVER_CASES + [("rr", 0, 16)])
+    def test_matches_dense_oracle(self, pair, n_max, separation_um):
+        z0 = 0.5e-6 * separation_um
+        config = reference_config(pair, z0=z0)
+        energy, vector, _ = lowest_pair(config, z0, n_max)
+        values, vectors = symmetric_eigensolve(axial_hamiltonian_matrix(config, z0, n_max))
+        unit = cst.HBAR * config.atom_trap.axial
+        assert abs(energy - values[0]) <= 1e-12 * unit
+        assert np.max(np.abs(vector - vectors[:, 0])) <= 1e-10
+
+    @pytest.mark.parametrize("pair, n_max, separation_um", SOLVER_CASES)
+    def test_quadrature_measure_bounds_the_entrywise_one(self, pair, n_max, separation_um):
+        # ||D||_2 / max|diag B| >= max|D_ij| / max|B_ij| in exact arithmetic;
+        # on these potentials both are rounding noise, hence the 2 eps slack
+        z0 = 0.5e-6 * separation_um
+        config = reference_config(pair, z0=z0)
+        _, _, drift = lowest_pair(config, z0, n_max)
+        old = entrywise_drift(config, z0, n_max, _axial_interaction(config))
+        assert drift >= old - 2.0 * np.finfo(float).eps
+        assert drift < 1e-12
+
+    @pytest.mark.parametrize("width, n_max", [(0.7, 8), (1.0, 4), (1.5, 2)])
+    def test_resolved_drift_bounds_the_entrywise_one(self, cfg_rr, width, n_max):
+        z0 = cfg_rr.half_separation_z0
+        bump = gaussian_bump(cfg_rr, width)
+        _, _, drift = lowest_pair(cfg_rr, z0, n_max, potential_fn=bump)
+        old = entrywise_drift(cfg_rr, z0, n_max, bump)
+        assert 1e-13 < old <= drift < 1e-8
+
+    def test_gate_rejects_what_the_entrywise_gate_passes(self, cfg_rr):
+        # entrywise drift 9.6e-9 passes the dense gate; ||D||_2 does not
+        z0 = cfg_rr.half_separation_z0
+        bump = gaussian_bump(cfg_rr, 1.0)
+        assert entrywise_drift(cfg_rr, z0, 2, bump) < 1e-8
+        axial_hamiltonian_matrix(cfg_rr, z0, 2, potential_fn=bump)
+        with pytest.raises(AccuracyError, match="quadrature"):
+            lowest_pair(cfg_rr, z0, 2, potential_fn=bump)
+
+    def test_unresolvable_potential_is_rejected(self, cfg_rr):
+        z0 = cfg_rr.half_separation_z0
+        a_z = math.sqrt(cst.HBAR / (cfg_rr.atom.mass * cfg_rr.atom_trap.axial))
+        unit = cst.HBAR * cfg_rr.atom_trap.axial
+
+        def kink(z1, z2):
+            return unit * (np.abs(z1 - z0) + np.abs(z2 + z0)) / a_z
+
+        with pytest.raises(AccuracyError, match="quadrature"):
+            basis_ground_state(cfg_rr, z0, n_max=4, potential_fn=kink)
+
+    def test_non_finite_potential_is_rejected(self, cfg_rr):
+        z0 = cfg_rr.half_separation_z0
+        with pytest.raises(AccuracyError, match="not finite"):
+            basis_ground_state(cfg_rr, z0, n_max=4,
+                               potential_fn=lambda z1, z2: np.full(np.broadcast(z1, z2).shape, np.nan))
+
+    def test_injected_potential_folds_no_constants(self, cfg_rr):
+        # a stiffer harmonic trap per atom: E = hbar sqrt(w^2 + dw^2) exactly
+        z0 = cfg_rr.half_separation_z0
+        m_a = cfg_rr.atom.mass
+        w = cfg_rr.atom_trap.axial
+        dw_sq = 0.1 * w**2
+
+        def stiffening(z1, z2):
+            return 0.5 * m_a * dw_sq * ((z1 - z0) ** 2 + (z2 + z0) ** 2)
+
+        state = basis_ground_state(cfg_rr, z0, n_max=12, potential_fn=stiffening)
+        assert state.energy == pytest.approx(cst.HBAR * math.sqrt(w**2 + dw_sq), rel=1e-9)
+
+    def test_repeated_solves_are_bitwise_identical(self, cfg_rg):
+        z0 = 6.0e-6
+        config = cfg_rg.with_half_separation(z0)
+        first = basis_ground_state(config, z0, n_max=20)
+        second = basis_ground_state(config, z0, n_max=20)
+        assert first.energy == second.energy
+        assert np.array_equal(first.coefficients, second.coefficients)
+
+    def test_sign_convention(self, cfg_rg):
+        z0 = cfg_rg.half_separation_z0
+        _, vector, _ = lowest_pair(cfg_rg, z0, 12)
+        assert vector[np.argmax(np.abs(vector))] > 0.0
+        assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-14)
+
+    def test_basis_cap_is_a_config_error(self, cfg_rr):
+        z0 = cfg_rr.half_separation_z0
+        with pytest.raises(ConfigError, match="56"):
+            basis_ground_state(cfg_rr, z0, n_max=57)
+        with pytest.raises(ConfigError):
+            basis_ground_state(cfg_rr, z0, n_max=-1)
+        with pytest.raises(ConfigError):
+            lowest_pair(cfg_rr, z0, 61)
+
+    def test_below_collision_threshold_raises(self, cfg_rr):
+        with pytest.raises(InstabilityError):
+            lowest_pair(cfg_rr, 5.0e-6, 8)
+
+    def test_import_does_not_load_the_sparse_solver(self):
+        src = str(Path(ionbridge.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = "import sys, ionbridge; print('scipy.sparse.linalg' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True, timeout=60)
+        assert result.stdout.strip() == "False"
