@@ -29,6 +29,7 @@ from ionbridge import (
     state_overlap,
     symmetric_eigensolve,
 )
+from ionbridge import motion
 from ionbridge.motion import (
     _QUAD_MARGIN,
     _axial_interaction,
@@ -254,6 +255,19 @@ def gaussian_bump(config, width):
     return potential
 
 
+def kink(config):
+    """hbar w_az (|xi1| + |xi2|) in local oscillator units: not smooth, so
+    no quadrature order used here resolves it."""
+    z0 = config.half_separation_z0
+    a_z = math.sqrt(cst.HBAR / (config.atom.mass * config.atom_trap.axial))
+    unit = cst.HBAR * config.atom_trap.axial
+
+    def potential(z1, z2):
+        return unit * (np.abs(z1 - z0) + np.abs(z2 + z0)) / a_z
+
+    return potential
+
+
 SOLVER_CASES = [
     (pair, n_max, separation_um)
     for pair in ("rr", "rg", "gg")
@@ -303,20 +317,27 @@ class TestMatrixFreeSolver:
 
     def test_unresolvable_potential_is_rejected(self, cfg_rr):
         z0 = cfg_rr.half_separation_z0
-        a_z = math.sqrt(cst.HBAR / (cfg_rr.atom.mass * cfg_rr.atom_trap.axial))
-        unit = cst.HBAR * cfg_rr.atom_trap.axial
-
-        def kink(z1, z2):
-            return unit * (np.abs(z1 - z0) + np.abs(z2 + z0)) / a_z
-
         with pytest.raises(AccuracyError, match="quadrature"):
-            basis_ground_state(cfg_rr, z0, n_max=4, potential_fn=kink)
+            lowest_pair(cfg_rr, z0, 4, potential_fn=kink(cfg_rr))
+
+    def test_gate_keeps_the_exact_drift_entries(self, cfg_rr, monkeypatch):
+        # a Lanczos estimate that misses ||D||_2 altogether still leaves
+        # the exact entries diag D and D e_00 in the gate
+        solve = motion._extreme_pair
+
+        def blind(apply, n, which, tol):
+            return (0.0, None) if which == "LM" else solve(apply, n, which, tol)
+
+        monkeypatch.setattr(motion, "_extreme_pair", blind)
+        z0 = cfg_rr.half_separation_z0
+        with pytest.raises(AccuracyError, match="quadrature"):
+            lowest_pair(cfg_rr, z0, 4, potential_fn=kink(cfg_rr))
 
     def test_non_finite_potential_is_rejected(self, cfg_rr):
         z0 = cfg_rr.half_separation_z0
         with pytest.raises(AccuracyError, match="not finite"):
-            basis_ground_state(cfg_rr, z0, n_max=4,
-                               potential_fn=lambda z1, z2: np.full(np.broadcast(z1, z2).shape, np.nan))
+            lowest_pair(cfg_rr, z0, 4,
+                        potential_fn=lambda z1, z2: np.full(np.broadcast(z1, z2).shape, np.nan))
 
     def test_injected_potential_folds_no_constants(self, cfg_rr):
         # a stiffer harmonic trap per atom: E = hbar sqrt(w^2 + dw^2) exactly
@@ -328,8 +349,27 @@ class TestMatrixFreeSolver:
         def stiffening(z1, z2):
             return 0.5 * m_a * dw_sq * ((z1 - z0) ** 2 + (z2 + z0) ** 2)
 
-        state = basis_ground_state(cfg_rr, z0, n_max=12, potential_fn=stiffening)
-        assert state.energy == pytest.approx(cst.HBAR * math.sqrt(w**2 + dw_sq), rel=1e-9)
+        energy, _, _ = lowest_pair(cfg_rr, z0, 12, potential_fn=stiffening)
+        assert energy == pytest.approx(cst.HBAR * math.sqrt(w**2 + dw_sq), rel=1e-9)
+
+    @pytest.mark.parametrize("n_max", [1, 4, 12])
+    def test_odd_potential_passes_the_gate(self, cfg_rr, n_max):
+        # a linear tilt of atom 1: both orders integrate it exactly, and
+        # its diagonal matrix elements vanish, so the gate must not be
+        # scaled by max|diag B| alone
+        z0 = cfg_rr.half_separation_z0
+        a_z = math.sqrt(cst.HBAR / (cfg_rr.atom.mass * cfg_rr.atom_trap.axial))
+        unit = cst.HBAR * cfg_rr.atom_trap.axial
+
+        def tilt(z1, z2):
+            return 0.3 * unit * (z1 - z0) / a_z + 0.0 * z2
+
+        energy, vector, drift = lowest_pair(cfg_rr, z0, n_max, potential_fn=tilt)
+        values, vectors = symmetric_eigensolve(
+            axial_hamiltonian_matrix(cfg_rr, z0, n_max, potential_fn=tilt))
+        assert abs(energy - values[0]) <= 1e-12 * unit
+        assert np.max(np.abs(vector - vectors[:, 0])) <= 1e-10
+        assert drift < 1e-12
 
     def test_repeated_solves_are_bitwise_identical(self, cfg_rg):
         z0 = 6.0e-6
