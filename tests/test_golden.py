@@ -1,0 +1,40 @@
+"""Golden digests: the reference CLI tables must stay byte-identical.
+
+Each sha256 was taken from the table the CLI writes for the default
+configuration (an empty JSON document).  Density tables are left out:
+their last printed digit follows the eigensolver's rounding, so they are
+compared against a numerical oracle instead of by bytes.
+"""
+
+import hashlib
+
+import pytest
+
+from ionbridge.cli import main
+
+GOLDEN = [
+    (["scales"], "scales.csv",
+     "cc98770f38d2e0461698570415d44073cf3bae11451a03092b57a428f9c629d4"),
+    (["bo-curve"], "bo_curve.csv",
+     "57e48e8309b4fd27cd3e4a007a9a2b07204e593e6dd04aec54c1d972b4a3e115"),
+    (["bo-curve", "--placement", "atom2-fixed"], "bo_curve.csv",
+     "fde201e5812b6b770f9d00af1c6d9b41c227a7636a82636a52fa496f6b744b90"),
+    (["phonons"], "phonons.csv",
+     "077c0392b09d76f6ec052eadd9df9264f7ab8324ed6b919c77c05199153a2a47"),
+    (["critical", "--pairs", "rr", "rg", "gg", "25S-25S"], "critical.csv",
+     "21dc0853afab543c9b605a501ec0006309e83559c1667c6bb0b501a607e07333"),
+    (["gauge", "--max-n", "1"], "connection.csv",
+     "beb62d23cb2067511c5b04ebef7c6b74a76da9251b2d0a867c2fa9e1bd0c5c0f"),
+    (["gauge", "--max-n", "1"], "phases.csv",
+     "63edd256b04e00ca1a348880473afc8ef83bcf2e1b7d5400495406a7ca9d291e"),
+]
+
+
+@pytest.mark.parametrize("argv, table, digest", GOLDEN,
+                         ids=[f"{' '.join(a)}:{t}" for a, t, _ in GOLDEN])
+def test_reference_table_digest(argv, table, digest, config_file, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code = main([*argv, "--config", str(config_file()), "--out", str(out_dir)])
+    capsys.readouterr()
+    assert code == 0
+    assert hashlib.sha256((out_dir / table).read_bytes()).hexdigest() == digest
