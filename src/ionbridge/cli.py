@@ -43,7 +43,7 @@ FORMAT_VERSION = 1
 _KHZ2 = (cst.TWO_PI * 1e3) ** 2  # rad^2/s^2 per kHz^2
 
 
-def _to_khz(energy_j: float) -> float:
+def _to_khz(energy_j):
     return energy_j / cst.PLANCK / 1e3
 
 
@@ -133,12 +133,8 @@ def cmd_bo_curve(args) -> int:
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.abs(curves["V_rr"]) / np.abs(curves["V_rg"])
-    rows = [
-        (z * 1e6, _to_khz(vrr), _to_khz(vrg), vgg / cst.PLANCK, r)
-        for z, vrr, vrg, vgg, r in zip(
-            curves["z"], curves["V_rr"], curves["V_rg"], curves["V_gg"], ratio
-        )
-    ]
+    rows = np.column_stack([curves["z"] * 1e6, _to_khz(curves["V_rr"]), _to_khz(curves["V_rg"]),
+                            curves["V_gg"] / cst.PLANCK, ratio])
     path = write_table(
         _require_out(args) / "bo_curve.csv",
         _metadata("bo-curve", digest, placement=args.placement,
@@ -192,16 +188,10 @@ def cmd_phonons(args) -> int:
 
 def _pair_from_token(token: str, config):
     """State pair for a stability token: 'rr', 'rg', 'gg', or '30S-25S'."""
-    shorthand = {"rr", "rg", "gg"}
-    if token in shorthand:
-        rydberg = next((s for s in config.state_pair if s.is_rydberg), None)
-        if token == "gg":
-            return (GROUND, GROUND)
-        if rydberg is None:
-            raise ConfigError(
-                f"pair token {token!r} needs a Rydberg level in the configured states"
-            )
-        return (rydberg, rydberg) if token == "rr" else (rydberg, GROUND)
+    if token == "gg":
+        return (GROUND, GROUND)
+    if token in ("rr", "rg"):
+        return config.named_pairs()[token]
     if "-" in token:
         left, right = token.split("-", 1)
         return (parse_state(left), parse_state(right))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 from . import constants as cst
@@ -66,6 +67,8 @@ def parse_state(token) -> ElectronicState:
 def _require_number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field {field!r} must be a number, got {value!r}")
+    if not -sys.float_info.max <= value <= sys.float_info.max:  # nan, inf, huge ints
+        raise ConfigError(f"field {field!r} must be finite, got {value!r}")
     return float(value)
 
 

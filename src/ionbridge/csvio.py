@@ -71,6 +71,10 @@ def write_table(path, metadata, header, rows, overwrite: bool = False) -> Path:
     )
     try:
         with handle:
+            # NamedTemporaryFile creates mode 0600; give the table the mode
+            # open() would, 0666 less the umask (read by setting it back).
+            os.umask(umask := os.umask(0o077))
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.write(text)
         os.replace(handle.name, path)
     except BaseException:

@@ -236,6 +236,13 @@ class SystemConfig:
         a, b = self.state_pair
         return self.coefficients.c6(a, b)
 
+    def named_pairs(self) -> dict[str, tuple[ElectronicState, ElectronicState]]:
+        """The rr, rg and gg state pairs built from the configured Rydberg level."""
+        rydberg = next((s for s in self.state_pair if s.is_rydberg), None)
+        if rydberg is None:
+            raise ConfigError("rr and rg pairs need a Rydberg level in the configured states")
+        return {"rr": (rydberg, rydberg), "rg": (rydberg, GROUND), "gg": (GROUND, GROUND)}
+
     def with_states(self, a: ElectronicState, b: ElectronicState) -> "SystemConfig":
         return replace(self, state_pair=(a, b))
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -27,6 +28,7 @@ from . import constants as cst
 from .errors import AccuracyError, ConfigError, InstabilityError
 from .model import SystemConfig
 from .phonons import equilibrium_shift, phonon_spectrum
+from .potentials import axial_interaction
 
 __all__ = [
     "CorrelatedGaussian",
@@ -90,25 +92,6 @@ def axial_collision_threshold(config: SystemConfig) -> float:
     )
 
 
-def _axial_interaction(config: SystemConfig):
-    """Full on-axis interaction W(z1, z2): everything in the effective
-    potential except the atom trap quadratics and the constant mode energy."""
-    c4_1, c4_2 = config.c4_pair
-    c6 = config.c6_pair
-    m_i = config.ion.mass
-    w_iz_sq = config.ion_trap.axial**2
-
-    def w(z1, z2):
-        zeta0 = (4.0 / (m_i * w_iz_sq)) * (c4_1 * z1 / np.abs(z1) ** 6
-                                           + c4_2 * z2 / np.abs(z2) ** 6)
-        v = -0.5 * m_i * w_iz_sq * zeta0 * zeta0
-        v = v - c4_1 / z1**4 - c4_2 / z2**4
-        v = v - c6 / (z1 - z2) ** 6
-        return v
-
-    return w
-
-
 def _quadrature_block(config: SystemConfig, z0: float, n_max: int, order: int,
                       potential_fn) -> np.ndarray:
     """Gauss-Hermite matrix of the interaction in the product basis.
@@ -151,7 +134,7 @@ def axial_hamiltonian_matrix(config: SystemConfig, z0: float, n_max: int,
                 f"no bound axial well at z0 = {z0:.4g} m; collision threshold is "
                 f"{threshold:.4g} m"
             )
-        potential_fn = _axial_interaction(config)
+        potential_fn = partial(axial_interaction, config=config)
 
     order = 4 * n_max + _QUAD_MARGIN
     block = _quadrature_block(config, z0, n_max, order, potential_fn)
@@ -340,7 +323,7 @@ def lowest_pair(config: SystemConfig, z0: float, n_max: int,
                 f"no bound axial well at z0 = {z0:.4g} m; collision threshold is "
                 f"{threshold:.4g} m"
             )
-        potential_fn = _axial_interaction(config)
+        potential_fn = partial(axial_interaction, config=config)
         offset = _constant_offset(config)
 
     n = n_max + 1

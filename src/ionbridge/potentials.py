@@ -22,13 +22,38 @@ from .model import IonModeIndex, SystemConfig, characteristic_scales
 __all__ = [
     "AtomPairGeometry",
     "IonDisplacement",
+    "ion_compliance",
     "ion_displacement",
+    "bo_energy",
     "bo_eigenvalue",
+    "axial_interaction",
     "exact_ion_potential",
     "oracle_min_ion_energy",
     "effective_potential_U",
     "axial_bo_curve",
 ]
+
+
+def _squared_norm(r: np.ndarray) -> np.ndarray:
+    return r[..., 0] * r[..., 0] + r[..., 1] * r[..., 1] + r[..., 2] * r[..., 2]
+
+
+def _squared_distances(r1: np.ndarray, r2: np.ndarray):
+    """|r1|^2, |r2|^2 and |r1 - r2|^2 of broadcasting (..., 3) positions of
+    finite atoms that keep off the ion-trap center and apart."""
+    if not (np.all(np.isfinite(r1)) and np.all(np.isfinite(r2))):
+        raise ConfigError("atom positions must be finite")
+    r1_sq, r2_sq = _squared_norm(r1), _squared_norm(r2)
+    if np.any(r1_sq == 0.0) or np.any(r2_sq == 0.0):
+        raise SingularGeometryError("atom at the ion-trap center")
+    r12_sq = _squared_norm(r1 - r2)
+    if np.any(r12_sq == 0.0):
+        raise SingularGeometryError("coincident atoms")
+    return r1_sq, r2_sq, r12_sq
+
+
+def _on_axis(z) -> np.ndarray:
+    return np.stack(np.broadcast_arrays(0.0, 0.0, np.asarray(z, dtype=float)), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -47,12 +72,7 @@ class AtomPairGeometry:
             raise ConfigError("atom positions must be 3-vectors")
         object.__setattr__(self, "r1", r1)
         object.__setattr__(self, "r2", r2)
-        if not (np.all(np.isfinite(r1)) and np.all(np.isfinite(r2))):
-            raise ConfigError("atom positions must be finite")
-        if np.linalg.norm(r1) == 0.0 or np.linalg.norm(r2) == 0.0:
-            raise SingularGeometryError("atom at the ion-trap center")
-        if np.linalg.norm(r1 - r2) == 0.0:
-            raise SingularGeometryError("coincident atoms")
+        _squared_distances(r1, r2)
 
     @classmethod
     def on_axis(cls, z1: float, z2: float) -> "AtomPairGeometry":
@@ -75,51 +95,62 @@ class IonDisplacement:
     def as_array(self) -> np.ndarray:
         return np.array([self.x0, self.y0, self.zeta0])
 
-    @property
-    def rho0_sq(self) -> float:
-        return self.x0 * self.x0 + self.y0 * self.y0
+
+def ion_compliance(config: SystemConfig) -> np.ndarray:
+    """4 / (m_i w^2) per axis (x, y, z): ion displacement per unit pull, m^2/J."""
+    return 4.0 / (config.ion.mass * np.array([config.ion_trap.radial, config.ion_trap.radial,
+                                               config.ion_trap.axial]) ** 2)
 
 
-def ion_displacement(geometry: AtomPairGeometry, config: SystemConfig) -> IonDisplacement:
-    """Closed-form ion displacement induced by the two ion-atom attractions.
+def _ion_shift(r1: np.ndarray, r2: np.ndarray, config: SystemConfig) -> np.ndarray:
+    """Closed-form ion displacement for atoms at ``r1``, ``r2`` (..., 3), m.
 
-    Each component is (4 / (m_i w^2)) * (C4_1 q_1 / r_1^6 + C4_2 q_2 / r_2^6)
+    Each component is (4 / (m_i w^2)) * (C4_1 r_1 / r_1^6 + C4_2 r_2 / r_2^6)
     with the radial trap frequency for x and y and the axial one for z.
     """
     c4_1, c4_2 = config.c4_pair
-    m_i = config.ion.mass
-    r1, r2 = geometry.r1, geometry.r2
-    r1_6 = float(np.dot(r1, r1)) ** 3
-    r2_6 = float(np.dot(r2, r2)) ** 3
+    r1_6 = _squared_norm(r1)[..., None] ** 3
+    r2_6 = _squared_norm(r2)[..., None] ** 3
+    return ion_compliance(config) * (c4_1 * r1 / r1_6 + c4_2 * r2 / r2_6)
 
-    pull = c4_1 * r1 / r1_6 + c4_2 * r2 / r2_6
-    k_rho = 4.0 / (m_i * config.ion_trap.radial**2)
-    k_z = 4.0 / (m_i * config.ion_trap.axial**2)
-    return IonDisplacement(k_rho * pull[0], k_rho * pull[1], k_z * pull[2])
+
+def ion_displacement(geometry: AtomPairGeometry, config: SystemConfig) -> IonDisplacement:
+    """Closed-form ion displacement induced by the two ion-atom attractions."""
+    return IonDisplacement(*_ion_shift(geometry.r1, geometry.r2, config))
+
+
+def bo_energy(r1, r2, config: SystemConfig, start: float = 0.0) -> np.ndarray:
+    """Born-Oppenheimer energy for atoms at ``r1``, ``r2``, J.
+
+    Positions are broadcasting arrays of shape (..., 3), m.  From
+    ``start`` it subtracts, in this order, the displacement energy gains
+    (radial, then axial), the direct ion-atom attractions and the
+    atom-atom van der Waals term.  With ``start`` the bare mode energy
+    E0 this is the adiabatic eigenvalue V(r1, r2); with 0 it is V - E0
+    without the rounding of E0.
+    """
+    r1, r2 = np.asarray(r1, dtype=float), np.asarray(r2, dtype=float)
+    r1_sq, r2_sq, r12_sq = _squared_distances(r1, r2)
+    c4_1, c4_2 = config.c4_pair
+    m_i = config.ion.mass
+    shift = _ion_shift(r1, r2, config)
+    energy = start - 0.5 * m_i * config.ion_trap.radial**2 * (
+        shift[..., 0] * shift[..., 0] + shift[..., 1] * shift[..., 1])
+    energy = energy - 0.5 * m_i * config.ion_trap.axial**2 * shift[..., 2]**2
+    energy = energy - (c4_1 / r1_sq**2 + c4_2 / r2_sq**2)
+    return energy - config.c6_pair / r12_sq**3
+
+
+def axial_interaction(z1, z2, config: SystemConfig) -> np.ndarray:
+    """V - E0 for atoms on the trap axis at broadcasting ``z1``, ``z2``, J."""
+    return bo_energy(_on_axis(z1), _on_axis(z2), config)
 
 
 def bo_eigenvalue(geometry: AtomPairGeometry, mu: IonModeIndex,
                   config: SystemConfig) -> float:
-    """Adiabatic eigenvalue V(r1, r2) of the displaced ion oscillator, J.
-
-    Bare oscillator energy of mode ``mu`` minus the displacement energy
-    gains, minus the direct ion-atom attractions, minus the atom-atom
-    van der Waals term.
-    """
-    c4_1, c4_2 = config.c4_pair
-    m_i = config.ion.mass
-    d = ion_displacement(geometry, config)
-    r1_sq = float(np.dot(geometry.r1, geometry.r1))
-    r2_sq = float(np.dot(geometry.r2, geometry.r2))
-    r12 = geometry.r1 - geometry.r2
-    r12_6 = float(np.dot(r12, r12)) ** 3
-
-    energy = mu.bare_energy(config.ion_trap)
-    energy -= 0.5 * m_i * config.ion_trap.radial**2 * d.rho0_sq
-    energy -= 0.5 * m_i * config.ion_trap.axial**2 * d.zeta0**2
-    energy -= c4_1 / r1_sq**2 + c4_2 / r2_sq**2
-    energy -= config.c6_pair / r12_6
-    return energy
+    """Adiabatic eigenvalue V(r1, r2) of the displaced ion oscillator in
+    mode ``mu``, J: ``bo_energy`` from the bare mode energy."""
+    return float(bo_energy(geometry.r1, geometry.r2, config, mu.bare_energy(config.ion_trap)))
 
 
 def exact_ion_potential(r_i: np.ndarray, geometry: AtomPairGeometry,
@@ -226,20 +257,6 @@ def effective_potential_U(geometry: AtomPairGeometry, mu: IonModeIndex,
     return trap_energy + bo_eigenvalue(geometry, mu, config)
 
 
-def _curve_states(config: SystemConfig):
-    """The (rr, rg, gg) state pairs derived from the configured Rydberg level."""
-    from .model import GROUND
-
-    rydberg = next((s for s in config.state_pair if s.is_rydberg), None)
-    if rydberg is None:
-        raise ConfigError("axial curves need a Rydberg state in the configured pair")
-    return {
-        "V_rr": (rydberg, rydberg),
-        "V_rg": (rydberg, GROUND),
-        "V_gg": (GROUND, GROUND),
-    }
-
-
 def axial_bo_curve(z_grid, mu: IonModeIndex, config: SystemConfig,
                    placement: str = "symmetric") -> dict[str, np.ndarray]:
     """Adiabatic potential curves along the trap axis, J, asymptote removed.
@@ -248,26 +265,23 @@ def axial_bo_curve(z_grid, mu: IonModeIndex, config: SystemConfig,
     at +-z/2 ("symmetric" placement) or with atom 2 pinned at its trap
     center -z0 and atom 1 at -z0 + z ("atom2-fixed").  Columns hold
     V - E0 for the rr, rg, and gg state pairs built from the configured
-    Rydberg level.
+    Rydberg level, found as ``bo_energy`` from E0 minus E0.
     """
     if placement not in ("symmetric", "atom2-fixed"):
         raise ConfigError(f"unknown placement {placement!r}")
     z_grid = np.asarray(z_grid, dtype=float)
+    if not np.all(np.isfinite(z_grid)):
+        raise ConfigError("separation grid must be finite")
     if np.any(z_grid <= 0.0):
         raise SingularGeometryError("separation grid must stay positive")
+    if placement == "symmetric":
+        r1, r2 = _on_axis(0.5 * z_grid), _on_axis(-0.5 * z_grid)
+    else:
+        z2 = -config.half_separation_z0
+        r1, r2 = _on_axis(z2 + z_grid), _on_axis(z2)
 
-    states = _curve_states(config)
     e0 = mu.bare_energy(config.ion_trap)
     out: dict[str, np.ndarray] = {"z": z_grid.copy()}
-    for name, pair in states.items():
-        cfg = config.with_states(*pair)
-        values = np.empty_like(z_grid)
-        for k, z in enumerate(z_grid):
-            if placement == "symmetric":
-                geom = AtomPairGeometry.on_axis(0.5 * z, -0.5 * z)
-            else:
-                z2 = -config.half_separation_z0
-                geom = AtomPairGeometry.on_axis(z2 + z, z2)
-            values[k] = bo_eigenvalue(geom, mu, cfg) - e0
-        out[name] = values
+    for name, pair in config.named_pairs().items():
+        out["V_" + name] = bo_energy(r1, r2, config.with_states(*pair), e0) - e0
     return out

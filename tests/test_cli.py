@@ -246,6 +246,20 @@ class TestErrorPaths:
         assert code == 2
         assert "separation_um" in err
 
+    def test_nan_c4_is_a_config_error(self, config_file, capsys):
+        code, out, err = run(capsys, "scales", "--config",
+                             str(config_file(c4_ground_Jm4=float("nan"))))
+        assert code == 2
+        assert "c4_ground_Jm4" in err and "finite" in err
+        assert "R_ia*" not in out
+
+    def test_infinite_c6_is_a_config_error(self, config_file, capsys):
+        code, out, err = run(capsys, "critical", "--config",
+                             str(config_file(c6_pair_MHz_um6=float("inf"))))
+        assert code == 2
+        assert "c6_pair_MHz_um6" in err and "finite" in err
+        assert "no instability" not in out
+
     def test_unknown_subcommand(self, config_file, capsys):
         assert run(capsys, "eigenmodes", "--config", str(config_file()))[0] == 2
 

@@ -104,6 +104,17 @@ class TestDocumentResolution:
         with pytest.raises(ConfigError, match=fragment):
             config_from_document(document)
 
+    @pytest.mark.parametrize("document, field", [
+        ({"c4_ground_Jm4": float("nan")}, "c4_ground_Jm4"),
+        ({"c6_pair_MHz_um6": float("inf")}, "c6_pair_MHz_um6"),
+        ({"z0_um": -float("inf")}, "z0_um"),
+        ({"ion": {"omega_z_kHz": float("nan")}}, "ion.omega_z_kHz"),
+        ({"atom": {"mass_u": 10**400}}, "atom.mass_u"),
+    ])
+    def test_non_finite_numbers_rejected(self, document, field):
+        with pytest.raises(ConfigError, match=f"{field}' must be finite"):
+            config_from_document(document)
+
     def test_root_must_be_object(self):
         with pytest.raises(ConfigError, match="object"):
             config_from_document([1, 2, 3])

@@ -1,5 +1,7 @@
 """Table writer: float arrays are formatted in bulk with the per-cell bytes."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -43,3 +45,14 @@ def test_float_array_and_tuple_rows_agree(tmp_path):
 def test_float_array_width_must_match_header(tmp_path):
     with pytest.raises(ValueError):
         write_table(tmp_path / "t.csv", {}, ["a", "b"], np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+def test_table_mode_follows_the_umask(tmp_path, umask, mode):
+    previous = os.umask(umask)
+    try:
+        path = write_table(tmp_path / "t.csv", {}, ["a"], np.zeros((2, 1)))
+        assert os.umask(umask) == umask  # the writer restores the umask
+    finally:
+        os.umask(previous)
+    assert path.stat().st_mode & 0o777 == mode

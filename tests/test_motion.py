@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from ionbridge import (
     InstabilityError,
     InteractionCoefficients,
     axial_collision_threshold,
+    axial_interaction,
     axial_hamiltonian_matrix,
     bare_product_state,
     basis_ground_state,
@@ -32,7 +34,6 @@ from ionbridge import (
 from ionbridge import motion
 from ionbridge.motion import (
     _QUAD_MARGIN,
-    _axial_interaction,
     _quadrature_block,
     hermite_values,
     lowest_pair,
@@ -106,6 +107,27 @@ class TestHamiltonianMatrix:
             axial_hamiltonian_matrix(cfg_rr, cfg_rr.half_separation_z0, -1)
         with pytest.raises(ValueError):
             axial_hamiltonian_matrix(cfg_rr, cfg_rr.half_separation_z0, 61)
+
+
+    @pytest.mark.parametrize("pair", ["rr", "rg", "gg"])
+    def test_interaction_matches_the_former_formula(self, pair):
+        config = reference_config(pair)
+        z0 = config.half_separation_z0
+        a_z = math.sqrt(cst.HBAR / (config.atom.mass * config.atom_trap.axial))
+        xi, _ = hermgauss(4 * 34 + _QUAD_MARGIN + 16)
+        z1, z2 = (z0 + a_z * xi)[:, None], (-z0 + a_z * xi)[None, :]
+        np.testing.assert_allclose(axial_interaction(z1, z2, config),
+                                   former_interaction(z1, z2, config), rtol=1e-13, atol=0.0)
+
+
+def former_interaction(z1, z2, config):
+    """The on-axis W(z1, z2) as the motion module once wrote it out."""
+    c4_1, c4_2 = config.c4_pair
+    m_i = config.ion.mass
+    w_iz_sq = config.ion_trap.axial**2
+    zeta0 = (4.0 / (m_i * w_iz_sq)) * (c4_1 * z1 / np.abs(z1) ** 6 + c4_2 * z2 / np.abs(z2) ** 6)
+    v = -0.5 * m_i * w_iz_sq * zeta0 * zeta0
+    return v - c4_1 / z1**4 - c4_2 / z2**4 - config.c6_pair / (z1 - z2) ** 6
 
 
 class TestEigensolver:
@@ -294,7 +316,7 @@ class TestMatrixFreeSolver:
         z0 = 0.5e-6 * separation_um
         config = reference_config(pair, z0=z0)
         _, _, drift = lowest_pair(config, z0, n_max)
-        old = entrywise_drift(config, z0, n_max, _axial_interaction(config))
+        old = entrywise_drift(config, z0, n_max, partial(axial_interaction, config=config))
         assert drift >= old - 2.0 * np.finfo(float).eps
         assert drift < 1e-12
 

@@ -11,7 +11,9 @@ from ionbridge import (
     ConfigError,
     SingularGeometryError,
     axial_bo_curve,
+    axial_interaction,
     bo_eigenvalue,
+    bo_energy,
     constants as cst,
     effective_potential_U,
     exact_ion_potential,
@@ -192,3 +194,84 @@ class TestAxialCurves:
     def test_nonpositive_grid_rejected(self, cfg_rr):
         with pytest.raises(SingularGeometryError):
             axial_bo_curve(np.array([10e-6, 0.0]), cfg_rr.ion_mode, cfg_rr)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("placement", ["symmetric", "atom2-fixed"])
+    def test_non_finite_grid_rejected(self, cfg_rr, bad, placement):
+        with pytest.raises(ConfigError, match="finite"):
+            axial_bo_curve(np.array([12e-6, bad]), cfg_rr.ion_mode, cfg_rr, placement=placement)
+
+    def test_pinned_atom_at_the_ion_rejected(self, cfg_rr):
+        # atom2-fixed puts atom 1 at -z0 + z, the ion-trap center when z == z0
+        grid = np.array([12e-6, cfg_rr.half_separation_z0])
+        with pytest.raises(SingularGeometryError, match="ion-trap center"):
+            axial_bo_curve(grid, cfg_rr.ion_mode, cfg_rr, placement="atom2-fixed")
+
+    @pytest.mark.parametrize("placement", ["symmetric", "atom2-fixed"])
+    def test_one_point_grid(self, cfg_rr, placement):
+        curves = axial_bo_curve([16e-6], cfg_rr.ion_mode, cfg_rr, placement=placement)
+        assert set(curves) == {"z", "V_rr", "V_rg", "V_gg"}
+        assert all(column.shape == (1,) for column in curves.values())
+
+    @pytest.mark.parametrize("placement", ["symmetric", "atom2-fixed"])
+    def test_grid_matches_per_point_eigenvalues(self, cfg_rr, placement):
+        grid = np.linspace(10e-6, 30e-6, 41)
+        mu = cfg_rr.ion_mode
+        curves = axial_bo_curve(grid, mu, cfg_rr, placement=placement)
+        e0 = mu.bare_energy(cfg_rr.ion_trap)
+        z2 = -cfg_rr.half_separation_z0
+        for name, pair in cfg_rr.named_pairs().items():
+            cfg = cfg_rr.with_states(*pair)
+            for z, value in zip(grid, curves["V_" + name]):
+                z1, z2_point = (0.5 * z, -0.5 * z) if placement == "symmetric" else (z2 + z, z2)
+                geom = AtomPairGeometry.on_axis(z1, z2_point)
+                assert abs(value - (bo_eigenvalue(geom, mu, cfg) - e0)) <= 4 * np.spacing(e0)
+                expected = seed_bo_eigenvalue(z1, z2_point, mu, cfg) - e0
+                assert abs(value - expected) <= 4 * np.spacing(e0)
+
+
+def seed_bo_eigenvalue(z1, z2, mu, config):
+    """The on-axis adiabatic eigenvalue, one point at a time in Python floats."""
+    c4_1, c4_2 = config.c4_pair
+    m_i = config.ion.mass
+    zeta0 = 4.0 / (m_i * config.ion_trap.axial**2) * (c4_1 * z1 / (z1 * z1) ** 3
+                                                      + c4_2 * z2 / (z2 * z2) ** 3)
+    energy = mu.bare_energy(config.ion_trap)
+    energy -= 0.5 * m_i * config.ion_trap.axial**2 * zeta0**2
+    energy -= c4_1 / (z1 * z1) ** 2 + c4_2 / (z2 * z2) ** 2
+    return energy - config.c6_pair / ((z1 - z2) ** 2) ** 3
+
+
+class TestBornOppenheimerKernel:
+    def test_broadcasts_like_the_per_geometry_eigenvalue(self, cfg_rg):
+        rng = np.random.default_rng(5)
+        r1 = rng.normal(size=(4, 1, 3)) * 1e-6 + [0.0, 0.0, 8e-6]
+        r2 = rng.normal(size=(1, 5, 3)) * 1e-6 - [0.0, 0.0, 8e-6]
+        e0 = cfg_rg.ion_mode.bare_energy(cfg_rg.ion_trap)
+        grid = bo_energy(r1, r2, cfg_rg, e0)
+        assert grid.shape == (4, 5)
+        for i in range(4):
+            for j in range(5):
+                geom = AtomPairGeometry(r1[i, 0], r2[0, j])
+                assert grid[i, j] == bo_eigenvalue(geom, cfg_rg.ion_mode, cfg_rg)
+
+    def test_interaction_skips_the_mode_energy(self, cfg_rr):
+        z1 = np.array([7e-6, 8e-6, 9e-6])
+        direct = axial_interaction(z1, -8e-6, cfg_rr)
+        e0 = cfg_rr.ion_mode.bare_energy(cfg_rr.ion_trap)
+        for z, value in zip(z1, direct):
+            via_e0 = bo_eigenvalue(AtomPairGeometry.on_axis(z, -8e-6), cfg_rr.ion_mode, cfg_rr) - e0
+            assert value == pytest.approx(via_e0, rel=1e-6)
+            assert value == pytest.approx(seed_bo_eigenvalue(z, -8e-6, cfg_rr.ion_mode, cfg_rr)
+                                          - e0, abs=4 * np.spacing(e0))
+
+    @pytest.mark.parametrize("r1, r2, error", [
+        ([0.0, 0.0, np.nan], [0.0, 0.0, -8e-6], ConfigError),
+        ([0.0, np.inf, 8e-6], [0.0, 0.0, -8e-6], ConfigError),
+        ([0.0, 0.0, 0.0], [0.0, 0.0, -8e-6], SingularGeometryError),
+        ([0.0, 0.0, 8e-6], [0.0, 0.0, 8e-6], SingularGeometryError),
+    ])
+    def test_any_bad_point_raises(self, cfg_rr, r1, r2, error):
+        good = np.array([[0.0, 0.0, 7e-6], [0.1e-6, 0.0, 9e-6]])
+        with pytest.raises(error):
+            bo_energy(np.vstack([good, r1]), np.vstack([-good, r2]), cfg_rr)
