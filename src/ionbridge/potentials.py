@@ -35,19 +35,19 @@ __all__ = [
 
 
 def _squared_norm(r: np.ndarray) -> np.ndarray:
-    return r[..., 0] * r[..., 0] + r[..., 1] * r[..., 1] + r[..., 2] * r[..., 2]
+    return np.einsum("...i,...i->...", r, r)
 
 
 def _squared_distances(r1: np.ndarray, r2: np.ndarray):
     """|r1|^2, |r2|^2 and |r1 - r2|^2 of broadcasting (..., 3) positions of
     finite atoms that keep off the ion-trap center and apart."""
-    if not (np.all(np.isfinite(r1)) and np.all(np.isfinite(r2))):
+    if not (np.isfinite(r1).all() and np.isfinite(r2).all()):
         raise ConfigError("atom positions must be finite")
     r1_sq, r2_sq = _squared_norm(r1), _squared_norm(r2)
-    if np.any(r1_sq == 0.0) or np.any(r2_sq == 0.0):
+    if not (r1_sq.all() and r2_sq.all()):
         raise SingularGeometryError("atom at the ion-trap center")
     r12_sq = _squared_norm(r1 - r2)
-    if np.any(r12_sq == 0.0):
+    if not r12_sq.all():
         raise SingularGeometryError("coincident atoms")
     return r1_sq, r2_sq, r12_sq
 
@@ -72,7 +72,12 @@ class AtomPairGeometry:
             raise ConfigError("atom positions must be 3-vectors")
         object.__setattr__(self, "r1", r1)
         object.__setattr__(self, "r2", r2)
-        _squared_distances(r1, r2)
+        if not (np.all(np.isfinite(r1)) and np.all(np.isfinite(r2))):
+            raise ConfigError("atom positions must be finite")
+        if np.linalg.norm(r1) == 0.0 or np.linalg.norm(r2) == 0.0:
+            raise SingularGeometryError("atom at the ion-trap center")
+        if np.linalg.norm(r1 - r2) == 0.0:
+            raise SingularGeometryError("coincident atoms")
 
     @classmethod
     def on_axis(cls, z1: float, z2: float) -> "AtomPairGeometry":
@@ -98,8 +103,8 @@ class IonDisplacement:
 
 def ion_compliance(config: SystemConfig) -> np.ndarray:
     """4 / (m_i w^2) per axis (x, y, z): ion displacement per unit pull, m^2/J."""
-    return 4.0 / (config.ion.mass * np.array([config.ion_trap.radial, config.ion_trap.radial,
-                                               config.ion_trap.axial]) ** 2)
+    trap = config.ion_trap
+    return np.array([4.0 / (config.ion.mass * w**2) for w in (trap.radial, trap.radial, trap.axial)])
 
 
 def _ion_shift(r1: np.ndarray, r2: np.ndarray, config: SystemConfig) -> np.ndarray:

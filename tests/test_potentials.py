@@ -11,7 +11,6 @@ from ionbridge import (
     ConfigError,
     SingularGeometryError,
     axial_bo_curve,
-    axial_interaction,
     bo_eigenvalue,
     bo_energy,
     constants as cst,
@@ -226,24 +225,28 @@ class TestAxialCurves:
                 z1, z2_point = (0.5 * z, -0.5 * z) if placement == "symmetric" else (z2 + z, z2)
                 geom = AtomPairGeometry.on_axis(z1, z2_point)
                 assert abs(value - (bo_eigenvalue(geom, mu, cfg) - e0)) <= 4 * np.spacing(e0)
-                expected = seed_bo_eigenvalue(z1, z2_point, mu, cfg) - e0
+                expected = seed_bo_eigenvalue([0, 0, z1], [0, 0, z2_point], mu, cfg) - e0
                 assert abs(value - expected) <= 4 * np.spacing(e0)
 
 
-def seed_bo_eigenvalue(z1, z2, mu, config):
-    """The on-axis adiabatic eigenvalue, one point at a time in Python floats."""
+def seed_bo_eigenvalue(r1, r2, mu, config):
+    """The adiabatic eigenvalue of one geometry, written out in Python floats."""
+    r1, r2 = np.asarray(r1, dtype=float), np.asarray(r2, dtype=float)
     c4_1, c4_2 = config.c4_pair
     m_i = config.ion.mass
-    zeta0 = 4.0 / (m_i * config.ion_trap.axial**2) * (c4_1 * z1 / (z1 * z1) ** 3
-                                                      + c4_2 * z2 / (z2 * z2) ** 3)
+    r1_sq, r2_sq = float(np.dot(r1, r1)), float(np.dot(r2, r2))
+    pull = c4_1 * r1 / r1_sq**3 + c4_2 * r2 / r2_sq**3
+    x0, y0 = 4.0 * pull[:2] / (m_i * config.ion_trap.radial**2)
+    zeta0 = 4.0 * pull[2] / (m_i * config.ion_trap.axial**2)
     energy = mu.bare_energy(config.ion_trap)
+    energy -= 0.5 * m_i * config.ion_trap.radial**2 * (x0 * x0 + y0 * y0)
     energy -= 0.5 * m_i * config.ion_trap.axial**2 * zeta0**2
-    energy -= c4_1 / (z1 * z1) ** 2 + c4_2 / (z2 * z2) ** 2
-    return energy - config.c6_pair / ((z1 - z2) ** 2) ** 3
+    energy -= c4_1 / r1_sq**2 + c4_2 / r2_sq**2
+    return energy - config.c6_pair / float(np.dot(r1 - r2, r1 - r2)) ** 3
 
 
 class TestBornOppenheimerKernel:
-    def test_broadcasts_like_the_per_geometry_eigenvalue(self, cfg_rg):
+    def test_broadcast_grid_matches_the_per_geometry_formula(self, cfg_rg):
         rng = np.random.default_rng(5)
         r1 = rng.normal(size=(4, 1, 3)) * 1e-6 + [0.0, 0.0, 8e-6]
         r2 = rng.normal(size=(1, 5, 3)) * 1e-6 - [0.0, 0.0, 8e-6]
@@ -254,16 +257,8 @@ class TestBornOppenheimerKernel:
             for j in range(5):
                 geom = AtomPairGeometry(r1[i, 0], r2[0, j])
                 assert grid[i, j] == bo_eigenvalue(geom, cfg_rg.ion_mode, cfg_rg)
-
-    def test_interaction_skips_the_mode_energy(self, cfg_rr):
-        z1 = np.array([7e-6, 8e-6, 9e-6])
-        direct = axial_interaction(z1, -8e-6, cfg_rr)
-        e0 = cfg_rr.ion_mode.bare_energy(cfg_rr.ion_trap)
-        for z, value in zip(z1, direct):
-            via_e0 = bo_eigenvalue(AtomPairGeometry.on_axis(z, -8e-6), cfg_rr.ion_mode, cfg_rr) - e0
-            assert value == pytest.approx(via_e0, rel=1e-6)
-            assert value == pytest.approx(seed_bo_eigenvalue(z, -8e-6, cfg_rr.ion_mode, cfg_rr)
-                                          - e0, abs=4 * np.spacing(e0))
+                expected = seed_bo_eigenvalue(r1[i, 0], r2[0, j], cfg_rg.ion_mode, cfg_rg)
+                assert grid[i, j] == pytest.approx(expected, rel=1e-15)
 
     @pytest.mark.parametrize("r1, r2, error", [
         ([0.0, 0.0, np.nan], [0.0, 0.0, -8e-6], ConfigError),
