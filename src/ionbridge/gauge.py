@@ -21,7 +21,7 @@ from scipy.linalg import expm
 from . import constants as cst
 from .errors import AccuracyError, ConfigError
 from .model import IonModeIndex, SystemConfig
-from .potentials import AtomPairGeometry, ion_compliance
+from .potentials import AtomPairGeometry
 
 __all__ = [
     "GaugeConnection",
@@ -68,7 +68,13 @@ def displacement_jacobian(atom_index: int, geometry: AtomPairGeometry,
     c4 = config.c4_pair[atom_index - 1]
     r_sq = float(np.dot(r, r))
     core = np.eye(3) / r_sq**3 - 6.0 * np.outer(r, r) / r_sq**4
-    return c4 * ion_compliance(config)[:, None] * core
+    m_i = config.ion.mass
+    kappa = np.array([
+        4.0 / (m_i * config.ion_trap.radial**2),
+        4.0 / (m_i * config.ion_trap.radial**2),
+        4.0 / (m_i * config.ion_trap.axial**2),
+    ])
+    return c4 * kappa[:, None] * core
 
 
 def _ladder_derivatives(modes: list[IonModeIndex], config: SystemConfig) -> np.ndarray:

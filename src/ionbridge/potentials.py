@@ -22,7 +22,6 @@ from .model import IonModeIndex, SystemConfig, characteristic_scales
 __all__ = [
     "AtomPairGeometry",
     "IonDisplacement",
-    "ion_compliance",
     "ion_displacement",
     "bo_energy",
     "bo_eigenvalue",
@@ -39,8 +38,7 @@ def _squared_norm(r: np.ndarray) -> np.ndarray:
 
 
 def _squared_distances(r1: np.ndarray, r2: np.ndarray):
-    """|r1|^2, |r2|^2 and |r1 - r2|^2 of broadcasting (..., 3) positions of
-    finite atoms that keep off the ion-trap center and apart."""
+    """|r1|^2, |r2|^2, |r1 - r2|^2 of finite (..., 3) positions, all nonzero."""
     if not (np.isfinite(r1).all() and np.isfinite(r2).all()):
         raise ConfigError("atom positions must be finite")
     r1_sq, r2_sq = _squared_norm(r1), _squared_norm(r2)
@@ -101,22 +99,16 @@ class IonDisplacement:
         return np.array([self.x0, self.y0, self.zeta0])
 
 
-def ion_compliance(config: SystemConfig) -> np.ndarray:
-    """4 / (m_i w^2) per axis (x, y, z): ion displacement per unit pull, m^2/J."""
-    trap = config.ion_trap
-    return np.array([4.0 / (config.ion.mass * w**2) for w in (trap.radial, trap.radial, trap.axial)])
-
-
 def _ion_shift(r1: np.ndarray, r2: np.ndarray, config: SystemConfig) -> np.ndarray:
-    """Closed-form ion displacement for atoms at ``r1``, ``r2`` (..., 3), m.
-
-    Each component is (4 / (m_i w^2)) * (C4_1 r_1 / r_1^6 + C4_2 r_2 / r_2^6)
-    with the radial trap frequency for x and y and the axial one for z.
-    """
+    """Closed-form ion displacement for atoms at ``r1``, ``r2`` (..., 3), m:
+    (4 / (m_i w^2)) (C4_1 r_1 / r_1^6 + C4_2 r_2 / r_2^6), w radial for x, y and axial for z."""
     c4_1, c4_2 = config.c4_pair
+    m_i = config.ion.mass
     r1_6 = _squared_norm(r1)[..., None] ** 3
     r2_6 = _squared_norm(r2)[..., None] ** 3
-    return ion_compliance(config) * (c4_1 * r1 / r1_6 + c4_2 * r2 / r2_6)
+    k_rho = 4.0 / (m_i * config.ion_trap.radial**2)
+    k_z = 4.0 / (m_i * config.ion_trap.axial**2)
+    return np.array([k_rho, k_rho, k_z]) * (c4_1 * r1 / r1_6 + c4_2 * r2 / r2_6)
 
 
 def ion_displacement(geometry: AtomPairGeometry, config: SystemConfig) -> IonDisplacement:
