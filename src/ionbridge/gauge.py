@@ -21,7 +21,7 @@ from scipy.linalg import expm
 from . import constants as cst
 from .errors import AccuracyError, ConfigError
 from .model import IonModeIndex, SystemConfig
-from .potentials import AtomPairGeometry
+from .potentials import AtomPairGeometry, _squared_distances
 
 __all__ = [
     "GaugeConnection",
@@ -65,9 +65,13 @@ def displacement_jacobian(atom_index: int, geometry: AtomPairGeometry,
     if atom_index not in (1, 2):
         raise ConfigError(f"atom_index must be 1 or 2, got {atom_index}")
     r = geometry.r1 if atom_index == 1 else geometry.r2
-    c4 = config.c4_pair[atom_index - 1]
-    r_sq = float(np.dot(r, r))
-    core = np.eye(3) / r_sq**3 - 6.0 * np.outer(r, r) / r_sq**4
+    return _jacobian(r, config.c4_pair[atom_index - 1], config)
+
+
+def _jacobian(r: np.ndarray, c4: float, config: SystemConfig) -> np.ndarray:
+    """``displacement_jacobian`` at atom positions ``r`` of shape (..., 3)."""
+    r_sq = np.einsum("...i,...i->...", r, r)[..., None, None]
+    core = np.eye(3) / r_sq**3 - 6.0 * (r[..., :, None] * r[..., None, :]) / r_sq**4
     m_i = config.ion.mass
     kappa = np.array([
         4.0 / (m_i * config.ion_trap.radial**2),
@@ -211,12 +215,14 @@ def square_loop(config: SystemConfig, side: float = 1e-6) -> LoopPath:
 
 def _diagonal_integral(loop: LoopPath, mode: IonModeIndex, config: SystemConfig,
                        subdivide: int) -> float:
+    mids, deltas = (np.array(part) for part in zip(*loop.segments(subdivide)))
+    _squared_distances(mids[:, 0], mids[:, 1])
+    ladders = _ladder_derivatives([mode], config)[:, 0, 0]
     total = 0.0j
-    for mid, delta in loop.segments(subdivide):
-        geometry = AtomPairGeometry(mid[0], mid[1])
-        for atom_index in (1, 2):
-            element = gauge_element(mode, mode, atom_index, geometry, config)
-            total += np.dot(element, delta[atom_index - 1])
+    for j in (0, 1):
+        jac = _jacobian(mids[:, j], config.c4_pair[j], config)
+        element = -1j * cst.HBAR * np.einsum("sab,a->sb", jac, ladders)
+        total += np.sum(element * deltas[:, j])
     return float(total.real) / cst.HBAR
 
 

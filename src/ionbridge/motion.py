@@ -151,8 +151,7 @@ def axial_hamiltonian_matrix(config: SystemConfig, z0: float, n_max: int,
     n1, n2 = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     diag = cst.HBAR * config.atom_trap.axial * (n1 + n2 + 1).reshape(-1).astype(float)
     if not injected:
-        diag = diag + config.ion_mode.bare_energy(config.ion_trap) \
-            + 2.0 * cst.HBAR * config.atom_trap.radial
+        diag = diag + _constant_offset(config)
     h = check + np.diag(diag)
     return 0.5 * (h + h.T)
 

@@ -70,12 +70,7 @@ class AtomPairGeometry:
             raise ConfigError("atom positions must be 3-vectors")
         object.__setattr__(self, "r1", r1)
         object.__setattr__(self, "r2", r2)
-        if not (np.all(np.isfinite(r1)) and np.all(np.isfinite(r2))):
-            raise ConfigError("atom positions must be finite")
-        if np.linalg.norm(r1) == 0.0 or np.linalg.norm(r2) == 0.0:
-            raise SingularGeometryError("atom at the ion-trap center")
-        if np.linalg.norm(r1 - r2) == 0.0:
-            raise SingularGeometryError("coincident atoms")
+        _squared_distances(r1, r2)
 
     @classmethod
     def on_axis(cls, z1: float, z2: float) -> "AtomPairGeometry":

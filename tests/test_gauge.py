@@ -11,6 +11,7 @@ from ionbridge import (
     ConfigError,
     IonModeIndex,
     LoopPath,
+    SingularGeometryError,
     berry_phase,
     cartesian_modes,
     connection_matrix,
@@ -22,6 +23,7 @@ from ionbridge import (
     square_loop,
     wilson_loop,
 )
+from ionbridge.gauge import _diagonal_integral, _jacobian
 from ionbridge.motion import hermite_values
 
 
@@ -197,6 +199,37 @@ class TestLoops:
         loop = square_loop(cfg_rr, side=1e-6)
         for mode in (IonModeIndex.cartesian(0, 0, 0), IonModeIndex.cartesian(1, 0, 1)):
             assert abs(berry_phase(loop, mode, cfg_rr)) <= 1e-8
+
+    def test_berry_phase_matches_the_per_segment_sum(self, cfg_rr):
+        # the line integral of the diagonal element, one geometry per segment
+        loop = square_loop(cfg_rr, side=1e-6)
+        for mode in cartesian_modes(1):
+            for subdivide in (1, 2):
+                total = 0.0j
+                for mid, delta in loop.segments(subdivide):
+                    geom = AtomPairGeometry(mid[0], mid[1])
+                    for atom in (1, 2):
+                        total += np.dot(gauge_element(mode, mode, atom, geom, cfg_rr),
+                                        delta[atom - 1])
+                assert _diagonal_integral(loop, mode, cfg_rr, subdivide) == total.real / cst.HBAR
+
+    def test_batched_jacobian_matches_each_geometry(self, cfg_rg):
+        rng = np.random.default_rng(7)
+        points = rng.normal(size=(6, 3)) * 1e-6 + [0.0, 0.0, 8e-6]
+        r2 = np.array([0.0, 0.0, -8e-6])
+        for atom, c4 in ((1, cfg_rg.c4_pair[0]), (2, cfg_rg.c4_pair[1])):
+            batch = _jacobian(points, c4, cfg_rg)
+            for point, jac in zip(points, batch):
+                geom = AtomPairGeometry(point, r2) if atom == 1 else AtomPairGeometry(r2, point)
+                np.testing.assert_array_equal(jac, displacement_jacobian(atom, geom, cfg_rg))
+
+    def test_loop_through_the_ion_is_singular(self, cfg_rr):
+        # atom 1 crosses the ion-trap center: a segment midpoint lands on it
+        r2 = [0.0, 0.0, -8e-6]
+        path = LoopPath(np.array([[[-1e-6, 0.0, 0.0], r2], [[1e-6, 0.0, 0.0], r2],
+                                  [[-1e-6, 0.0, 0.0], r2]]))
+        with pytest.raises(SingularGeometryError, match="ion-trap center"):
+            berry_phase(path, IonModeIndex.cartesian(0, 0, 0), cfg_rr)
 
     def test_berry_phase_needs_closed_loop(self, cfg_rr):
         path = LoopPath(np.array([

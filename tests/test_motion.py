@@ -19,7 +19,6 @@ from ionbridge import (
     InstabilityError,
     InteractionCoefficients,
     axial_collision_threshold,
-    axial_interaction,
     axial_hamiltonian_matrix,
     bare_product_state,
     basis_ground_state,
@@ -38,6 +37,7 @@ from ionbridge.motion import (
     hermite_values,
     lowest_pair,
 )
+from ionbridge.potentials import axial_interaction
 
 
 def density_grids(config, state, gauss, points=161):
