@@ -216,7 +216,7 @@ def square_loop(config: SystemConfig, side: float = 1e-6) -> LoopPath:
 def _diagonal_integral(loop: LoopPath, mode: IonModeIndex, config: SystemConfig,
                        subdivide: int) -> float:
     mids, deltas = (np.array(part) for part in zip(*loop.segments(subdivide)))
-    _squared_distances(mids[:, 0], mids[:, 1])
+    _squared_distances(mids[:, 0], mids[:, 1])  # AtomPairGeometry's checks, every midpoint
     ladders = _ladder_derivatives([mode], config)[:, 0, 0]
     total = 0.0j
     for j in (0, 1):

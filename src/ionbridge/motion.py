@@ -26,7 +26,7 @@ from numpy.polynomial.hermite import hermgauss
 
 from . import constants as cst
 from .errors import AccuracyError, ConfigError, InstabilityError
-from .model import SystemConfig
+from .model import SystemConfig, characteristic_scales
 from .phonons import equilibrium_shift, phonon_spectrum
 from .potentials import axial_interaction
 
@@ -98,7 +98,7 @@ def _quadrature_block(config: SystemConfig, z0: float, n_max: int, order: int,
 
     Returns the (N^2, N^2) block ordered with flat index n1 * N + n2.
     """
-    length = math.sqrt(cst.HBAR / (config.atom.mass * config.atom_trap.axial))
+    length = characteristic_scales(config).a_z
     xi, weights = hermgauss(order)
     z1 = z0 + length * xi
     z2 = -z0 + length * xi
@@ -249,7 +249,7 @@ def _interaction_grid(config: SystemConfig, z0: float, n_max: int, order: int,
     C -> Q^T (grid * (Q C Q^T)) Q on (N, N) coefficient matrices
     (``_block_action``).
     """
-    length = math.sqrt(cst.HBAR / (config.atom.mass * config.atom_trap.axial))
+    length = characteristic_scales(config).a_z
     xi, weights = hermgauss(order)
     grid = potential_fn(z0 + length * xi[:, None], -z0 + length * xi[None, :])
     grid = grid * np.outer(weights, weights) / _axial_energy_scale(config)
@@ -385,7 +385,6 @@ def basis_ground_state(config: SystemConfig, z0: float, n_max: int = 30) -> Basi
             f"n_max must lie in [0, {cap}]: the basis is capped at {_MAX_BASIS} and the "
             f"convergence check solves at n_max + {_CONVERGENCE_STEP}; got {n_max}"
         )
-    a_z = math.sqrt(cst.HBAR / (config.atom.mass * config.atom_trap.axial))
     offset = _constant_offset(config)
 
     for attempt, n in enumerate((n_max, _RAMP_LIMIT)):
@@ -402,7 +401,7 @@ def basis_ground_state(config: SystemConfig, z0: float, n_max: int = 30) -> Basi
                 coefficients=vector.reshape(dim, dim),
                 energy=energy,
                 half_separation=z0,
-                osc_length=a_z,
+                osc_length=characteristic_scales(config).a_z,
                 residual=residual,
             )
     raise AccuracyError(
@@ -444,7 +443,7 @@ def gaussian_ground_state(config: SystemConfig, z0: float) -> CorrelatedGaussian
 
 def bare_product_state(config: SystemConfig, z0: float) -> CorrelatedGaussian:
     """Uncoupled trap ground state: the no-interaction reference."""
-    a_z = math.sqrt(cst.HBAR / (config.atom.mass * config.atom_trap.axial))
+    a_z = characteristic_scales(config).a_z
     return CorrelatedGaussian(center=(z0, -z0), normal_axes=np.eye(2), widths=(a_z, a_z))
 
 

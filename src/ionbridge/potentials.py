@@ -34,7 +34,8 @@ __all__ = [
 
 
 def _squared_norm(r: np.ndarray) -> np.ndarray:
-    return np.einsum("...i,...i->...", r, r)
+    # per component: numpy loops over a broadcast trailing axis of 3 are slow
+    return r[..., 0] * r[..., 0] + r[..., 1] * r[..., 1] + r[..., 2] * r[..., 2]
 
 
 def _squared_distances(r1: np.ndarray, r2: np.ndarray):
@@ -44,7 +45,8 @@ def _squared_distances(r1: np.ndarray, r2: np.ndarray):
     r1_sq, r2_sq = _squared_norm(r1), _squared_norm(r2)
     if not (r1_sq.all() and r2_sq.all()):
         raise SingularGeometryError("atom at the ion-trap center")
-    r12_sq = _squared_norm(r1 - r2)
+    dx, dy, dz = (r1[..., a] - r2[..., a] for a in range(3))
+    r12_sq = dx * dx + dy * dy + dz * dz
     if not r12_sq.all():
         raise SingularGeometryError("coincident atoms")
     return r1_sq, r2_sq, r12_sq
@@ -94,16 +96,16 @@ class IonDisplacement:
         return np.array([self.x0, self.y0, self.zeta0])
 
 
-def _ion_shift(r1: np.ndarray, r2: np.ndarray, config: SystemConfig) -> np.ndarray:
-    """Closed-form ion displacement for atoms at ``r1``, ``r2`` (..., 3), m:
+def _ion_shift(r1: np.ndarray, r2: np.ndarray, config: SystemConfig) -> list[np.ndarray]:
+    """Closed-form ion displacement (x0, y0, zeta0) for atoms at ``r1``, ``r2`` (..., 3), m:
     (4 / (m_i w^2)) (C4_1 r_1 / r_1^6 + C4_2 r_2 / r_2^6), w radial for x, y and axial for z."""
     c4_1, c4_2 = config.c4_pair
     m_i = config.ion.mass
-    r1_6 = _squared_norm(r1)[..., None] ** 3
-    r2_6 = _squared_norm(r2)[..., None] ** 3
+    r1_6, r2_6 = _squared_norm(r1) ** 3, _squared_norm(r2) ** 3
     k_rho = 4.0 / (m_i * config.ion_trap.radial**2)
     k_z = 4.0 / (m_i * config.ion_trap.axial**2)
-    return np.array([k_rho, k_rho, k_z]) * (c4_1 * r1 / r1_6 + c4_2 * r2 / r2_6)
+    return [k * (c4_1 * r1[..., a] / r1_6 + c4_2 * r2[..., a] / r2_6)
+            for a, k in enumerate((k_rho, k_rho, k_z))]
 
 
 def ion_displacement(geometry: AtomPairGeometry, config: SystemConfig) -> IonDisplacement:
@@ -125,10 +127,9 @@ def bo_energy(r1, r2, config: SystemConfig, start: float = 0.0) -> np.ndarray:
     r1_sq, r2_sq, r12_sq = _squared_distances(r1, r2)
     c4_1, c4_2 = config.c4_pair
     m_i = config.ion.mass
-    shift = _ion_shift(r1, r2, config)
-    energy = start - 0.5 * m_i * config.ion_trap.radial**2 * (
-        shift[..., 0] * shift[..., 0] + shift[..., 1] * shift[..., 1])
-    energy = energy - 0.5 * m_i * config.ion_trap.axial**2 * shift[..., 2]**2
+    x0, y0, zeta0 = _ion_shift(r1, r2, config)
+    energy = start - 0.5 * m_i * config.ion_trap.radial**2 * (x0 * x0 + y0 * y0)
+    energy = energy - 0.5 * m_i * config.ion_trap.axial**2 * zeta0**2
     energy = energy - (c4_1 / r1_sq**2 + c4_2 / r2_sq**2)
     return energy - config.c6_pair / r12_sq**3
 
