@@ -108,7 +108,6 @@ class TestHamiltonianMatrix:
         with pytest.raises(ValueError):
             axial_hamiltonian_matrix(cfg_rr, cfg_rr.half_separation_z0, 61)
 
-
     @pytest.mark.parametrize("pair", ["rr", "rg", "gg"])
     def test_interaction_matches_the_former_formula(self, pair):
         config = reference_config(pair)

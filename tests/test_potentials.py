@@ -225,11 +225,11 @@ class TestAxialCurves:
                 z1, z2_point = (0.5 * z, -0.5 * z) if placement == "symmetric" else (z2 + z, z2)
                 geom = AtomPairGeometry.on_axis(z1, z2_point)
                 assert abs(value - (bo_eigenvalue(geom, mu, cfg) - e0)) <= 4 * np.spacing(e0)
-                expected = seed_bo_eigenvalue([0, 0, z1], [0, 0, z2_point], mu, cfg) - e0
+                expected = reference_bo_eigenvalue([0, 0, z1], [0, 0, z2_point], mu, cfg) - e0
                 assert abs(value - expected) <= 4 * np.spacing(e0)
 
 
-def seed_bo_eigenvalue(r1, r2, mu, config):
+def reference_bo_eigenvalue(r1, r2, mu, config):
     """The adiabatic eigenvalue of one geometry, written out in Python floats."""
     r1, r2 = np.asarray(r1, dtype=float), np.asarray(r2, dtype=float)
     c4_1, c4_2 = config.c4_pair
@@ -257,7 +257,7 @@ class TestBornOppenheimerKernel:
             for j in range(5):
                 geom = AtomPairGeometry(r1[i, 0], r2[0, j])
                 assert grid[i, j] == bo_eigenvalue(geom, cfg_rg.ion_mode, cfg_rg)
-                expected = seed_bo_eigenvalue(r1[i, 0], r2[0, j], cfg_rg.ion_mode, cfg_rg)
+                expected = reference_bo_eigenvalue(r1[i, 0], r2[0, j], cfg_rg.ion_mode, cfg_rg)
                 assert grid[i, j] == pytest.approx(expected, rel=1e-15)
 
     @pytest.mark.parametrize("r1, r2, error", [
