@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import constants as cst
 from .errors import ConfigError
+from .expansion import _terms
 from .model import (
     GROUND,
     ElectronicState,
@@ -108,6 +109,8 @@ def _resolve(document: dict) -> dict:
     if not (isinstance(mode, list) and len(mode) == 3
             and all(isinstance(v, int) and not isinstance(v, bool) for v in mode)):
         raise ConfigError("field 'ion_mode' must be three integers [n_rho, m, n_z]")
+    if any(abs(v) > 2**53 for v in mode):  # beyond 2**53 no longer exact as floats
+        raise ConfigError("field 'ion_mode' entries must not exceed 2**53 in magnitude")
     if resolved["scaling"] not in ("bare_n", "quantum_defect"):
         raise ConfigError(f"field 'scaling' must be 'bare_n' or 'quantum_defect', "
                           f"got {resolved['scaling']!r}")
@@ -145,6 +148,7 @@ def config_from_document(document: dict) -> tuple[SystemConfig, dict, str]:
         ),
         ion_mode=IonModeIndex.cylindrical(*resolved["ion_mode"]),
     )
+    _terms(config)  # ConfigError when a derived coefficient leaves the float range
     return config, resolved, config_digest(resolved)
 
 

@@ -10,10 +10,12 @@ bracket sign changes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .errors import ConfigError
 from .model import IonModeIndex, SystemConfig
 
 __all__ = [
@@ -52,6 +54,44 @@ class ExpansionCoefficients:
     E0_bar: float
 
 
+# The z0-independent factors of the expansion for one configuration: the
+# A coefficients in ExpansionCoefficients' order, C6 (J m^6), the atom
+# mass (kg) and the atom trap squares (rad^2/s^2).
+_Terms = namedtuple("_Terms", [f.name for f in fields(ExpansionCoefficients)[:-1]]
+                    + ["c6", "m_a", "w_ar_sq", "w_az_sq"])
+
+
+def _terms(config: SystemConfig) -> _Terms:
+    """The ``_Terms`` of a configuration; ConfigError when one of them
+    leaves the float range."""
+    try:
+        c4_1, c4_2 = config.c4_pair
+        m_a, m_i = config.atom.mass, config.ion.mass
+        w_ir_sq, w_iz_sq = config.ion_trap.radial**2, config.ion_trap.axial**2
+        terms = _Terms(
+            A12_1=16.0 * c4_1**2 / (m_a * m_i * w_ir_sq),
+            A12_2=16.0 * c4_2**2 / (m_a * m_i * w_ir_sq),
+            A12_ab=16.0 * c4_1 * c4_2 / (m_a * m_i * w_ir_sq),
+            A10_1=16.0 * c4_1**2 / (m_a * m_i * w_iz_sq),
+            A10_2=16.0 * c4_2**2 / (m_a * m_i * w_iz_sq),
+            A10_ab=16.0 * c4_1 * c4_2 / (m_a * m_i * w_iz_sq),
+            A6_1=4.0 * c4_1 / m_a,
+            A6_2=4.0 * c4_2 / m_a,
+            A4_1=2.0 * c4_1 / m_a,
+            A4_2=2.0 * c4_2 / m_a,
+            c6=config.c6_pair,
+            m_a=m_a,
+            w_ar_sq=config.atom_trap.radial**2,
+            w_az_sq=config.atom_trap.axial**2,
+        )
+    except (OverflowError, ZeroDivisionError):
+        terms = None
+    if terms is None or not all(map(math.isfinite, terms)):
+        raise ConfigError("the configured masses, trap frequencies, C4 or C6 put the "
+                          "expansion coefficients out of the float range")
+    return terms
+
+
 def expansion_coefficients(config: SystemConfig, z0: float | None = None,
                            mu: IonModeIndex | None = None) -> ExpansionCoefficients:
     """Evaluate every A coefficient plus the constant offset E0_bar.
@@ -63,31 +103,12 @@ def expansion_coefficients(config: SystemConfig, z0: float | None = None,
         z0 = config.half_separation_z0
     if mu is None:
         mu = config.ion_mode
-    c4_1, c4_2 = config.c4_pair
-    c6 = config.c6_pair
-    m_a = config.atom.mass
-    m_i = config.ion.mass
-    w_ir_sq = config.ion_trap.radial**2
-    w_iz_sq = config.ion_trap.axial**2
-
-    a12_1 = 16.0 * c4_1**2 / (m_a * m_i * w_ir_sq)
-    a12_2 = 16.0 * c4_2**2 / (m_a * m_i * w_ir_sq)
-    a12_ab = 16.0 * c4_1 * c4_2 / (m_a * m_i * w_ir_sq)
-    a10_1 = 16.0 * c4_1**2 / (m_a * m_i * w_iz_sq)
-    a10_2 = 16.0 * c4_2**2 / (m_a * m_i * w_iz_sq)
-    a10_ab = 16.0 * c4_1 * c4_2 / (m_a * m_i * w_iz_sq)
-    a6_1 = 4.0 * c4_1 / m_a
-    a6_2 = 4.0 * c4_2 / m_a
-    a4_1 = 2.0 * c4_1 / m_a
-    a4_2 = 2.0 * c4_2 / m_a
-
+    t = _terms(config)
     e0_bar = mu.bare_energy(config.ion_trap)
-    e0_bar -= m_a * (a4_1 + a4_2) / (2.0 * z0**4)
-    e0_bar -= m_a * (a10_1 + a10_2 - 2.0 * a10_ab) / (2.0 * z0**10)
-    e0_bar -= c6 / (64.0 * z0**6)
-
-    return ExpansionCoefficients(a12_1, a12_2, a12_ab, a10_1, a10_2, a10_ab,
-                                 a6_1, a6_2, a4_1, a4_2, e0_bar)
+    e0_bar -= t.m_a * (t.A4_1 + t.A4_2) / (2.0 * z0**4)
+    e0_bar -= t.m_a * (t.A10_1 + t.A10_2 - 2.0 * t.A10_ab) / (2.0 * z0**10)
+    e0_bar -= t.c6 / (64.0 * z0**6)
+    return ExpansionCoefficients(*t[:10], E0_bar=e0_bar)
 
 
 @dataclass(frozen=True)
@@ -122,47 +143,39 @@ class EffectiveFrequencies:
         return out
 
 
-def effective_frequencies(config: SystemConfig, z0: float) -> EffectiveFrequencies:
+def _frequency_squares(t: _Terms, z0):
+    """The fields of EffectiveFrequencies at z0, in their order.  Only
+    + - * / and ** act on z0, so it may be a float or an ndarray."""
+    z6 = z0**6
+    z12 = z0**12
+    z8 = z0**8
+    c6_rho = 3.0 * t.c6 / (128.0 * t.m_a * z8)
+    c6_z = 21.0 * t.c6 / (128.0 * t.m_a * z8)
+    wbr1 = t.w_ar_sq + t.A6_1 / z6 - t.A12_1 / z12 + 6.0 * (t.A10_1 - t.A10_ab) / z12 + c6_rho
+    wbr2 = t.w_ar_sq + t.A6_2 / z6 - t.A12_2 / z12 + 6.0 * (t.A10_2 - t.A10_ab) / z12 + c6_rho
+    wbz1 = t.w_az_sq - 10.0 * t.A4_1 / z6 - (55.0 * t.A10_1 - 30.0 * t.A10_ab) / z12 - c6_z
+    wbz2 = t.w_az_sq - 10.0 * t.A4_2 / z6 - (55.0 * t.A10_2 - 30.0 * t.A10_ab) / z12 - c6_z
+    return (
+        wbr1, wbr2, wbz1, wbz2,
+        0.5 * (wbr1 + wbr2),
+        0.5 * (wbz1 + wbz2),
+        t.A12_ab / z12 + c6_rho,
+        -25.0 * t.A10_ab / z12 + c6_z,
+        2.0 * t.A4_1 / z6 + 5.0 * (t.A10_1 - t.A10_ab) / z12 + 2.0 * c6_rho,
+        2.0 * t.A4_2 / z6 + 5.0 * (t.A10_2 - t.A10_ab) / z12 + 2.0 * c6_rho,
+    )
+
+
+def effective_frequencies(config: SystemConfig, z0) -> EffectiveFrequencies:
     """Closed-form frequency corrections of the quadratic expansion at z0.
 
     The transverse correction is stiffening at leading order (an atom
     moving off-axis recedes from the ion) while the axial one softens;
     the ion-following A10 terms enter both, including a transverse
-    6*(A10_j - A10_ab) piece that cancels for identical states.
+    6*(A10_j - A10_ab) piece that cancels for identical states.  ``z0``
+    may be an ndarray; every field then has its shape.
     """
-    co = expansion_coefficients(config, z0=z0)
-    m_a = config.atom.mass
-    c6 = config.c6_pair
-    z6 = z0**6
-    z12 = z0**12
-    c6_rho = 3.0 * c6 / (128.0 * m_a * z0**8)
-    c6_z = 21.0 * c6 / (128.0 * m_a * z0**8)
-    w_ar_sq = config.atom_trap.radial**2
-    w_az_sq = config.atom_trap.axial**2
-
-    def rho_sq(a6, a12, a10):
-        return w_ar_sq + a6 / z6 - a12 / z12 + 6.0 * (a10 - co.A10_ab) / z12 + c6_rho
-
-    def z_sq(a4, a10):
-        return w_az_sq - 10.0 * a4 / z6 - (55.0 * a10 - 30.0 * co.A10_ab) / z12 - c6_z
-
-    wbr1 = rho_sq(co.A6_1, co.A12_1, co.A10_1)
-    wbr2 = rho_sq(co.A6_2, co.A12_2, co.A10_2)
-    wbz1 = z_sq(co.A4_1, co.A10_1)
-    wbz2 = z_sq(co.A4_2, co.A10_2)
-
-    return EffectiveFrequencies(
-        omega_bar_rho1_sq=wbr1,
-        omega_bar_rho2_sq=wbr2,
-        omega_bar_z1_sq=wbz1,
-        omega_bar_z2_sq=wbz2,
-        omega_prime_rho_sq=0.5 * (wbr1 + wbr2),
-        omega_prime_z_sq=0.5 * (wbz1 + wbz2),
-        omega_xy_sq=co.A12_ab / z12 + c6_rho,
-        omega_zz_sq=-25.0 * co.A10_ab / z12 + c6_z,
-        Omega_1_sq=2.0 * co.A4_1 / z6 + 5.0 * (co.A10_1 - co.A10_ab) / z12 + 2.0 * c6_rho,
-        Omega_2_sq=2.0 * co.A4_2 / z6 + 5.0 * (co.A10_2 - co.A10_ab) / z12 + 2.0 * c6_rho,
-    )
+    return EffectiveFrequencies(*_frequency_squares(_terms(config), z0))
 
 
 @dataclass(frozen=True)

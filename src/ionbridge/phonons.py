@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InstabilityError, NotBracketedError
-from .expansion import effective_frequencies, quadratic_potential
+from .expansion import _frequency_squares, _terms, quadratic_potential
 from .model import SystemConfig, require_valid
 
 __all__ = [
@@ -66,75 +66,78 @@ class StabilityResult:
     limiting_branch: str    # e.g. "axial-com"
 
 
-def _diagonalize_sector(a: float, b: float, c: float, bare_sq: float
-                        ) -> tuple[ModeBranch, ModeBranch]:
-    """Eigenpairs of [[a, c], [c, b]] in the (relative, com) basis.
+def _diagonalize_sector(a, b, c, bare_sq):
+    """Eigenpairs of [[a, c], [c, b]] in the (relative, com) basis, elementwise.
 
     ``a`` is the relative-relative entry.  The mixing angle is clamped
-    to (-pi/4, pi/4] so the first eigenvector stays mostly relative;
-    when the eigenvectors carry an even weight split the branch whose
-    eigenvalue sits closest to ``bare_sq`` is labeled "com".
+    to (-pi/4, pi/4] so the first eigenvector stays mostly relative; at
+    an even weight split the branch closest to ``bare_sq`` is "com".
+    Returns (stretch, com, angle, com_first): the signed squares, their
+    angle, and where com sorts first (the relative eigenvector on ties).
     """
-    if c == 0.0:
-        rel = (a, 0.0)
-        com = (b, 0.0)
-        theta = 0.0
-    else:
-        mean = 0.5 * (a + b)
-        disc = math.hypot(0.5 * (a - b), c)
-        theta = 0.5 * math.atan2(2.0 * c, a - b)
-        if theta > 0.25 * math.pi:
-            theta -= 0.5 * math.pi
-            lam_rel, lam_com = mean - disc, mean + disc
-        elif theta <= -0.25 * math.pi:
-            theta += 0.5 * math.pi
-            lam_rel, lam_com = mean - disc, mean + disc
-        else:
-            lam_rel, lam_com = mean + disc, mean - disc
-        rel = (lam_rel, theta)
-        com = (lam_com, theta)
+    mean = 0.5 * (a + b)
+    disc = np.hypot(0.5 * (a - b), c)
+    theta = 0.5 * np.arctan2(2.0 * c, a - b)
+    high = theta > 0.25 * np.pi
+    low = theta <= -0.25 * np.pi
+    flipped = high | low
+    theta = np.where(high, theta - 0.5 * np.pi, np.where(low, theta + 0.5 * np.pi, theta))
+    exact = c == 0.0
+    theta = np.where(exact, 0.0, theta)
+    lam_rel = np.where(exact, a, np.where(flipped, mean - disc, mean + disc))
+    lam_com = np.where(exact, b, np.where(flipped, mean + disc, mean - disc))
 
-    com_weight = math.sin(theta) ** 2
-    if abs(com_weight - 0.5) >= _TIE_WEIGHT:
-        branches = [ModeBranch(rel[0], rel[1], "stretch"),
-                    ModeBranch(com[0], com[1], "com")]
-    else:
-        # Atom-local eigenvectors: label by closeness to the bare trap.
-        if abs(rel[0] - bare_sq) <= abs(com[0] - bare_sq):
-            branches = [ModeBranch(rel[0], rel[1], "com"),
-                        ModeBranch(com[0], com[1], "stretch")]
-        else:
-            branches = [ModeBranch(rel[0], rel[1], "stretch"),
-                        ModeBranch(com[0], com[1], "com")]
-    branches.sort(key=lambda mode: mode.omega_sq)
-    return branches[0], branches[1]
+    # Atom-local eigenvectors carry no label: compare with the bare trap.
+    tie = np.abs(np.sin(theta) ** 2 - 0.5) < _TIE_WEIGHT
+    rel_is_com = tie & (np.abs(lam_rel - bare_sq) <= np.abs(lam_com - bare_sq))
+    stretch = np.where(rel_is_com, lam_com, lam_rel)
+    com = np.where(rel_is_com, lam_rel, lam_com)
+    com_first = (com < stretch) | ((com == stretch) & rel_is_com)
+    return stretch, com, theta, com_first
+
+
+def _sector_entries(squares):
+    """Entries (a, b, c) of each sector's form from the EffectiveFrequencies
+    fields ``squares``, every one an (axial, transverse) pair."""
+    wbr1, wbr2, wbz1, wbz2, wpr, wpz, wxy, wzz, _, _ = squares
+    return ((wpz - wzz, wpr + wxy), (wpz + wzz, wpr - wxy),
+            (0.5 * (wbz1 - wbz2), 0.5 * (wbr1 - wbr2)))
+
+
+def _branches(t, z0):
+    """``_diagonalize_sector`` of both sectors at half-separations z0, a
+    float or an ndarray: each result has shape (2,) + shape(z0), axial first."""
+    with np.errstate(all="ignore"):
+        a, b, c = (np.array(pair) for pair in _sector_entries(_frequency_squares(t, z0)))
+        bare = np.reshape([t.w_az_sq, t.w_ar_sq], (2,) + (1,) * np.ndim(z0))
+        branches = _diagonalize_sector(a, b, c, bare)
+    if not np.all(np.isfinite(branches[:3])):
+        raise ConfigError("the quadratic expansion leaves the float range between "
+                          f"2z0 = {2.0 * np.min(z0):.3g} and {2.0 * np.max(z0):.3g} m")
+    return branches
 
 
 def phonon_spectrum(config: SystemConfig, z0: float) -> PhononSpectrum:
     """Normal modes of the quadratic expansion at half-separation z0."""
-    fr = effective_frequencies(config, z0)
-    delta_z = 0.5 * (fr.omega_bar_z1_sq - fr.omega_bar_z2_sq)
-    delta_rho = 0.5 * (fr.omega_bar_rho1_sq - fr.omega_bar_rho2_sq)
-
-    axial = _diagonalize_sector(
-        fr.omega_prime_z_sq - fr.omega_zz_sq,
-        fr.omega_prime_z_sq + fr.omega_zz_sq,
-        delta_z,
-        config.atom_trap.axial**2,
-    )
-    transverse = _diagonalize_sector(
-        fr.omega_prime_rho_sq + fr.omega_xy_sq,
-        fr.omega_prime_rho_sq - fr.omega_xy_sq,
-        delta_rho,
-        config.atom_trap.radial**2,
-    )
-    stable = all(mode.omega_sq > 0.0 for mode in axial + transverse)
-    return PhononSpectrum(axial=axial, transverse=transverse, stable=stable)
+    if not z0 > 0.0:
+        raise ConfigError(f"half-separation must be positive, got {z0}")
+    stretch, com, angle, com_first = _branches(_terms(config), np.array([z0]))
+    pairs = []
+    for k in range(2):
+        s = ModeBranch(float(stretch[k, 0]), float(angle[k, 0]), "stretch")
+        m = ModeBranch(float(com[k, 0]), float(angle[k, 0]), "com")
+        pairs.append((m, s) if com_first[k, 0] else (s, m))
+    return PhononSpectrum(axial=pairs[0], transverse=pairs[1],
+                          stable=bool(np.all(stretch > 0.0) and np.all(com > 0.0)))
 
 
-def _min_omega_sq(config: SystemConfig, separation: float) -> float:
-    spec = phonon_spectrum(config, 0.5 * separation)
-    return min(mode.omega_sq for mode in spec.axial + spec.transverse)
+def _min_omega_sq(t, separation: float) -> float:
+    """Smallest squared mode frequency at one separation, from ``_terms``:
+    the lower of mean - hypot over the two sectors, in Python floats."""
+    (a_ax, a_tr), (b_ax, b_tr), (c_ax, c_tr) = _sector_entries(
+        _frequency_squares(t, 0.5 * separation))
+    return min(0.5 * (a_ax + b_ax) - math.hypot(0.5 * (a_ax - b_ax), c_ax),
+               0.5 * (a_tr + b_tr) - math.hypot(0.5 * (a_tr - b_tr), c_tr))
 
 
 def critical_separation(config: SystemConfig, bracket: tuple[float, float] = (1e-6, 40e-6),
@@ -146,9 +149,13 @@ def critical_separation(config: SystemConfig, bracket: tuple[float, float] = (1e
     critical*(1 + 1e-6) and unstable at critical*(1 - 1e-6).
     """
     require_valid(config)
+    t = _terms(config)
     lo, hi = bracket
-    f_lo = _min_omega_sq(config, lo)
-    f_hi = _min_omega_sq(config, hi)
+    f_lo = _min_omega_sq(t, lo)
+    f_hi = _min_omega_sq(t, hi)
+    if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
+        raise ConfigError("the quadratic expansion leaves the float range in the "
+                          f"bracket [{lo:.3g}, {hi:.3g}] m")
     if not (f_lo < 0.0 < f_hi):
         raise NotBracketedError(
             "no stability threshold inside the bracket: "
@@ -158,19 +165,17 @@ def critical_separation(config: SystemConfig, bracket: tuple[float, float] = (1e
         )
     while hi - lo > 1e-13:
         mid = 0.5 * (lo + hi)
-        if _min_omega_sq(config, mid) < 0.0:
+        if _min_omega_sq(t, mid) < 0.0:
             lo = mid
         else:
             hi = mid
     critical = 0.5 * (lo + hi)
 
-    spec = phonon_spectrum(config, 0.5 * critical * (1.0 - 1e-6))
-    worst = None
-    for sector in ("axial", "transverse"):
-        for mode in getattr(spec, sector):
-            if worst is None or mode.omega_sq < worst[0]:
-                worst = (mode.omega_sq, f"{sector}-{mode.character}")
-    return StabilityResult(critical_2z0=critical, limiting_branch=worst[1])
+    # The lower branch of the softer sector, axial on a tie.
+    stretch, com, _, com_first = _branches(t, 0.5 * critical * (1.0 - 1e-6))
+    k = int(min(stretch[1], com[1]) < min(stretch[0], com[0]))
+    branch = f"{('axial', 'transverse')[k]}-{'com' if com_first[k] else 'stretch'}"
+    return StabilityResult(critical_2z0=critical, limiting_branch=branch)
 
 
 def mode_sweep(config: SystemConfig, separations) -> dict[str, np.ndarray]:
@@ -182,23 +187,17 @@ def mode_sweep(config: SystemConfig, separations) -> dict[str, np.ndarray]:
     if steps.size and not (np.all(steps > 0.0) or np.all(steps < 0.0)):
         raise ConfigError("separation grid must be monotone")
 
-    cols = {name: np.empty(separations.size) for name in (
-        "axial_stretch_sq", "axial_com_sq", "transverse_stretch_sq",
-        "transverse_com_sq", "axial_angle", "transverse_angle")}
-    stable = np.empty(separations.size, dtype=bool)
-    for k, sep in enumerate(separations):
-        spec = phonon_spectrum(config, 0.5 * sep)
-        cols["axial_stretch_sq"][k] = spec.branch("axial", "stretch").omega_sq
-        cols["axial_com_sq"][k] = spec.branch("axial", "com").omega_sq
-        cols["transverse_stretch_sq"][k] = spec.branch("transverse", "stretch").omega_sq
-        cols["transverse_com_sq"][k] = spec.branch("transverse", "com").omega_sq
-        cols["axial_angle"][k] = spec.axial[0].mixing_angle
-        cols["transverse_angle"][k] = spec.transverse[0].mixing_angle
-        stable[k] = spec.stable
-    out: dict[str, np.ndarray] = {"separation": separations.copy()}
-    out.update(cols)
-    out["stable"] = stable
-    return out
+    stretch, com, angle, _ = _branches(_terms(config), 0.5 * separations)
+    return {
+        "separation": separations.copy(),
+        "axial_stretch_sq": stretch[0],
+        "axial_com_sq": com[0],
+        "transverse_stretch_sq": stretch[1],
+        "transverse_com_sq": com[1],
+        "axial_angle": angle[0],
+        "transverse_angle": angle[1],
+        "stable": np.all((stretch > 0.0) & (com > 0.0), axis=0),
+    }
 
 
 def equilibrium_shift(config: SystemConfig, z0: float) -> tuple[float, float]:

@@ -260,6 +260,36 @@ class TestErrorPaths:
         assert "c6_pair_MHz_um6" in err and "finite" in err
         assert "no instability" not in out
 
+    @pytest.mark.parametrize("command", ["scales", "critical", "phonons"])
+    @pytest.mark.parametrize("document, fragment", [
+        ({"c4_ground_Jm4": 1e300}, "float range"),
+        ({"ion_mode": [0, 0, int("9" * 330)]}, "ion_mode"),
+    ])
+    def test_huge_finite_values_are_config_errors(self, config_file, tmp_path, capsys,
+                                                  command, document, fragment):
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, command, "--config", str(config_file(**document)),
+                           "--out", str(out_dir))
+        assert code == 2
+        assert fragment in err and "Traceback" not in err
+        assert not out_dir.exists()
+
+    def test_overflow_inside_the_bracket_is_a_config_error(self, config_file, capsys):
+        code, out, err = run(capsys, "critical", "--config",
+                             str(config_file(c4_ground_Jm4=1e90)))
+        assert code == 2
+        assert "float range" in err
+        assert "no instability" not in out
+
+    def test_separation_leaving_the_float_range_is_a_config_error(self, config_file,
+                                                                  tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "phonons", "--config", str(config_file()),
+                           "--out", str(out_dir), "--sep-min-um", "1e-300")
+        assert code == 2
+        assert "float range" in err
+        assert not out_dir.exists()
+
     def test_unknown_subcommand(self, config_file, capsys):
         assert run(capsys, "eigenmodes", "--config", str(config_file()))[0] == 2
 

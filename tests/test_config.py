@@ -115,6 +115,22 @@ class TestDocumentResolution:
         with pytest.raises(ConfigError, match=f"{field}' must be finite"):
             config_from_document(document)
 
+    def test_ion_mode_quantum_numbers_are_bounded(self):
+        config, _, _ = config_from_document({"ion_mode": [2**53, -(2**53), 2**53]})
+        assert config.ion_mode.n1 == 2**53
+        for mode in ([0, 0, 2**53 + 1], [0, -(2**53) - 1, 0], [int("9" * 330), 0, 0]):
+            with pytest.raises(ConfigError, match="ion_mode"):
+                config_from_document({"ion_mode": mode})
+
+    @pytest.mark.parametrize("document", [
+        {"c4_ground_Jm4": 1e300},
+        {"ion": {"omega_rho_kHz": 1e-200}},
+        {"atom": {"mass_u": 1e-290}},
+    ])
+    def test_coefficients_out_of_the_float_range_rejected(self, document):
+        with pytest.raises(ConfigError, match="float range"):
+            config_from_document(document)
+
     def test_root_must_be_object(self):
         with pytest.raises(ConfigError, match="object"):
             config_from_document([1, 2, 3])

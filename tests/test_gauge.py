@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
 
+import oracles
 from ionbridge import (
     AtomPairGeometry,
     ConfigError,
@@ -15,6 +16,7 @@ from ionbridge import (
     berry_phase,
     cartesian_modes,
     connection_matrix,
+    connection_records,
     constants as cst,
     displacement_jacobian,
     gauge_element,
@@ -23,7 +25,7 @@ from ionbridge import (
     square_loop,
     wilson_loop,
 )
-from ionbridge.gauge import _diagonal_integral, _jacobian
+from ionbridge.gauge import _jacobian
 from ionbridge.motion import hermite_values
 
 
@@ -145,6 +147,20 @@ class TestConnectionStructure:
                 single = gauge_element(bra, ket, 1, geom, cfg_rr)
                 np.testing.assert_array_equal(single, conn[i, k])
 
+    def test_records_are_the_matrix_elements_row_major(self, cfg_rg):
+        geom = AtomPairGeometry.at_trap_centers(cfg_rg)
+        modes = cartesian_modes(2)
+        records = connection_records(modes, geom, cfg_rg)
+        assert len(records) == 2 * len(modes) ** 2
+        for atom_index in (1, 2):
+            conn = connection_matrix(modes, atom_index, geom, cfg_rg)
+            block = records[(atom_index - 1) * len(modes) ** 2:atom_index * len(modes) ** 2]
+            expected = [(bra, ket, i, k) for i, bra in enumerate(modes)
+                        for k, ket in enumerate(modes)]
+            for record, (bra, ket, i, k) in zip(block, expected):
+                assert (record.bra_mode, record.ket_mode, record.atom_index) == (bra, ket, atom_index)
+                np.testing.assert_array_equal(record.value, conn[i, k])
+
 
 class TestOracleComparison:
     def test_elements_match_quadrature_derivative(self, cfg_rr):
@@ -211,7 +227,30 @@ class TestLoops:
                     for atom in (1, 2):
                         total += np.dot(gauge_element(mode, mode, atom, geom, cfg_rr),
                                         delta[atom - 1])
-                assert _diagonal_integral(loop, mode, cfg_rr, subdivide) == total.real / cst.HBAR
+                assert oracles.diagonal_integral(loop, mode, cfg_rr, subdivide) == total.real / cst.HBAR
+
+    @pytest.mark.parametrize("side", [0.2e-6, 1e-6, 4e-6])
+    def test_berry_phase_is_the_line_integral(self, cfg_rg, side):
+        # the exact zero the integral sums to, +0.0 and never -0.0
+        loop = square_loop(cfg_rg, side=side)
+        for mode in cartesian_modes(2):
+            phase = berry_phase(loop, mode, cfg_rg)
+            assert phase == oracles.diagonal_integral(loop, mode, cfg_rg, 2) == 0.0
+            assert np.copysign(1.0, phase) == 1.0
+
+    def test_berry_phase_rejects_cylindrical_modes(self, cfg_rr):
+        with pytest.raises(ConfigError, match="Cartesian"):
+            berry_phase(square_loop(cfg_rr), IonModeIndex.cylindrical(0, 0, 0), cfg_rr)
+
+    def test_twice_subdivided_midpoint_on_the_ion_is_singular(self, cfg_rr):
+        # each leg's own midpoint is clear of the ion; its first half's is not
+        r2 = [0.0, 0.0, -8e-6]
+        path = LoopPath(np.array([[[-1e-6, 0.0, 0.0], r2], [[3e-6, 0.0, 0.0], r2],
+                                  [[-1e-6, 0.0, 0.0], r2]]))
+        mids = np.array([mid for mid, _ in path.segments(1)])
+        assert np.all(np.linalg.norm(mids[:, 0], axis=1) > 0.0)
+        with pytest.raises(SingularGeometryError, match="ion-trap center"):
+            berry_phase(path, IonModeIndex.cartesian(0, 0, 0), cfg_rr)
 
     def test_batched_jacobian_matches_each_geometry(self, cfg_rg):
         rng = np.random.default_rng(7)

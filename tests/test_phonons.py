@@ -1,10 +1,14 @@
 """Phonon branches, the stability threshold, and equilibrium shifts."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
+import oracles
 from ionbridge import (
     AtomPairGeometry,
     ConfigError,
@@ -18,7 +22,26 @@ from ionbridge import (
     phonon_spectrum,
     reference_config,
 )
+from ionbridge.model import ElectronicState
 from ionbridge.motion import _axial_mode_matrix
+from ionbridge.expansion import _terms
+from ionbridge.phonons import _diagonalize_sector, _min_omega_sq
+
+SWEEP_GRID = np.linspace(5.0, 40.0, 351) * 1e-6  # reaches below every threshold
+
+
+def kernel_configs():
+    """rr (c == 0), rg, gg, and two distinct Rydberg levels with an attractive
+    C6 in both orders, which puts the axial angle on either clamp branch."""
+    configs = [reference_config(pair, n, 8e-6, scaling)
+               for pair in ("rr", "rg", "gg") for n in (20, 44, 60)
+               for scaling in ("bare_n", "quantum_defect")]
+    attractive = dataclasses.replace(configs[0].coefficients, c6_rydberg_anchor=5e-58)
+    for pair in ((30, 25), (25, 30)):
+        states = tuple(ElectronicState("rydberg", n) for n in pair)
+        configs.append(dataclasses.replace(configs[0], state_pair=states,
+                                           coefficients=attractive))
+    return configs
 
 
 class TestSpectrum:
@@ -90,6 +113,33 @@ class TestCriticalSeparation:
             critical_separation(cfg_gg)
         assert err.value.f_lo > 0.0 and err.value.f_hi > 0.0
 
+    @pytest.mark.parametrize("scaling", ["bare_n", "quantum_defect"])
+    @pytest.mark.parametrize("n", [20, 27, 38, 49, 60])
+    def test_bisection_is_bit_identical_to_the_scalar_one(self, n, scaling):
+        for pair in ("rr", "rg", "gg"):
+            config = reference_config(pair, n, 8e-6, scaling)
+            try:
+                want = oracles.critical_separation(config)
+            except NotBracketedError:
+                with pytest.raises(NotBracketedError):
+                    critical_separation(config)
+                continue
+            got = critical_separation(config)
+            assert (got.critical_2z0, got.limiting_branch) == want
+
+    @pytest.mark.parametrize("pair", ["rr", "rg"])
+    def test_bisection_step_is_the_scalar_minimum(self, pair):
+        config = reference_config(pair, 44)
+        terms = _terms(config)
+        for sep in np.linspace(1e-6, 40e-6, 157):
+            assert _min_omega_sq(terms, sep) == oracles._min_omega_sq(config, sep)
+
+    def test_overflow_in_the_bracket_is_a_config_error(self):
+        config = dataclasses.replace(reference_config("rr"), coefficients=dataclasses.replace(
+            reference_config("rr").coefficients, c4_ground=1e90))
+        with pytest.raises(ConfigError, match="float range"):
+            critical_separation(config)
+
 
 class TestModeSweep:
     def test_grid_validation(self, cfg_rr):
@@ -114,6 +164,113 @@ class TestModeSweep:
                           ("transverse_stretch_sq", bare_tr), ("transverse_com_sq", bare_tr)):
             dev = np.abs(sweep[key] - bare)
             assert np.all(np.diff(dev) < 0.0), key
+
+
+class TestKernel:
+    """The broadcasting kernel against the scalar per-point oracle."""
+
+    # (a, b, c, bare_sq): c == 0 both ways round, both clamp branches of
+    # the angle, the exact -pi/4 and +pi/4 angles, even weight splits
+    # labeled by either branch's distance to the bare trap value or by a
+    # distance tie, and a split whose eigenvalues round to one value.
+    SECTORS = [
+        (2.0, 1.0, 0.0, 1.0), (1.0, 2.0, 0.0, 1.0), (1.5, 1.5, 0.0, 1.0),
+        (-1.0, 3.0, 0.0, 3.0),
+        (1.0, 3.0, 0.5, 2.0), (1.0, 3.0, -0.5, 2.0), (3.0, 1.0, 0.5, 2.0), (3.0, 1.0, -0.5, 2.0),
+        (1.0, 1.0, -0.5, 0.0), (1.0, 1.0, 0.5, 0.0), (1.0, 1.0, 0.5, 5.0), (1.0, 1.0, 0.5, 1.0),
+        (1.0, 1.0 + 1e-9, -0.5, 0.0), (1.0, 1.0 + 1e-9, -0.5, 5.0), (1.0, 1.0, 1e-320, 0.0),
+        (-2.0, 5.0, 1e-300, 1.0), (4e9, -3e9, 2e8, 3.2e9),
+    ]
+
+    def test_sector_matches_the_scalar_oracle(self):
+        a, b, c, bare = (np.array(column) for column in zip(*self.SECTORS))
+        stretch, com, angle, com_first = _diagonalize_sector(a, b, c, bare)
+        for k, entries in enumerate(self.SECTORS):
+            low, high = oracles.diagonalize_sector(*entries)
+            want = {mode.character: mode.omega_sq for mode in (low, high)}
+            scale = max(abs(v) for v in entries[:3])
+            tol = 4 * np.spacing(scale)
+            assert abs(stretch[k] - want["stretch"]) <= tol, entries
+            assert abs(com[k] - want["com"]) <= tol, entries
+            assert abs(angle[k] - low.mixing_angle) <= 4 * np.spacing(math.pi / 4), entries
+            assert -math.pi / 4 < angle[k] <= math.pi / 4
+            assert bool(com_first[k]) == (low.character == "com"), entries
+
+    def test_uncoupled_sector_is_exact(self):
+        # c == 0 gives the diagonal itself, not mean -+ hypot, and a +0.0 angle
+        a = np.array([2.0, -1e-10, 1.0, 3.0])
+        b = np.array([1.0, 1e10, 1.0 + 2**-52, -4.0])
+        c = np.array([0.0, -0.0, 0.0, -0.0])
+        stretch, com, angle, _ = _diagonalize_sector(a, b, c, 1.0)
+        np.testing.assert_array_equal(stretch, a)
+        np.testing.assert_array_equal(com, b)
+        np.testing.assert_array_equal(np.copysign(1.0, angle), 1.0)
+
+    def test_sector_covers_both_clamps_and_ties(self):
+        a, b, c, bare = (np.array(column) for column in zip(*self.SECTORS))
+        raw = 0.5 * np.arctan2(2.0 * c, a - b)
+        assert np.any(raw > 0.25 * np.pi) and np.any(raw <= -0.25 * np.pi)
+        _, _, angle, _ = _diagonalize_sector(a, b, c, bare)
+        ties = np.abs(np.sin(angle) ** 2 - 0.5) < 1e-6
+        labels = [oracles.diagonalize_sector(*entries)[0].character
+                  for entries, tie in zip(self.SECTORS, ties) if tie]
+        assert {"stretch", "com"} <= set(labels)
+
+    @pytest.mark.parametrize("config", kernel_configs(),
+                             ids=lambda cfg: "-".join(s.label() for s in cfg.state_pair)
+                             + "/" + cfg.coefficients.scaling)
+    def test_sweep_matches_the_scalar_oracle(self, config):
+        got = mode_sweep(config, SWEEP_GRID)
+        want = oracles.mode_sweep(config, SWEEP_GRID)
+        np.testing.assert_array_equal(got["separation"], SWEEP_GRID)
+        np.testing.assert_array_equal(got["stable"], want["stable"])
+        for sector in ("axial", "transverse"):
+            names = (f"{sector}_stretch_sq", f"{sector}_com_sq")
+            scale = max(np.max(np.abs(want[name])) for name in names)
+            for name in names:
+                assert np.all(np.isfinite(got[name]))
+                np.testing.assert_allclose(got[name], want[name], rtol=0,
+                                           atol=8 * np.spacing(scale), err_msg=name)
+            name = f"{sector}_angle"
+            assert np.all(np.isfinite(got[name]))
+            np.testing.assert_allclose(got[name], want[name], rtol=0,
+                                       atol=4 * np.spacing(math.pi / 4), err_msg=name)
+
+    def test_sweep_reaches_the_unstable_region_and_both_clamps(self):
+        configs = kernel_configs()
+        sweeps = [mode_sweep(cfg, SWEEP_GRID) for cfg in configs]
+        assert all(not s["stable"][0] for s in sweeps[:6])
+        angles = np.concatenate([s["axial_angle"] for s in sweeps[-2:]])
+        assert np.any(angles > 0.0) and np.any(angles < 0.0)
+
+    @pytest.mark.parametrize("config", kernel_configs()[::3])
+    def test_spectrum_is_the_size_one_sweep(self, config):
+        for z0 in (2.6e-6, 4.8e-6, 8e-6, 15e-6):
+            spec = phonon_spectrum(config, z0)
+            sweep = mode_sweep(config, [2.0 * z0])
+            for sector in ("axial", "transverse"):
+                for character in ("stretch", "com"):
+                    assert (spec.branch(sector, character).omega_sq
+                            == sweep[f"{sector}_{character}_sq"][0])
+                pair = getattr(spec, sector)
+                assert pair[0].omega_sq <= pair[1].omega_sq
+                assert pair[0].mixing_angle == pair[1].mixing_angle == sweep[f"{sector}_angle"][0]
+            assert spec.stable == sweep["stable"][0]
+            want = oracles.phonon_spectrum(config, z0)
+            for sector in ("axial", "transverse"):
+                assert ([m.character for m in getattr(spec, sector)]
+                        == [m.character for m in getattr(want, sector)])
+
+    def test_spectrum_needs_a_positive_half_separation(self, cfg_rr):
+        for z0 in (0.0, -8e-6, float("nan")):
+            with pytest.raises(ConfigError, match="positive"):
+                phonon_spectrum(cfg_rr, z0)
+
+    def test_separations_leaving_the_float_range_are_a_config_error(self, cfg_rr):
+        with pytest.raises(ConfigError, match="float range"):
+            mode_sweep(cfg_rr, [1e-300, 10e-6])
+        far = mode_sweep(cfg_rr, [10e-6, 1e300])
+        assert far["axial_com_sq"][1] == cfg_rr.atom_trap.axial**2
 
 
 class TestEquilibriumShift:
