@@ -145,7 +145,8 @@ def mode_sweep(config, separations):
     return {name: np.array(column) for name, column in zip(names, zip(*rows))}
 
 
-def _min_omega_sq(config, separation):
+def min_omega_sq(config, separation):
+    """Smallest squared mode frequency at one full separation."""
     spec = phonon_spectrum(config, 0.5 * separation)
     return min(mode.omega_sq for mode in spec.axial + spec.transverse)
 
@@ -155,14 +156,14 @@ def critical_separation(config, bracket=(1e-6, 40e-6)):
     limiting branch at critical * (1 - 1e-6): (critical_2z0, label)."""
     require_valid(config)
     lo, hi = bracket
-    f_lo = _min_omega_sq(config, lo)
-    f_hi = _min_omega_sq(config, hi)
+    f_lo = min_omega_sq(config, lo)
+    f_hi = min_omega_sq(config, hi)
     if not (f_lo < 0.0 < f_hi):
         raise NotBracketedError("no stability threshold inside the bracket",
                                 f_lo=f_lo, f_hi=f_hi)
     while hi - lo > 1e-13:
         mid = 0.5 * (lo + hi)
-        if _min_omega_sq(config, mid) < 0.0:
+        if min_omega_sq(config, mid) < 0.0:
             lo = mid
         else:
             hi = mid

@@ -158,7 +158,8 @@ class TestConnectionStructure:
             expected = [(bra, ket, i, k) for i, bra in enumerate(modes)
                         for k, ket in enumerate(modes)]
             for record, (bra, ket, i, k) in zip(block, expected):
-                assert (record.bra_mode, record.ket_mode, record.atom_index) == (bra, ket, atom_index)
+                assert record.bra_mode == bra and record.ket_mode == ket
+                assert record.atom_index == atom_index
                 np.testing.assert_array_equal(record.value, conn[i, k])
 
 
@@ -227,7 +228,8 @@ class TestLoops:
                     for atom in (1, 2):
                         total += np.dot(gauge_element(mode, mode, atom, geom, cfg_rr),
                                         delta[atom - 1])
-                assert oracles.diagonal_integral(loop, mode, cfg_rr, subdivide) == total.real / cst.HBAR
+                integral = oracles.diagonal_integral(loop, mode, cfg_rr, subdivide)
+                assert integral == total.real / cst.HBAR
 
     @pytest.mark.parametrize("side", [0.2e-6, 1e-6, 4e-6])
     def test_berry_phase_is_the_line_integral(self, cfg_rg, side):

@@ -22,9 +22,9 @@ from ionbridge import (
     phonon_spectrum,
     reference_config,
 )
+from ionbridge.expansion import _terms
 from ionbridge.model import ElectronicState
 from ionbridge.motion import _axial_mode_matrix
-from ionbridge.expansion import _terms
 from ionbridge.phonons import _diagonalize_sector, _min_omega_sq
 
 SWEEP_GRID = np.linspace(5.0, 40.0, 351) * 1e-6  # reaches below every threshold
@@ -132,11 +132,12 @@ class TestCriticalSeparation:
         config = reference_config(pair, 44)
         terms = _terms(config)
         for sep in np.linspace(1e-6, 40e-6, 157):
-            assert _min_omega_sq(terms, sep) == oracles._min_omega_sq(config, sep)
+            assert _min_omega_sq(terms, sep) == oracles.min_omega_sq(config, sep)
 
     def test_overflow_in_the_bracket_is_a_config_error(self):
-        config = dataclasses.replace(reference_config("rr"), coefficients=dataclasses.replace(
-            reference_config("rr").coefficients, c4_ground=1e90))
+        rr = reference_config("rr")
+        config = dataclasses.replace(
+            rr, coefficients=dataclasses.replace(rr.coefficients, c4_ground=1e90))
         with pytest.raises(ConfigError, match="float range"):
             critical_separation(config)
 
