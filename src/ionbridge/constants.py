@@ -6,10 +6,6 @@ to the human units used in tables (um, kHz, Hz, kHz^2).
 
 import math
 
-from scipy.constants import atomic_mass as ATOMIC_MASS_KG
-from scipy.constants import h as PLANCK
-from scipy.constants import hbar as HBAR
-
 __all__ = [
     "ATOMIC_MASS_KG",
     "PLANCK",
@@ -25,6 +21,12 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+
+# CODATA 2022 (Mohr et al., Rev. Mod. Phys. 97, 025002 (2025)): the
+# atomic mass constant in kg and the exact Planck constant in J s.
+ATOMIC_MASS_KG = 1.66053906892e-27
+PLANCK = 6.62607015e-34
+HBAR = PLANCK / (2 * math.pi)
 
 # Isotope masses in unified atomic mass units.
 RB87_MASS_U = 86.909

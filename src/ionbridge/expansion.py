@@ -105,9 +105,14 @@ def expansion_coefficients(config: SystemConfig, z0: float | None = None,
         mu = config.ion_mode
     t = _terms(config)
     e0_bar = mu.bare_energy(config.ion_trap)
-    e0_bar -= t.m_a * (t.A4_1 + t.A4_2) / (2.0 * z0**4)
-    e0_bar -= t.m_a * (t.A10_1 + t.A10_2 - 2.0 * t.A10_ab) / (2.0 * z0**10)
-    e0_bar -= t.c6 / (64.0 * z0**6)
+    try:
+        e0_bar -= t.m_a * (t.A4_1 + t.A4_2) / (2.0 * z0**4)
+        e0_bar -= t.m_a * (t.A10_1 + t.A10_2 - 2.0 * t.A10_ab) / (2.0 * z0**10)
+        e0_bar -= t.c6 / (64.0 * z0**6)
+    except (OverflowError, ZeroDivisionError):
+        e0_bar = math.nan
+    if not math.isfinite(e0_bar):
+        raise ConfigError(f"E0_bar leaves the float range at 2z0 = {2.0 * z0:.4g} m")
     return ExpansionCoefficients(*t[:10], E0_bar=e0_bar)
 
 

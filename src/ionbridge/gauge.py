@@ -16,10 +16,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import constants as cst
-from .errors import ConfigError
+from .errors import AccuracyError, ConfigError
 from .model import IonModeIndex, SystemConfig
 from .potentials import AtomPairGeometry, _squared_distances
 
@@ -236,17 +235,27 @@ def wilson_loop(loop: LoopPath, modes: list[IonModeIndex], config: SystemConfig,
     """Path-ordered transport matrix over the mode set (complex, unitary).
 
     Product of exp(-i A . dr / hbar) over the subdivided path, later
-    factors applied on the left; doubling ``resolution`` must leave the
-    result unchanged at the 1e-6 level for trustworthy output.
+    factors applied on the left.  The product is also taken at
+    ``2 * resolution``; AccuracyError when any element of the two
+    differs by more than 1e-6.
     """
+    from scipy.linalg import expm
+
     for mode in modes:
         _require_cartesian(mode)
-    transport = np.eye(len(modes), dtype=complex)
-    for mid, delta in loop.segments(resolution):
-        geometry = AtomPairGeometry(mid[0], mid[1])
-        step = np.zeros((len(modes), len(modes)), dtype=complex)
-        for atom_index in (1, 2):
-            matrix = connection_matrix(modes, atom_index, geometry, config)
-            step += np.tensordot(matrix, delta[atom_index - 1], axes=([2], [0]))
-        transport = expm(-1j * step / cst.HBAR) @ transport
-    return transport
+    products = []
+    for subdivide in (resolution, 2 * resolution):
+        transport = np.eye(len(modes), dtype=complex)
+        for mid, delta in loop.segments(subdivide):
+            geometry = AtomPairGeometry(mid[0], mid[1])
+            step = np.zeros((len(modes), len(modes)), dtype=complex)
+            for atom_index in (1, 2):
+                matrix = connection_matrix(modes, atom_index, geometry, config)
+                step += np.tensordot(matrix, delta[atom_index - 1], axes=([2], [0]))
+            transport = expm(-1j * step / cst.HBAR) @ transport
+        products.append(transport)
+    change = float(np.max(np.abs(products[1] - products[0]), initial=0.0))
+    if change > 1e-6:
+        raise AccuracyError(f"Wilson loop not resolved: resolution {resolution} and "
+                            f"{2 * resolution} differ by {change:.3g} > 1e-6")
+    return products[0]

@@ -125,7 +125,7 @@ def axial_hamiltonian_matrix(config: SystemConfig, z0: float, n_max: int,
     Successive quadrature orders must agree to 1e-8 relative.
     """
     if not 0 <= n_max <= _MAX_BASIS:
-        raise ValueError(f"n_max must lie in [0, {_MAX_BASIS}], got {n_max}")
+        raise ConfigError(f"n_max must lie in [0, {_MAX_BASIS}], got {n_max}")
     injected = potential_fn is not None
     if not injected:
         threshold = axial_collision_threshold(config)
@@ -165,13 +165,13 @@ def symmetric_eigensolve(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        raise ConfigError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] > 4000:
-        raise ValueError(f"matrix dimension {a.shape[0]} exceeds the 4000 contract")
+        raise ConfigError(f"matrix dimension {a.shape[0]} exceeds the 4000 contract")
     if not np.all(np.isfinite(a)):
-        raise ValueError("matrix must be finite")
+        raise AccuracyError("matrix must be finite")
     if np.max(np.abs(a - a.T)) > 1e-12 * max(np.max(np.abs(a)), 1e-300):
-        raise ValueError("matrix is not symmetric")
+        raise AccuracyError("matrix is not symmetric")
 
     try:
         values, vectors = np.linalg.eigh(a)

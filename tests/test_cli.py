@@ -290,6 +290,15 @@ class TestErrorPaths:
         assert "float range" in err
         assert not out_dir.exists()
 
+    def test_density_separation_leaving_the_float_range_is_a_config_error(
+            self, config_file, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "density", "--config", str(config_file()),
+                           "--out", str(out_dir), "--separations-um", "1e300")
+        assert code == 2
+        assert "float range" in err and "Traceback" not in err
+        assert not out_dir.exists()
+
     def test_unknown_subcommand(self, config_file, capsys):
         assert run(capsys, "eigenmodes", "--config", str(config_file()))[0] == 2
 

@@ -1,7 +1,13 @@
 """Configuration documents: defaults, validation messages, digests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import ionbridge
 from ionbridge import (
     ConfigError,
     GROUND,
@@ -143,6 +149,16 @@ class TestFileLoading:
         assert config.half_separation_z0 == pytest.approx(7e-6, rel=1e-15)
         _, _, direct = config_from_document({"z0_um": 7.0, "states": ["30S", "g"]})
         assert digest == direct
+
+    def test_import_and_load_do_not_load_scipy(self, config_file):
+        src = str(Path(ionbridge.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = ("import sys, ionbridge; ionbridge.load_config(sys.argv[1]); "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        result = subprocess.run([sys.executable, "-c", code, str(config_file())], env=env,
+                                capture_output=True, text=True, check=True, timeout=60)
+        assert result.stdout.strip() == "[]"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):

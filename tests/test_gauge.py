@@ -8,6 +8,7 @@ from numpy.polynomial.hermite import hermgauss
 
 import oracles
 from ionbridge import (
+    AccuracyError,
     AtomPairGeometry,
     ConfigError,
     IonModeIndex,
@@ -287,6 +288,16 @@ class TestLoops:
         np.testing.assert_allclose(w.conj().T @ w, np.eye(len(modes)), atol=1e-10)
         w2 = wilson_loop(loop, modes, cfg_rr, resolution=16)
         assert np.max(np.abs(w - w2)) < 1e-6
+
+    def test_wilson_loop_refinement_gate(self, cfg_rr):
+        # resolution 8 and 16 differ by 8.7e-6 on a 4 um loop; the
+        # difference falls as resolution^-2, to about 5e-7 at 32 and 64.
+        loop = square_loop(cfg_rr, side=4e-6)
+        modes = cartesian_modes(1)
+        with pytest.raises(AccuracyError, match="8.69e-06"):
+            wilson_loop(loop, modes, cfg_rr, resolution=8)
+        w = wilson_loop(loop, modes, cfg_rr, resolution=32)
+        np.testing.assert_allclose(w.conj().T @ w, np.eye(len(modes)), atol=1e-10)
 
     def test_wilson_loop_near_identity_for_small_loops(self, cfg_rr):
         loop = square_loop(cfg_rr, side=0.2e-6)

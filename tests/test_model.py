@@ -21,6 +21,13 @@ from ionbridge import (
 )
 
 
+class TestConstants:
+    def test_codata_2022_values_are_pinned(self):
+        assert cst.ATOMIC_MASS_KG == 1.66053906892e-27
+        assert cst.PLANCK == 6.62607015e-34
+        assert cst.HBAR == cst.PLANCK / (2 * math.pi)
+
+
 class TestStatesAndCoefficients:
     def test_ground_singleton_properties(self):
         assert not GROUND.is_rydberg

@@ -103,9 +103,9 @@ class TestHamiltonianMatrix:
             axial_hamiltonian_matrix(cfg_rr, 5.0e-6, 8)
 
     def test_basis_bounds(self, cfg_rr):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             axial_hamiltonian_matrix(cfg_rr, cfg_rr.half_separation_z0, -1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             axial_hamiltonian_matrix(cfg_rr, cfg_rr.half_separation_z0, 61)
 
     @pytest.mark.parametrize("pair", ["rr", "rg", "gg"])
@@ -142,8 +142,18 @@ class TestEigensolver:
             assert vectors[lead, k] > 0.0
 
     def test_rejects_asymmetric_input(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(AccuracyError):
             symmetric_eigensolve(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+    def test_rejects_non_square_and_oversized_input(self):
+        with pytest.raises(ConfigError):
+            symmetric_eigensolve(np.zeros((2, 3)))
+        with pytest.raises(ConfigError, match="4000"):
+            symmetric_eigensolve(np.broadcast_to(0.0, (4001, 4001)))
+
+    def test_rejects_non_finite_input(self):
+        with pytest.raises(AccuracyError, match="finite"):
+            symmetric_eigensolve(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 class TestQuadraticLimit:
