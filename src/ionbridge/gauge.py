@@ -241,6 +241,8 @@ def wilson_loop(loop: LoopPath, modes: list[IonModeIndex], config: SystemConfig,
     """
     from scipy.linalg import expm
 
+    if resolution < 1:
+        raise ConfigError(f"resolution must be at least 1, got {resolution}")
     for mode in modes:
         _require_cartesian(mode)
     products = []

@@ -299,6 +299,12 @@ class TestLoops:
         w = wilson_loop(loop, modes, cfg_rr, resolution=32)
         np.testing.assert_allclose(w.conj().T @ w, np.eye(len(modes)), atol=1e-10)
 
+    @pytest.mark.parametrize("resolution", [0, -3])
+    def test_wilson_loop_needs_a_positive_resolution(self, cfg_rr, resolution):
+        with pytest.raises(ConfigError, match="resolution"):
+            wilson_loop(square_loop(cfg_rr, side=4e-6), cartesian_modes(1), cfg_rr,
+                        resolution=resolution)
+
     def test_wilson_loop_near_identity_for_small_loops(self, cfg_rr):
         loop = square_loop(cfg_rr, side=0.2e-6)
         modes = cartesian_modes(1)
