@@ -28,7 +28,7 @@ from .errors import (
 )
 from .gauge import berry_phase, cartesian_modes, connection_records, \
     gauge_hermiticity_check, square_loop
-from .model import GROUND, characteristic_scales, validate
+from .model import GROUND, characteristic_scales, require_valid
 from .motion import basis_ground_state, gaussian_ground_state, pair_density
 from .phonons import critical_separation, mode_sweep
 from .potentials import AtomPairGeometry, axial_bo_curve
@@ -48,14 +48,22 @@ def _to_khz(energy_j):
 
 
 def _load(args, check_stability: bool = False):
+    """Load and validate the config; with ``check_stability`` warn on
+    stderr when the configured separation is below the stability
+    threshold."""
     config, resolved, digest = load_config(args.config)
-    diagnostics = validate(config, check_stability=check_stability)
-    errors = [d.message for d in diagnostics if d.severity == "error"]
-    if errors:
-        raise ConfigError("; ".join(errors))
-    for diag in diagnostics:
-        if diag.severity == "warning":
-            print(f"warning: {diag.message}", file=sys.stderr)
+    require_valid(config)
+    if check_stability:
+        sep = 2.0 * config.half_separation_z0
+        try:
+            crit = critical_separation(config)
+        except NotBracketedError:
+            pass  # stable everywhere in the bracket, nothing to warn about
+        else:
+            if sep < crit.critical_2z0:
+                print(f"warning: 2z0 = {sep:.4g} m is below the stability threshold "
+                      f"{crit.critical_2z0:.4g} m ({crit.limiting_branch} branch)",
+                      file=sys.stderr)
     return config, resolved, digest
 
 
@@ -249,6 +257,9 @@ def cmd_density(args) -> int:
         reach = max(reach, state.osc_length * (np.sqrt(2.0 * state.n_max + 1.0) + 5.0))
         z1 = np.linspace(gauss.center[0] - reach, gauss.center[0] + reach, args.points)
         z2 = np.linspace(gauss.center[1] - reach, gauss.center[1] + reach, args.points)
+        if not (np.all(np.diff(z1) > 0.0) and np.all(np.diff(z2) > 0.0)):
+            raise ConfigError(f"separation {sep_um:g} um: the density grid's spacing is "
+                              "below the float resolution of its positions")
         density = pair_density(state, z1, z2)
 
         grid_z1, grid_z2 = np.meshgrid(z1 * 1e6, z2 * 1e6, indexing="ij")

@@ -6,8 +6,10 @@ displacement Jacobian chained with analytic one-quantum ladder
 elements: the connection obeys a strict delta n = +-1 selection rule
 per Cartesian axis, is Hermitian, and has an identically vanishing
 diagonal, which makes every Berry phase of a single surface zero.
-Cartesian ion modes are used throughout; the cylindrical phase
-convention under displacement is not defined.
+The connection is pure gauge, so transport along a path is the
+displacement operator between its endpoints.  Cartesian ion modes are
+used throughout; the cylindrical phase convention under displacement is
+not defined.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants as cst
-from .errors import AccuracyError, ConfigError
+from .errors import ConfigError
 from .model import IonModeIndex, SystemConfig
-from .potentials import AtomPairGeometry, _squared_distances
+from .potentials import AtomPairGeometry, _ion_shift, _shift_coefficients, _squared_distances
 
 __all__ = [
     "GaugeConnection",
@@ -71,12 +73,7 @@ def _jacobian(r: np.ndarray, c4: float, config: SystemConfig) -> np.ndarray:
     """``displacement_jacobian`` at atom positions ``r`` of shape (..., 3)."""
     r_sq = np.einsum("...i,...i->...", r, r)[..., None, None]
     core = np.eye(3) / r_sq**3 - 6.0 * (r[..., :, None] * r[..., None, :]) / r_sq**4
-    m_i = config.ion.mass
-    kappa = np.array([
-        4.0 / (m_i * config.ion_trap.radial**2),
-        4.0 / (m_i * config.ion_trap.radial**2),
-        4.0 / (m_i * config.ion_trap.axial**2),
-    ])
+    kappa = np.array(_shift_coefficients(config))
     return c4 * kappa[:, None] * core
 
 
@@ -173,7 +170,6 @@ class LoopPath:
 
     waypoints: np.ndarray
     closed: bool = True
-    max_step: float | None = None
 
     def __post_init__(self):
         w = np.asarray(self.waypoints, dtype=float)
@@ -182,10 +178,6 @@ class LoopPath:
         object.__setattr__(self, "waypoints", w)
         if self.closed and not np.array_equal(w[0], w[-1]):
             raise ConfigError("a closed loop must end exactly at its first waypoint")
-        if self.max_step is not None:
-            steps = np.linalg.norm((w[1:] - w[:-1]).reshape(-1, 6), axis=1)
-            if np.any(steps > self.max_step):
-                raise ConfigError(f"waypoint step exceeds max_step = {self.max_step}")
 
     def segments(self, subdivide: int = 1) -> list[tuple[np.ndarray, np.ndarray]]:
         """(midpoint, delta) pairs, each waypoint leg cut into ``subdivide`` pieces."""
@@ -212,52 +204,59 @@ def square_loop(config: SystemConfig, side: float = 1e-6) -> LoopPath:
     return LoopPath(np.array(waypoints), closed=True)
 
 
+def _check_path(loop: LoopPath) -> None:
+    """The path check of ``berry_phase`` and ``wilson_loop``: every
+    waypoint, and the midpoints of each leg cut once and twice, computed
+    as ``LoopPath.segments`` computes them, pass ``_squared_distances``."""
+    w = loop.waypoints
+    start = w[:-1]
+    cuts = [start + (w[1:] - start) * f for f in (0.0, 0.5, 1.0)]
+    points = np.concatenate([w, 0.5 * (cuts[0] + cuts[2]),
+                             0.5 * (cuts[0] + cuts[1]), 0.5 * (cuts[1] + cuts[2])])
+    _squared_distances(points[:, 0], points[:, 1])
+
+
 def berry_phase(loop: LoopPath, mode: IonModeIndex, config: SystemConfig) -> float:
     """Geometric phase of one adiabatic surface around a closed loop, rad.
 
     The diagonal connection of the real displaced-oscillator states
-    vanishes identically, so the phase is exactly zero.  The loop is
-    checked as its midpoint-rule line integral would check it: a
-    Cartesian mode, a closed loop, and no midpoint of its once or twice
-    subdivided segments on the ion-trap center or on the other atom.
+    vanishes identically, so the phase is exactly zero.  The mode must
+    be Cartesian and the loop closed, and no waypoint or midpoint of a
+    leg cut once or twice may put an atom on the ion-trap center or on
+    the other atom.
     """
     _require_cartesian(mode)
     if not loop.closed:
         raise ConfigError("Berry phase needs a closed loop")
-    for subdivide in (1, 2):
-        mids = np.array([mid for mid, _ in loop.segments(subdivide)])
-        _squared_distances(mids[:, 0], mids[:, 1])
+    _check_path(loop)
     return 0.0
 
 
-def wilson_loop(loop: LoopPath, modes: list[IonModeIndex], config: SystemConfig,
-                resolution: int = 8) -> np.ndarray:
-    """Path-ordered transport matrix over the mode set (complex, unitary).
+def wilson_loop(loop: LoopPath, modes: list[IonModeIndex],
+                config: SystemConfig) -> np.ndarray:
+    """Transport matrix along the path over the mode set (real orthogonal).
 
-    Product of exp(-i A . dr / hbar) over the subdivided path, later
-    factors applied on the left.  The product is also taken at
-    ``2 * resolution``; AccuracyError when any element of the two
-    differs by more than 1e-6.
+    The connection is pure gauge, so the path-ordered exponential of
+    -i A . dr / hbar depends only on the ion displacement d at the ends:
+    exp(-sum_a (d_a(end) - d_a(start)) D_a^T), D_a the ladder derivative
+    along axis a, the displacement operator D(alpha) with alpha_a =
+    -(delta d_a) / (sqrt(2) l_a).  Every closed loop gives exactly the
+    identity.  The modes must be distinct and form the Cartesian product
+    of one quantum-number set per axis: only then do the truncated
+    generators commute.
     """
     from scipy.linalg import expm
 
-    if resolution < 1:
-        raise ConfigError(f"resolution must be at least 1, got {resolution}")
-    for mode in modes:
-        _require_cartesian(mode)
-    products = []
-    for subdivide in (resolution, 2 * resolution):
-        transport = np.eye(len(modes), dtype=complex)
-        for mid, delta in loop.segments(subdivide):
-            geometry = AtomPairGeometry(mid[0], mid[1])
-            step = np.zeros((len(modes), len(modes)), dtype=complex)
-            for atom_index in (1, 2):
-                matrix = connection_matrix(modes, atom_index, geometry, config)
-                step += np.tensordot(matrix, delta[atom_index - 1], axes=([2], [0]))
-            transport = expm(-1j * step / cst.HBAR) @ transport
-        products.append(transport)
-    change = float(np.max(np.abs(products[1] - products[0]), initial=0.0))
-    if change > 1e-6:
-        raise AccuracyError(f"Wilson loop not resolved: resolution {resolution} and "
-                            f"{2 * resolution} differ by {change:.3g} > 1e-6")
-    return products[0]
+    triples = {_require_cartesian(m) for m in modes}
+    axes = [{t[a] for t in triples} for a in range(3)]
+    if len(triples) != len(modes) or len(triples) != math.prod(map(len, axes)):
+        raise ConfigError("Wilson transport needs distinct modes that form a product "
+                          "of per-axis quantum-number sets")
+    _check_path(loop)
+    first, last = loop.waypoints[0], loop.waypoints[-1]
+    shift = (np.array(_ion_shift(last[0], last[1], config))
+             - np.array(_ion_shift(first[0], first[1], config)))
+    if not np.isfinite(shift).all():
+        raise ConfigError("ion displacement at the path's ends leaves the float range")
+    ladders = _ladder_derivatives(modes, config)
+    return expm(-np.einsum("a,aij->ji", shift, ladders))

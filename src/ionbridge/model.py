@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from . import constants as cst
-from .errors import ConfigError, NotBracketedError
+from .errors import ConfigError
 
 __all__ = [
     "Species",
@@ -304,15 +304,13 @@ class Diagnostic:
     message: str
 
 
-def validate(config: SystemConfig, check_stability: bool = True) -> list[Diagnostic]:
+def validate(config: SystemConfig) -> list[Diagnostic]:
     """Check the adiabaticity and separation preconditions.
 
-    Returns a list of diagnostics, empty when everything holds.  Errors:
+    Returns a list of error diagnostics, empty when everything holds:
     the atom/ion speed ratio eta must stay below 1 and the trap
     separation must dominate the atomic oscillator length (2 z0 >= 10
-    a_z).  With ``check_stability`` the phonon stability threshold is
-    located by bisection and a warning is emitted when the configured
-    separation falls below it.
+    a_z).
     """
     out: list[Diagnostic] = []
     scales = characteristic_scales(config)
@@ -328,27 +326,12 @@ def validate(config: SystemConfig, check_stability: bool = True) -> list[Diagnos
             "error",
             f"trap separation 2z0 = {sep:.4g} m is below 10 a_z = {10.0 * scales.a_z:.4g} m",
         ))
-
-    if check_stability and not out:
-        from .phonons import critical_separation
-
-        try:
-            crit = critical_separation(config)
-        except NotBracketedError:
-            pass  # stable everywhere in the bracket, nothing to warn about
-        else:
-            if sep < crit.critical_2z0:
-                out.append(Diagnostic(
-                    "warning",
-                    f"2z0 = {sep:.4g} m is below the stability threshold "
-                    f"{crit.critical_2z0:.4g} m ({crit.limiting_branch} branch)",
-                ))
     return out
 
 
 def require_valid(config: SystemConfig) -> None:
     """Raise ConfigError when any error-level diagnostic fires."""
-    errors = [d for d in validate(config, check_stability=False) if d.severity == "error"]
+    errors = validate(config)
     if errors:
         raise ConfigError("; ".join(d.message for d in errors))
 

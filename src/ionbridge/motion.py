@@ -26,6 +26,7 @@ from numpy.polynomial.hermite import hermgauss
 
 from . import constants as cst
 from .errors import AccuracyError, ConfigError, InstabilityError
+from .expansion import effective_frequencies
 from .model import SystemConfig, characteristic_scales
 from .phonons import equilibrium_shift, phonon_spectrum
 from .potentials import axial_interaction
@@ -412,8 +413,6 @@ def basis_ground_state(config: SystemConfig, z0: float, n_max: int = 30) -> Basi
 
 def _axial_mode_matrix(config: SystemConfig, z0: float) -> np.ndarray:
     """Squared-frequency matrix of the axial pair in atom coordinates."""
-    from .expansion import effective_frequencies
-
     fr = effective_frequencies(config, z0)
     return np.array([
         [fr.omega_bar_z1_sq, fr.omega_zz_sq],

@@ -4,9 +4,7 @@ The fast ion adjusts to the slow atom pair: completing the square of the
 expanded ion-atom attraction displaces the ion trap center and lowers
 the oscillator energy.  The resulting eigenvalue V(r1, r2) acts as a
 potential for the atoms; adding their own trap terms gives the
-effective two-atom potential U.  A brute-force minimizer over the
-unexpanded ion potential serves as the accuracy oracle for the
-displacement formulas.
+effective two-atom potential U.
 """
 
 from __future__ import annotations
@@ -15,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import constants as cst
-from .errors import AccuracyError, ConfigError, SingularGeometryError
-from .model import IonModeIndex, SystemConfig, characteristic_scales
+from .errors import ConfigError, SingularGeometryError
+from .model import IonModeIndex, SystemConfig
 
 __all__ = [
     "AtomPairGeometry",
@@ -26,8 +23,6 @@ __all__ = [
     "bo_energy",
     "bo_eigenvalue",
     "axial_interaction",
-    "exact_ion_potential",
-    "oracle_min_ion_energy",
     "effective_potential_U",
     "axial_bo_curve",
 ]
@@ -96,16 +91,21 @@ class IonDisplacement:
         return np.array([self.x0, self.y0, self.zeta0])
 
 
+def _shift_coefficients(config: SystemConfig) -> tuple[float, float, float]:
+    """Displacement per unit force gradient, 4 / (m_i w^2) for the x, y and z axes,
+    w radial for x, y and axial for z."""
+    m_i = config.ion.mass
+    k_rho = 4.0 / (m_i * config.ion_trap.radial**2)
+    return k_rho, k_rho, 4.0 / (m_i * config.ion_trap.axial**2)
+
+
 def _ion_shift(r1: np.ndarray, r2: np.ndarray, config: SystemConfig) -> list[np.ndarray]:
     """Closed-form ion displacement (x0, y0, zeta0) for atoms at ``r1``, ``r2`` (..., 3), m:
-    (4 / (m_i w^2)) (C4_1 r_1 / r_1^6 + C4_2 r_2 / r_2^6), w radial for x, y and axial for z."""
+    (4 / (m_i w^2)) (C4_1 r_1 / r_1^6 + C4_2 r_2 / r_2^6)."""
     c4_1, c4_2 = config.c4_pair
-    m_i = config.ion.mass
     r1_6, r2_6 = _squared_norm(r1) ** 3, _squared_norm(r2) ** 3
-    k_rho = 4.0 / (m_i * config.ion_trap.radial**2)
-    k_z = 4.0 / (m_i * config.ion_trap.axial**2)
     return [k * (c4_1 * r1[..., a] / r1_6 + c4_2 * r2[..., a] / r2_6)
-            for a, k in enumerate((k_rho, k_rho, k_z))]
+            for a, k in enumerate(_shift_coefficients(config))]
 
 
 def ion_displacement(geometry: AtomPairGeometry, config: SystemConfig) -> IonDisplacement:
@@ -144,97 +144,6 @@ def bo_eigenvalue(geometry: AtomPairGeometry, mu: IonModeIndex,
     """Adiabatic eigenvalue V(r1, r2) of the displaced ion oscillator in
     mode ``mu``, J: ``bo_energy`` from the bare mode energy."""
     return float(bo_energy(geometry.r1, geometry.r2, config, mu.bare_energy(config.ion_trap)))
-
-
-def exact_ion_potential(r_i: np.ndarray, geometry: AtomPairGeometry,
-                        config: SystemConfig) -> float:
-    """Unexpanded ion potential at ion position ``r_i``, J.
-
-    Harmonic ion trap plus the two -C4/r^4 attractions; the atom-atom
-    term does not involve the ion and is excluded.
-    """
-    r_i = np.asarray(r_i, dtype=float)
-    c4_1, c4_2 = config.c4_pair
-    d1_sq = float(np.dot(r_i - geometry.r1, r_i - geometry.r1))
-    d2_sq = float(np.dot(r_i - geometry.r2, r_i - geometry.r2))
-    if d1_sq == 0.0 or d2_sq == 0.0:
-        raise SingularGeometryError("ion coordinate coincides with an atom")
-
-    trap = config.ion_trap
-    harmonic = 0.5 * config.ion.mass * (
-        trap.radial**2 * (r_i[0]**2 + r_i[1]**2) + trap.axial**2 * r_i[2]**2
-    )
-    return harmonic - c4_1 / d1_sq**2 - c4_2 / d2_sq**2
-
-
-def _fd_gradient(f, x: np.ndarray, h: float) -> np.ndarray:
-    g = np.zeros(3)
-    for a in range(3):
-        e = np.zeros(3)
-        e[a] = h
-        g[a] = (f(x + e) - f(x - e)) / (2.0 * h)
-    return g
-
-
-def _fd_hessian(f, x: np.ndarray, h: float) -> np.ndarray:
-    hess = np.zeros((3, 3))
-    f0 = f(x)
-    for a in range(3):
-        ea = np.zeros(3)
-        ea[a] = h
-        hess[a, a] = (f(x + ea) - 2.0 * f0 + f(x - ea)) / h**2
-        for b in range(a + 1, 3):
-            eb = np.zeros(3)
-            eb[b] = h
-            mixed = (f(x + ea + eb) - f(x + ea - eb)
-                     - f(x - ea + eb) + f(x - ea - eb)) / (4.0 * h**2)
-            hess[a, b] = hess[b, a] = mixed
-    return hess
-
-
-def oracle_min_ion_energy(geometry: AtomPairGeometry, config: SystemConfig,
-                          max_iter: int = 500) -> tuple[float, np.ndarray]:
-    """Damped-Newton minimization of the unexpanded ion potential.
-
-    Starts at the origin and iterates with finite-difference derivatives
-    until the energy is stationary to 1e-12 relative.  Returns the
-    minimum energy and its position; the position must agree with
-    ``ion_displacement`` up to second-order corrections.
-    """
-    scales = characteristic_scales(config)
-    for r in (geometry.r1, geometry.r2):
-        if np.linalg.norm(r) <= 10.0 * scales.L_i:
-            raise ValueError("atoms too close to the ion trap center for the oracle")
-
-    def f(x):
-        return exact_ion_potential(x, geometry, config)
-
-    h = 1e-3 * scales.L_i
-    x = np.zeros(3)
-    energy = f(x)
-    for _ in range(max_iter):
-        g = _fd_gradient(f, x, h)
-        hess = _fd_hessian(f, x, h)
-        try:
-            step = -np.linalg.solve(hess, g)
-        except np.linalg.LinAlgError:
-            step = -g * (h / max(np.linalg.norm(g), 1e-300))
-        # Backtracking keeps the iterate inside the trap-dominated well.
-        scale = 1.0
-        for _ in range(40):
-            e_new = f(x + scale * step)
-            if e_new <= energy:
-                break
-            scale *= 0.5
-        else:
-            e_new = energy
-            scale = 0.0
-        x = x + scale * step
-        done = abs(e_new - energy) <= 1e-12 * max(abs(e_new), abs(energy))
-        energy = e_new
-        if done:
-            return energy, x
-    raise AccuracyError(f"ion-energy minimization did not converge in {max_iter} iterations")
 
 
 def effective_potential_U(geometry: AtomPairGeometry, mu: IonModeIndex,

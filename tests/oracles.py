@@ -4,14 +4,26 @@ Each one is the former per-point code path, written with Python floats
 and libm (``math``), so a test can compare the array kernels with it:
 the scalar expansion and 2x2 sector diagonalisation, the phonon
 spectrum and sweep built on them, the critical-separation bisection,
-and the Berry-phase line integral.
+the Berry-phase line integral and the path-ordered Wilson product.
+The unexpanded ion potential and its finite-difference minimizer check
+the closed-form ion displacement.
 """
 
 import math
 
 import numpy as np
+from scipy.linalg import expm
 
-from ionbridge import EffectiveFrequencies, NotBracketedError, constants as cst
+from ionbridge import (
+    AccuracyError,
+    AtomPairGeometry,
+    EffectiveFrequencies,
+    NotBracketedError,
+    SingularGeometryError,
+    characteristic_scales,
+    connection_matrix,
+    constants as cst,
+)
 from ionbridge.gauge import _jacobian, _ladder_derivatives
 from ionbridge.model import require_valid
 from ionbridge.phonons import _TIE_WEIGHT, ModeBranch, PhononSpectrum
@@ -190,3 +202,107 @@ def diagonal_integral(loop, mode, config, subdivide):
         element = -1j * cst.HBAR * np.einsum("sab,a->sb", jac, ladders)
         total += np.sum(element * deltas[:, j])
     return float(total.real) / cst.HBAR
+
+
+def path_ordered_transport(loop, modes, config, subdivide):
+    """Product of exp(-i A . dr / hbar) over the path with each leg cut
+    into ``subdivide`` pieces, later factors applied on the left, with A
+    taken at each piece's midpoint (complex)."""
+    transport = np.eye(len(modes), dtype=complex)
+    for mid, delta in loop.segments(subdivide):
+        geometry = AtomPairGeometry(mid[0], mid[1])
+        step = np.zeros((len(modes), len(modes)), dtype=complex)
+        for atom_index in (1, 2):
+            matrix = connection_matrix(modes, atom_index, geometry, config)
+            step += np.tensordot(matrix, delta[atom_index - 1], axes=([2], [0]))
+        transport = expm(-1j * step / cst.HBAR) @ transport
+    return transport
+
+
+def exact_ion_potential(r_i, geometry, config):
+    """Unexpanded ion potential at ion position ``r_i``, J.
+
+    Harmonic ion trap plus the two -C4/r^4 attractions; the atom-atom
+    term does not involve the ion and is excluded.
+    """
+    r_i = np.asarray(r_i, dtype=float)
+    c4_1, c4_2 = config.c4_pair
+    d1_sq = float(np.dot(r_i - geometry.r1, r_i - geometry.r1))
+    d2_sq = float(np.dot(r_i - geometry.r2, r_i - geometry.r2))
+    if d1_sq == 0.0 or d2_sq == 0.0:
+        raise SingularGeometryError("ion coordinate coincides with an atom")
+
+    trap = config.ion_trap
+    harmonic = 0.5 * config.ion.mass * (
+        trap.radial**2 * (r_i[0]**2 + r_i[1]**2) + trap.axial**2 * r_i[2]**2
+    )
+    return harmonic - c4_1 / d1_sq**2 - c4_2 / d2_sq**2
+
+
+def _fd_gradient(f, x, h):
+    g = np.zeros(3)
+    for a in range(3):
+        e = np.zeros(3)
+        e[a] = h
+        g[a] = (f(x + e) - f(x - e)) / (2.0 * h)
+    return g
+
+
+def _fd_hessian(f, x, h):
+    hess = np.zeros((3, 3))
+    f0 = f(x)
+    for a in range(3):
+        ea = np.zeros(3)
+        ea[a] = h
+        hess[a, a] = (f(x + ea) - 2.0 * f0 + f(x - ea)) / h**2
+        for b in range(a + 1, 3):
+            eb = np.zeros(3)
+            eb[b] = h
+            mixed = (f(x + ea + eb) - f(x + ea - eb)
+                     - f(x - ea + eb) + f(x - ea - eb)) / (4.0 * h**2)
+            hess[a, b] = hess[b, a] = mixed
+    return hess
+
+
+def oracle_min_ion_energy(geometry, config, max_iter=500):
+    """Damped-Newton minimization of the unexpanded ion potential.
+
+    Starts at the origin and iterates with finite-difference derivatives
+    until the energy is stationary to 1e-12 relative.  Returns the
+    minimum energy and its position; the position must agree with
+    ``ion_displacement`` up to second-order corrections.
+    """
+    scales = characteristic_scales(config)
+    for r in (geometry.r1, geometry.r2):
+        if np.linalg.norm(r) <= 10.0 * scales.L_i:
+            raise ValueError("atoms too close to the ion trap center for the oracle")
+
+    def f(x):
+        return exact_ion_potential(x, geometry, config)
+
+    h = 1e-3 * scales.L_i
+    x = np.zeros(3)
+    energy = f(x)
+    for _ in range(max_iter):
+        g = _fd_gradient(f, x, h)
+        hess = _fd_hessian(f, x, h)
+        try:
+            step = -np.linalg.solve(hess, g)
+        except np.linalg.LinAlgError:
+            step = -g * (h / max(np.linalg.norm(g), 1e-300))
+        # Backtracking keeps the iterate inside the trap-dominated well.
+        scale = 1.0
+        for _ in range(40):
+            e_new = f(x + scale * step)
+            if e_new <= energy:
+                break
+            scale *= 0.5
+        else:
+            e_new = energy
+            scale = 0.0
+        x = x + scale * step
+        done = abs(e_new - energy) <= 1e-12 * max(abs(e_new), abs(energy))
+        energy = e_new
+        if done:
+            return energy, x
+    raise AccuracyError(f"ion-energy minimization did not converge in {max_iter} iterations")

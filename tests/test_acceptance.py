@@ -19,6 +19,7 @@ import time
 import numpy as np
 import pytest
 
+import oracles
 from ionbridge import (
     AtomPairGeometry,
     IonModeIndex,
@@ -40,7 +41,6 @@ from ionbridge import (
     gaussian_ground_state,
     ion_displacement,
     mode_sweep,
-    oracle_min_ion_energy,
     pair_density,
     phonon_spectrum,
     quadratic_potential,
@@ -250,7 +250,7 @@ def test_criterion_6_displacement_matches_minimizer():
     config = reference_config("rg")  # 2z0 = 16 um
     geometry = AtomPairGeometry.at_trap_centers(config)
     analytic = ion_displacement(geometry, config).as_array()
-    _, found = oracle_min_ion_energy(geometry, config)
+    _, found = oracles.oracle_min_ion_energy(geometry, config)
     assert np.linalg.norm(found - analytic) < 0.01 * np.linalg.norm(analytic)
 
 

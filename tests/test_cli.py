@@ -60,6 +60,30 @@ class TestScales:
         assert "warning" in err and "stability threshold" in err
 
 
+class TestStabilityWarning:
+    WARNING = ("warning: 2z0 = 8e-06 m is below the stability threshold 9.189e-06 m "
+               "(axial-com branch)\n")
+
+    def test_below_threshold_is_a_warning(self, config_file, tmp_path, capsys):
+        # 8 um < critical 9.19 um: scales, bo-curve and gauge warn once, phonons does not
+        path = str(config_file(z0_um=4.0))
+        for argv in (["scales"], ["bo-curve", "--points", "11"], ["gauge"]):
+            code, _, err = run(capsys, *argv, "--config", path,
+                               "--out", str(tmp_path / argv[0]))
+            assert code == 0
+            assert err == self.WARNING
+        code, _, err = run(capsys, "phonons", "--config", path, "--out", str(tmp_path / "p"))
+        assert code == 0 and err == ""
+
+    def test_gg_stability_check_is_silent(self, config_file, tmp_path, capsys):
+        # no threshold in the bracket: the warning machinery must stay quiet
+        path = str(config_file(states=["g", "g"]))
+        for argv in (["scales"], ["gauge", "--out", str(tmp_path / "gauge")]):
+            code, _, err = run(capsys, *argv, "--config", path)
+            assert code == 0
+            assert err == ""
+
+
 class TestBoCurve:
     def test_writes_curve_table(self, config_file, tmp_path, capsys):
         out_dir = tmp_path / "out"
@@ -297,6 +321,16 @@ class TestErrorPaths:
                            "--out", str(out_dir), "--separations-um", "1e300")
         assert code == 2
         assert "float range" in err and "Traceback" not in err
+        assert not out_dir.exists()
+
+    def test_density_grid_below_the_float_resolution_is_a_config_error(
+            self, config_file, tmp_path, capsys):
+        # at 2z0 = 1e30 um the float spacing of z exceeds the Gaussian width
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "density", "--config", str(config_file()),
+                           "--out", str(out_dir), "--separations-um", "1e30")
+        assert code == 2
+        assert "separation 1e+30 um" in err and "Traceback" not in err
         assert not out_dir.exists()
 
     def test_unknown_subcommand(self, config_file, capsys):

@@ -1,14 +1,15 @@
 """Gauge connection structure, oracle comparison, and loop transport."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
+from scipy.special import eval_genlaguerre
 
 import oracles
 from ionbridge import (
-    AccuracyError,
     AtomPairGeometry,
     ConfigError,
     IonModeIndex,
@@ -50,6 +51,24 @@ def displaced_overlap_1d(n_bra, n_ket, d_bra, d_ket, length, order=80):
     p_ket = hermite_values(n_ket, u_ket)[:, n_ket]
     integrand = p_bra * p_ket * np.exp(-0.5 * u_bra**2 - 0.5 * u_ket**2 + xs**2)
     return float(np.sum(ws * integrand))
+
+
+def displacement_element(m, n, alpha):
+    """<m|D(alpha)|n> for real alpha (Cahill and Glauber, Phys. Rev. 177, 1857 (1969))."""
+    lo, hi = min(m, n), max(m, n)
+    sign = 1.0 if m >= n else (-1.0) ** (hi - lo)
+    return (sign * math.sqrt(math.factorial(lo) / math.factorial(hi)) * alpha ** (hi - lo)
+            * math.exp(-0.5 * alpha**2) * eval_genlaguerre(lo, hi - lo, alpha**2))
+
+
+def open_path(config, end1=(0.5e-6, 1.0e-6, -2.5e-6)):
+    """Three waypoints from the trap centers; atom 1 ends at ``end1`` from its center."""
+    z0 = config.half_separation_z0
+    return LoopPath(np.array([
+        [[0.0, 0.0, z0], [0.0, 0.0, -z0]],
+        [[1.5e-6, -0.5e-6, z0 - 1.0e-6], [0.3e-6, 0.0, -z0 + 0.5e-6]],
+        [np.add(end1, [0.0, 0.0, z0]), [-0.4e-6, 0.6e-6, -z0 - 1.0e-6]],
+    ]), closed=False)
 
 
 def oracle_gauge_element(bra, ket, atom_index, geometry, config, axis, delta=1e-9):
@@ -197,15 +216,6 @@ class TestLoops:
             LoopPath(open_path, closed=True)
         LoopPath(open_path, closed=False)  # fine as an open path
 
-    def test_max_step_enforced(self):
-        path = np.array([
-            [[0.0, 0.0, 8e-6], [0.0, 0.0, -8e-6]],
-            [[1e-6, 0.0, 8e-6], [0.0, 0.0, -8e-6]],
-            [[0.0, 0.0, 8e-6], [0.0, 0.0, -8e-6]],
-        ])
-        with pytest.raises(ConfigError):
-            LoopPath(path, max_step=0.5e-6)
-
     def test_segments_cover_the_path(self, cfg_rr):
         loop = square_loop(cfg_rr, side=2e-6)
         for subdivide in (1, 3):
@@ -254,6 +264,8 @@ class TestLoops:
         assert np.all(np.linalg.norm(mids[:, 0], axis=1) > 0.0)
         with pytest.raises(SingularGeometryError, match="ion-trap center"):
             berry_phase(path, IonModeIndex.cartesian(0, 0, 0), cfg_rr)
+        with pytest.raises(SingularGeometryError, match="ion-trap center"):
+            wilson_loop(path, cartesian_modes(1), cfg_rr)
 
     def test_batched_jacobian_matches_each_geometry(self, cfg_rg):
         rng = np.random.default_rng(7)
@@ -272,6 +284,13 @@ class TestLoops:
                                   [[-1e-6, 0.0, 0.0], r2]]))
         with pytest.raises(SingularGeometryError, match="ion-trap center"):
             berry_phase(path, IonModeIndex.cartesian(0, 0, 0), cfg_rr)
+        with pytest.raises(SingularGeometryError, match="ion-trap center"):
+            wilson_loop(path, cartesian_modes(1), cfg_rr)
+        # an open path that ends on the ion-trap center
+        ends_on_ion = LoopPath(np.array([[[1e-6, 0.0, 0.0], r2], [[0.0, 0.0, 0.0], r2]]),
+                               closed=False)
+        with pytest.raises(SingularGeometryError, match="ion-trap center"):
+            wilson_loop(ends_on_ion, cartesian_modes(1), cfg_rr)
 
     def test_berry_phase_needs_closed_loop(self, cfg_rr):
         path = LoopPath(np.array([
@@ -281,32 +300,65 @@ class TestLoops:
         with pytest.raises(ConfigError):
             berry_phase(path, IonModeIndex.cartesian(0, 0, 0), cfg_rr)
 
+    @pytest.mark.parametrize("max_n", [1, 2])
+    def test_wilson_loop_is_the_limit_of_the_path_ordered_product(self, cfg_rr, max_n):
+        path = open_path(cfg_rr)
+        modes = cartesian_modes(max_n)
+        w = wilson_loop(path, modes, cfg_rr)
+        errors = [np.max(np.abs(oracles.path_ordered_transport(path, modes, cfg_rr, sub) - w))
+                  for sub in (8, 16, 32, 64)]
+        ratios = np.array(errors[:-1]) / np.array(errors[1:])
+        assert np.all((3.5 < ratios) & (ratios < 4.5)), ratios
+        assert np.max(np.abs(oracles.path_ordered_transport(path, modes, cfg_rr, 512) - w)) \
+            <= 1e-8
+
     def test_wilson_loop_unitary_and_resolved(self, cfg_rr):
-        loop = square_loop(cfg_rr, side=1e-6)
-        modes = cartesian_modes(1)
-        w = wilson_loop(loop, modes, cfg_rr, resolution=8)
-        np.testing.assert_allclose(w.conj().T @ w, np.eye(len(modes)), atol=1e-10)
-        w2 = wilson_loop(loop, modes, cfg_rr, resolution=16)
-        assert np.max(np.abs(w - w2)) < 1e-6
+        # a real orthogonal transport that is already the converged product
+        for max_n in (1, 2):
+            w = wilson_loop(open_path(cfg_rr), cartesian_modes(max_n), cfg_rr)
+            assert w.dtype == np.float64
+            np.testing.assert_allclose(w.T @ w, np.eye(len(w)), rtol=0.0, atol=1e-14)
+            assert np.max(np.abs(w - np.eye(len(w)))) > 1e-2
 
-    def test_wilson_loop_refinement_gate(self, cfg_rr):
-        # resolution 8 and 16 differ by 8.7e-6 on a 4 um loop; the
-        # difference falls as resolution^-2, to about 5e-7 at 32 and 64.
-        loop = square_loop(cfg_rr, side=4e-6)
-        modes = cartesian_modes(1)
-        with pytest.raises(AccuracyError, match="8.69e-06"):
-            wilson_loop(loop, modes, cfg_rr, resolution=8)
-        w = wilson_loop(loop, modes, cfg_rr, resolution=32)
-        np.testing.assert_allclose(w.conj().T @ w, np.eye(len(modes)), atol=1e-10)
-
-    @pytest.mark.parametrize("resolution", [0, -3])
-    def test_wilson_loop_needs_a_positive_resolution(self, cfg_rr, resolution):
-        with pytest.raises(ConfigError, match="resolution"):
-            wilson_loop(square_loop(cfg_rr, side=4e-6), cartesian_modes(1), cfg_rr,
-                        resolution=resolution)
+    def test_wilson_loop_matches_the_displacement_operator(self, cfg_rr):
+        # alpha_z is about -0.11: the n <= 2 block of a max_n 4 box is off by 1.4e-7
+        path = open_path(cfg_rr, end1=(1.0e-6, 1.0e-6, 4e-6 - cfg_rr.half_separation_z0))
+        first, last = (AtomPairGeometry(*path.waypoints[k]) for k in (0, -1))
+        shift = (ion_displacement(last, cfg_rr).as_array()
+                 - ion_displacement(first, cfg_rr).as_array())
+        omegas = (cfg_rr.ion_trap.radial, cfg_rr.ion_trap.radial, cfg_rr.ion_trap.axial)
+        lengths = np.sqrt(cst.HBAR / (cfg_rr.ion.mass * np.array(omegas)))
+        alpha = -shift / (math.sqrt(2.0) * lengths)
+        modes = cartesian_modes(8)
+        w = wilson_loop(path, modes, cfg_rr)
+        low = [i for i, mode in enumerate(modes) if max(quantum_numbers(mode)) <= 2]
+        expected = [[math.prod(displacement_element(m, n, a) for m, n, a in
+                               zip(quantum_numbers(modes[i]), quantum_numbers(modes[j]), alpha))
+                     for j in low] for i in low]
+        np.testing.assert_allclose(w[np.ix_(low, low)], expected, rtol=0.0, atol=1e-15)
 
     def test_wilson_loop_near_identity_for_small_loops(self, cfg_rr):
-        loop = square_loop(cfg_rr, side=0.2e-6)
-        modes = cartesian_modes(1)
-        w = wilson_loop(loop, modes, cfg_rr, resolution=8)
-        assert np.max(np.abs(w - np.eye(len(modes)))) < 1e-6
+        # the transport depends only on the endpoints, so every closed loop is exact
+        for side in (0.2e-6, 1e-6, 4e-6):
+            for max_n in (1, 2):
+                w = wilson_loop(square_loop(cfg_rr, side=side), cartesian_modes(max_n), cfg_rr)
+                assert np.array_equal(w, np.eye(len(w)))
+
+    def test_wilson_loop_follows_the_mode_order(self, cfg_rr):
+        path = open_path(cfg_rr)
+        modes = cartesian_modes(2)
+        order = np.random.default_rng(3).permutation(len(modes))
+        w = wilson_loop(path, modes, cfg_rr)
+        permuted = wilson_loop(path, [modes[k] for k in order], cfg_rr)
+        np.testing.assert_allclose(permuted, w[np.ix_(order, order)], rtol=0.0, atol=1e-15)
+
+    def test_wilson_loop_needs_a_product_mode_set(self, cfg_rr):
+        path = open_path(cfg_rr)
+        # {0,1} x {0,1} x {0,2} is a product set; the others are not
+        wilson_loop(path, [IonModeIndex.cartesian(x, y, z)
+                           for x in (0, 1) for y in (0, 1) for z in (0, 2)], cfg_rr)
+        for triples in ([(0, 0, 0), (1, 0, 0), (0, 0, 1)], [(0, 0, 0), (0, 0, 0)]):
+            with pytest.raises(ConfigError):
+                wilson_loop(path, [IonModeIndex.cartesian(*t) for t in triples], cfg_rr)
+        with pytest.raises(ConfigError, match="Cartesian"):
+            wilson_loop(path, [IonModeIndex.cylindrical(0, 0, 0)], cfg_rr)

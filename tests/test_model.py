@@ -174,25 +174,15 @@ class TestValidation:
         # a very stiff atom trap makes the "slow" subsystem fast
         fast = dataclasses.replace(
             cfg_rr, atom_trap=TrapFrequencies(cst.TWO_PI * 100e6, cst.TWO_PI * 9e6))
-        diags = validate(fast, check_stability=False)
+        diags = validate(fast)
         assert any(d.severity == "error" and "eta" in d.message for d in diags)
         with pytest.raises(ConfigError):
             require_valid(fast)
 
     def test_tight_separation_is_an_error(self, cfg_rr):
         close = cfg_rr.with_half_separation(0.2e-6)  # 2z0 < 10 a_z
-        diags = validate(close, check_stability=False)
+        diags = validate(close)
         assert any(d.severity == "error" and "a_z" in d.message for d in diags)
-
-    def test_below_threshold_is_a_warning(self, cfg_rr):
-        soft = cfg_rr.with_half_separation(4.0e-6)  # 8 um < critical 9.19 um
-        diags = validate(soft, check_stability=True)
-        assert [d.severity for d in diags] == ["warning"]
-        assert "threshold" in diags[0].message
-
-    def test_gg_stability_check_is_silent(self, cfg_gg):
-        # no threshold in the bracket: the warning machinery must stay quiet
-        assert validate(cfg_gg, check_stability=True) == []
 
     def test_reference_config_pairs(self):
         rg = reference_config("rg")

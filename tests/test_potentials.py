@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from ionbridge import (
     AtomPairGeometry,
     ConfigError,
@@ -15,9 +16,7 @@ from ionbridge import (
     bo_energy,
     constants as cst,
     effective_potential_U,
-    exact_ion_potential,
     ion_displacement,
-    oracle_min_ion_energy,
     reference_config,
 )
 from ionbridge.expansion import expansion_coefficients
@@ -120,19 +119,19 @@ class TestOracleMinimization:
     def test_ion_on_atom_is_singular(self, cfg_rr):
         geom = AtomPairGeometry.at_trap_centers(cfg_rr)
         with pytest.raises(SingularGeometryError):
-            exact_ion_potential(geom.r1, geom, cfg_rr)
+            oracles.exact_ion_potential(geom.r1, geom, cfg_rr)
 
     def test_displacement_matches_minimizer(self, cfg_rg):
         geom = AtomPairGeometry.at_trap_centers(cfg_rg)
         d = ion_displacement(geom, cfg_rg).as_array()
-        energy, pos = oracle_min_ion_energy(geom, cfg_rg)
+        energy, pos = oracles.oracle_min_ion_energy(geom, cfg_rg)
         assert pos[2] == pytest.approx(d[2], rel=1e-2)
         assert abs(pos[0]) < 1e-12 and abs(pos[1]) < 1e-12
 
     def test_minimum_energy_matches_eigenvalue_shift(self, cfg_rg):
         # classical minimum = (eigenvalue - bare mode energy - atom-atom term)
         geom = AtomPairGeometry.at_trap_centers(cfg_rg)
-        energy, _ = oracle_min_ion_energy(geom, cfg_rg)
+        energy, _ = oracles.oracle_min_ion_energy(geom, cfg_rg)
         shift = bo_eigenvalue(geom, cfg_rg.ion_mode, cfg_rg) \
             - cfg_rg.ion_mode.bare_energy(cfg_rg.ion_trap) \
             + cfg_rg.c6_pair / (2 * cfg_rg.half_separation_z0) ** 6
@@ -141,7 +140,7 @@ class TestOracleMinimization:
     def test_atoms_near_origin_rejected(self, cfg_rr):
         geom = AtomPairGeometry.on_axis(0.1e-6, -8e-6)
         with pytest.raises(ValueError):
-            oracle_min_ion_energy(geom, cfg_rr)
+            oracles.oracle_min_ion_energy(geom, cfg_rr)
 
 
 class TestEffectivePotential:
