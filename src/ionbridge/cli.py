@@ -136,13 +136,23 @@ def cmd_bo_curve(args) -> int:
     if args.points < 2:
         raise ConfigError(f"--points must be at least 2, got {args.points}")
 
-    grid = np.linspace(args.z_min_um, args.z_max_um, args.points) * 1e-6
-    curves = axial_bo_curve(grid, config.ion_mode, config, placement=args.placement)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # values past the float range raise typed errors below, not warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.linspace(args.z_min_um, args.z_max_um, args.points) * 1e-6
+        curves = axial_bo_curve(grid, config.ion_mode, config, placement=args.placement)
+        if not curves["V_rg"].all():
+            z = curves["z"][curves["V_rg"] == 0.0][0]
+            raise AccuracyError(
+                f"V_rg is 0 at separation {z * 1e6:.4g} um, so abs_ratio_rr_rg is undefined "
+                "(at large separations |V - E0| falls below the rounding of E0)")
         ratio = np.abs(curves["V_rr"]) / np.abs(curves["V_rg"])
-    rows = np.column_stack([curves["z"] * 1e6, _to_khz(curves["V_rr"]), _to_khz(curves["V_rg"]),
-                            curves["V_gg"] / cst.PLANCK, ratio])
+        rows = np.column_stack([curves["z"] * 1e6, _to_khz(curves["V_rr"]),
+                                _to_khz(curves["V_rg"]), curves["V_gg"] / cst.PLANCK, ratio])
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise SingularGeometryError(
+            f"the table row at separation {rows[~finite, 0][0]:.4g} um overflows the "
+            "float range, next to the interaction singularity")
     path = write_table(
         _require_out(args) / "bo_curve.csv",
         _metadata("bo-curve", digest, placement=args.placement,

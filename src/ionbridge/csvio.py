@@ -7,7 +7,7 @@ Layout of every table:
     1.5,2.25,...           (data rows, floats rendered with %.12g)
 
 Floats go through a fixed format so repeated runs produce byte-identical
-files.  A float array of rows is formatted a row at a time with that
+files.  A float array of rows is formatted in one call with that
 format; any other rows go cell by cell through ``format_value``, which
 gives the same bytes for a float.  Writes land in a temporary file in
 the target directory and are moved into place with os.replace, so a
@@ -56,8 +56,9 @@ def write_table(path, metadata, header, rows, overwrite: bool = False) -> Path:
     if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
         if rows.ndim != 2 or rows.shape[1] != len(header):
             raise ValueError(f"rows of shape {rows.shape} do not match header {len(header)}")
-        row_format = ",".join([_FLOAT_FORMAT] * len(header))
-        lines.extend(row_format % tuple(row) for row in rows.tolist())
+        if len(rows):
+            row_format = ",".join([_FLOAT_FORMAT] * len(header))
+            lines.append("\n".join([row_format] * len(rows)) % tuple(rows.ravel().tolist()))
     else:
         for row in rows:
             cells = [format_value(cell) for cell in row]

@@ -10,7 +10,9 @@ their ground state and contribute the constant 2 hbar omega_rho.
 quadrature block to a coefficient matrix through the node grid, as in a
 discrete variable representation (Light, Hamilton and Lill, JCP 82,
 1400 (1985)), and Lanczos (ARPACK, Lehoucq et al. 1998) finds the lowest
-pair.  ``axial_hamiltonian_matrix`` and ``symmetric_eigensolve`` build
+pair.  The convergence check at n + 4 starts Lanczos from the solution
+at n, zero-padded; each Gauss-Hermite rule is computed once per order.
+``axial_hamiltonian_matrix`` and ``symmetric_eigensolve`` build
 and diagonalize the dense matrix; they are the reference it is tested
 against.
 """
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -49,6 +51,19 @@ _RAMP_LIMIT = 50
 _CONVERGENCE_STEP = 4
 _QUAD_MARGIN = 8
 _NORM_TOL = 1e-3   # relative tolerance of the Lanczos estimate of ||D||_2
+
+
+@lru_cache(maxsize=None)
+def _gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of ``hermgauss(order)``, computed once.
+
+    The solvers use orders 4n + 8 and 4n + 24 with n <= _MAX_BASIS, so
+    the cache holds at most 65 rules.
+    """
+    xi, weights = hermgauss(order)
+    xi.flags.writeable = False
+    weights.flags.writeable = False
+    return xi, weights
 
 
 def hermite_values(n_max: int, xi: np.ndarray) -> np.ndarray:
@@ -100,7 +115,7 @@ def _quadrature_block(config: SystemConfig, z0: float, n_max: int, order: int,
     Returns the (N^2, N^2) block ordered with flat index n1 * N + n2.
     """
     length = characteristic_scales(config).a_z
-    xi, weights = hermgauss(order)
+    xi, weights = _gauss_hermite(order)
     z1 = z0 + length * xi
     z2 = -z0 + length * xi
     w_grid = potential_fn(z1[:, None], z2[None, :])
@@ -251,7 +266,7 @@ def _interaction_grid(config: SystemConfig, z0: float, n_max: int, order: int,
     (``_block_action``).
     """
     length = characteristic_scales(config).a_z
-    xi, weights = hermgauss(order)
+    xi, weights = _gauss_hermite(order)
     grid = potential_fn(z0 + length * xi[:, None], -z0 + length * xi[None, :])
     grid = grid * np.outer(weights, weights) / _axial_energy_scale(config)
     if not np.all(np.isfinite(grid)):
@@ -263,12 +278,14 @@ def _block_action(q: np.ndarray, grid: np.ndarray, c: np.ndarray) -> np.ndarray:
     return q.T @ (grid * (q @ c @ q.T)) @ q
 
 
-def _extreme_pair(apply, n: int, which: str, tol: float) -> tuple[float, np.ndarray]:
+def _extreme_pair(apply, n: int, which: str, tol: float,
+                  v0: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Lowest ("SA") or largest-magnitude ("LM") eigenpair of the symmetric
     operator ``apply`` on (n, n) coefficient matrices, flattened row-major.
 
-    ARPACK needs a dimension above 2; smaller operators are applied to
-    the identity and diagonalized densely.
+    Lanczos starts from ``v0`` (default: all ones).  ARPACK needs a
+    dimension above 2; smaller operators are applied to the identity and
+    diagonalized densely.
     """
     dim = n * n
     if dim <= 2:
@@ -282,22 +299,25 @@ def _extreme_pair(apply, n: int, which: str, tol: float) -> tuple[float, np.ndar
     operator = LinearOperator((dim, dim), matvec=lambda v: apply(v.reshape(n, n)).ravel(),
                               dtype=float)
     try:
-        values, vectors = eigsh(operator, k=1, which=which, tol=tol, v0=np.ones(dim))
+        values, vectors = eigsh(operator, k=1, which=which, tol=tol,
+                                v0=np.ones(dim) if v0 is None else v0)
     except ArpackError as err:
         raise AccuracyError(f"Lanczos ({which}) failed at dimension {dim}: {err}") from err
     return values[0], vectors[:, 0]
 
 
 def lowest_pair(config: SystemConfig, z0: float, n_max: int,
-                potential_fn=None) -> tuple[float, np.ndarray, float]:
+                potential_fn=None, start=None) -> tuple[float, np.ndarray, float]:
     """Lowest eigenpair of ``axial_hamiltonian_matrix``, without forming it.
 
     Returns the energy in J, the unit coefficient vector (flat index
     n1 * N + n2, largest-magnitude component positive) and the relative
     quadrature drift.  ``potential_fn`` and the folded constants are as
-    in ``axial_hamiltonian_matrix``.  Work is in units of hbar w_az with
-    the constants left out, so the kinetic part is the diagonal
-    n1 + n2 + 1.  Two gates, measured against the dense ones:
+    in ``axial_hamiltonian_matrix``; ``start``, a flat vector of the same
+    layout, is where Lanczos starts (default: all ones).  Work is in
+    units of hbar w_az with the constants left out, so the kinetic part
+    is the diagonal n1 + n2 + 1.  Every solve passes the same two gates,
+    whatever its start, measured against the dense ones:
 
     - quadrature: the drift operator D between orders 4n+8 and 4n+24
       must obey ||D||_2 <= 1e-8 s, with s the larger of max|diag B| and
@@ -357,7 +377,7 @@ def lowest_pair(config: SystemConfig, z0: float, n_max: int,
     def hamiltonian(c):
         return kinetic * c + _block_action(q, grid, c)
 
-    value, vector = _extreme_pair(hamiltonian, n, "SA", 0.0)
+    value, vector = _extreme_pair(hamiltonian, n, "SA", 0.0, start)
     lead = np.argmax(np.abs(vector))
     if vector[lead] < 0.0:
         vector = -vector
@@ -378,7 +398,8 @@ def basis_ground_state(config: SystemConfig, z0: float, n_max: int = 30) -> Basi
     The basis is ramped from ``n_max`` to 50 if the ground energy has
     not settled to 1e-6 relative (measured on the axial part of the
     energy) between n_max and n_max + 4.  Each basis size is solved by
-    ``lowest_pair``.
+    ``lowest_pair``; the check at n + 4 starts from the solution at n,
+    zero-padded, which it is close to.
     """
     cap = _MAX_BASIS - _CONVERGENCE_STEP
     if not 0 <= n_max <= cap:
@@ -392,11 +413,14 @@ def basis_ground_state(config: SystemConfig, z0: float, n_max: int = 30) -> Basi
         if attempt and n <= n_max:
             break
         energy, vector, _ = lowest_pair(config, z0, n)
-        energy_check, _, _ = lowest_pair(config, z0, n + _CONVERGENCE_STEP)
+        dim = n + 1
+        start = np.zeros((dim + _CONVERGENCE_STEP, dim + _CONVERGENCE_STEP))
+        start[:dim, :dim] = vector.reshape(dim, dim)
+        energy_check, _, _ = lowest_pair(config, z0, n + _CONVERGENCE_STEP,
+                                         start=start.ravel())
         scale = max(abs(energy_check - offset), _axial_energy_scale(config))
         residual = abs(energy - energy_check) / scale
         if residual < 1e-6:
-            dim = n + 1
             return BasisExpansionState(
                 n_max=n,
                 coefficients=vector.reshape(dim, dim),

@@ -34,17 +34,30 @@ def _squared_norm(r: np.ndarray) -> np.ndarray:
 
 
 def _squared_distances(r1: np.ndarray, r2: np.ndarray):
-    """|r1|^2, |r2|^2, |r1 - r2|^2 of finite (..., 3) positions, all nonzero."""
+    """|r1|^2, |r2|^2, |r1|^6, |r2|^6 and |r1 - r2|^6 of finite (..., 3)
+    positions, all nonzero, and |r1 - r2|^2 nonzero.
+
+    The sixth powers are what the Born-Oppenheimer terms divide by; one
+    that underflows to 0 would turn those terms into NaN.
+    """
     if not (np.isfinite(r1).all() and np.isfinite(r2).all()):
         raise ConfigError("atom positions must be finite")
     r1_sq, r2_sq = _squared_norm(r1), _squared_norm(r2)
     if not (r1_sq.all() and r2_sq.all()):
         raise SingularGeometryError("atom at the ion-trap center")
+    r1_6, r2_6 = r1_sq ** 3, r2_sq ** 3
+    if not (r1_6.all() and r2_6.all()):
+        raise SingularGeometryError("atom so close to the ion-trap center that |r|^6 "
+                                    "underflows to 0")
     dx, dy, dz = (r1[..., a] - r2[..., a] for a in range(3))
     r12_sq = dx * dx + dy * dy + dz * dz
     if not r12_sq.all():
         raise SingularGeometryError("coincident atoms")
-    return r1_sq, r2_sq, r12_sq
+    r12_6 = r12_sq ** 3
+    if not r12_6.all():
+        raise SingularGeometryError("atoms so close to each other that |r1 - r2|^6 "
+                                    "underflows to 0")
+    return r1_sq, r2_sq, r1_6, r2_6, r12_6
 
 
 def _on_axis(z) -> np.ndarray:
@@ -99,11 +112,14 @@ def _shift_coefficients(config: SystemConfig) -> tuple[float, float, float]:
     return k_rho, k_rho, 4.0 / (m_i * config.ion_trap.axial**2)
 
 
-def _ion_shift(r1: np.ndarray, r2: np.ndarray, config: SystemConfig) -> list[np.ndarray]:
+def _ion_shift(r1: np.ndarray, r2: np.ndarray, config: SystemConfig,
+               r1_6=None, r2_6=None) -> list[np.ndarray]:
     """Closed-form ion displacement (x0, y0, zeta0) for atoms at ``r1``, ``r2`` (..., 3), m:
-    (4 / (m_i w^2)) (C4_1 r_1 / r_1^6 + C4_2 r_2 / r_2^6)."""
+    (4 / (m_i w^2)) (C4_1 r_1 / r_1^6 + C4_2 r_2 / r_2^6).  Pass ``r1_6`` and
+    ``r2_6`` when ``_squared_distances`` has computed them."""
     c4_1, c4_2 = config.c4_pair
-    r1_6, r2_6 = _squared_norm(r1) ** 3, _squared_norm(r2) ** 3
+    if r1_6 is None:
+        r1_6, r2_6 = _squared_norm(r1) ** 3, _squared_norm(r2) ** 3
     return [k * (c4_1 * r1[..., a] / r1_6 + c4_2 * r2[..., a] / r2_6)
             for a, k in enumerate(_shift_coefficients(config))]
 
@@ -121,17 +137,22 @@ def bo_energy(r1, r2, config: SystemConfig, start: float = 0.0) -> np.ndarray:
     (radial, then axial), the direct ion-atom attractions and the
     atom-atom van der Waals term.  With ``start`` the bare mode energy
     E0 this is the adiabatic eigenvalue V(r1, r2); with 0 it is V - E0
-    without the rounding of E0.
+    without the rounding of E0.  An energy that overflows the float
+    range, next to the ion, is a SingularGeometryError.
     """
     r1, r2 = np.asarray(r1, dtype=float), np.asarray(r2, dtype=float)
-    r1_sq, r2_sq, r12_sq = _squared_distances(r1, r2)
+    r1_sq, r2_sq, r1_6, r2_6, r12_6 = _squared_distances(r1, r2)
     c4_1, c4_2 = config.c4_pair
     m_i = config.ion.mass
-    x0, y0, zeta0 = _ion_shift(r1, r2, config)
+    x0, y0, zeta0 = _ion_shift(r1, r2, config, r1_6, r2_6)
     energy = start - 0.5 * m_i * config.ion_trap.radial**2 * (x0 * x0 + y0 * y0)
     energy = energy - 0.5 * m_i * config.ion_trap.axial**2 * zeta0**2
     energy = energy - (c4_1 / r1_sq**2 + c4_2 / r2_sq**2)
-    return energy - config.c6_pair / r12_sq**3
+    energy = energy - config.c6_pair / r12_6
+    if not np.isfinite(energy).all():
+        raise SingularGeometryError("Born-Oppenheimer energy overflows the float range: "
+                                    "an atom sits next to the interaction singularity")
+    return energy
 
 
 def axial_interaction(z1, z2, config: SystemConfig) -> np.ndarray:

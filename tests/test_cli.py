@@ -1,8 +1,14 @@
 """Command line behavior: outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ionbridge.cli import main
 
@@ -120,6 +126,23 @@ class TestBoCurve:
         second = (tmp_path / "b" / "bo_curve.csv").read_bytes()
         assert first == second
 
+    @pytest.mark.parametrize("z_min, z_max, code, fragment", [
+        ("1e-60", "2e-60", 4, "underflows"),      # |r|^6 of an atom rounds to 0
+        ("1e-30", "2e-30", 4, "overflows"),       # V_rg in kHz leaves the float range
+        ("1e-40", "2e-40", 4, "overflows"),       # V_rg in J leaves the float range
+        ("1e5", "2e5", 3, "V_rg is 0"),           # V - E0 below the rounding of E0
+    ])
+    def test_separations_beyond_the_float_range_fail_typed(self, config_file, tmp_path,
+                                                           capsys, z_min, z_max, code,
+                                                           fragment):
+        out_dir = tmp_path / "out"
+        result, _, err = run(capsys, "bo-curve", "--config", str(config_file()),
+                             "--out", str(out_dir), "--z-min-um", z_min,
+                             "--z-max-um", z_max, "--points", "2")
+        assert result == code
+        assert fragment in err and "Traceback" not in err
+        assert not out_dir.exists()
+
     def test_overwrite_guard(self, config_file, tmp_path, capsys):
         out_dir = tmp_path / "out"
         args = ["bo-curve", "--config", str(config_file()),
@@ -129,6 +152,44 @@ class TestBoCurve:
         assert code == 2
         assert "--overwrite" in err
         assert run(capsys, *args, "--overwrite")[0] == 0
+
+
+MAGNITUDES = st.floats(min_value=-330.0, max_value=308.0).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def bo_curve_ranges(draw):
+    """z ranges in um: any float, or magnitudes from below the smallest
+    subnormal to near the largest float, spanning up to a factor 4."""
+    z_min = draw(st.one_of(MAGNITUDES, st.floats()))
+    z_max = draw(st.one_of(MAGNITUDES, st.floats(),
+                           st.floats(min_value=1.0, max_value=4.0).map(lambda f: f * z_min)))
+    return z_min, z_max
+
+
+class TestBoCurveInputs:
+    @settings(max_examples=80, deadline=None)
+    @given(bo_curve_ranges(), st.integers(min_value=-1, max_value=40),
+           st.sampled_from(["symmetric", "atom2-fixed"]))
+    def test_every_range_ends_finite_or_typed(self, z_range, points, placement):
+        z_min, z_max = z_range
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "config.json"
+            config.write_text("{}")
+            out_dir = Path(tmp) / "out"
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                code = main(["bo-curve", "--config", str(config), "--out", str(out_dir),
+                             f"--z-min-um={z_min!r}", f"--z-max-um={z_max!r}",
+                             "--points", str(points), "--placement", placement])
+            assert code in (0, 2, 3, 4)
+            assert "Traceback" not in stderr.getvalue()
+            table = out_dir / "bo_curve.csv"
+            assert table.exists() == (code == 0)
+            if code == 0:
+                _, _, rows = read_table(table)
+                assert len(rows) == points
+                assert all(math.isfinite(float(cell)) for row in rows for cell in row)
 
 
 class TestPhonons:

@@ -1,4 +1,4 @@
-"""Table writer: float arrays are formatted in bulk with the per-cell bytes."""
+"""Table writer: float arrays are formatted in one call with the per-cell bytes."""
 
 import os
 
@@ -32,6 +32,15 @@ def test_float_array_bytes_match_per_cell_format(tmp_path):
 
     path = write_table(tmp_path / "t.csv", metadata, header, rows)
     assert path.read_bytes() == per_cell_text(metadata, header, rows).encode()
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (0, 1), (5, 1), (1, 3), (1, 1)])
+def test_small_float_arrays_match_per_cell_format(tmp_path, shape):
+    rows = np.array(SPECIAL[:shape[0] * shape[1]]).reshape(shape)
+    header = ["a", "b", "c"][:shape[1]]
+    path = write_table(tmp_path / "t.csv", {"n": shape[0]}, header, rows)
+    assert path.read_bytes() == per_cell_text({"n": shape[0]}, header, rows).encode()
+    assert len(path.read_text().splitlines()) == 2 + shape[0]
 
 
 def test_float_array_and_tuple_rows_agree(tmp_path):

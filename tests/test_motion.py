@@ -62,6 +62,24 @@ class TestBasisFunctions:
         np.testing.assert_allclose(values[:, 1], math.sqrt(2) * xi * math.pi ** -0.25)
 
 
+class TestGaussHermiteCache:
+    @pytest.mark.parametrize("order", [8, 128, 200, 264])
+    def test_cached_rule_is_hermgauss(self, order):
+        xi, weights = motion._gauss_hermite(order)
+        expected_xi, expected_weights = hermgauss(order)
+        assert xi.tobytes() == expected_xi.tobytes()
+        assert weights.tobytes() == expected_weights.tobytes()
+        assert motion._gauss_hermite(order)[0] is xi
+
+    def test_cached_rule_is_read_only(self):
+        xi, weights = motion._gauss_hermite(40)
+        assert not xi.flags.writeable and not weights.flags.writeable
+        with pytest.raises(ValueError):
+            xi[0] = 0.0
+        with pytest.raises(ValueError):
+            weights *= 2.0
+
+
 class TestCollisionThreshold:
     def test_formula(self, cfg_rr):
         c4 = max(cfg_rr.c4_pair)
@@ -409,6 +427,47 @@ class TestMatrixFreeSolver:
         second = basis_ground_state(config, z0, n_max=20)
         assert first.energy == second.energy
         assert np.array_equal(first.coefficients, second.coefficients)
+
+    @pytest.mark.parametrize("n_max, separation_um", [(0, 16), (4, 16), (30, 12),
+                                                      (30, 16), (30, 24)])
+    def test_warm_started_check_matches_the_cold_one(self, n_max, separation_um):
+        z0 = 0.5e-6 * separation_um
+        config = reference_config("rr", z0=z0)
+        n, big = n_max + 1, n_max + 1 + motion._CONVERGENCE_STEP
+        _, vector, _ = lowest_pair(config, z0, n_max)
+        start = np.zeros((big, big))
+        start[:n, :n] = vector.reshape(n, n)
+        warm_energy, warm_vector, _ = lowest_pair(config, z0, big - 1, start=start.ravel())
+        cold_energy, cold_vector, _ = lowest_pair(config, z0, big - 1)
+        unit = cst.HBAR * config.atom_trap.axial
+        assert abs(warm_energy - cold_energy) <= 1e-12 * unit
+        assert np.max(np.abs(warm_vector - cold_vector)) <= 1e-10
+
+    def test_warm_started_check_needs_fewer_matvecs(self, monkeypatch):
+        # 2z0 = 16 um, n_max 30: the check solve at 34 from the padded
+        # solution at 30 against the same solve from all ones
+        solve = motion._extreme_pair
+        counts = []
+
+        def counting(apply, n, which, tol, v0=None):
+            count = [0]
+
+            def counted(c):
+                count[0] += 1
+                return apply(c)
+
+            result = solve(counted, n, which, tol, v0)
+            if which == "SA":
+                counts.append(count[0])
+            return result
+
+        monkeypatch.setattr(motion, "_extreme_pair", counting)
+        z0 = 8.0e-6
+        config = reference_config("rr", z0=z0)
+        basis_ground_state(config, z0, n_max=30)
+        lowest_pair(config, z0, 34)
+        _, warm, cold = counts
+        assert warm < cold
 
     def test_sign_convention(self, cfg_rg):
         z0 = cfg_rg.half_separation_z0

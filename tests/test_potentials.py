@@ -199,6 +199,14 @@ class TestAxialCurves:
         with pytest.raises(ConfigError, match="finite"):
             axial_bo_curve(np.array([12e-6, bad]), cfg_rr.ion_mode, cfg_rr, placement=placement)
 
+    def test_overflow_next_to_the_ion_rejected(self, cfg_rr):
+        # |r|^6 at 5e-47 m is still a normal float, but the energy overflows
+        with pytest.raises(SingularGeometryError, match="overflows"):
+            axial_bo_curve(np.array([12e-6, 1e-46]), cfg_rr.ion_mode, cfg_rr)
+        geometry = AtomPairGeometry.on_axis(1e-50, -8e-6)
+        with pytest.raises(SingularGeometryError, match="overflows"):
+            bo_eigenvalue(geometry, cfg_rr.ion_mode, cfg_rr)
+
     def test_pinned_atom_at_the_ion_rejected(self, cfg_rr):
         # atom2-fixed puts atom 1 at -z0 + z, the ion-trap center when z == z0
         grid = np.array([12e-6, cfg_rr.half_separation_z0])
@@ -269,3 +277,16 @@ class TestBornOppenheimerKernel:
         good = np.array([[0.0, 0.0, 7e-6], [0.1e-6, 0.0, 9e-6]])
         with pytest.raises(error):
             bo_energy(np.vstack([good, r1]), np.vstack([-good, r2]), cfg_rr)
+
+    @pytest.mark.parametrize("r1, r2, fragment", [
+        ([0.0, 0.0, 1e-60], [0.0, 0.0, -8e-6], "ion-trap center"),
+        ([0.0, 0.0, 8e-6], [0.0, 0.0, -1e-60], "ion-trap center"),
+        ([0.0, 0.0, 1e-50], [0.0, 0.0, 1.0000001e-50], "each other"),
+    ])
+    def test_underflowing_sixth_power_raises(self, cfg_rr, r1, r2, fragment):
+        # |r|^2 is nonzero but |r|^6 rounds to 0: the kernel would divide 0 by 0
+        assert np.dot(r1, r1) > 0.0 and np.dot(r2, r2) > 0.0
+        with pytest.raises(SingularGeometryError, match=fragment):
+            bo_energy(r1, r2, cfg_rr)
+        with pytest.raises(SingularGeometryError, match=fragment):
+            AtomPairGeometry(np.array(r1), np.array(r2))
