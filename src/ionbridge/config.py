@@ -1,10 +1,10 @@
 """JSON configuration loading: schema checks, defaults, canonical digest.
 
 The document mirrors the physical parameter list one-to-one; every
-field is optional and defaults to the Rb-Ca+ reference values.  The
-sha256 digest of the resolved (defaults applied) canonical JSON is
-embedded in every output table so results stay traceable to their
-inputs.
+field is optional and defaults to the Rb-Ca+ reference values, so the
+default document defines the reference system.  The sha256 digest of
+the resolved (defaults applied) canonical JSON is embedded in every
+output table so results stay traceable to their inputs.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import constants as cst
@@ -25,9 +26,11 @@ from .model import (
     Species,
     SystemConfig,
     TrapFrequencies,
+    characteristic_scales,
 )
 
-__all__ = ["DEFAULT_DOCUMENT", "parse_state", "load_config", "config_from_document"]
+__all__ = ["DEFAULT_DOCUMENT", "parse_state", "load_config", "config_from_document",
+           "reference_config"]
 
 DEFAULT_DOCUMENT = {
     "ion": {"species": "40Ca+", "mass_u": cst.CA40_MASS_U,
@@ -37,14 +40,10 @@ DEFAULT_DOCUMENT = {
     "z0_um": 8.0,
     "states": ["30S", "30S"],
     "c4_ground_Jm4": cst.C4_GROUND_JM4,
-    "c6_pair_MHz_um6": -26.61,
+    "c6_pair_MHz_um6": cst.C6_30S_PAIR_MHZ_UM6,
     "ion_mode": [0, 0, 0],
     "scaling": "bare_n",
 }
-
-# The ground state of the reference atom is 5S; the label maps onto the
-# ground coefficient set, not onto a Rydberg level.
-_GROUND_N = 5
 
 
 def parse_state(token) -> ElectronicState:
@@ -59,7 +58,7 @@ def parse_state(token) -> ElectronicState:
             n = int(text[:-1])
         except ValueError:
             raise ConfigError(f"malformed state label {token!r}") from None
-        if n == _GROUND_N:
+        if n == cst.RB_GROUND_N:
             return GROUND
         return ElectronicState("rydberg", n)
     raise ConfigError(f"malformed state label {token!r}, expected 'g' or like '30S'")
@@ -148,7 +147,8 @@ def config_from_document(document: dict) -> tuple[SystemConfig, dict, str]:
         ),
         ion_mode=IonModeIndex.cylindrical(*resolved["ion_mode"]),
     )
-    _terms(config)  # ConfigError when a derived coefficient leaves the float range
+    _terms(config)  # ConfigError when a derived coefficient
+    characteristic_scales(config)  # or scale leaves the float range
     return config, resolved, config_digest(resolved)
 
 
@@ -166,3 +166,19 @@ def load_config(path) -> tuple[SystemConfig, dict, str]:
             f"invalid JSON in {path} at line {err.lineno}, column {err.colno}: {err.msg}"
         ) from err
     return config_from_document(document)
+
+
+_DEFAULT_CONFIG = config_from_document({})[0]
+
+
+def reference_config(pair: str = "rr", n: int = 30, z0: float = 8e-6,
+                     scaling: str = "bare_n") -> SystemConfig:
+    """The default document's system with the state ``pair`` ("rr", "rg"
+    or "gg"), the Rydberg level ``n``, the half-separation ``z0`` (m) and
+    the C4 ``scaling`` replaced."""
+    rydberg = ElectronicState("rydberg", n)
+    states = {"rr": (rydberg, rydberg), "rg": (rydberg, GROUND), "gg": (GROUND, GROUND)}
+    if pair not in states:
+        raise ConfigError(f"unknown state pair {pair!r}, expected rr, rg, or gg")
+    return replace(_DEFAULT_CONFIG, half_separation_z0=z0, state_pair=states[pair],
+                   coefficients=replace(_DEFAULT_CONFIG.coefficients, scaling=scaling))

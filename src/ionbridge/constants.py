@@ -15,7 +15,9 @@ __all__ = [
     "C4_GROUND_JM4",
     "C4_30S_ANCHOR_FACTOR",
     "C4_ANCHOR_N",
+    "C6_30S_PAIR_MHZ_UM6",
     "C6_30S_PAIR_JM6",
+    "RB_GROUND_N",
     "RB_S_QUANTUM_DEFECT",
     "TWO_PI",
 ]
@@ -41,8 +43,13 @@ C4_ANCHOR_N = 30
 
 # Atom-atom van der Waals coefficient for the 30S-30S pair, stored
 # signed for the -C6/r^6 convention: the negative value makes the pair
-# interaction repulsive.  -h * 26.61 MHz um^6 expressed in J m^6.
-C6_30S_PAIR_JM6 = -PLANCK * 26.61e6 * 1e-36
+# interaction repulsive; in MHz um^6 and, converted as the config loader
+# converts it, in J m^6.
+C6_30S_PAIR_MHZ_UM6 = -26.61
+C6_30S_PAIR_JM6 = C6_30S_PAIR_MHZ_UM6 * PLANCK * 1e6 * 1e-36
 
-# Effective-quantum-number defect for Rb S states (optional scaling mode).
+# Principal quantum number of the Rb ground level 5S; Rydberg levels lie above.
+RB_GROUND_N = 5
+
+# Effective-quantum-number defect for Rb S states (quantum_defect scaling).
 RB_S_QUANTUM_DEFECT = 3.13

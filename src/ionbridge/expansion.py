@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError
-from .model import IonModeIndex, SystemConfig
+from .model import SystemConfig
 
 __all__ = [
     "ExpansionCoefficients",
@@ -92,19 +92,16 @@ def _terms(config: SystemConfig) -> _Terms:
     return terms
 
 
-def expansion_coefficients(config: SystemConfig, z0: float | None = None,
-                           mu: IonModeIndex | None = None) -> ExpansionCoefficients:
+def expansion_coefficients(config: SystemConfig, z0: float | None = None) -> ExpansionCoefficients:
     """Evaluate every A coefficient plus the constant offset E0_bar.
 
-    ``z0`` and ``mu`` default to the configured half-separation and ion
-    mode; only E0_bar depends on them.
+    ``z0`` defaults to the configured half-separation; only E0_bar
+    depends on it and on the configured ion mode.
     """
     if z0 is None:
         z0 = config.half_separation_z0
-    if mu is None:
-        mu = config.ion_mode
     t = _terms(config)
-    e0_bar = mu.bare_energy(config.ion_trap)
+    e0_bar = config.ion_mode.bare_energy(config.ion_trap)
     try:
         e0_bar -= t.m_a * (t.A4_1 + t.A4_2) / (2.0 * z0**4)
         e0_bar -= t.m_a * (t.A10_1 + t.A10_2 - 2.0 * t.A10_ab) / (2.0 * z0**10)
@@ -198,12 +195,9 @@ class QuadraticForm:
     hessian: np.ndarray  # 6x6 symmetric, J/m^2
 
 
-def quadratic_potential(config: SystemConfig, z0: float,
-                        mu: IonModeIndex | None = None) -> QuadraticForm:
+def quadratic_potential(config: SystemConfig, z0: float) -> QuadraticForm:
     """Assemble the quadratic form of the effective potential at z0."""
-    if mu is None:
-        mu = config.ion_mode
-    co = expansion_coefficients(config, z0=z0, mu=mu)
+    co = expansion_coefficients(config, z0=z0)
     fr = effective_frequencies(config, z0)
     m_a = config.atom.mass
 

@@ -82,7 +82,11 @@ def _ladder_derivatives(modes: list[IonModeIndex], config: SystemConfig) -> np.n
     triples = [_require_cartesian(m) for m in modes]
     index = {t: i for i, t in enumerate(triples)}
     omegas = (config.ion_trap.radial, config.ion_trap.radial, config.ion_trap.axial)
-    lengths = [math.sqrt(cst.HBAR / (config.ion.mass * w)) for w in omegas]
+    with np.errstate(divide="ignore", over="ignore"):
+        lengths = np.sqrt(cst.HBAR / (config.ion.mass * np.array(omegas)))
+    if not (np.isfinite(lengths).all() and lengths.all()):
+        raise ConfigError("the configured ion mass and trap frequencies put the ion "
+                          "oscillator lengths out of the float range")
 
     d = np.zeros((3, len(modes), len(modes)))
     for ket, t in enumerate(triples):
@@ -179,18 +183,6 @@ class LoopPath:
         if self.closed and not np.array_equal(w[0], w[-1]):
             raise ConfigError("a closed loop must end exactly at its first waypoint")
 
-    def segments(self, subdivide: int = 1) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(midpoint, delta) pairs, each waypoint leg cut into ``subdivide`` pieces."""
-        out = []
-        w = self.waypoints
-        for k in range(w.shape[0] - 1):
-            start, end = w[k], w[k + 1]
-            for piece in range(subdivide):
-                lo = start + (end - start) * (piece / subdivide)
-                hi = start + (end - start) * ((piece + 1) / subdivide)
-                out.append((0.5 * (lo + hi), hi - lo))
-        return out
-
 
 def square_loop(config: SystemConfig, side: float = 1e-6) -> LoopPath:
     """Default closed path: atom 1 runs a square in its x-z plane around
@@ -206,8 +198,8 @@ def square_loop(config: SystemConfig, side: float = 1e-6) -> LoopPath:
 
 def _check_path(loop: LoopPath) -> None:
     """The path check of ``berry_phase`` and ``wilson_loop``: every
-    waypoint, and the midpoints of each leg cut once and twice, computed
-    as ``LoopPath.segments`` computes them, pass ``_squared_distances``."""
+    waypoint, and the midpoints of each leg cut once and twice, pass
+    ``_squared_distances``."""
     w = loop.waypoints
     start = w[:-1]
     cuts = [start + (w[1:] - start) * f for f in (0.0, 0.5, 1.0)]

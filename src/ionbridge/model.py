@@ -23,12 +23,10 @@ __all__ = [
     "IonModeIndex",
     "SystemConfig",
     "CharacteristicScales",
-    "Diagnostic",
     "rydberg_c4",
     "characteristic_scales",
     "validate",
     "require_valid",
-    "reference_config",
     "GROUND",
 ]
 
@@ -49,24 +47,19 @@ class Species:
 class ElectronicState:
     """Atomic electronic state: the ground state or an S Rydberg level.
 
-    Only S states (orbital_l = 0) are supported; ``principal_n`` is
-    meaningful for Rydberg states only.
+    Only S states are supported; ``principal_n`` is meaningful for
+    Rydberg states only and lies above the ground level 5S.
     """
 
     kind: str  # "ground" or "rydberg"
     principal_n: int | None = None
-    orbital_l: int = 0
 
     def __post_init__(self):
         if self.kind not in ("ground", "rydberg"):
             raise ConfigError(f"unknown state kind {self.kind!r}")
-        if self.orbital_l != 0:
-            raise ConfigError(f"only S states are supported, got orbital_l={self.orbital_l}")
-        if self.kind == "rydberg":
-            if self.principal_n is None or self.principal_n < 5:
-                raise ConfigError(
-                    f"rydberg state needs principal_n >= 5, got {self.principal_n}"
-                )
+        if self.kind == "rydberg" and not (self.principal_n or 0) > cst.RB_GROUND_N:
+            raise ConfigError(f"rydberg state needs principal_n > {cst.RB_GROUND_N}, "
+                              f"got {self.principal_n}")
 
     @property
     def is_rydberg(self) -> bool:
@@ -87,10 +80,9 @@ class TrapFrequencies:
     axial: float
 
     def __post_init__(self):
-        if not (self.radial > 0.0 and self.axial > 0.0):
-            raise ConfigError(
-                f"trap frequencies must be positive, got radial={self.radial}, axial={self.axial}"
-            )
+        if not (0.0 < self.radial < math.inf and 0.0 < self.axial < math.inf):
+            raise ConfigError(f"trap frequencies must be positive and finite, "
+                              f"got radial={self.radial}, axial={self.axial}")
 
     @property
     def geometric_mean(self) -> float:
@@ -98,17 +90,16 @@ class TrapFrequencies:
         return (self.radial * self.radial * self.axial) ** (1.0 / 3.0)
 
 
-def _n_scale(n: int, scaling: str, defect: float) -> float:
+def _n_scale(n: int, scaling: str) -> float:
     """Principal-quantum-number ratio n/anchor in the configured convention."""
     if scaling == "bare_n":
         return n / cst.C4_ANCHOR_N
     if scaling == "quantum_defect":
-        return (n - defect) / (cst.C4_ANCHOR_N - defect)
+        return (n - cst.RB_S_QUANTUM_DEFECT) / (cst.C4_ANCHOR_N - cst.RB_S_QUANTUM_DEFECT)
     raise ConfigError(f"unknown scaling mode {scaling!r}")
 
 
-def rydberg_c4(base_c4_ground: float, n: int, scaling: str = "bare_n",
-               quantum_defect: float = cst.RB_S_QUANTUM_DEFECT) -> float:
+def rydberg_c4(base_c4_ground: float, n: int, scaling: str = "bare_n") -> float:
     """Ion-atom C4 for an nS state, anchored at the 30S enhancement.
 
     ``n = 0`` means the ground state and returns ``base_c4_ground``
@@ -120,10 +111,10 @@ def rydberg_c4(base_c4_ground: float, n: int, scaling: str = "bare_n",
         raise ConfigError(f"c4_ground must be non-negative, got {base_c4_ground}")
     if n == 0:
         return base_c4_ground
-    if n < 5:
-        raise ConfigError(f"rydberg n must be >= 5 (or 0 for ground), got {n}")
+    if n <= cst.RB_GROUND_N:
+        raise ConfigError(f"rydberg n must be > {cst.RB_GROUND_N} (or 0 for ground), got {n}")
     anchor = cst.C4_30S_ANCHOR_FACTOR * base_c4_ground
-    return anchor * _n_scale(n, scaling, quantum_defect) ** 7
+    return anchor * _n_scale(n, scaling) ** 7
 
 
 @dataclass(frozen=True)
@@ -139,7 +130,6 @@ class InteractionCoefficients:
     c4_ground: float = cst.C4_GROUND_JM4
     c6_rydberg_anchor: float = cst.C6_30S_PAIR_JM6
     scaling: str = "bare_n"
-    quantum_defect: float = cst.RB_S_QUANTUM_DEFECT
 
     def __post_init__(self):
         if self.c4_ground < 0.0:
@@ -151,15 +141,14 @@ class InteractionCoefficients:
         """Ion-atom coefficient for one atom in ``state``, J m^4."""
         if not state.is_rydberg:
             return self.c4_ground
-        return rydberg_c4(self.c4_ground, state.principal_n, self.scaling,
-                          self.quantum_defect)
+        return rydberg_c4(self.c4_ground, state.principal_n, self.scaling)
 
     def c6(self, a: ElectronicState, b: ElectronicState) -> float:
         """Signed atom-atom coefficient for the state pair, J m^6."""
         if not (a.is_rydberg and b.is_rydberg):
             return 0.0
-        sa = _n_scale(a.principal_n, self.scaling, self.quantum_defect)
-        sb = _n_scale(b.principal_n, self.scaling, self.quantum_defect)
+        sa = _n_scale(a.principal_n, self.scaling)
+        sb = _n_scale(b.principal_n, self.scaling)
         return self.c6_rydberg_anchor * (sa * sb) ** 5.5
 
 
@@ -270,6 +259,7 @@ def characteristic_scales(config: SystemConfig) -> CharacteristicScales:
 
     R_ia* uses the larger C4 of the two configured states (range of the
     strongest ion-atom interaction); R_aa* uses |C6| of the state pair.
+    A scale that leaves the float range is a ConfigError.
     """
     hbar = cst.HBAR
     m_a = config.atom.mass
@@ -277,86 +267,54 @@ def characteristic_scales(config: SystemConfig) -> CharacteristicScales:
     wbar_a = config.atom_trap.geometric_mean
     wbar_i = config.ion_trap.geometric_mean
 
-    c4 = max(config.c4_pair)
-    mu_ia = m_i * m_a / (m_i + m_a)
-    r_ia = math.sqrt(2.0 * c4 * mu_ia) / hbar if c4 > 0.0 else 0.0
+    try:
+        c4 = max(config.c4_pair)
+        mu_ia = m_i * m_a / (m_i + m_a)
+        r_ia = math.sqrt(2.0 * c4 * mu_ia) / hbar if c4 > 0.0 else 0.0
+        c6 = abs(config.c6_pair)
+        mu_aa = 0.5 * m_a
+        r_aa = (2.0 * c6 * mu_aa / hbar**2) ** 0.25 if c6 > 0.0 else 0.0
 
-    c6 = abs(config.c6_pair)
-    mu_aa = 0.5 * m_a
-    r_aa = (2.0 * c6 * mu_aa / hbar**2) ** 0.25 if c6 > 0.0 else 0.0
-
-    return CharacteristicScales(
-        a_z=math.sqrt(hbar / (m_a * config.atom_trap.axial)),
-        a_rho=math.sqrt(hbar / (m_a * config.atom_trap.radial)),
-        L_i=math.sqrt(hbar / (m_i * wbar_i)),
-        L_a=math.sqrt(hbar / (m_a * wbar_a)),
-        T_i=cst.TWO_PI / wbar_i,
-        T_a=cst.TWO_PI / wbar_a,
-        R_ia_star=r_ia,
-        R_aa_star=r_aa,
-        eta=math.sqrt(m_i / m_a) * math.sqrt(wbar_a / wbar_i),
-    )
-
-
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: str  # "error" or "warning"
-    message: str
+        scales = CharacteristicScales(
+            a_z=math.sqrt(hbar / (m_a * config.atom_trap.axial)),
+            a_rho=math.sqrt(hbar / (m_a * config.atom_trap.radial)),
+            L_i=math.sqrt(hbar / (m_i * wbar_i)),
+            L_a=math.sqrt(hbar / (m_a * wbar_a)),
+            T_i=cst.TWO_PI / wbar_i,
+            T_a=cst.TWO_PI / wbar_a,
+            R_ia_star=r_ia,
+            R_aa_star=r_aa,
+            eta=math.sqrt(m_i / m_a) * math.sqrt(wbar_a / wbar_i),
+        )
+    except (OverflowError, ZeroDivisionError):
+        scales = None
+    if scales is None or not all(map(math.isfinite, vars(scales).values())):
+        raise ConfigError("the configured masses, trap frequencies, C4 or C6 put the "
+                          "characteristic scales out of the float range")
+    return scales
 
 
-def validate(config: SystemConfig) -> list[Diagnostic]:
+def validate(config: SystemConfig) -> list[str]:
     """Check the adiabaticity and separation preconditions.
 
-    Returns a list of error diagnostics, empty when everything holds:
-    the atom/ion speed ratio eta must stay below 1 and the trap
-    separation must dominate the atomic oscillator length (2 z0 >= 10
-    a_z).
+    Returns the error messages, empty when everything holds: the
+    atom/ion speed ratio eta must stay below 1 and the trap separation
+    must dominate the atomic oscillator length (2 z0 >= 10 a_z).
     """
-    out: list[Diagnostic] = []
+    out: list[str] = []
     scales = characteristic_scales(config)
     sep = 2.0 * config.half_separation_z0
 
     if scales.eta >= 1.0:
-        out.append(Diagnostic(
-            "error",
-            f"adiabatic separation requires eta < 1, got eta = {scales.eta:.4g}",
-        ))
+        out.append(f"adiabatic separation requires eta < 1, got eta = {scales.eta:.4g}")
     if sep < 10.0 * scales.a_z:
-        out.append(Diagnostic(
-            "error",
-            f"trap separation 2z0 = {sep:.4g} m is below 10 a_z = {10.0 * scales.a_z:.4g} m",
-        ))
+        out.append(f"trap separation 2z0 = {sep:.4g} m is below 10 a_z = "
+                   f"{10.0 * scales.a_z:.4g} m")
     return out
 
 
 def require_valid(config: SystemConfig) -> None:
-    """Raise ConfigError when any error-level diagnostic fires."""
+    """Raise ConfigError when ``validate`` reports any error."""
     errors = validate(config)
     if errors:
-        raise ConfigError("; ".join(d.message for d in errors))
-
-
-def reference_config(pair: str = "rr", n: int = 30, z0: float = 8e-6,
-                     scaling: str = "bare_n") -> SystemConfig:
-    """The Rb-Ca+ reference configuration used throughout tests and docs.
-
-    ``pair`` selects the electronic state pair: "rr", "rg", or "gg",
-    with ``n`` the Rydberg principal quantum number and ``z0`` the trap
-    half-separation.
-    """
-    states = {
-        "rr": (ElectronicState("rydberg", n), ElectronicState("rydberg", n)),
-        "rg": (ElectronicState("rydberg", n), GROUND),
-        "gg": (GROUND, GROUND),
-    }
-    if pair not in states:
-        raise ConfigError(f"unknown state pair {pair!r}, expected rr, rg, or gg")
-    return SystemConfig(
-        ion=Species("40Ca+", cst.CA40_MASS_U * cst.ATOMIC_MASS_KG),
-        ion_trap=TrapFrequencies(cst.TWO_PI * 1.0e6, cst.TWO_PI * 0.2e6),
-        atom=Species("87Rb", cst.RB87_MASS_U * cst.ATOMIC_MASS_KG),
-        atom_trap=TrapFrequencies(cst.TWO_PI * 100e3, cst.TWO_PI * 9e3),
-        half_separation_z0=z0,
-        state_pair=states[pair],
-        coefficients=InteractionCoefficients(scaling=scaling),
-    )
+        raise ConfigError("; ".join(errors))

@@ -140,17 +140,18 @@ def _min_omega_sq(t, separation: float) -> float:
                0.5 * (a_tr + b_tr) - math.hypot(0.5 * (a_tr - b_tr), c_tr))
 
 
-def critical_separation(config: SystemConfig, bracket: tuple[float, float] = (1e-6, 40e-6),
-                        ) -> StabilityResult:
+def critical_separation(config: SystemConfig) -> StabilityResult:
     """Bisection root of the smallest squared mode frequency over 2z0.
 
-    The bracket is resolved to 1e-13 m (far below the 1 nm reporting
-    precision) so that the spectrum is guaranteed stable at
+    The root is searched between 2z0 = 1 um and 40 um, a fixed bracket;
+    NotBracketedError when the smallest squared frequency does not change
+    sign there.  The bracket is resolved to 1e-13 m (far below the 1 nm
+    reporting precision) so that the spectrum is guaranteed stable at
     critical*(1 + 1e-6) and unstable at critical*(1 - 1e-6).
     """
     require_valid(config)
     t = _terms(config)
-    lo, hi = bracket
+    lo, hi = 1e-6, 40e-6
     f_lo = _min_omega_sq(t, lo)
     f_hi = _min_omega_sq(t, hi)
     if not (math.isfinite(f_lo) and math.isfinite(f_hi)):

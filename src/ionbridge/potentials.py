@@ -28,32 +28,36 @@ __all__ = [
 ]
 
 
+# Largest coordinate magnitude of an atom, m: |r|^8 <= 81e304 and
+# |r1 - r2|^6 stay inside the float range.
+_MAX_COORDINATE = 1e38
+
+
 def _squared_norm(r: np.ndarray) -> np.ndarray:
     # per component: numpy loops over a broadcast trailing axis of 3 are slow
     return r[..., 0] * r[..., 0] + r[..., 1] * r[..., 1] + r[..., 2] * r[..., 2]
 
 
 def _squared_distances(r1: np.ndarray, r2: np.ndarray):
-    """|r1|^2, |r2|^2, |r1|^6, |r2|^6 and |r1 - r2|^6 of finite (..., 3)
-    positions, all nonzero, and |r1 - r2|^2 nonzero.
-
-    The sixth powers are what the Born-Oppenheimer terms divide by; one
-    that underflows to 0 would turn those terms into NaN.
-    """
-    if not (np.isfinite(r1).all() and np.isfinite(r2).all()):
-        raise ConfigError("atom positions must be finite")
+    """|r1|^2, |r2|^2, |r1|^6, |r2|^6 and |r1 - r2|^6 of (..., 3) positions
+    with every coordinate within _MAX_COORDINATE, all nonzero, and
+    |r1 - r2|^2 nonzero: the Born-Oppenheimer terms divide by the sixth
+    powers and the gauge Jacobian by |r|^8, and a 0 or an inf gives NaN."""
+    if not (np.all(np.abs(r1) <= _MAX_COORDINATE) and np.all(np.abs(r2) <= _MAX_COORDINATE)):
+        raise ConfigError("atom positions must be finite and within 1e38 m of the ion "
+                          "trap, where |r|^8 stays inside the float range")
     r1_sq, r2_sq = _squared_norm(r1), _squared_norm(r2)
+    r1_6, r2_6 = r1_sq ** 3, r2_sq ** 3
+    dx, dy, dz = (r1[..., a] - r2[..., a] for a in range(3))
+    r12_sq = dx * dx + dy * dy + dz * dz
+    r12_6 = r12_sq ** 3
     if not (r1_sq.all() and r2_sq.all()):
         raise SingularGeometryError("atom at the ion-trap center")
-    r1_6, r2_6 = r1_sq ** 3, r2_sq ** 3
     if not (r1_6.all() and r2_6.all()):
         raise SingularGeometryError("atom so close to the ion-trap center that |r|^6 "
                                     "underflows to 0")
-    dx, dy, dz = (r1[..., a] - r2[..., a] for a in range(3))
-    r12_sq = dx * dx + dy * dy + dz * dz
     if not r12_sq.all():
         raise SingularGeometryError("coincident atoms")
-    r12_6 = r12_sq ** 3
     if not r12_6.all():
         raise SingularGeometryError("atoms so close to each other that |r1 - r2|^6 "
                                     "underflows to 0")
@@ -144,11 +148,12 @@ def bo_energy(r1, r2, config: SystemConfig, start: float = 0.0) -> np.ndarray:
     r1_sq, r2_sq, r1_6, r2_6, r12_6 = _squared_distances(r1, r2)
     c4_1, c4_2 = config.c4_pair
     m_i = config.ion.mass
-    x0, y0, zeta0 = _ion_shift(r1, r2, config, r1_6, r2_6)
-    energy = start - 0.5 * m_i * config.ion_trap.radial**2 * (x0 * x0 + y0 * y0)
-    energy = energy - 0.5 * m_i * config.ion_trap.axial**2 * zeta0**2
-    energy = energy - (c4_1 / r1_sq**2 + c4_2 / r2_sq**2)
-    energy = energy - config.c6_pair / r12_6
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below raises
+        x0, y0, zeta0 = _ion_shift(r1, r2, config, r1_6, r2_6)
+        energy = start - 0.5 * m_i * config.ion_trap.radial**2 * (x0 * x0 + y0 * y0)
+        energy = energy - 0.5 * m_i * config.ion_trap.axial**2 * zeta0**2
+        energy = energy - (c4_1 / r1_sq**2 + c4_2 / r2_sq**2)
+        energy = energy - config.c6_pair / r12_6
     if not np.isfinite(energy).all():
         raise SingularGeometryError("Born-Oppenheimer energy overflows the float range: "
                                     "an atom sits next to the interaction singularity")

@@ -4,7 +4,8 @@ Each one is the former per-point code path, written with Python floats
 and libm (``math``), so a test can compare the array kernels with it:
 the scalar expansion and 2x2 sector diagonalisation, the phonon
 spectrum and sweep built on them, the critical-separation bisection,
-the Berry-phase line integral and the path-ordered Wilson product.
+the loop segments, the Berry-phase line integral and the path-ordered
+Wilson product.
 The unexpanded ion potential and its finite-difference minimizer check
 the closed-form ion displacement.
 """
@@ -163,11 +164,12 @@ def min_omega_sq(config, separation):
     return min(mode.omega_sq for mode in spec.axial + spec.transverse)
 
 
-def critical_separation(config, bracket=(1e-6, 40e-6)):
-    """Bisection of the smallest squared frequency to 1e-13 m, then the
-    limiting branch at critical * (1 - 1e-6): (critical_2z0, label)."""
+def critical_separation(config):
+    """Bisection of the smallest squared frequency between 1 and 40 um to
+    1e-13 m, then the limiting branch at critical * (1 - 1e-6):
+    (critical_2z0, label)."""
     require_valid(config)
-    lo, hi = bracket
+    lo, hi = 1e-6, 40e-6
     f_lo = min_omega_sq(config, lo)
     f_hi = min_omega_sq(config, hi)
     if not (f_lo < 0.0 < f_hi):
@@ -190,10 +192,24 @@ def critical_separation(config, bracket=(1e-6, 40e-6)):
     return critical, worst[1]
 
 
+def segments(loop, subdivide=1):
+    """(midpoint, delta) pairs of a LoopPath, each waypoint leg cut into
+    ``subdivide`` pieces."""
+    out = []
+    w = loop.waypoints
+    for k in range(w.shape[0] - 1):
+        start, end = w[k], w[k + 1]
+        for piece in range(subdivide):
+            lo = start + (end - start) * (piece / subdivide)
+            hi = start + (end - start) * ((piece + 1) / subdivide)
+            out.append((0.5 * (lo + hi), hi - lo))
+    return out
+
+
 def diagonal_integral(loop, mode, config, subdivide):
     """Midpoint-rule line integral of the diagonal connection of ``mode``
     around ``loop``, divided by hbar: the Berry phase, rad."""
-    mids, deltas = (np.array(part) for part in zip(*loop.segments(subdivide)))
+    mids, deltas = (np.array(part) for part in zip(*segments(loop, subdivide)))
     _squared_distances(mids[:, 0], mids[:, 1])
     ladders = _ladder_derivatives([mode], config)[:, 0, 0]
     total = 0.0j
@@ -209,7 +225,7 @@ def path_ordered_transport(loop, modes, config, subdivide):
     into ``subdivide`` pieces, later factors applied on the left, with A
     taken at each piece's midpoint (complex)."""
     transport = np.eye(len(modes), dtype=complex)
-    for mid, delta in loop.segments(subdivide):
+    for mid, delta in segments(loop, subdivide):
         geometry = AtomPairGeometry(mid[0], mid[1])
         step = np.zeros((len(modes), len(modes)), dtype=complex)
         for atom_index in (1, 2):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ionbridge import DEFAULT_DOCUMENT
 from ionbridge.cli import main
 
 
@@ -359,6 +360,30 @@ class TestErrorPaths:
         assert fragment in err and "Traceback" not in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("command", ["scales", "phonons", "critical", "bo-curve",
+                                         "gauge", "density"])
+    @pytest.mark.parametrize("document", [
+        {"atom": {"omega_rho_kHz": 1e-300}},
+        {"atom": {"mass_u": 1e-10, "omega_z_kHz": 5e-324}},
+    ])
+    def test_scales_out_of_the_float_range_are_config_errors(self, config_file, tmp_path,
+                                                             capsys, command, document):
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, command, "--config", str(config_file(**document)),
+                           "--out", str(out_dir))
+        assert code == 2
+        assert "characteristic scales" in err and "Traceback" not in err
+        assert not out_dir.exists()
+
+    def test_trap_centers_out_of_the_float_range_are_a_config_error(self, config_file,
+                                                                    tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "gauge", "--config", str(config_file(z0_um=1e200)),
+                           "--out", str(out_dir))
+        assert code == 2
+        assert "float range" in err and "Traceback" not in err
+        assert not out_dir.exists()
+
     def test_overflow_inside_the_bracket_is_a_config_error(self, config_file, capsys):
         code, out, err = run(capsys, "critical", "--config",
                              str(config_file(c4_ground_Jm4=1e90)))
@@ -404,3 +429,66 @@ class TestErrorPaths:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "bo-curve" in out
+
+
+def numbers(default):
+    """Any finite float (0, negatives, subnormals, magnitudes near the
+    float limits), or the default scaled by up to a factor 1000."""
+    return st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                     st.floats(min_value=-3.0, max_value=3.0).map(lambda e: default * 10.0**e))
+
+
+@st.composite
+def documents(draw):
+    """Config documents with any subset of the fields set."""
+    fields = {key: numbers(DEFAULT_DOCUMENT[key])
+              for key in ("z0_um", "c4_ground_Jm4", "c6_pair_MHz_um6")}
+    fields["states"] = st.lists(st.sampled_from(["g", "5S", "6S", "30S", "100S"]),
+                                min_size=2, max_size=2)
+    fields["ion_mode"] = st.lists(st.integers(min_value=-3, max_value=3),
+                                  min_size=3, max_size=3)
+    fields["scaling"] = st.sampled_from(["bare_n", "quantum_defect"])
+    for section in ("ion", "atom"):
+        fields[section] = st.fixed_dictionaries({}, optional={
+            key: numbers(DEFAULT_DOCUMENT[section][key])
+            for key in ("mass_u", "omega_rho_kHz", "omega_z_kHz")})
+    return draw(st.fixed_dictionaries({}, optional=fields))
+
+
+COMMANDS = [
+    ["scales"],
+    ["phonons", "--points", "5"],
+    ["critical", "--pairs", "rr", "rg", "gg"],
+    ["bo-curve", "--points", "5"],
+    ["gauge"],
+    ["density", "--n-max", "2", "--points", "16"],
+]
+
+
+def finite_or_text(cell):
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:
+        return True
+
+
+class TestGeneratedConfigs:
+    # pytest raises every RuntimeWarning (pyproject.toml), so a numpy
+    # overflow that escapes a typed check fails here as well
+    @settings(max_examples=40, deadline=None)
+    @given(documents())
+    def test_every_config_ends_finite_or_typed(self, document):
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "config.json"
+            config.write_text(json.dumps(document))
+            for k, argv in enumerate(COMMANDS):
+                out_dir = Path(tmp) / str(k)
+                stderr = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                    code = main([*argv, "--config", str(config), "--out", str(out_dir)])
+                assert code in (0, 2, 3, 4), argv
+                assert "Traceback" not in stderr.getvalue()
+                for table in out_dir.glob("*.csv") if code == 0 else ():
+                    metadata, _, rows = read_table(table)
+                    cells = [*metadata.values(), *(cell for row in rows for cell in row)]
+                    assert all(map(finite_or_text, cells)), (argv, table.name)

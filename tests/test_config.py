@@ -10,11 +10,13 @@ import pytest
 import ionbridge
 from ionbridge import (
     ConfigError,
+    ElectronicState,
     GROUND,
     config_from_document,
     constants as cst,
     load_config,
     parse_state,
+    reference_config,
 )
 
 
@@ -45,6 +47,17 @@ class TestStateParsing:
         with pytest.raises(ConfigError, match="string"):
             parse_state(30)
 
+    @pytest.mark.parametrize("n", [cst.RB_GROUND_N + 1, 30, 100])
+    def test_rydberg_labels_round_trip(self, n):
+        state = ElectronicState("rydberg", n)
+        assert parse_state(state.label()) == state
+        assert parse_state(GROUND.label()) == GROUND
+
+    def test_ground_level_is_no_rydberg_level(self):
+        assert parse_state(f"{cst.RB_GROUND_N}S") == GROUND
+        with pytest.raises(ConfigError, match="principal_n"):
+            ElectronicState("rydberg", cst.RB_GROUND_N)
+
 
 class TestDocumentResolution:
     def test_empty_document_gives_reference_values(self):
@@ -70,6 +83,10 @@ class TestDocumentResolution:
         _, _, moved = config_from_document({"z0_um": 9.0})
         assert moved != base
         assert len(base) == 64 and all(c in "0123456789abcdef" for c in base)
+
+    def test_c6_anchor_is_the_default_document_value(self):
+        config, _, _ = config_from_document({})
+        assert config.coefficients.c6_rydberg_anchor == cst.C6_30S_PAIR_JM6
 
     def test_c6_unit_conversion(self):
         config, _, _ = config_from_document({})
@@ -140,6 +157,24 @@ class TestDocumentResolution:
     def test_root_must_be_object(self):
         with pytest.raises(ConfigError, match="object"):
             config_from_document([1, 2, 3])
+
+
+class TestReferenceConfig:
+    @pytest.mark.parametrize("scaling", ["bare_n", "quantum_defect"])
+    @pytest.mark.parametrize("n", [20, 30, 60])
+    @pytest.mark.parametrize("pair, states", [
+        ("rr", ["{n}S", "{n}S"]), ("rg", ["{n}S", "g"]), ("gg", ["g", "g"])])
+    def test_is_the_default_document_system(self, pair, states, n, scaling):
+        z0 = 7.3e-6
+        document = {"states": [s.format(n=n) for s in states], "scaling": scaling}
+        config, _, _ = config_from_document(document)
+        assert reference_config(pair, n, z0, scaling) == config.with_half_separation(z0)
+
+    def test_unknown_pair_and_level_rejected(self):
+        with pytest.raises(ConfigError, match="state pair"):
+            reference_config("xx")
+        with pytest.raises(ConfigError, match="principal_n"):
+            reference_config("rr", n=cst.RB_GROUND_N)
 
 
 class TestFileLoading:

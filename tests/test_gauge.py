@@ -15,6 +15,8 @@ from ionbridge import (
     IonModeIndex,
     LoopPath,
     SingularGeometryError,
+    Species,
+    TrapFrequencies,
     berry_phase,
     cartesian_modes,
     connection_matrix,
@@ -122,6 +124,13 @@ class TestConnectionStructure:
             np.testing.assert_allclose(jac[:, b], (plus - minus) / (2 * h),
                                        rtol=1e-5, atol=1e-12)
 
+    def test_ion_length_out_of_the_float_range_is_a_config_error(self, cfg_rr, geom):
+        # m_i * omega overflows, so hbar / (m_i * omega) is 0
+        heavy = dataclasses.replace(cfg_rr, ion=Species("heavy", 1e160),
+                                    ion_trap=TrapFrequencies(1e150, 1e150))
+        with pytest.raises(ConfigError, match="oscillator lengths"):
+            connection_matrix(cartesian_modes(1), 1, geom, heavy)
+
     def test_diagonal_vanishes(self, cfg_rr, geom):
         modes = cartesian_modes(2)
         conn = connection_matrix(modes, 1, geom, cfg_rr)
@@ -219,7 +228,7 @@ class TestLoops:
     def test_segments_cover_the_path(self, cfg_rr):
         loop = square_loop(cfg_rr, side=2e-6)
         for subdivide in (1, 3):
-            deltas = [d for _, d in loop.segments(subdivide)]
+            deltas = [d for _, d in oracles.segments(loop, subdivide)]
             np.testing.assert_allclose(np.sum(deltas, axis=0), np.zeros((2, 3)),
                                        atol=1e-18)
 
@@ -234,7 +243,7 @@ class TestLoops:
         for mode in cartesian_modes(1):
             for subdivide in (1, 2):
                 total = 0.0j
-                for mid, delta in loop.segments(subdivide):
+                for mid, delta in oracles.segments(loop, subdivide):
                     geom = AtomPairGeometry(mid[0], mid[1])
                     for atom in (1, 2):
                         total += np.dot(gauge_element(mode, mode, atom, geom, cfg_rr),
@@ -260,7 +269,7 @@ class TestLoops:
         r2 = [0.0, 0.0, -8e-6]
         path = LoopPath(np.array([[[-1e-6, 0.0, 0.0], r2], [[3e-6, 0.0, 0.0], r2],
                                   [[-1e-6, 0.0, 0.0], r2]]))
-        mids = np.array([mid for mid, _ in path.segments(1)])
+        mids = np.array([mid for mid, _ in oracles.segments(path, 1)])
         assert np.all(np.linalg.norm(mids[:, 0], axis=1) > 0.0)
         with pytest.raises(SingularGeometryError, match="ion-trap center"):
             berry_phase(path, IonModeIndex.cartesian(0, 0, 0), cfg_rr)

@@ -37,6 +37,13 @@ class TestGeometry:
         with pytest.raises(SingularGeometryError):
             AtomPairGeometry.on_axis(5e-6, 5e-6)
 
+    def test_eighth_power_overflow_rejected(self):
+        # |r|^6 is finite at 2**128 m, but the gauge Jacobian's |r|^8 is not
+        with pytest.raises(ConfigError, match="float range"):
+            AtomPairGeometry.on_axis(2.0**128, -8e-6)
+        with pytest.raises(ConfigError, match="float range"):
+            AtomPairGeometry.on_axis(1e200, -1e200)
+
     def test_bad_shapes_rejected(self):
         with pytest.raises(ConfigError):
             AtomPairGeometry(np.zeros(2), np.zeros(3))
