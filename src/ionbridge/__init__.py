@@ -42,11 +42,7 @@ from .potentials import (
 )
 from .expansion import (
     EffectiveFrequencies,
-    ExpansionCoefficients,
-    QuadraticForm,
     effective_frequencies,
-    expansion_coefficients,
-    quadratic_potential,
 )
 from .phonons import (
     ModeBranch,
@@ -77,7 +73,6 @@ from .gauge import (
     connection_matrix,
     connection_records,
     displacement_jacobian,
-    gauge_element,
     gauge_hermiticity_check,
     square_loop,
     wilson_loop,
@@ -123,12 +118,8 @@ __all__ = [
     "bo_eigenvalue",
     "effective_potential_U",
     "axial_bo_curve",
-    "ExpansionCoefficients",
     "EffectiveFrequencies",
-    "QuadraticForm",
-    "expansion_coefficients",
     "effective_frequencies",
-    "quadratic_potential",
     "ModeBranch",
     "PhononSpectrum",
     "StabilityResult",
@@ -150,7 +141,6 @@ __all__ = [
     "LoopPath",
     "cartesian_modes",
     "displacement_jacobian",
-    "gauge_element",
     "connection_matrix",
     "connection_records",
     "gauge_hermiticity_check",

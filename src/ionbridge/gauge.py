@@ -29,7 +29,6 @@ __all__ = [
     "LoopPath",
     "cartesian_modes",
     "displacement_jacobian",
-    "gauge_element",
     "connection_matrix",
     "connection_records",
     "gauge_hermiticity_check",
@@ -124,14 +123,6 @@ def connection_matrix(modes: list[IonModeIndex], atom_index: int,
                 acc = acc + jac[a, b] * ladders[a].T
         out[:, :, b] = -1j * cst.HBAR * acc
     return out
-
-
-def gauge_element(bra: IonModeIndex, ket: IonModeIndex, atom_index: int,
-                  geometry: AtomPairGeometry, config: SystemConfig) -> np.ndarray:
-    """Single connection element A_{bra,ket} for one atom, 3-vector J s/m."""
-    modes = [bra, ket] if bra != ket else [bra]
-    matrix = connection_matrix(modes, atom_index, geometry, config)
-    return matrix[0, -1 if bra != ket else 0]
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ term between Rydberg pairs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 from . import constants as cst
@@ -80,14 +81,17 @@ class TrapFrequencies:
     axial: float
 
     def __post_init__(self):
-        if not (0.0 < self.radial < math.inf and 0.0 < self.axial < math.inf):
-            raise ConfigError(f"trap frequencies must be positive and finite, "
-                              f"got radial={self.radial}, axial={self.axial}")
+        # every layer squares the frequencies, so the squares must be finite
+        if not all(w > 0.0 and math.isfinite(w * w) for w in (self.radial, self.axial)):
+            raise ConfigError(f"trap frequencies must be positive and finite, with squares "
+                              f"inside the float range, got radial={self.radial}, "
+                              f"axial={self.axial}")
 
     @property
     def geometric_mean(self) -> float:
-        """(omega_rho^2 * omega_z)^(1/3), the isotropic average."""
-        return (self.radial * self.radial * self.axial) ** (1.0 / 3.0)
+        """(omega_rho^2 * omega_z)^(1/3), the isotropic average, taken as
+        omega_rho^(2/3) omega_z^(1/3) so that no product overflows."""
+        return self.radial ** (2.0 / 3.0) * self.axial ** (1.0 / 3.0)
 
 
 def _n_scale(n: int, scaling: str) -> float:
@@ -259,7 +263,10 @@ def characteristic_scales(config: SystemConfig) -> CharacteristicScales:
 
     R_ia* uses the larger C4 of the two configured states (range of the
     strongest ion-atom interaction); R_aa* uses |C6| of the state pair.
-    A scale that leaves the float range is a ConfigError.
+    A scale that leaves the float range is a ConfigError: one that is not
+    finite, or is 0 although its inputs are positive (R_ia* and R_aa* are
+    0 exactly when their C4 or C6 is).  So is a trap frequency whose
+    square is not a normal float, since the expansion works with squares.
     """
     hbar = cst.HBAR
     m_a = config.atom.mass
@@ -286,9 +293,15 @@ def characteristic_scales(config: SystemConfig) -> CharacteristicScales:
             R_aa_star=r_aa,
             eta=math.sqrt(m_i / m_a) * math.sqrt(wbar_a / wbar_i),
         )
+        may_vanish = {"R_ia_star": c4 == 0.0, "R_aa_star": c6 == 0.0}
+        frequencies = (config.atom_trap.radial, config.atom_trap.axial,
+                       config.ion_trap.radial, config.ion_trap.axial)
+        in_range = (all(w * w >= sys.float_info.min for w in frequencies)
+                    and all((value > 0.0 or may_vanish.get(name, False)) and value < math.inf
+                            for name, value in vars(scales).items()))
     except (OverflowError, ZeroDivisionError):
-        scales = None
-    if scales is None or not all(map(math.isfinite, vars(scales).values())):
+        in_range = False
+    if not in_range:
         raise ConfigError("the configured masses, trap frequencies, C4 or C6 put the "
                           "characteristic scales out of the float range")
     return scales

@@ -14,7 +14,9 @@ pair.  The convergence check at n + 4 starts Lanczos from the solution
 at n, zero-padded; each Gauss-Hermite rule is computed once per order.
 ``axial_hamiltonian_matrix`` and ``symmetric_eigensolve`` build
 and diagonalize the dense matrix; they are the reference it is tested
-against.
+against.  ``gaussian_ground_state`` is the quadratic limit: the normal
+modes of the axial block of ``phonons``, centered on the equilibrium
+shift.
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ from numpy.polynomial.hermite import hermgauss
 
 from . import constants as cst
 from .errors import AccuracyError, ConfigError, InstabilityError
-from .expansion import effective_frequencies
 from .model import SystemConfig, characteristic_scales
-from .phonons import equilibrium_shift, phonon_spectrum
+from .phonons import _axial_block, _axial_shift, _expansion_at
 from .potentials import axial_interaction
 
 __all__ = [
@@ -435,27 +436,22 @@ def basis_ground_state(config: SystemConfig, z0: float, n_max: int = 30) -> Basi
     )
 
 
-def _axial_mode_matrix(config: SystemConfig, z0: float) -> np.ndarray:
-    """Squared-frequency matrix of the axial pair in atom coordinates."""
-    fr = effective_frequencies(config, z0)
-    return np.array([
-        [fr.omega_bar_z1_sq, fr.omega_zz_sq],
-        [fr.omega_zz_sq, fr.omega_bar_z2_sq],
-    ])
-
-
 def gaussian_ground_state(config: SystemConfig, z0: float) -> CorrelatedGaussian:
     """Analytic ground state of the quadratic axial expansion.
 
-    Widths use the sqrt(hbar / (m omega)) convention, so the density
-    along a normal axis u is proportional to exp(-u^2 / sigma^2).
+    The normal modes are those of ``phonons``' axial block in atom
+    coordinates, centered on the equilibrium shift; both come from one
+    evaluation of the frequency squares.  Widths use the
+    sqrt(hbar / (m omega)) convention, so the density along a normal
+    axis u is proportional to exp(-u^2 / sigma^2).
     """
-    if not phonon_spectrum(config, z0).stable:
+    squares, (stretch, com, _, _) = _expansion_at(config, z0)
+    if not (np.all(stretch > 0.0) and np.all(com > 0.0)):
         raise InstabilityError(
             f"configuration unstable at 2z0 = {2.0 * z0:.4g} m, no Gaussian ground state"
         )
-    dz1, dz2 = equilibrium_shift(config, z0)
-    values, vectors = symmetric_eigensolve(_axial_mode_matrix(config, z0))
+    dz1, dz2 = _axial_shift(squares, z0)
+    values, vectors = symmetric_eigensolve(_axial_block(squares))
     widths = tuple(math.sqrt(cst.HBAR / (config.atom.mass * math.sqrt(v))) for v in values)
     return CorrelatedGaussian(
         center=(z0 + dz1, -z0 + dz2),

@@ -1,10 +1,14 @@
-"""Phonon normal modes of the atom pair and the stability threshold.
+"""Phonon normal modes of the atom pair, the stability threshold, and the
+axial equilibrium shift.
 
 Both the axial and the transverse sector reduce to a symmetric 2x2 form
-in the scaled relative/center-of-mass coordinates.  Eigenvalues are
-signed squared frequencies; a negative value marks an unstable (in
-practice collisional) configuration.  The critical separation is the
-bisection root of the smallest squared frequency.
+in the scaled relative/center-of-mass coordinates, whose eigenvectors
+label the branches.  Eigenvalues are signed squared frequencies; a
+negative value marks an unstable (in practice collisional)
+configuration.  The critical separation is the bisection root of the
+smallest squared frequency.  The axial block in atom coordinates,
+[[omega_bar_z1^2, omega_zz^2], [omega_zz^2, omega_bar_z2^2]], gives the
+equilibrium shift and the Gaussian ground state of ``motion``.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InstabilityError, NotBracketedError
-from .expansion import _frequency_squares, _terms, quadratic_potential
+from .expansion import _frequency_squares, _terms
 from .model import SystemConfig, require_valid
 
 __all__ = [
@@ -28,7 +32,6 @@ __all__ = [
     "equilibrium_shift",
 ]
 
-_SQRT2 = math.sqrt(2.0)
 # Eigenvector weights this close to an even stretch/com mixture carry no
 # label information; fall back to comparing against the bare trap value.
 _TIE_WEIGHT = 1e-6
@@ -105,23 +108,39 @@ def _sector_entries(squares):
 
 
 def _branches(t, z0):
-    """``_diagonalize_sector`` of both sectors at half-separations z0, a
-    float or an ndarray: each result has shape (2,) + shape(z0), axial first."""
-    with np.errstate(all="ignore"):
-        a, b, c = (np.array(pair) for pair in _sector_entries(_frequency_squares(t, z0)))
-        bare = np.reshape([t.w_az_sq, t.w_ar_sq], (2,) + (1,) * np.ndim(z0))
-        branches = _diagonalize_sector(a, b, c, bare)
-    if not np.all(np.isfinite(branches[:3])):
+    """The EffectiveFrequencies fields at half-separations z0, a float or an
+    ndarray, and ``_diagonalize_sector`` of both sectors there: each of its
+    results has shape (2,) + shape(z0), axial first.  ConfigError when the
+    branches leave the float range; the force scales Omega_j^2 share their
+    terms with omega_bar_zj^2, so they are finite too."""
+    try:
+        with np.errstate(all="ignore"):
+            squares = _frequency_squares(t, z0)
+            a, b, c = (np.array(pair) for pair in _sector_entries(squares))
+            bare = np.reshape([t.w_az_sq, t.w_ar_sq], (2,) + (1,) * np.ndim(z0))
+            branches = _diagonalize_sector(a, b, c, bare)
+        finite = np.all(np.isfinite(branches[:3]))
+    except (OverflowError, ZeroDivisionError):  # Python's float ** and / raise
+        finite = False
+    if not finite:
         raise ConfigError("the quadratic expansion leaves the float range between "
                           f"2z0 = {2.0 * np.min(z0):.3g} and {2.0 * np.max(z0):.3g} m")
-    return branches
+    return squares, branches
+
+
+def _expansion_at(config: SystemConfig, z0: float):
+    """``_branches`` of a configuration at one half-separation z0, a float;
+    ConfigError unless z0 is positive."""
+    if not z0 > 0.0:
+        raise ConfigError(f"half-separation must be positive, got {z0}")
+    return _branches(_terms(config), z0)
 
 
 def phonon_spectrum(config: SystemConfig, z0: float) -> PhononSpectrum:
     """Normal modes of the quadratic expansion at half-separation z0."""
     if not z0 > 0.0:
         raise ConfigError(f"half-separation must be positive, got {z0}")
-    stretch, com, angle, com_first = _branches(_terms(config), np.array([z0]))
+    _, (stretch, com, angle, com_first) = _branches(_terms(config), np.array([z0]))
     pairs = []
     for k in range(2):
         s = ModeBranch(float(stretch[k, 0]), float(angle[k, 0]), "stretch")
@@ -173,7 +192,7 @@ def critical_separation(config: SystemConfig) -> StabilityResult:
     critical = 0.5 * (lo + hi)
 
     # The lower branch of the softer sector, axial on a tie.
-    stretch, com, _, com_first = _branches(t, 0.5 * critical * (1.0 - 1e-6))
+    _, (stretch, com, _, com_first) = _branches(t, 0.5 * critical * (1.0 - 1e-6))
     k = int(min(stretch[1], com[1]) < min(stretch[0], com[0]))
     branch = f"{('axial', 'transverse')[k]}-{'com' if com_first[k] else 'stretch'}"
     return StabilityResult(critical_2z0=critical, limiting_branch=branch)
@@ -188,7 +207,7 @@ def mode_sweep(config: SystemConfig, separations) -> dict[str, np.ndarray]:
     if steps.size and not (np.all(steps > 0.0) or np.all(steps < 0.0)):
         raise ConfigError("separation grid must be monotone")
 
-    stretch, com, angle, _ = _branches(_terms(config), 0.5 * separations)
+    _, (stretch, com, angle, _) = _branches(_terms(config), 0.5 * separations)
     return {
         "separation": separations.copy(),
         "axial_stretch_sq": stretch[0],
@@ -201,22 +220,34 @@ def mode_sweep(config: SystemConfig, separations) -> dict[str, np.ndarray]:
     }
 
 
-def equilibrium_shift(config: SystemConfig, z0: float) -> tuple[float, float]:
-    """Axial equilibrium displacements (dz1, dz2) of the two atoms, m.
+def _axial_block(squares) -> np.ndarray:
+    """The axial block of the expansion in atom coordinates (z1, z2),
+    [[omega_bar_z1^2, omega_zz^2], [omega_zz^2, omega_bar_z2^2]], rad^2/s^2,
+    from the EffectiveFrequencies fields ``squares``."""
+    _, _, wbz1, wbz2, _, _, _, wzz, _, _ = squares
+    return np.array([[wbz1, wzz], [wzz, wbz2]])
 
-    Solves the stationarity condition of the quadratic form on its
-    axial block.  Both atoms are pulled toward the ion; for identical
-    states the shifts are exactly opposite.
-    """
-    spec = phonon_spectrum(config, z0)
-    if any(mode.omega_sq <= 0.0 for mode in spec.axial):
+
+def _axial_shift(squares, z0: float) -> tuple[float, float]:
+    """Solution (dz1, dz2) of ``_axial_block`` d = (-z0 Omega_1^2, z0 Omega_2^2)
+    by Cramer's rule, m: the force per unit mass at the trap centers.
+    InstabilityError unless the block is positive definite."""
+    _, _, a, b, _, _, _, c, o1_sq, o2_sq = squares
+    det = a * b - c * c
+    if not (a > 0.0 and det > 0.0):
         raise InstabilityError(
             f"axial sector unstable at 2z0 = {2.0 * z0:.4g} m, no equilibrium to solve for"
         )
-    form = quadratic_potential(config, z0)
-    block = form.hessian[np.ix_((2, 5), (2, 5))]
-    rhs = -form.linear[[2, 5]]
-    d_rel, d_com = np.linalg.solve(block, rhs)
-    dz1 = (d_rel + d_com) / _SQRT2
-    dz2 = (d_com - d_rel) / _SQRT2
-    return float(dz1), float(dz2)
+    f1, f2 = -z0 * o1_sq, z0 * o2_sq
+    return (f1 * b - c * f2) / det, (a * f2 - c * f1) / det
+
+
+def equilibrium_shift(config: SystemConfig, z0: float) -> tuple[float, float]:
+    """Axial equilibrium displacements (dz1, dz2) of the two atoms, m.
+
+    Solves the stationarity condition of the quadratic expansion on its
+    axial block in atom coordinates.  Both atoms are pulled toward the
+    ion; for identical states the shifts are exactly opposite.
+    """
+    squares, _ = _expansion_at(config, z0)
+    return _axial_shift(squares, z0)

@@ -4,8 +4,8 @@ Each one is the former per-point code path, written with Python floats
 and libm (``math``), so a test can compare the array kernels with it:
 the scalar expansion and 2x2 sector diagonalisation, the phonon
 spectrum and sweep built on them, the critical-separation bisection,
-the loop segments, the Berry-phase line integral and the path-ordered
-Wilson product.
+the loop segments, the one-pair connection element, the Berry-phase
+line integral and the path-ordered Wilson product.
 The unexpanded ion potential and its finite-difference minimizer check
 the closed-form ion displacement.
 """
@@ -204,6 +204,13 @@ def segments(loop, subdivide=1):
             hi = start + (end - start) * ((piece + 1) / subdivide)
             out.append((0.5 * (lo + hi), hi - lo))
     return out
+
+
+def gauge_element(bra, ket, atom_index, geometry, config):
+    """Single connection element A_{bra,ket} for one atom, 3-vector J s/m."""
+    modes = [bra, ket] if bra != ket else [bra]
+    matrix = connection_matrix(modes, atom_index, geometry, config)
+    return matrix[0, -1 if bra != ket else 0]
 
 
 def diagonal_integral(loop, mode, config, subdivide):

@@ -36,14 +36,13 @@ from ionbridge import (
     critical_separation,
     effective_frequencies,
     effective_potential_U,
-    gauge_element,
+    equilibrium_shift,
     gauge_hermiticity_check,
     gaussian_ground_state,
     ion_displacement,
     mode_sweep,
     pair_density,
     phonon_spectrum,
-    quadratic_potential,
     reference_config,
     square_loop,
     state_overlap,
@@ -255,27 +254,28 @@ def test_criterion_6_displacement_matches_minimizer():
 
 
 def test_criterion_6_quadratic_limit_matches_closed_form():
+    # the expansion's axial block K and force per unit mass f in atom
+    # coordinates d = (z1 - z0, z2 + z0): V(d) = m (d.K.d / 2 - f.d)
     config = reference_config("rr")
     z0 = config.half_separation_z0
     m_a = config.atom.mass
     w_az = config.atom_trap.axial
-    form = quadratic_potential(config, z0)
-    hz = form.hessian[np.ix_((2, 5), (2, 5))]
-    gz = form.linear[[2, 5]]
-    sqrt2 = math.sqrt(2.0)
+    fr = effective_frequencies(config, z0)
+    block = np.array([[fr.omega_bar_z1_sq, fr.omega_zz_sq],
+                      [fr.omega_zz_sq, fr.omega_bar_z2_sq]])
+    force = np.array([-z0 * fr.Omega_1_sq, z0 * fr.Omega_2_sq])
 
     def quad_model(z1, z2):
-        d_rel = ((z1 - z0) - (z2 + z0)) / sqrt2
-        d_com = ((z1 - z0) + (z2 + z0)) / sqrt2
-        v = gz[0] * d_rel + gz[1] * d_com
-        v = v + 0.5 * (hz[0, 0] * d_rel**2 + 2 * hz[0, 1] * d_rel * d_com
-                       + hz[1, 1] * d_com**2)
-        return v - 0.5 * m_a * w_az**2 * ((z1 - z0)**2 + (z2 + z0)**2)
+        d1, d2 = z1 - z0, z2 + z0
+        v = 0.5 * (block[0, 0] * d1**2 + 2 * block[0, 1] * d1 * d2 + block[1, 1] * d2**2)
+        v = v - force[0] * d1 - force[1] * d2
+        # the matrix builder adds the bare trap analytically; remove it here
+        return m_a * (v - 0.5 * w_az**2 * (d1**2 + d2**2))
 
     matrix = axial_hamiltonian_matrix(config, z0, 24, potential_fn=quad_model)
     values, _ = symmetric_eigensolve(matrix)
-    w_minus, w_plus = np.sqrt(np.linalg.eigvalsh(hz / m_a))
-    shift = -0.5 * gz @ np.linalg.solve(hz, gz)
+    w_minus, w_plus = np.sqrt(np.linalg.eigvalsh(block))
+    shift = -0.5 * m_a * force @ np.array(equilibrium_shift(config, z0))
     ladder = sorted(
         shift + cst.HBAR * (w_plus * (i + 0.5) + w_minus * (j + 0.5))
         for i in range(5) for j in range(5)
@@ -365,11 +365,11 @@ def test_criterion_8_elements_match_quadrature_oracle():
                                 np.array([0.2e-6, 0.1e-6, -8.1e-6]))
     ground = IonModeIndex.cartesian(0, 0, 0)
     kets = [IonModeIndex.cartesian(*t) for t in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    scale = max(np.max(np.abs(gauge_element(ground, ket, atom, geometry, config)))
+    scale = max(np.max(np.abs(oracles.gauge_element(ground, ket, atom, geometry, config)))
                 for ket in kets for atom in (1, 2))
     for atom_index in (1, 2):
         for ket in kets:
-            analytic = gauge_element(ground, ket, atom_index, geometry, config)
+            analytic = oracles.gauge_element(ground, ket, atom_index, geometry, config)
             for axis in range(3):
                 numeric = oracle_gauge_element(ground, ket, atom_index, geometry,
                                                config, axis)

@@ -8,7 +8,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ionbridge import DEFAULT_DOCUMENT
 from ionbridge.cli import main
@@ -59,6 +59,23 @@ class TestScales:
         assert header == ["quantity", "value", "unit"]
         values = {row[0]: float(row[1]) for row in rows}
         assert values["eta"] == pytest.approx(0.1877, abs=2e-4)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(min_value=3.0, max_value=150.0), st.floats(min_value=2.5, max_value=150.0))
+    @example(150.0, math.log10(200.0))  # the mean of omega_rho^2 omega_z overflowed here
+    def test_positive_scales_never_print_as_zero(self, log_rho_khz, log_z_khz):
+        document = {"ion": {"omega_rho_kHz": 10.0**log_rho_khz, "omega_z_kHz": 10.0**log_z_khz}}
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "config.json"
+            config.write_text(json.dumps(document))
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                code = main(["scales", "--config", str(config), "--out", tmp])
+            assert code in (0, 2, 3)
+            if code == 0:
+                _, _, rows = read_table(Path(tmp) / "scales.csv")
+                assert all(float(value) > 0.0 for _, value, _ in rows), rows
+                assert "= 0 " not in stdout.getvalue() and "(0)" not in stdout.getvalue()
 
     def test_warns_below_stability_threshold(self, config_file, capsys):
         code, _, err = run(capsys, "scales", "--config",

@@ -14,10 +14,10 @@ from ionbridge import (
     AtomPairGeometry,
     effective_frequencies,
     effective_potential_U,
-    expansion_coefficients,
-    quadratic_potential,
     reference_config,
 )
+from ionbridge.expansion import _terms
+from ionbridge.phonons import _axial_block
 
 FD_STEP = 2e-9  # m, balances cancellation noise against truncation
 
@@ -54,7 +54,7 @@ def fd_curvature(config, a, b, h=FD_STEP):
 
 class TestCoefficients:
     def test_closed_form_values(self, cfg_rg):
-        co = expansion_coefficients(cfg_rg)
+        co = _terms(cfg_rg)
         c4_1, c4_2 = cfg_rg.c4_pair
         m_a, m_i = cfg_rg.atom.mass, cfg_rg.ion.mass
         w_rho2 = cfg_rg.ion_trap.radial**2
@@ -67,15 +67,11 @@ class TestCoefficients:
 
     def test_a12_a6_identity(self, cfg_rg):
         # A12_j = A6_j^2 m_a / (m_i w_rho^2) ties the two coefficient families
-        co = expansion_coefficients(cfg_rg)
+        co = _terms(cfg_rg)
         m_a, m_i = cfg_rg.atom.mass, cfg_rg.ion.mass
         w_rho2 = cfg_rg.ion_trap.radial**2
         assert co.A12_1 == pytest.approx(co.A6_1**2 * m_a / (m_i * w_rho2), rel=1e-13)
         assert co.A12_ab == pytest.approx(co.A6_1 * co.A6_2 * m_a / (m_i * w_rho2), rel=1e-13)
-
-    def test_constant_term_equals_potential_at_centers(self, cfg_rr):
-        co = expansion_coefficients(cfg_rr)
-        assert co.E0_bar == pytest.approx(u_of_coords(cfg_rr, centers(cfg_rr)), rel=1e-13)
 
 
 class TestFrequenciesAgainstFiniteDifferences:
@@ -121,30 +117,23 @@ class TestSymmetriesAndStructure:
         assert fr.Omega_1_sq == fr.Omega_2_sq
 
     def test_doubling_c4_scales_families(self, cfg_rr):
-        z0 = cfg_rr.half_separation_z0
-        co = expansion_coefficients(cfg_rr)
+        co = _terms(cfg_rr)
         doubled_cfg = dataclasses.replace(
             cfg_rr, coefficients=dataclasses.replace(cfg_rr.coefficients,
                                                      c4_ground=2 * cfg_rr.coefficients.c4_ground))
-        co2 = expansion_coefficients(doubled_cfg, z0=z0)
+        co2 = _terms(doubled_cfg)
         assert co2.A4_1 == pytest.approx(2 * co.A4_1, rel=1e-13)
         assert co2.A6_1 == pytest.approx(2 * co.A6_1, rel=1e-13)
         assert co2.A10_ab == pytest.approx(4 * co.A10_ab, rel=1e-13)
         assert co2.A12_1 == pytest.approx(4 * co.A12_1, rel=1e-13)
 
-    def test_real_frequencies_mark_unstable_entries(self, cfg_rr):
-        fr = effective_frequencies(cfg_rr, 4.0e-6)  # 2z0 = 8 um, below threshold
-        real = fr.real_frequencies()
-        assert real["omega_bar_rho1"] is not None
-        assert any(v is None for v in real.values())
-
-    def test_quadratic_form_layout(self, cfg_rr):
-        form = quadratic_potential(cfg_rr, cfg_rr.half_separation_z0)
-        np.testing.assert_array_equal(form.hessian, form.hessian.T)
-        # forces act along z only, in the scaled relative/center coordinates
-        assert form.linear[0] == form.linear[1] == 0.0
-        assert form.linear[3] == form.linear[4] == 0.0
-        assert form.linear[2] != 0.0 or form.linear[5] != 0.0
+    def test_quadratic_form_layout(self, cfg_rg):
+        # the axial block in atom coordinates holds the per-atom curvatures
+        # on its diagonal and the two-atom coupling off it, symmetrically
+        fr = effective_frequencies(cfg_rg, cfg_rg.half_separation_z0)
+        block = _axial_block(dataclasses.astuple(fr))
+        np.testing.assert_array_equal(block, [[fr.omega_bar_z1_sq, fr.omega_zz_sq],
+                                              [fr.omega_zz_sq, fr.omega_bar_z2_sq]])
 
     def test_com_axial_mode_free_of_c6(self, cfg_rr):
         from ionbridge import phonon_spectrum

@@ -23,7 +23,6 @@ from ionbridge import (
     connection_records,
     constants as cst,
     displacement_jacobian,
-    gauge_element,
     gauge_hermiticity_check,
     ion_displacement,
     square_loop,
@@ -157,14 +156,14 @@ class TestConnectionStructure:
                                                      c4_ground=2 * cfg_rr.coefficients.c4_ground))
         bra = IonModeIndex.cartesian(0, 0, 0)
         ket = IonModeIndex.cartesian(0, 0, 1)
-        base = gauge_element(bra, ket, 1, geom, cfg_rr)
-        twice = gauge_element(bra, ket, 1, geom, doubled)
+        base = oracles.gauge_element(bra, ket, 1, geom, cfg_rr)
+        twice = oracles.gauge_element(bra, ket, 1, geom, doubled)
         np.testing.assert_allclose(twice, 2 * base, rtol=1e-12)
 
     def test_cylindrical_modes_rejected(self, cfg_rr, geom):
         with pytest.raises(ConfigError):
-            gauge_element(IonModeIndex.cylindrical(0, 0, 0),
-                          IonModeIndex.cylindrical(0, 0, 1), 1, geom, cfg_rr)
+            oracles.gauge_element(IonModeIndex.cylindrical(0, 0, 0),
+                                  IonModeIndex.cylindrical(0, 0, 1), 1, geom, cfg_rr)
 
     def test_element_consistent_with_matrix_slice(self, cfg_rr, geom):
         modes = cartesian_modes(1)
@@ -173,7 +172,7 @@ class TestConnectionStructure:
             for k, ket in enumerate(modes):
                 if i == k:
                     continue
-                single = gauge_element(bra, ket, 1, geom, cfg_rr)
+                single = oracles.gauge_element(bra, ket, 1, geom, cfg_rr)
                 np.testing.assert_array_equal(single, conn[i, k])
 
     def test_records_are_the_matrix_elements_row_major(self, cfg_rg):
@@ -201,12 +200,12 @@ class TestOracleComparison:
         kets = [IonModeIndex.cartesian(*t)
                 for t in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
         scale = max(
-            np.max(np.abs(gauge_element(m000, ket, atom, geom, cfg_rr)))
+            np.max(np.abs(oracles.gauge_element(m000, ket, atom, geom, cfg_rr)))
             for ket in kets for atom in (1, 2)
         )
         for atom in (1, 2):
             for ket in kets:
-                analytic = gauge_element(m000, ket, atom, geom, cfg_rr)
+                analytic = oracles.gauge_element(m000, ket, atom, geom, cfg_rr)
                 for axis in range(3):
                     numeric = oracle_gauge_element(m000, ket, atom, geom, cfg_rr, axis)
                     assert abs(numeric - analytic[axis]) <= 1e-6 * max(
@@ -246,8 +245,8 @@ class TestLoops:
                 for mid, delta in oracles.segments(loop, subdivide):
                     geom = AtomPairGeometry(mid[0], mid[1])
                     for atom in (1, 2):
-                        total += np.dot(gauge_element(mode, mode, atom, geom, cfg_rr),
-                                        delta[atom - 1])
+                        element = oracles.gauge_element(mode, mode, atom, geom, cfg_rr)
+                        total += np.dot(element, delta[atom - 1])
                 integral = oracles.diagonal_integral(loop, mode, cfg_rr, subdivide)
                 assert integral == total.real / cst.HBAR
 

@@ -1,19 +1,24 @@
 """Species, states, interaction coefficients, and characteristic scales."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ionbridge import (
     GROUND,
+    AtomPairGeometry,
     ConfigError,
     ElectronicState,
     InteractionCoefficients,
     IonModeIndex,
+    Species,
     TrapFrequencies,
     characteristic_scales,
     constants as cst,
+    ion_displacement,
     reference_config,
     require_valid,
     rydberg_c4,
@@ -107,6 +112,26 @@ class TestTrapAndModes:
         with pytest.raises(ConfigError, match="finite"):
             TrapFrequencies(radial=math.inf, axial=1.0)
 
+    @given(st.floats(min_value=-150.0, max_value=154.0),
+           st.floats(min_value=-150.0, max_value=154.0))
+    @example(153.8, 6.1)  # omega_rho^2 omega_z overflows, the mean does not
+    def test_geometric_mean_matches_log_space(self, log_radial, log_axial):
+        trap = TrapFrequencies(10.0**log_radial, 10.0**log_axial)
+        expected = math.exp((2.0 * math.log(trap.radial) + math.log(trap.axial)) / 3.0)
+        assert trap.geometric_mean == pytest.approx(expected, rel=1e-12)
+
+    def test_huge_frequencies_set_in_code_are_a_config_error(self):
+        # their squares overflow, first of all in the ion displacement
+        with pytest.raises(ConfigError, match="float range"):
+            config = dataclasses.replace(reference_config(),
+                                         ion_trap=TrapFrequencies(1e300, 1e300))
+            ion_displacement(AtomPairGeometry.at_trap_centers(config), config)
+
+    def test_largest_accepted_frequencies_give_a_finite_displacement(self):
+        config = dataclasses.replace(reference_config(), ion_trap=TrapFrequencies(1e154, 1e154))
+        shift = ion_displacement(AtomPairGeometry.at_trap_centers(config), config)
+        assert np.all(np.isfinite(shift.as_array()))
+
     def test_cylindrical_bare_energy(self):
         trap = TrapFrequencies(radial=3.0e6, axial=1.0e6)
         mu = IonModeIndex.cylindrical(1, -2, 3)
@@ -170,7 +195,7 @@ class TestCharacteristicScales:
 
 class TestScalesOutOfRange:
     @pytest.mark.parametrize("atom_trap", [
-        TrapFrequencies(1e-300, cst.TWO_PI * 9e3),  # the geometric mean underflows to 0
+        TrapFrequencies(1e-300, cst.TWO_PI * 9e3),  # omega_rho^2 and m_a omega_rho underflow
         TrapFrequencies(cst.TWO_PI * 100e3, 5e-324),  # m_a * omega_z underflows to 0
     ])
     def test_underflow_is_a_config_error(self, cfg_rr, atom_trap):
@@ -179,6 +204,14 @@ class TestScalesOutOfRange:
         config = dataclasses.replace(cfg_rr, atom_trap=atom_trap)
         with pytest.raises(ConfigError, match="float range"):
             characteristic_scales(config)
+
+
+    def test_scale_that_underflows_to_zero_is_a_config_error(self, cfg_rr):
+        # m_i * omega overflows, so L_i = sqrt(hbar / (m_i * omega)) would be 0
+        heavy = dataclasses.replace(cfg_rr, ion=Species("heavy", 1e200),
+                                    ion_trap=TrapFrequencies(1e150, 1e150))
+        with pytest.raises(ConfigError, match="float range"):
+            characteristic_scales(heavy)
 
 
 class TestValidation:

@@ -25,7 +25,6 @@ from ionbridge import (
     constants as cst,
     gaussian_ground_state,
     pair_density,
-    quadratic_potential,
     reference_config,
     state_overlap,
     symmetric_eigensolve,
@@ -174,51 +173,7 @@ class TestEigensolver:
             symmetric_eigensolve(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
-class TestQuadraticLimit:
-    def test_eigenvalues_match_normal_mode_closed_form(self, cfg_rr):
-        z0 = cfg_rr.half_separation_z0
-        m_a = cfg_rr.atom.mass
-        w_az = cfg_rr.atom_trap.axial
-        form = quadratic_potential(cfg_rr, z0)
-        hz = form.hessian[np.ix_((2, 5), (2, 5))]
-        gz = form.linear[[2, 5]]
-        sqrt2 = math.sqrt(2.0)
-
-        def quad_model(z1, z2):
-            d_rel = ((z1 - z0) - (z2 + z0)) / sqrt2
-            d_com = ((z1 - z0) + (z2 + z0)) / sqrt2
-            v = gz[0] * d_rel + gz[1] * d_com
-            v = v + 0.5 * (hz[0, 0] * d_rel**2 + 2 * hz[0, 1] * d_rel * d_com
-                           + hz[1, 1] * d_com**2)
-            # the matrix builder adds the bare trap analytically; remove it here
-            return v - 0.5 * m_a * w_az**2 * ((z1 - z0)**2 + (z2 + z0)**2)
-
-        h = axial_hamiltonian_matrix(cfg_rr, z0, 24, potential_fn=quad_model)
-        values, _ = symmetric_eigensolve(h)
-
-        mode_sq = np.linalg.eigvalsh(hz / m_a)
-        w_minus, w_plus = np.sqrt(mode_sq)
-        shift = -0.5 * gz @ np.linalg.solve(hz, gz)
-        ladder = sorted(
-            shift + cst.HBAR * (w_plus * (i + 0.5) + w_minus * (j + 0.5))
-            for i in range(5) for j in range(5)
-        )[:10]
-        np.testing.assert_allclose(values[:10], ladder, rtol=1e-8)
-
-
 class TestGroundStates:
-    def test_variational_energies_never_increase(self, cfg_rr):
-        z0 = 6.0e-6  # 2z0 = 12 um, strongest coupling of the default grid
-        cfg = cfg_rr.with_half_separation(z0)
-        energies = []
-        for n in (8, 12, 16, 20, 24, 28):
-            h = axial_hamiltonian_matrix(cfg, z0, n)
-            values, _ = symmetric_eigensolve(h)
-            energies.append(values[0])
-        scale = cst.HBAR * cfg.atom_trap.axial
-        for lo, hi in zip(energies[1:], energies[:-1]):
-            assert lo <= hi + 1e-10 * scale
-
     def test_reported_convergence(self, cfg_rr):
         z0 = 6.0e-6
         state = basis_ground_state(cfg_rr.with_half_separation(z0), z0, n_max=30)

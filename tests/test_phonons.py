@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,14 +19,14 @@ from ionbridge import (
     effective_frequencies,
     effective_potential_U,
     equilibrium_shift,
+    gaussian_ground_state,
     mode_sweep,
     phonon_spectrum,
     reference_config,
 )
 from ionbridge.expansion import _terms
 from ionbridge.model import ElectronicState
-from ionbridge.motion import _axial_mode_matrix
-from ionbridge.phonons import _diagonalize_sector, _min_omega_sq
+from ionbridge.phonons import _axial_block, _diagonalize_sector, _min_omega_sq
 
 SWEEP_GRID = np.linspace(5.0, 40.0, 351) * 1e-6  # reaches below every threshold
 
@@ -75,7 +76,8 @@ class TestSpectrum:
         cfg = reference_config("rg")
         spec = phonon_spectrum(cfg, z0)
         got = sorted(mode.omega_sq for mode in spec.axial)
-        expected = np.linalg.eigvalsh(_axial_mode_matrix(cfg, z0))
+        expected = np.linalg.eigvalsh(
+            _axial_block(dataclasses.astuple(effective_frequencies(cfg, z0))))
         np.testing.assert_allclose(got, expected, rtol=1e-10)
 
 
@@ -263,9 +265,10 @@ class TestKernel:
                         == [m.character for m in getattr(want, sector)])
 
     def test_spectrum_needs_a_positive_half_separation(self, cfg_rr):
-        for z0 in (0.0, -8e-6, float("nan")):
-            with pytest.raises(ConfigError, match="positive"):
-                phonon_spectrum(cfg_rr, z0)
+        for solve in (phonon_spectrum, equilibrium_shift, gaussian_ground_state):
+            for z0 in (0.0, -8e-6, float("nan")):
+                with pytest.raises(ConfigError, match="positive"):
+                    solve(cfg_rr, z0)
 
     def test_separations_leaving_the_float_range_are_a_config_error(self, cfg_rr):
         with pytest.raises(ConfigError, match="float range"):
@@ -309,6 +312,21 @@ class TestEquilibriumShift:
         assert abs(dz2) < 1e-12
         assert abs(found[1]) < 1e-10
 
+    @pytest.mark.parametrize("pair", ["rr", "rg"])
+    @pytest.mark.parametrize("separation_um", [12.0, 16.0, 24.0])
+    def test_matches_an_exact_solve(self, pair, separation_um):
+        # the same float block and force, solved in exact rational arithmetic
+        z0 = 0.5 * separation_um * 1e-6
+        cfg = reference_config(pair, z0=z0)
+        fr = effective_frequencies(cfg, z0)
+        a, b, c = map(Fraction, (fr.omega_bar_z1_sq, fr.omega_bar_z2_sq, fr.omega_zz_sq))
+        f1, f2 = Fraction(-z0 * fr.Omega_1_sq), Fraction(z0 * fr.Omega_2_sq)
+        det = a * b - c * c
+        exact = ((f1 * b - c * f2) / det, (a * f2 - c * f1) / det)
+        for got, want in zip(equilibrium_shift(cfg, z0), exact):
+            assert abs(Fraction(got) - want) <= Fraction(1e-15) * abs(want)
+
     def test_unstable_separation_raises(self, cfg_rr):
         with pytest.raises(InstabilityError):
             equilibrium_shift(cfg_rr, 4.0e-6)
+

@@ -19,7 +19,6 @@ from ionbridge import (
     ion_displacement,
     reference_config,
 )
-from ionbridge.expansion import expansion_coefficients
 
 
 def scaled_c4(config, factor):
@@ -162,11 +161,19 @@ class TestEffectivePotential:
         got = effective_potential_U(geom, cfg_rr.ion_mode, cfg_rr)
         assert got == pytest.approx(expected, rel=1e-12)
 
-    def test_value_at_centers_matches_expansion_constant(self, cfg_rr):
-        geom = AtomPairGeometry.at_trap_centers(cfg_rr)
-        u0 = effective_potential_U(geom, cfg_rr.ion_mode, cfg_rr)
-        e0_bar = expansion_coefficients(cfg_rr).E0_bar
-        assert u0 == pytest.approx(e0_bar, rel=1e-13)
+    def test_value_at_centers_matches_expansion_constant(self, cfg_rr, cfg_rg):
+        # the constant term of the expansion: the bare mode energy, both C4
+        # pulls, the ion-following term and the C6 term at 2z0
+        for cfg in (cfg_rr, cfg_rg):
+            z0 = cfg.half_separation_z0
+            c4_1, c4_2 = cfg.c4_pair
+            m_i, w_iz = cfg.ion.mass, cfg.ion_trap.axial
+            expected = (cfg.ion_mode.bare_energy(cfg.ion_trap) - (c4_1 + c4_2) / z0**4
+                        - 8.0 * (c4_1 - c4_2)**2 / (m_i * w_iz**2 * z0**10)
+                        - cfg.c6_pair / (2.0 * z0)**6)
+            geom = AtomPairGeometry.at_trap_centers(cfg)
+            u0 = effective_potential_U(geom, cfg.ion_mode, cfg)
+            assert u0 == pytest.approx(expected, rel=1e-13)
 
 
 class TestAxialCurves:
