@@ -108,44 +108,43 @@ def _sector_entries(squares):
 
 
 def _branches(t, z0):
-    """The EffectiveFrequencies fields at half-separations z0, a float or an
-    ndarray, and ``_diagonalize_sector`` of both sectors there: each of its
-    results has shape (2,) + shape(z0), axial first.  ConfigError when the
-    branches leave the float range; the force scales Omega_j^2 share their
-    terms with omega_bar_zj^2, so they are finite too."""
-    try:
-        with np.errstate(all="ignore"):
-            squares = _frequency_squares(t, z0)
-            a, b, c = (np.array(pair) for pair in _sector_entries(squares))
-            bare = np.reshape([t.w_az_sq, t.w_ar_sq], (2,) + (1,) * np.ndim(z0))
-            branches = _diagonalize_sector(a, b, c, bare)
-        finite = np.all(np.isfinite(branches[:3]))
-    except (OverflowError, ZeroDivisionError):  # Python's float ** and / raise
-        finite = False
-    if not finite:
+    """The EffectiveFrequencies fields at half-separations z0, and
+    ``_diagonalize_sector`` of both sectors there: each of its results has
+    shape (2,) + shape(z0), axial first.  z0 is an ndarray, or a float
+    whose powers stay in the float range (``critical_separation``'s, in
+    its bracket).  Beyond the float range of z0^12 every correction is 0
+    and the bare trap remains.  ConfigError when the branches leave the
+    float range; the force scales Omega_j^2 share their terms with
+    omega_bar_zj^2, so they are finite too."""
+    with np.errstate(all="ignore"):
+        squares = _frequency_squares(t, z0)
+        a, b, c = (np.array(pair) for pair in _sector_entries(squares))
+        bare = np.reshape([t.w_az_sq, t.w_ar_sq], (2,) + (1,) * np.ndim(z0))
+        branches = _diagonalize_sector(a, b, c, bare)
+    if not np.all(np.isfinite(branches[:3])):
         raise ConfigError("the quadratic expansion leaves the float range between "
                           f"2z0 = {2.0 * np.min(z0):.3g} and {2.0 * np.max(z0):.3g} m")
     return squares, branches
 
 
 def _expansion_at(config: SystemConfig, z0: float):
-    """``_branches`` of a configuration at one half-separation z0, a float;
-    ConfigError unless z0 is positive."""
-    if not z0 > 0.0:
-        raise ConfigError(f"half-separation must be positive, got {z0}")
-    return _branches(_terms(config), z0)
+    """``_branches`` of a configuration at one half-separation z0, with the
+    EffectiveFrequencies fields as Python floats and branches of shape (2,);
+    ConfigError unless z0 is positive and finite."""
+    if not 0.0 < z0 < math.inf:
+        raise ConfigError(f"half-separation must be positive and finite, got {z0}")
+    squares, branches = _branches(_terms(config), np.float64(z0))
+    return tuple(map(float, squares)), branches
 
 
 def phonon_spectrum(config: SystemConfig, z0: float) -> PhononSpectrum:
     """Normal modes of the quadratic expansion at half-separation z0."""
-    if not z0 > 0.0:
-        raise ConfigError(f"half-separation must be positive, got {z0}")
-    _, (stretch, com, angle, com_first) = _branches(_terms(config), np.array([z0]))
+    _, (stretch, com, angle, com_first) = _expansion_at(config, z0)
     pairs = []
     for k in range(2):
-        s = ModeBranch(float(stretch[k, 0]), float(angle[k, 0]), "stretch")
-        m = ModeBranch(float(com[k, 0]), float(angle[k, 0]), "com")
-        pairs.append((m, s) if com_first[k, 0] else (s, m))
+        s = ModeBranch(float(stretch[k]), float(angle[k]), "stretch")
+        m = ModeBranch(float(com[k]), float(angle[k]), "com")
+        pairs.append((m, s) if com_first[k] else (s, m))
     return PhononSpectrum(axial=pairs[0], transverse=pairs[1],
                           stable=bool(np.all(stretch > 0.0) and np.all(com > 0.0)))
 

@@ -195,6 +195,21 @@ class TestFileLoading:
                                 capture_output=True, text=True, check=True, timeout=60)
         assert result.stdout.strip() == "[]"
 
+    def test_fresh_subcommands_do_not_load_scipy(self, config_file, tmp_path):
+        # every subcommand but density runs on numpy alone
+        src = str(Path(ionbridge.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = ("import sys\n"
+                "from ionbridge.cli import main\n"
+                "for command in ('scales', 'bo-curve', 'phonons', 'critical', 'gauge'):\n"
+                "    assert main([command, '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        result = subprocess.run([sys.executable, "-c", code, str(config_file()),
+                                 str(tmp_path / "out")], env=env,
+                                capture_output=True, text=True, check=True, timeout=120)
+        assert result.stdout.splitlines()[-1] == "[]"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.json")

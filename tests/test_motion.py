@@ -236,6 +236,28 @@ class TestGroundStates:
         assert state_overlap(gauss, gauss, z1, z2) == pytest.approx(1.0, abs=1e-10)
 
 
+def sa_matvec_counts(monkeypatch):
+    """The list to which every lowest-pair ("SA") Lanczos solve appends its
+    number of operator applications."""
+    solve = motion._extreme_pair
+    counts = []
+
+    def counting(apply, n, which, tol, v0=None):
+        count = [0]
+
+        def counted(c):
+            count[0] += 1
+            return apply(c)
+
+        result = solve(counted, n, which, tol, v0)
+        if which == "SA":
+            counts.append(count[0])
+        return result
+
+    monkeypatch.setattr(motion, "_extreme_pair", counting)
+    return counts
+
+
 def entrywise_drift(config, z0, n_max, potential_fn):
     """The dense gate's measure: max|B1 - B2| / max|B2| between orders
     4n+8 and 4n+24 of ``_quadrature_block``."""
@@ -401,28 +423,87 @@ class TestMatrixFreeSolver:
     def test_warm_started_check_needs_fewer_matvecs(self, monkeypatch):
         # 2z0 = 16 um, n_max 30: the check solve at 34 from the padded
         # solution at 30 against the same solve from all ones
-        solve = motion._extreme_pair
-        counts = []
-
-        def counting(apply, n, which, tol, v0=None):
-            count = [0]
-
-            def counted(c):
-                count[0] += 1
-                return apply(c)
-
-            result = solve(counted, n, which, tol, v0)
-            if which == "SA":
-                counts.append(count[0])
-            return result
-
-        monkeypatch.setattr(motion, "_extreme_pair", counting)
+        counts = sa_matvec_counts(monkeypatch)
         z0 = 8.0e-6
         config = reference_config("rr", z0=z0)
         basis_ground_state(config, z0, n_max=30)
         lowest_pair(config, z0, 34)
         _, warm, cold = counts
         assert warm < cold
+
+    @pytest.mark.parametrize("pair", ["rr", "rg"])
+    @pytest.mark.parametrize("n_max, separation_um", [(30, 12), (30, 16), (30, 24),
+                                                      (40, 12)])
+    def test_projected_start_matches_the_all_ones_start(self, pair, n_max, separation_um):
+        z0 = 0.5e-6 * separation_um
+        config = reference_config(pair, z0=z0)
+        start = motion._projection(gaussian_ground_state(config, z0), config, z0, n_max)
+        projected_energy, projected_vector, _ = lowest_pair(config, z0, n_max, start=start)
+        ones_energy, ones_vector, _ = lowest_pair(config, z0, n_max)
+        unit = cst.HBAR * config.atom_trap.axial
+        assert abs(projected_energy - ones_energy) <= 1e-12 * unit
+        assert np.max(np.abs(projected_vector - ones_vector)) <= 1e-10
+
+    def test_projected_start_needs_fewer_matvecs(self, monkeypatch):
+        # 2z0 = 16 um, n_max 30: the cold solve from the projected Gaussian
+        # against the same solve from all ones
+        counts = sa_matvec_counts(monkeypatch)
+        z0 = 8.0e-6
+        config = reference_config("rr", z0=z0)
+        basis_ground_state(config, z0, n_max=30)
+        lowest_pair(config, z0, 30)
+        projected, _, ones = counts
+        assert projected < ones
+
+    @pytest.mark.parametrize("n_max", [1, 30, 56, 60])
+    def test_bare_product_state_projects_onto_e00(self, cfg_rr, n_max):
+        # n_max 60 projects on the order-248 rule, where w exp(xi^2 / 2)
+        # spans the widest range
+        z0 = cfg_rr.half_separation_z0
+        start = motion._projection(bare_product_state(cfg_rr, z0), cfg_rr, z0, n_max)
+        assert start[0] == 1.0
+        assert np.max(np.abs(start[1:])) <= 1e-12
+
+    def test_unstable_quadratic_limit_starts_from_the_bare_product(self, monkeypatch):
+        # Not reached on the reference systems: at n = 30, 45 and 60 the
+        # collision threshold z0 (5.51, 8.84 and 12.4 um), below which
+        # lowest_pair refuses, lies above the z0 where the quadratic limit
+        # turns unstable (4.59, 7.37 and 10.3 um).
+        z0 = 6.0e-6
+        config = reference_config("rr", z0=z0)
+        expected = basis_ground_state(config, z0, n_max=20)
+        solve = motion.lowest_pair
+        starts = []
+
+        def recording(config, z0, n_max, potential_fn=None, start=None):
+            starts.append(start)
+            return solve(config, z0, n_max, potential_fn, start)
+
+        def unstable(config, z0):
+            raise InstabilityError("unstable")
+
+        monkeypatch.setattr(motion, "lowest_pair", recording)
+        monkeypatch.setattr(motion, "gaussian_ground_state", unstable)
+        state = basis_ground_state(config, z0, n_max=20)
+        bare = motion._projection(bare_product_state(config, z0), config, z0, 20)
+        assert np.array_equal(starts[0], bare)
+        unit = cst.HBAR * config.atom_trap.axial
+        assert abs(state.energy - expected.energy) <= 1e-12 * unit
+        assert np.max(np.abs(state.coefficients - expected.coefficients)) <= 1e-10
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_largest_basis_passes_both_gates(self):
+        # n_max 60 is _MAX_BASIS, the order-264 rule; the ground state at
+        # n_max 56 checks at 60
+        z0 = 6.0e-6
+        config = reference_config("rr", z0=z0)
+        energy, _, drift = lowest_pair(config, z0, 60)
+        state = basis_ground_state(config, z0, n_max=56)
+        assert state.n_max == 56
+        assert state.residual < 1e-6
+        assert drift < 1e-8
+        unit = cst.HBAR * config.atom_trap.axial
+        assert abs(state.energy - energy) <= 1e-6 * unit
 
     def test_sign_convention(self, cfg_rg):
         z0 = cfg_rg.half_separation_z0
@@ -442,6 +523,16 @@ class TestMatrixFreeSolver:
     def test_below_collision_threshold_raises(self, cfg_rr):
         with pytest.raises(InstabilityError):
             lowest_pair(cfg_rr, 5.0e-6, 8)
+
+    @pytest.mark.parametrize("z0, error", [(0.0, InstabilityError), (5.0e-6, InstabilityError),
+                                           (float("nan"), ConfigError),
+                                           (float("inf"), ConfigError), (5e293, ConfigError)])
+    def test_refused_half_separations_keep_their_errors(self, cfg_rr, z0, error):
+        # whatever the start (the Gaussian, the bare product, or all ones
+        # where neither projects to finite numbers), lowest_pair reports
+        # the fault
+        with pytest.raises(error):
+            basis_ground_state(cfg_rr, z0, n_max=4)
 
     def test_import_does_not_load_the_sparse_solver(self):
         src = str(Path(ionbridge.__file__).resolve().parents[1])

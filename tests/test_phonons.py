@@ -24,6 +24,7 @@ from ionbridge import (
     phonon_spectrum,
     reference_config,
 )
+from ionbridge import constants as cst
 from ionbridge.expansion import _terms
 from ionbridge.model import ElectronicState
 from ionbridge.phonons import _axial_block, _diagonalize_sector, _min_omega_sq
@@ -266,7 +267,7 @@ class TestKernel:
 
     def test_spectrum_needs_a_positive_half_separation(self, cfg_rr):
         for solve in (phonon_spectrum, equilibrium_shift, gaussian_ground_state):
-            for z0 in (0.0, -8e-6, float("nan")):
+            for z0 in (0.0, -8e-6, float("nan"), float("inf")):
                 with pytest.raises(ConfigError, match="positive"):
                     solve(cfg_rr, z0)
 
@@ -275,6 +276,26 @@ class TestKernel:
             mode_sweep(cfg_rr, [1e-300, 10e-6])
         far = mode_sweep(cfg_rr, [10e-6, 1e300])
         assert far["axial_com_sq"][1] == cfg_rr.atom_trap.axial**2
+
+    @pytest.mark.parametrize("pair", ["rr", "rg"])
+    def test_one_answer_beyond_the_float_range_of_z0_12(self, pair):
+        # z0^12 overflows, every correction is 0 and the bare trap remains
+        # for the spectrum, the shift and the Gaussian alike
+        config = reference_config(pair)
+        z0 = 5e293
+        spec = phonon_spectrum(config, z0)
+        sweep = mode_sweep(config, [2.0 * z0])
+        assert spec.stable and sweep["stable"][0]
+        for sector, bare in (("axial", config.atom_trap.axial),
+                             ("transverse", config.atom_trap.radial)):
+            for character in ("stretch", "com"):
+                assert (spec.branch(sector, character).omega_sq
+                        == sweep[f"{sector}_{character}_sq"][0] == bare**2)
+        assert equilibrium_shift(config, z0) == (0.0, 0.0)
+        gauss = gaussian_ground_state(config, z0)
+        assert gauss.center == (z0, -z0)
+        a_z = math.sqrt(cst.HBAR / (config.atom.mass * config.atom_trap.axial))
+        assert gauss.widths == pytest.approx((a_z, a_z), rel=1e-15)
 
 
 class TestEquilibriumShift:
