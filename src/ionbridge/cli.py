@@ -259,9 +259,8 @@ def cmd_density(args) -> int:
 
     for sep_um in args.separations_um:
         z0 = 0.5 * sep_um * 1e-6
-        variant = config.with_half_separation(z0)
-        gauss = gaussian_ground_state(variant, z0)
-        state = basis_ground_state(variant, z0, n_max=args.n_max)
+        gauss = gaussian_ground_state(config, z0)
+        state = basis_ground_state(config, z0, n_max=args.n_max)
 
         reach = max(gauss.widths) * 8.0
         reach = max(reach, state.osc_length * (np.sqrt(2.0 * state.n_max + 1.0) + 5.0))

@@ -49,10 +49,16 @@ def cartesian_modes(max_n: int) -> list[IonModeIndex]:
             for nz in range(max_n + 1)]
 
 
-def _require_cartesian(mode: IonModeIndex) -> tuple[int, int, int]:
-    if mode.basis != "cartesian":
+def _quantum_numbers(modes: list[IonModeIndex]) -> np.ndarray:
+    """(m, 3) quantum numbers of a non-empty mode list that is Cartesian and
+    without repeats; D is antisymmetric, so A Hermitian, only for such a list."""
+    if not modes:
+        raise ConfigError("gauge quantities need at least one ion mode")
+    if any(mode.basis != "cartesian" for mode in modes):
         raise ConfigError("gauge quantities need Cartesian ion modes")
-    return mode.n1, mode.n2, mode.n3
+    if len(set(modes)) != len(modes):
+        raise ConfigError("gauge quantities need distinct ion modes")
+    return np.array([(mode.n1, mode.n2, mode.n3) for mode in modes])
 
 
 def displacement_jacobian(atom_index: int, geometry: AtomPairGeometry,
@@ -77,9 +83,10 @@ def _jacobian(r: np.ndarray, c4: float, config: SystemConfig) -> np.ndarray:
 
 
 def _ladder_derivatives(modes: list[IonModeIndex], config: SystemConfig) -> np.ndarray:
-    """D[a, bra, ket] = <bra| d/du_a |ket> over the displaced-oscillator modes."""
-    triples = [_require_cartesian(m) for m in modes]
-    index = {t: i for i, t in enumerate(triples)}
+    """D[a, bra, ket] = <bra| d/du_a |ket> over the displaced-oscillator modes:
+    +-sqrt(max(n_bra, n_ket)) / (sqrt(2) l_a) where ket - bra = +-e_a, the
+    only steps between quantum-number triples of squared length 1."""
+    n = _quantum_numbers(modes)
     omegas = (config.ion_trap.radial, config.ion_trap.radial, config.ion_trap.axial)
     with np.errstate(divide="ignore", over="ignore"):
         lengths = np.sqrt(cst.HBAR / (config.ion.mass * np.array(omegas)))
@@ -87,20 +94,13 @@ def _ladder_derivatives(modes: list[IonModeIndex], config: SystemConfig) -> np.n
         raise ConfigError("the configured ion mass and trap frequencies put the ion "
                           "oscillator lengths out of the float range")
 
+    sq = (n * n).sum(axis=1)
+    bra, ket = np.nonzero(sq[:, None] + sq - 2 * n @ n.T == 1)
+    step = n[ket] - n[bra]
+    axis = np.nonzero(step)[1]
     d = np.zeros((3, len(modes), len(modes)))
-    for ket, t in enumerate(triples):
-        for a in range(3):
-            n = t[a]
-            down = list(t)
-            down[a] = n - 1
-            bra = index.get(tuple(down))
-            if bra is not None:
-                d[a, bra, ket] = math.sqrt(n) / (_SQRT2 * lengths[a])
-            up = list(t)
-            up[a] = n + 1
-            bra = index.get(tuple(up))
-            if bra is not None:
-                d[a, bra, ket] = -math.sqrt(n + 1) / (_SQRT2 * lengths[a])
+    d[axis, bra, ket] = (step.sum(axis=1) * np.sqrt(np.maximum(n[ket, axis], n[bra, axis]))
+                         / (_SQRT2 * lengths[axis]))
     return d
 
 
@@ -109,20 +109,12 @@ def connection_matrix(modes: list[IonModeIndex], atom_index: int,
     """Gauge connection A[mu, nu, b] over the mode set, J s/m (complex).
 
     A is i hbar times the overlap of mode nu with the gradient of mode
-    mu with respect to atom ``atom_index``; the displaced-center
-    structure makes it purely imaginary and Hermitian.
+    mu with respect to atom ``atom_index``: -i hbar sum_a J[a, b] D[a, nu, mu].
+    The displaced-center structure makes it purely imaginary and Hermitian.
     """
     jac = displacement_jacobian(atom_index, geometry, config)
     ladders = _ladder_derivatives(modes, config)
-    m = len(modes)
-    out = np.zeros((m, m, 3), dtype=complex)
-    for b in range(3):
-        acc = np.zeros((m, m))
-        for a in range(3):
-            if jac[a, b] != 0.0:
-                acc = acc + jac[a, b] * ladders[a].T
-        out[:, :, b] = -1j * cst.HBAR * acc
-    return out
+    return -1j * cst.HBAR * np.tensordot(ladders, jac, (0, 0)).transpose(1, 0, 2)
 
 
 @dataclass(frozen=True)
@@ -164,15 +156,17 @@ class LoopPath:
     """Ordered waypoints in (r1, r2) space; shape (points, 2, 3), m."""
 
     waypoints: np.ndarray
-    closed: bool = True
 
     def __post_init__(self):
         w = np.asarray(self.waypoints, dtype=float)
         if w.ndim != 3 or w.shape[1:] != (2, 3) or w.shape[0] < 2:
             raise ConfigError("waypoints must have shape (points >= 2, 2, 3)")
         object.__setattr__(self, "waypoints", w)
-        if self.closed and not np.array_equal(w[0], w[-1]):
-            raise ConfigError("a closed loop must end exactly at its first waypoint")
+
+    @property
+    def closed(self) -> bool:
+        """True when the path ends exactly at its first waypoint."""
+        return bool((self.waypoints[0] == self.waypoints[-1]).all())
 
 
 def square_loop(config: SystemConfig, side: float = 1e-6) -> LoopPath:
@@ -184,7 +178,7 @@ def square_loop(config: SystemConfig, side: float = 1e-6) -> LoopPath:
     corners = [(-half, z0 - half), (half, z0 - half), (half, z0 + half),
                (-half, z0 + half), (-half, z0 - half)]
     waypoints = [[[x, 0.0, z], r2] for x, z in corners]
-    return LoopPath(np.array(waypoints), closed=True)
+    return LoopPath(np.array(waypoints))
 
 
 def _check_path(loop: LoopPath) -> None:
@@ -208,7 +202,7 @@ def berry_phase(loop: LoopPath, mode: IonModeIndex, config: SystemConfig) -> flo
     leg cut once or twice may put an atom on the ion-trap center or on
     the other atom.
     """
-    _require_cartesian(mode)
+    _quantum_numbers([mode])
     if not loop.closed:
         raise ConfigError("Berry phase needs a closed loop")
     _check_path(loop)
@@ -224,16 +218,15 @@ def wilson_loop(loop: LoopPath, modes: list[IonModeIndex],
     exp(-sum_a (d_a(end) - d_a(start)) D_a^T), D_a the ladder derivative
     along axis a, the displacement operator D(alpha) with alpha_a =
     -(delta d_a) / (sqrt(2) l_a).  Every closed loop gives exactly the
-    identity.  The modes must be distinct and form the Cartesian product
-    of one quantum-number set per axis: only then do the truncated
-    generators commute.
+    identity.  The modes must form the Cartesian product of one
+    quantum-number set per axis: only then do the truncated generators
+    commute.
     """
     from scipy.linalg import expm
 
-    triples = {_require_cartesian(m) for m in modes}
-    axes = [{t[a] for t in triples} for a in range(3)]
-    if len(triples) != len(modes) or len(triples) != math.prod(map(len, axes)):
-        raise ConfigError("Wilson transport needs distinct modes that form a product "
+    numbers = _quantum_numbers(modes)
+    if len(modes) != math.prod(len(set(axis)) for axis in numbers.T):
+        raise ConfigError("Wilson transport needs modes that form a product "
                           "of per-axis quantum-number sets")
     _check_path(loop)
     first, last = loop.waypoints[0], loop.waypoints[-1]

@@ -133,6 +133,24 @@ def _quadrature_block(config: SystemConfig, z0: float, n_max: int, order: int,
     return block
 
 
+def _axial_problem(config: SystemConfig, z0: float, n_max: int, potential_fn):
+    """The interaction and the constant folded into the energy for the
+    solvers: the default interaction and ``_constant_offset``, or an
+    injected ``potential_fn`` and 0.  Checks n_max and, for the default,
+    that z0 lies beyond ``axial_collision_threshold``."""
+    if not 0 <= n_max <= _MAX_BASIS:
+        raise ConfigError(f"n_max must lie in [0, {_MAX_BASIS}], got {n_max}")
+    if potential_fn is not None:
+        return potential_fn, 0.0
+    threshold = axial_collision_threshold(config)
+    if z0 <= threshold:
+        raise InstabilityError(
+            f"no bound axial well at z0 = {z0:.4g} m; collision threshold is "
+            f"{threshold:.4g} m"
+        )
+    return partial(axial_interaction, config=config), _constant_offset(config)
+
+
 def axial_hamiltonian_matrix(config: SystemConfig, z0: float, n_max: int,
                              potential_fn=None) -> np.ndarray:
     """Axial pair Hamiltonian in the bare oscillator product basis, J.
@@ -144,18 +162,7 @@ def axial_hamiltonian_matrix(config: SystemConfig, z0: float, n_max: int,
     potential beyond the bare traps; no constants are folded then.
     Successive quadrature orders must agree to 1e-8 relative.
     """
-    if not 0 <= n_max <= _MAX_BASIS:
-        raise ConfigError(f"n_max must lie in [0, {_MAX_BASIS}], got {n_max}")
-    injected = potential_fn is not None
-    if not injected:
-        threshold = axial_collision_threshold(config)
-        if z0 <= threshold:
-            raise InstabilityError(
-                f"no bound axial well at z0 = {z0:.4g} m; collision threshold is "
-                f"{threshold:.4g} m"
-            )
-        potential_fn = partial(axial_interaction, config=config)
-
+    potential_fn, offset = _axial_problem(config, z0, n_max, potential_fn)
     order = 4 * n_max + _QUAD_MARGIN
     block = _quadrature_block(config, z0, n_max, order, potential_fn)
     check = _quadrature_block(config, z0, n_max, order + 16, potential_fn)
@@ -170,9 +177,7 @@ def axial_hamiltonian_matrix(config: SystemConfig, z0: float, n_max: int,
     n = n_max + 1
     n1, n2 = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     diag = cst.HBAR * config.atom_trap.axial * (n1 + n2 + 1).reshape(-1).astype(float)
-    if not injected:
-        diag = diag + _constant_offset(config)
-    h = check + np.diag(diag)
+    h = check + np.diag(diag + offset)
     return 0.5 * (h + h.T)
 
 
@@ -337,19 +342,7 @@ def lowest_pair(config: SystemConfig, z0: float, n_max: int,
       folded into H as in the dense matrix; max|diag H| <= ||H||_2, the
       scale of the dense gate on every pair.
     """
-    if not 0 <= n_max <= _MAX_BASIS:
-        raise ConfigError(f"n_max must lie in [0, {_MAX_BASIS}], got {n_max}")
-    offset = 0.0
-    if potential_fn is None:
-        threshold = axial_collision_threshold(config)
-        if z0 <= threshold:
-            raise InstabilityError(
-                f"no bound axial well at z0 = {z0:.4g} m; collision threshold is "
-                f"{threshold:.4g} m"
-            )
-        potential_fn = partial(axial_interaction, config=config)
-        offset = _constant_offset(config)
-
+    potential_fn, offset = _axial_problem(config, z0, n_max, potential_fn)
     n = n_max + 1
     order = 4 * n_max + _QUAD_MARGIN
     q_lo, grid_lo = _interaction_grid(config, z0, n_max, order, potential_fn)

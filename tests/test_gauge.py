@@ -28,7 +28,7 @@ from ionbridge import (
     square_loop,
     wilson_loop,
 )
-from ionbridge.gauge import _jacobian
+from ionbridge.gauge import _jacobian, _ladder_derivatives
 from ionbridge.motion import hermite_values
 
 
@@ -69,7 +69,7 @@ def open_path(config, end1=(0.5e-6, 1.0e-6, -2.5e-6)):
         [[0.0, 0.0, z0], [0.0, 0.0, -z0]],
         [[1.5e-6, -0.5e-6, z0 - 1.0e-6], [0.3e-6, 0.0, -z0 + 0.5e-6]],
         [np.add(end1, [0.0, 0.0, z0]), [-0.4e-6, 0.6e-6, -z0 - 1.0e-6]],
-    ]), closed=False)
+    ]))
 
 
 def oracle_gauge_element(bra, ket, atom_index, geometry, config, axis, delta=1e-9):
@@ -165,6 +165,29 @@ class TestConnectionStructure:
             oracles.gauge_element(IonModeIndex.cylindrical(0, 0, 0),
                                   IonModeIndex.cylindrical(0, 0, 1), 1, geom, cfg_rr)
 
+    @pytest.mark.parametrize("modes, message", [
+        (cartesian_modes(1) + cartesian_modes(0), "distinct"),  # D antisymmetric only then
+        ([], "at least one"),
+    ])
+    def test_repeated_or_no_modes_rejected(self, cfg_rr, geom, modes, message):
+        with pytest.raises(ConfigError, match=message):
+            connection_matrix(modes, 1, geom, cfg_rr)
+        with pytest.raises(ConfigError, match=message):
+            connection_records(modes, geom, cfg_rr)
+        with pytest.raises(ConfigError, match=message):
+            gauge_hermiticity_check(modes, geom, cfg_rr)
+        with pytest.raises(ConfigError, match=message):
+            wilson_loop(open_path(cfg_rr), modes, cfg_rr)
+
+    @pytest.mark.parametrize("max_n", [0, 1, 2, 3])
+    def test_ladder_derivatives_are_exactly_antisymmetric(self, cfg_rr, max_n):
+        # the structural zero that gauge_hermiticity_check reports
+        modes = cartesian_modes(max_n)
+        shuffled = [modes[k] for k in np.random.default_rng(max_n).permutation(len(modes))]
+        for mode_list in (modes, shuffled):
+            d = _ladder_derivatives(mode_list, cfg_rr)
+            assert np.array_equal(d, -d.transpose(0, 2, 1))
+
     def test_element_consistent_with_matrix_slice(self, cfg_rr, geom):
         modes = cartesian_modes(1)
         conn = connection_matrix(modes, 1, geom, cfg_rr)
@@ -220,9 +243,11 @@ class TestLoops:
             [[0.0, 0.0, 8e-6], [0.0, 0.0, -8e-6]],
             [[1e-6, 0.0, 8e-6], [0.0, 0.0, -8e-6]],
         ])
-        with pytest.raises(ConfigError):
-            LoopPath(open_path, closed=True)
-        LoopPath(open_path, closed=False)  # fine as an open path
+        LoopPath(open_path)  # fine as an open path
+
+    def test_closed_when_the_path_ends_where_it_starts(self, cfg_rr):
+        assert square_loop(cfg_rr).closed is True
+        assert open_path(cfg_rr).closed is False
 
     def test_segments_cover_the_path(self, cfg_rr):
         loop = square_loop(cfg_rr, side=2e-6)
@@ -295,8 +320,7 @@ class TestLoops:
         with pytest.raises(SingularGeometryError, match="ion-trap center"):
             wilson_loop(path, cartesian_modes(1), cfg_rr)
         # an open path that ends on the ion-trap center
-        ends_on_ion = LoopPath(np.array([[[1e-6, 0.0, 0.0], r2], [[0.0, 0.0, 0.0], r2]]),
-                               closed=False)
+        ends_on_ion = LoopPath(np.array([[[1e-6, 0.0, 0.0], r2], [[0.0, 0.0, 0.0], r2]]))
         with pytest.raises(SingularGeometryError, match="ion-trap center"):
             wilson_loop(ends_on_ion, cartesian_modes(1), cfg_rr)
 
@@ -304,7 +328,7 @@ class TestLoops:
         path = LoopPath(np.array([
             [[0.0, 0.0, 8e-6], [0.0, 0.0, -8e-6]],
             [[1e-6, 0.0, 8e-6], [0.0, 0.0, -8e-6]],
-        ]), closed=False)
+        ]))
         with pytest.raises(ConfigError):
             berry_phase(path, IonModeIndex.cartesian(0, 0, 0), cfg_rr)
 

@@ -27,6 +27,14 @@ GOLDEN = [
      "beb62d23cb2067511c5b04ebef7c6b74a76da9251b2d0a867c2fa9e1bd0c5c0f"),
     (["gauge", "--max-n", "1"], "phases.csv",
      "63edd256b04e00ca1a348880473afc8ef83bcf2e1b7d5400495406a7ca9d291e"),
+    (["gauge", "--max-n", "2"], "connection.csv",
+     "ec980d6f5cd7667b3e488f9ed58eb821627b0ac9bc2e412ebaab7208334d0ac1"),
+    (["gauge", "--max-n", "2"], "phases.csv",
+     "4576ea9f0ba55c89c999cc62b4de7c314f940bda1aebbe43da53c101edb1cd22"),
+    (["gauge", "--max-n", "3"], "connection.csv",
+     "31b222b535d55a650caf5120924c6893506aa43363f896d6ccc794ef7dfd3fd6"),
+    (["gauge", "--max-n", "3"], "phases.csv",
+     "065ffb0b6fec82eb3dd3bb970c8898b5cf92468bbefa12a463482991af345af8"),
 ]
 
 

@@ -524,6 +524,33 @@ class TestMatrixFreeSolver:
         with pytest.raises(InstabilityError):
             lowest_pair(cfg_rr, 5.0e-6, 8)
 
+    @pytest.mark.parametrize("n_max, at_threshold, error", [(-1, False, ConfigError),
+                                                            (61, False, ConfigError),
+                                                            (8, True, InstabilityError)])
+    def test_both_solvers_refuse_alike(self, cfg_rr, n_max, at_threshold, error):
+        z0 = axial_collision_threshold(cfg_rr) if at_threshold else cfg_rr.half_separation_z0
+        messages = []
+        for solver in (axial_hamiltonian_matrix, lowest_pair):
+            with pytest.raises(error) as caught:
+                solver(cfg_rr, z0, n_max)
+            assert type(caught.value) is error
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+
+    def test_neither_solver_folds_constants_into_an_injected_potential(self, cfg_rr):
+        # a zero interaction leaves the bare axial ladder hbar w_az (n1 + n2 + 1)
+        z0 = cfg_rr.half_separation_z0
+        unit = cst.HBAR * cfg_rr.atom_trap.axial
+
+        def zero(z1, z2):
+            return np.zeros(np.broadcast(z1, z2).shape)
+
+        h = axial_hamiltonian_matrix(cfg_rr, z0, 3, potential_fn=zero)
+        levels = np.add.outer(np.arange(4), np.arange(4)).ravel() + 1.0
+        np.testing.assert_array_equal(h, np.diag(unit * levels))
+        energy, _, _ = lowest_pair(cfg_rr, z0, 3, potential_fn=zero)
+        assert energy == pytest.approx(unit, rel=1e-12)
+
     @pytest.mark.parametrize("z0, error", [(0.0, InstabilityError), (5.0e-6, InstabilityError),
                                            (float("nan"), ConfigError),
                                            (float("inf"), ConfigError), (5e293, ConfigError)])
