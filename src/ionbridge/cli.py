@@ -177,19 +177,11 @@ def cmd_phonons(args) -> int:
 
     grid = np.linspace(args.sep_min_um, args.sep_max_um, args.points) * 1e-6
     sweep = mode_sweep(config, grid)
-    rows = [
-        (
-            sweep["separation"][k] * 1e6,
-            sweep["axial_stretch_sq"][k] / _KHZ2,
-            sweep["axial_com_sq"][k] / _KHZ2,
-            sweep["transverse_stretch_sq"][k] / _KHZ2,
-            sweep["transverse_com_sq"][k] / _KHZ2,
-            sweep["axial_angle"][k],
-            sweep["transverse_angle"][k],
-            bool(sweep["stable"][k]),
-        )
-        for k in range(grid.size)
-    ]
+    columns = (sweep["separation"] * 1e6,
+               *(sweep[key] / _KHZ2 for key in ("axial_stretch_sq", "axial_com_sq",
+                                                 "transverse_stretch_sq", "transverse_com_sq")),
+               sweep["axial_angle"], sweep["transverse_angle"], sweep["stable"])
+    rows = zip(*(column.tolist() for column in columns))
     path = write_table(
         _require_out(args) / "phonons.csv",
         _metadata("phonons", digest, sep_min_um=args.sep_min_um,

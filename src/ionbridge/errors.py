@@ -5,6 +5,15 @@ with 2, accuracy/convergence failures with 3, and instability-domain
 errors with 4.
 """
 
+__all__ = [
+    "IonBridgeError",
+    "ConfigError",
+    "SingularGeometryError",
+    "AccuracyError",
+    "InstabilityError",
+    "NotBracketedError",
+]
+
 
 class IonBridgeError(Exception):
     """Base class for all package errors."""

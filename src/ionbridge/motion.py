@@ -112,27 +112,6 @@ def axial_collision_threshold(config: SystemConfig) -> float:
     )
 
 
-def _quadrature_block(config: SystemConfig, z0: float, n_max: int, order: int,
-                      potential_fn) -> np.ndarray:
-    """Gauss-Hermite matrix of the interaction in the product basis.
-
-    Returns the (N^2, N^2) block ordered with flat index n1 * N + n2.
-    """
-    length = characteristic_scales(config).a_z
-    xi, weights = _gauss_hermite(order)
-    z1 = z0 + length * xi
-    z2 = -z0 + length * xi
-    w_grid = potential_fn(z1[:, None], z2[None, :])
-
-    p = hermite_values(n_max, xi)
-    n = n_max + 1
-    # pair[a, (bra, ket)] = w_a p_bra(xi_a) p_ket(xi_a)
-    pair = (p[:, :, None] * p[:, None, :] * weights[:, None, None]).reshape(order, n * n)
-    block = pair.T @ w_grid @ pair            # [(bra1, ket1), (bra2, ket2)]
-    block = block.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    return block
-
-
 def _axial_problem(config: SystemConfig, z0: float, n_max: int, potential_fn):
     """The interaction and the constant folded into the energy for the
     solvers: the default interaction and ``_constant_offset``, or an
@@ -160,12 +139,13 @@ def axial_hamiltonian_matrix(config: SystemConfig, z0: float, n_max: int,
     and the frozen radial zero point 2 hbar w_rho folded into the
     diagonal.  Passing ``potential_fn(z1, z2)`` replaces exactly the
     potential beyond the bare traps; no constants are folded then.
-    Successive quadrature orders must agree to 1e-8 relative.
+    The interaction must be finite on both quadrature grids, and the
+    blocks of the two orders must agree to 1e-8 relative.
     """
     potential_fn, offset = _axial_problem(config, z0, n_max, potential_fn)
     order = 4 * n_max + _QUAD_MARGIN
-    block = _quadrature_block(config, z0, n_max, order, potential_fn)
-    check = _quadrature_block(config, z0, n_max, order + 16, potential_fn)
+    block = _dense_block(*_interaction_grid(config, z0, n_max, order, potential_fn))
+    check = _dense_block(*_interaction_grid(config, z0, n_max, order + 16, potential_fn))
     scale = np.max(np.abs(check))
     drift = np.max(np.abs(block - check))
     if scale > 0.0 and drift > 1e-8 * scale:
@@ -175,9 +155,8 @@ def axial_hamiltonian_matrix(config: SystemConfig, z0: float, n_max: int,
         )
 
     n = n_max + 1
-    n1, n2 = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    diag = cst.HBAR * config.atom_trap.axial * (n1 + n2 + 1).reshape(-1).astype(float)
-    h = check + np.diag(diag + offset)
+    kinetic = np.add.outer(np.arange(n), np.arange(n)).ravel() + 1.0
+    h = _axial_energy_scale(config) * (check + np.diag(kinetic)) + offset * np.eye(n * n)
     return 0.5 * (h + h.T)
 
 
@@ -270,9 +249,9 @@ def _interaction_grid(config: SystemConfig, z0: float, n_max: int, order: int,
     """Hermite values Q[a, n] = p_n(xi_a) at the Gauss-Hermite nodes and the
     weighted interaction w_a w_b W(z1_a, z2_b) on the node grid, hbar w_az.
 
-    With these, the block of ``_quadrature_block`` is the action
+    With these, the interaction block is the action
     C -> Q^T (grid * (Q C Q^T)) Q on (N, N) coefficient matrices
-    (``_block_action``).
+    (``_block_action``), or the dense matrix of ``_dense_block``.
     """
     length = characteristic_scales(config).a_z
     xi, weights = _gauss_hermite(order)
@@ -285,6 +264,14 @@ def _interaction_grid(config: SystemConfig, z0: float, n_max: int, order: int,
 
 def _block_action(q: np.ndarray, grid: np.ndarray, c: np.ndarray) -> np.ndarray:
     return q.T @ (grid * (q @ c @ q.T)) @ q
+
+
+def _dense_block(q: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """The (N^2, N^2) matrix of ``_block_action``, flat index n1 * N + n2."""
+    order, n = q.shape
+    pair = (q[:, :, None] * q[:, None, :]).reshape(order, n * n)   # [a, (bra, ket)]
+    block = pair.T @ grid @ pair                                   # [(bra1, ket1), (bra2, ket2)]
+    return block.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
 
 def _extreme_pair(apply, n: int, which: str, tol: float,

@@ -1,0 +1,29 @@
+"""The modules of the package import one another without a cycle."""
+
+import ast
+from graphlib import TopologicalSorter
+from pathlib import Path
+
+import ionbridge
+
+PACKAGE = Path(ionbridge.__file__).parent
+
+
+def relative_imports(path: Path) -> set[str]:
+    """Sibling modules that ``path`` imports, at any depth of its code."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                names.update(alias.name for alias in node.names)
+            else:
+                names.add(node.module.split(".")[0])
+    return names
+
+
+def test_no_import_cycle_between_modules():
+    graph = {path.stem: relative_imports(path)
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    assert set().union(*graph.values()) <= set(graph)
+    order = list(TopologicalSorter(graph).static_order())   # CycleError on a cycle
+    assert sorted(order) == sorted(graph)

@@ -32,7 +32,8 @@ from ionbridge import (
 from ionbridge import motion
 from ionbridge.motion import (
     _QUAD_MARGIN,
-    _quadrature_block,
+    _dense_block,
+    _interaction_grid,
     hermite_values,
     lowest_pair,
 )
@@ -259,11 +260,11 @@ def sa_matvec_counts(monkeypatch):
 
 
 def entrywise_drift(config, z0, n_max, potential_fn):
-    """The dense gate's measure: max|B1 - B2| / max|B2| between orders
-    4n+8 and 4n+24 of ``_quadrature_block``."""
+    """The dense gate's measure: max|B1 - B2| / max|B2| between the blocks
+    of orders 4n+8 and 4n+24."""
     order = 4 * n_max + _QUAD_MARGIN
-    coarse = _quadrature_block(config, z0, n_max, order, potential_fn)
-    fine = _quadrature_block(config, z0, n_max, order + 16, potential_fn)
+    coarse = _dense_block(*_interaction_grid(config, z0, n_max, order, potential_fn))
+    fine = _dense_block(*_interaction_grid(config, z0, n_max, order + 16, potential_fn))
     return np.max(np.abs(coarse - fine)) / np.max(np.abs(fine))
 
 
@@ -361,9 +362,10 @@ class TestMatrixFreeSolver:
 
     def test_non_finite_potential_is_rejected(self, cfg_rr):
         z0 = cfg_rr.half_separation_z0
-        with pytest.raises(AccuracyError, match="not finite"):
-            lowest_pair(cfg_rr, z0, 4,
-                        potential_fn=lambda z1, z2: np.full(np.broadcast(z1, z2).shape, np.nan))
+        for solver in (lowest_pair, axial_hamiltonian_matrix):
+            with pytest.raises(AccuracyError, match="not finite"):
+                solver(cfg_rr, z0, 4,
+                       potential_fn=lambda z1, z2: np.full(np.broadcast(z1, z2).shape, np.nan))
 
     def test_injected_potential_folds_no_constants(self, cfg_rr):
         # a stiffer harmonic trap per atom: E = hbar sqrt(w^2 + dw^2) exactly
