@@ -18,7 +18,7 @@ import numpy as np
 
 from . import constants as cst
 from .config import load_config, parse_state
-from .csvio import write_table
+from .csvio import write_grid_table, write_table
 from .errors import (
     AccuracyError,
     ConfigError,
@@ -263,9 +263,7 @@ def cmd_density(args) -> int:
                               "below the float resolution of its positions")
         density = pair_density(state, z1, z2)
 
-        grid_z1, grid_z2 = np.meshgrid(z1 * 1e6, z2 * 1e6, indexing="ij")
-        rows = np.column_stack([grid_z1.ravel(), grid_z2.ravel(), density.ravel() * 1e-12])
-        path = write_table(
+        path = write_grid_table(
             out_dir / f"density_{sep_um:g}um.csv",
             _metadata("density", digest, separation_um=sep_um,
                       n_max_used=state.n_max,
@@ -273,7 +271,7 @@ def cmd_density(args) -> int:
                       ground_energy_kHz=_to_khz(state.energy),
                       grid_points=args.points, grid_half_width_um=reach * 1e6),
             ["z1_um", "z2_um", "density_per_um2"],
-            rows,
+            z1 * 1e6, z2 * 1e6, density * 1e-12,
             overwrite=args.overwrite,
         )
         print(f"2z0 = {sep_um:g} um: n_max = {state.n_max}, "

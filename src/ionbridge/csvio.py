@@ -9,9 +9,11 @@ Layout of every table:
 Floats go through a fixed format so repeated runs produce byte-identical
 files.  A float array of rows is formatted in one call with that
 format; any other rows go cell by cell through ``format_value``, which
-gives the same bytes for a float.  Writes land in a temporary file in
-the target directory and are moved into place with os.replace, so a
-crashed run never leaves a truncated table behind.
+gives the same bytes for a float.  ``write_grid_table`` gives those
+bytes for the rows of a value grid, formatting each axis value once.
+Writes land in a temporary file in the target directory and are moved
+into place with os.replace, so a crashed run never leaves a truncated
+table behind.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError
 
-__all__ = ["format_value", "write_table"]
+__all__ = ["format_value", "write_grid_table", "write_table"]
 
 _FLOAT_FORMAT = "%.12g"
 
@@ -46,26 +48,49 @@ def format_value(value) -> str:
 
 def write_table(path, metadata, header, rows, overwrite: bool = False) -> Path:
     """Write one CSV table; refuses to clobber unless overwrite is set."""
-    path = Path(path)
-    if path.exists() and not overwrite:
-        raise ConfigError(f"output {path} already exists; pass --overwrite to replace it")
-    path.parent.mkdir(parents=True, exist_ok=True)
-
-    lines = [f"# {key} = {format_value(value)}" for key, value in dict(metadata).items()]
-    lines.append(",".join(header))
+    body = []
     if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
         if rows.ndim != 2 or rows.shape[1] != len(header):
             raise ValueError(f"rows of shape {rows.shape} do not match header {len(header)}")
         if len(rows):
             row_format = ",".join([_FLOAT_FORMAT] * len(header))
-            lines.append("\n".join([row_format] * len(rows)) % tuple(rows.ravel().tolist()))
+            body.append("\n".join([row_format] * len(rows)) % tuple(rows.ravel().tolist()))
     else:
         for row in rows:
             cells = [format_value(cell) for cell in row]
             if len(cells) != len(header):
                 raise ValueError(f"row width {len(cells)} does not match header {len(header)}")
-            lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
+            body.append(",".join(cells))
+    return _write(path, metadata, header, body, overwrite)
+
+
+def write_grid_table(path, metadata, header, x, y, values, overwrite: bool = False) -> Path:
+    """Write ``values[i, j]`` on the grid x (outer) by y as rows (x_i, y_j,
+    value), the bytes ``write_table`` gives for those rows as a float
+    array; each axis value is formatted once, not once per row."""
+    x, y, values = (np.asarray(a, dtype=float) for a in (x, y, values))
+    if len(header) != 3 or x.ndim != 1 or y.ndim != 1 or values.shape != (x.size, y.size):
+        raise ValueError(f"values of shape {values.shape} on axes of {x.size} and {y.size} "
+                         f"points do not match header {len(header)}")
+    body = []
+    if values.size:
+        ends = [f",{_FLOAT_FORMAT % b},{_FLOAT_FORMAT}" for b in y.tolist()]
+        starts = [_FLOAT_FORMAT % a for a in x.tolist()]
+        template = "\n".join([a + ("\n" + a).join(ends) for a in starts])
+        body.append(template % tuple(values.ravel().tolist()))
+    return _write(path, metadata, header, body, overwrite)
+
+
+def _write(path, metadata, header, body: list[str], overwrite: bool) -> Path:
+    """Write the preamble and the formatted data lines to a temporary file
+    beside ``path``, then move it into place."""
+    path = Path(path)
+    if path.exists() and not overwrite:
+        raise ConfigError(f"output {path} already exists; pass --overwrite to replace it")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    lines = [f"# {key} = {format_value(value)}" for key, value in dict(metadata).items()]
+    lines.append(",".join(header))
+    text = "\n".join(lines + body) + "\n"
 
     handle = tempfile.NamedTemporaryFile(
         "w", dir=path.parent, prefix=path.name + ".", suffix=".tmp", delete=False

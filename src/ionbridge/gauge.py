@@ -222,8 +222,6 @@ def wilson_loop(loop: LoopPath, modes: list[IonModeIndex],
     quantum-number set per axis: only then do the truncated generators
     commute.
     """
-    from scipy.linalg import expm
-
     numbers = _quantum_numbers(modes)
     if len(modes) != math.prod(len(set(axis)) for axis in numbers.T):
         raise ConfigError("Wilson transport needs modes that form a product "
@@ -234,5 +232,9 @@ def wilson_loop(loop: LoopPath, modes: list[IonModeIndex],
              - np.array(_ion_shift(first[0], first[1], config)))
     if not np.isfinite(shift).all():
         raise ConfigError("ion displacement at the path's ends leaves the float range")
-    ladders = _ladder_derivatives(modes, config)
-    return expm(-np.einsum("a,aij->ji", shift, ladders))
+    generator = -np.einsum("a,aij->ji", shift, _ladder_derivatives(modes, config))
+    # M is real antisymmetric, so i M = U L U^H is Hermitian and exp(M) =
+    # 1 + (U (exp(-i L) - 1) U^H).real: exactly 1 at M = 0, and rounded
+    # relative to M rather than to 1
+    values, vectors = np.linalg.eigh(1j * generator)
+    return np.eye(len(modes)) + ((vectors * np.expm1(-1j * values)) @ vectors.conj().T).real

@@ -9,12 +9,13 @@ their ground state and contribute the constant 2 hbar omega_rho.
 ``basis_ground_state`` never forms the (N^2, N^2) matrix: it applies the
 quadrature block to a coefficient matrix through the node grid, as in a
 discrete variable representation (Light, Hamilton and Lill, JCP 82,
-1400 (1985)), and Lanczos (ARPACK, Lehoucq et al. 1998) finds the lowest
-pair.  Lanczos converges faster the more its start overlaps the wanted
-eigenvector (Parlett, The Symmetric Eigenvalue Problem, 1980), so each
-cold solve starts from the quadratic-limit ground state projected onto
-the basis, and the convergence check at n + 4 from the solution at n,
-zero-padded; each Gauss-Hermite rule is computed once per order.
+1400 (1985)), and Lanczos with full reorthogonalization finds the
+lowest pair.  Lanczos converges faster the more its start overlaps
+the wanted eigenvector (Parlett, The Symmetric Eigenvalue Problem,
+1980), so each cold solve starts from the quadratic-limit ground state
+projected onto the basis, and the convergence check at n + 4 from the
+solution at n, zero-padded; each Gauss-Hermite rule is computed once
+per order.
 ``axial_hamiltonian_matrix`` and ``symmetric_eigensolve`` build
 and diagonalize the dense matrix; they are the reference it is tested
 against.  ``gaussian_ground_state`` is the quadratic limit: the normal
@@ -55,6 +56,8 @@ _RAMP_LIMIT = 50
 _CONVERGENCE_STEP = 4
 _QUAD_MARGIN = 8
 _NORM_TOL = 1e-3   # relative tolerance of the Lanczos estimate of ||D||_2
+_LANCZOS_CHECK = 8     # Lanczos steps between Ritz-pair checks
+_LANCZOS_STEPS = 240   # step cap: n_max 60 from all ones, the hardest tested solve, takes 160
 
 
 @lru_cache(maxsize=None)
@@ -279,27 +282,43 @@ def _extreme_pair(apply, n: int, which: str, tol: float,
     """Lowest ("SA") or largest-magnitude ("LM") eigenpair of the symmetric
     operator ``apply`` on (n, n) coefficient matrices, flattened row-major.
 
-    Lanczos starts from ``v0`` (default: all ones).  ARPACK needs a
-    dimension above 2; smaller operators are applied to the identity and
-    diagonalized densely.
+    Lanczos from ``v0`` (default: all ones), reorthogonalized twice per
+    step against the whole stored basis and never restarted.  Every
+    _LANCZOS_CHECK steps the Ritz pair (theta, V s) of the tridiagonal T
+    is accepted when Paige's residual estimate beta |s_m| is at most
+    tol max|theta| (tol 0: machine epsilon), and at once when the Krylov
+    space is invariant (beta = 0, or the whole space).  Parlett, The
+    Symmetric Eigenvalue Problem (1980), ch. 13.
     """
     dim = n * n
-    if dim <= 2:
-        matrix = np.column_stack([apply(e.reshape(n, n)).ravel() for e in np.eye(dim)])
-        values, vectors = symmetric_eigensolve(0.5 * (matrix + matrix.T))
-        k = 0 if which == "SA" else int(np.argmax(np.abs(values)))
-        return values[k], vectors[:, k]
-
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
-
-    operator = LinearOperator((dim, dim), matvec=lambda v: apply(v.reshape(n, n)).ravel(),
-                              dtype=float)
-    try:
-        values, vectors = eigsh(operator, k=1, which=which, tol=tol,
-                                v0=np.ones(dim) if v0 is None else v0)
-    except ArpackError as err:
-        raise AccuracyError(f"Lanczos ({which}) failed at dimension {dim}: {err}") from err
-    return values[0], vectors[:, 0]
+    steps = min(dim, _LANCZOS_STEPS)
+    tol = tol or np.finfo(float).eps
+    basis = np.empty((steps, dim))
+    alpha, beta = np.empty(steps), np.empty(steps)
+    start = np.ones(dim) if v0 is None else np.asarray(v0, dtype=float)
+    basis[0] = start / np.linalg.norm(start)
+    for m in range(steps):
+        w = apply(basis[m].reshape(n, n)).ravel()
+        if not np.isfinite(w).all():
+            raise AccuracyError(f"Lanczos ({which}) at dimension {dim}: operator output "
+                                "is not finite")
+        size = m + 1
+        overlaps = basis[:size] @ w
+        alpha[m] = overlaps[m]
+        w = w - overlaps @ basis[:size]
+        w -= (basis[:size] @ w) @ basis[:size]
+        beta[m] = np.linalg.norm(w)
+        if size % _LANCZOS_CHECK == 0 or beta[m] == 0.0 or size == steps:
+            t = np.diag(alpha[:size]) + np.diag(beta[:m], 1) + np.diag(beta[:m], -1)
+            theta, s = np.linalg.eigh(t)
+            k = 0 if which == "SA" else int(np.argmax(np.abs(theta)))
+            if (beta[m] == 0.0 or size == dim
+                    or beta[m] * abs(s[m, k]) <= tol * np.max(np.abs(theta))):
+                return theta[k], s[:, k] @ basis[:size]
+        if size < steps:
+            basis[size] = w / beta[m]
+    raise AccuracyError(f"Lanczos ({which}) not converged in {steps} steps at "
+                        f"dimension {dim}")
 
 
 def lowest_pair(config: SystemConfig, z0: float, n_max: int,
@@ -406,8 +425,8 @@ def basis_ground_state(config: SystemConfig, z0: float, n_max: int = 30) -> Basi
     the check at n + 4 starts from the solution at n, zero-padded, which
     it is close to.  On the four benchmark density jobs (2z0 = 12, 16
     and 24 um at n_max 30, 12 um at n_max 40) the solve at n_max takes
-    71/41/41/71 operator applications, against 131/101/101/151 from all
-    ones.
+    64/40/24/72 operator applications, against 120/88/80/136 from all
+    ones, and the check 64/16/8/40.
     """
     cap = _MAX_BASIS - _CONVERGENCE_STEP
     if not 0 <= n_max <= cap:

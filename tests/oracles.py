@@ -7,13 +7,15 @@ spectrum and sweep built on them, the critical-separation bisection,
 the loop segments, the one-pair connection element, the Berry-phase
 line integral and the path-ordered Wilson product.
 The unexpanded ion potential and its finite-difference minimizer check
-the closed-form ion displacement.
+the closed-form ion displacement, and ARPACK (``arpack_pair``) is a
+second oracle for the library's Lanczos routine.
 """
 
 import math
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from ionbridge import (
     AccuracyError,
@@ -329,3 +331,16 @@ def oracle_min_ion_energy(geometry, config, max_iter=500):
         if done:
             return energy, x
     raise AccuracyError(f"ion-energy minimization did not converge in {max_iter} iterations")
+
+
+def arpack_pair(apply, n, which, tol, v0=None):
+    """``motion._extreme_pair`` through ARPACK ``eigsh``: the lowest ("SA")
+    or largest-magnitude ("LM") pair of ``apply`` on (n, n) matrices,
+    flattened row-major, started from ``v0`` (default: all ones).  ARPACK
+    needs a dimension above 2."""
+    dim = n * n
+    operator = LinearOperator((dim, dim), matvec=lambda v: apply(v.reshape(n, n)).ravel(),
+                              dtype=float)
+    values, vectors = eigsh(operator, k=1, which=which, tol=tol,
+                            v0=np.ones(dim) if v0 is None else v0)
+    return values[0], vectors[:, 0]

@@ -20,6 +20,17 @@ from ionbridge import (
 )
 
 
+def fresh_stdout(code, *args):
+    """The last stdout line of ``code`` run in a fresh interpreter on this
+    checkout's ionbridge, with ``args`` as sys.argv[1:]."""
+    src = str(Path(ionbridge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                            capture_output=True, text=True, check=True, timeout=120)
+    return result.stdout.splitlines()[-1]
+
+
 class TestStateParsing:
     @pytest.mark.parametrize("token, kind, n", [
         ("g", "ground", None),
@@ -186,29 +197,29 @@ class TestFileLoading:
         assert digest == direct
 
     def test_import_and_load_do_not_load_scipy(self, config_file):
-        src = str(Path(ionbridge.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         code = ("import sys, ionbridge; ionbridge.load_config(sys.argv[1]); "
                 "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-        result = subprocess.run([sys.executable, "-c", code, str(config_file())], env=env,
-                                capture_output=True, text=True, check=True, timeout=60)
-        assert result.stdout.strip() == "[]"
+        assert fresh_stdout(code, config_file()) == "[]"
 
     def test_fresh_subcommands_do_not_load_scipy(self, config_file, tmp_path):
-        # every subcommand but density runs on numpy alone
-        src = str(Path(ionbridge.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         code = ("import sys\n"
                 "from ionbridge.cli import main\n"
-                "for command in ('scales', 'bo-curve', 'phonons', 'critical', 'gauge'):\n"
+                "for command in ('scales', 'bo-curve', 'phonons', 'critical', 'gauge',\n"
+                "                'density'):\n"
                 "    assert main([command, '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
                 "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-        result = subprocess.run([sys.executable, "-c", code, str(config_file()),
-                                 str(tmp_path / "out")], env=env,
-                                capture_output=True, text=True, check=True, timeout=120)
-        assert result.stdout.splitlines()[-1] == "[]"
+        assert fresh_stdout(code, config_file(), tmp_path / "out") == "[]"
+
+    def test_fresh_wilson_loop_does_not_load_scipy(self):
+        # atom 1 moves 1 um in x and z: the transport is about 6e-3 off the identity
+        code = ("import sys, numpy as np, ionbridge\n"
+                "config = ionbridge.reference_config('rr')\n"
+                "path = ionbridge.LoopPath([[[0, 0, 8e-6], [0, 0, -8e-6]],\n"
+                "                           [[1e-6, 0, 7e-6], [0, 0, -8e-6]]])\n"
+                "w = ionbridge.wilson_loop(path, ionbridge.cartesian_modes(2), config)\n"
+                "assert np.abs(w - np.eye(len(w))).max() > 1e-4\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        assert fresh_stdout(code) == "[]"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):

@@ -1,11 +1,13 @@
-"""Table writer: float arrays are formatted in one call with the per-cell bytes."""
+"""Table writer: float arrays and value grids are formatted in one call with
+the per-cell bytes."""
 
 import os
 
 import numpy as np
 import pytest
 
-from ionbridge.csvio import format_value, write_table
+from ionbridge import ConfigError
+from ionbridge.csvio import format_value, write_grid_table, write_table
 
 SPECIAL = [
     0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -65,3 +67,37 @@ def test_table_mode_follows_the_umask(tmp_path, umask, mode):
     finally:
         os.umask(previous)
     assert path.stat().st_mode & 0o777 == mode
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 7), (7, 1), (161, 161)])
+def test_grid_table_bytes_match_the_row_table(tmp_path, nx, ny):
+    rng = np.random.default_rng(nx * 1000 + ny)
+    x = np.sort(rng.normal(size=nx)) * 1e1
+    y = np.sort(rng.normal(size=ny)) * 1e-3
+    values = rng.normal(size=(nx, ny)) * 10.0 ** rng.uniform(-300, 5, size=(nx, ny))
+    values.flat[:len(SPECIAL)] = SPECIAL[:values.size]
+    grid_x, grid_y = np.meshgrid(x, y, indexing="ij")
+    rows = np.column_stack([grid_x.ravel(), grid_y.ravel(), values.ravel()])
+    metadata = {"command": "density", "grid_points": nx}
+    header = ["z1_um", "z2_um", "density_per_um2"]
+    grid = write_grid_table(tmp_path / "grid.csv", metadata, header, x, y, values)
+    table = write_table(tmp_path / "rows.csv", metadata, header, rows)
+    assert grid.read_bytes() == table.read_bytes()
+
+
+def test_grid_table_shape_must_match(tmp_path):
+    with pytest.raises(ValueError):
+        write_grid_table(tmp_path / "t.csv", {}, ["a", "b", "c"], np.zeros(3), np.zeros(4),
+                         np.zeros((4, 3)))
+    with pytest.raises(ValueError):
+        write_grid_table(tmp_path / "t.csv", {}, ["a", "b"], np.zeros(3), np.zeros(4),
+                         np.zeros((3, 4)))
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_grid_table_refuses_to_clobber(tmp_path):
+    path = write_grid_table(tmp_path / "t.csv", {}, ["a", "b", "c"], [1.0], [2.0], [[3.0]])
+    with pytest.raises(ConfigError, match="already exists"):
+        write_grid_table(path, {}, ["a", "b", "c"], [1.0], [2.0], [[4.0]])
+    write_grid_table(path, {}, ["a", "b", "c"], [1.0], [2.0], [[4.0]], overwrite=True)
+    assert path.read_text() == "a,b,c\n1,2,4\n"

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
+from scipy.linalg import expm
 from scipy.special import eval_genlaguerre
 
 import oracles
@@ -368,6 +369,22 @@ class TestLoops:
                                zip(quantum_numbers(modes[i]), quantum_numbers(modes[j]), alpha))
                      for j in low] for i in low]
         np.testing.assert_allclose(w[np.ix_(low, low)], expected, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("max_n", [1, 2, 3, 6])
+    @pytest.mark.parametrize("end_z, atol", [(6e-6, 1e-14), (3e-6, 1e-14), (1.5e-6, 1e-12)])
+    def test_wilson_loop_matches_expm(self, cfg_rr, max_n, end_z, atol):
+        # atom 1 ends 1.5 um from the ion: the ion moves 0.9 um, alpha_z is
+        # about 18, and scipy's expm is itself off by up to 3e-13 there
+        z0 = cfg_rr.half_separation_z0
+        path = LoopPath(np.array([[[0.0, 0.0, z0], [0.0, 0.0, -z0]],
+                                  [[0.3e-6, 0.2e-6, end_z], [0.0, 0.0, -z0]]]))
+        first, last = (AtomPairGeometry(*path.waypoints[k]) for k in (0, -1))
+        shift = (ion_displacement(last, cfg_rr).as_array()
+                 - ion_displacement(first, cfg_rr).as_array())
+        modes = cartesian_modes(max_n)
+        expected = expm(-np.einsum("a,aij->ji", shift, _ladder_derivatives(modes, cfg_rr)))
+        np.testing.assert_allclose(wilson_loop(path, modes, cfg_rr), expected,
+                                   rtol=0.0, atol=atol)
 
     def test_wilson_loop_near_identity_for_small_loops(self, cfg_rr):
         # the transport depends only on the endpoints, so every closed loop is exact

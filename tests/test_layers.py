@@ -1,4 +1,5 @@
-"""The modules of the package import one another without a cycle."""
+"""The modules of the package import one another without a cycle, and
+numpy and the standard library alone from outside."""
 
 import ast
 from graphlib import TopologicalSorter
@@ -27,3 +28,17 @@ def test_no_import_cycle_between_modules():
     assert set().union(*graph.values()) <= set(graph)
     order = list(TopologicalSorter(graph).static_order())   # CycleError on a cycle
     assert sorted(order) == sorted(graph)
+
+
+def test_no_module_imports_scipy():
+    imported = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            imported.setdefault(path.name, set()).update(n.split(".")[0] for n in names)
+    assert [name for name, roots in imported.items() if "scipy" in roots] == []

@@ -2,17 +2,13 @@
 
 import dataclasses
 import math
-import os
-import subprocess
-import sys
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
 
-import ionbridge
+import oracles
 from ionbridge import (
     AccuracyError,
     ConfigError,
@@ -563,11 +559,73 @@ class TestMatrixFreeSolver:
         with pytest.raises(error):
             basis_ground_state(cfg_rr, z0, n_max=4)
 
-    def test_import_does_not_load_the_sparse_solver(self):
-        src = str(Path(ionbridge.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        code = "import sys, ionbridge; print('scipy.sparse.linalg' in sys.modules)"
-        result = subprocess.run([sys.executable, "-c", code], env=env,
-                                capture_output=True, text=True, check=True, timeout=60)
-        assert result.stdout.strip() == "False"
+
+def random_symmetric(n, seed):
+    """A random symmetric operator on (n, n) matrices and its dense matrix."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n * n, n * n))
+    a = a + a.T
+    return (lambda c: (a @ c.ravel()).reshape(n, n)), a
+
+
+class TestLanczos:
+    @pytest.mark.parametrize("which", ["SA", "LM"])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_matches_the_dense_eigenpair(self, n, which):
+        # dimensions 1 and 4 (n_max 0 and 1, solved densely before) end with
+        # an invariant Krylov space; the dimension n^2 is never 2
+        apply, a = random_symmetric(n, seed=n)
+        values, vectors = np.linalg.eigh(a)
+        k = 0 if which == "SA" else int(np.argmax(np.abs(values)))
+        theta, vector = motion._extreme_pair(apply, n, which, 0.0)
+        assert abs(theta - values[k]) <= 1e-12 * np.max(np.abs(values))
+        assert abs(abs(vector @ vectors[:, k]) - 1.0) <= 1e-12
+
+    def test_exact_eigenvector_start_stops_at_the_first_step(self):
+        levels = np.array([[3.0, 1.0], [4.0, 2.0]])
+        calls = []
+
+        def diagonal(c):
+            calls.append(1)
+            return levels * c
+
+        start = np.zeros(4)
+        start[1] = 2.0
+        theta, vector = motion._extreme_pair(diagonal, 2, "SA", 0.0, start)
+        assert len(calls) == 1
+        assert theta == 1.0
+        assert np.array_equal(vector, [0.0, 1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_operator_output_is_an_accuracy_error(self, bad):
+        apply, _ = random_symmetric(4, seed=1)
+        calls = []
+
+        def failing(c):
+            calls.append(1)
+            out = apply(c)
+            if len(calls) == 3:
+                out[1, 2] = bad
+            return out
+
+        with pytest.raises(AccuracyError, match="not finite"):
+            motion._extreme_pair(failing, 4, "SA", 0.0)
+
+    def test_step_cap_is_an_accuracy_error(self, monkeypatch):
+        # a random operator of dimension 400 needs far more than 16 steps
+        apply, _ = random_symmetric(20, seed=2)
+        monkeypatch.setattr(motion, "_LANCZOS_STEPS", 16)
+        with pytest.raises(AccuracyError, match="not converged in 16 steps"):
+            motion._extreme_pair(apply, 20, "SA", 0.0)
+
+    @pytest.mark.parametrize("n_max, separation_um", [(30, 12), (30, 16), (30, 24), (40, 12)])
+    def test_arpack_agrees_on_the_benchmark_jobs(self, n_max, separation_um, monkeypatch):
+        z0 = 0.5e-6 * separation_um
+        config = reference_config("rr", z0=z0)
+        lanczos = basis_ground_state(config, z0, n_max=n_max)
+        monkeypatch.setattr(motion, "_extreme_pair", oracles.arpack_pair)
+        arpack = basis_ground_state(config, z0, n_max=n_max)
+        unit = cst.HBAR * config.atom_trap.axial
+        assert lanczos.n_max == arpack.n_max == n_max
+        assert abs(lanczos.energy - arpack.energy) <= 1e-12 * unit
+        assert np.max(np.abs(lanczos.coefficients - arpack.coefficients)) <= 1e-10
