@@ -42,6 +42,14 @@ FORMAT_VERSION = 1
 
 _KHZ2 = (cst.TWO_PI * 1e3) ** 2  # rad^2/s^2 per kHz^2
 
+# Input caps that keep a run well inside memory.  A 1001-point density
+# grid writes a 1,002,001-row table (45 MB) per separation, and the
+# process peaks at 220 MB RSS; max-n 6 gives 343 modes and 705,894
+# connection rows (14 MB), with a 329 MB peak.  Memory grows with the
+# square of the points and the sixth power of max-n + 1.
+MAX_DENSITY_POINTS = 1001
+MAX_GAUGE_N = 6
+
 
 def _to_khz(energy_j):
     return energy_j / cst.PLANCK / 1e3
@@ -243,8 +251,8 @@ def cmd_density(args) -> int:
     config, _, digest = _load(args)
     if args.n_max < 0:
         raise ConfigError(f"--n-max must be non-negative, got {args.n_max}")
-    if args.points < 16:
-        raise ConfigError(f"--points must be at least 16, got {args.points}")
+    if not 16 <= args.points <= MAX_DENSITY_POINTS:
+        raise ConfigError(f"--points must lie in [16, {MAX_DENSITY_POINTS}], got {args.points}")
     if any(sep <= 0.0 for sep in args.separations_um):
         raise ConfigError("separations must be positive")
     out_dir = _require_out(args)
@@ -281,8 +289,8 @@ def cmd_density(args) -> int:
 
 def cmd_gauge(args) -> int:
     config, _, digest = _load(args, check_stability=True)
-    if args.max_n < 0:
-        raise ConfigError(f"--max-n must be non-negative, got {args.max_n}")
+    if not 0 <= args.max_n <= MAX_GAUGE_N:
+        raise ConfigError(f"--max-n must lie in [0, {MAX_GAUGE_N}], got {args.max_n}")
     if args.side_um <= 0.0:
         raise ConfigError(f"--side-um must be positive, got {args.side_um}")
     out_dir = _require_out(args)
@@ -378,13 +386,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--separations-um", type=float, nargs="+",
                    default=[12.0, 16.0, 24.0], metavar="SEP")
     p.add_argument("--n-max", type=int, default=30)
-    p.add_argument("--points", type=int, default=161)
+    p.add_argument("--points", type=int, default=161,
+                   help=f"grid points per axis, 16 to {MAX_DENSITY_POINTS}")
     p.set_defaults(handler=cmd_density)
 
     p = sub.add_parser("gauge", parents=[common],
                        help="gauge connection tables and loop phases")
     p.add_argument("--max-n", type=int, default=1,
-                   help="largest quantum number per Cartesian axis in the mode set")
+                   help="largest quantum number per Cartesian axis in the mode set, "
+                        f"0 to {MAX_GAUGE_N}")
     p.add_argument("--side-um", type=float, default=1.0,
                    help="side of the square loop traced by atom 1")
     p.set_defaults(handler=cmd_gauge)

@@ -12,10 +12,12 @@ discrete variable representation (Light, Hamilton and Lill, JCP 82,
 1400 (1985)), and Lanczos with full reorthogonalization finds the
 lowest pair.  Lanczos converges faster the more its start overlaps
 the wanted eigenvector (Parlett, The Symmetric Eigenvalue Problem,
-1980), so each cold solve starts from the quadratic-limit ground state
-projected onto the basis, and the convergence check at n + 4 from the
-solution at n, zero-padded; each Gauss-Hermite rule is computed once
-per order.
+1980).  The two atoms interact only through the ion, so the pair
+ground state is nearly a product state, and every solve of
+``basis_ground_state`` starts from the pair Hamiltonian contracted onto
+self-consistent single-atom orbitals (Beck, Jaeckle, Worth and Meyer,
+Phys. Rep. 324, 1 (2000); Echave and Clary, Chem. Phys. Lett. 190, 225
+(1992)).  Each Gauss-Hermite rule is computed once per order.
 ``axial_hamiltonian_matrix`` and ``symmetric_eigensolve`` build
 and diagonalize the dense matrix; they are the reference it is tested
 against.  ``gaussian_ground_state`` is the quadratic limit: the normal
@@ -58,6 +60,8 @@ _QUAD_MARGIN = 8
 _NORM_TOL = 1e-3   # relative tolerance of the Lanczos estimate of ||D||_2
 _LANCZOS_CHECK = 8     # Lanczos steps between Ritz-pair checks
 _LANCZOS_STEPS = 240   # step cap: n_max 60 from all ones, the hardest tested solve, takes 160
+_MEAN_FIELD_ORBITALS = 6     # orbitals per atom in the contracted Lanczos start
+_MEAN_FIELD_ITERATIONS = 8   # single-atom Hartree diagonalizations of an unseeded start
 
 
 @lru_cache(maxsize=None)
@@ -269,11 +273,14 @@ def _block_action(q: np.ndarray, grid: np.ndarray, c: np.ndarray) -> np.ndarray:
     return q.T @ (grid * (q @ c @ q.T)) @ q
 
 
-def _dense_block(q: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """The (N^2, N^2) matrix of ``_block_action``, flat index n1 * N + n2."""
+def _dense_block(q: np.ndarray, grid: np.ndarray, q2: np.ndarray | None = None) -> np.ndarray:
+    """The (N^2, N^2) matrix of ``_block_action``, flat index n1 * N + n2;
+    with ``q2``, atom 2's functions are its columns instead of Q's."""
+    q2 = q if q2 is None else q2
     order, n = q.shape
-    pair = (q[:, :, None] * q[:, None, :]).reshape(order, n * n)   # [a, (bra, ket)]
-    block = pair.T @ grid @ pair                                   # [(bra1, ket1), (bra2, ket2)]
+    pair1 = (q[:, :, None] * q[:, None, :]).reshape(order, n * n)     # [a, (bra, ket)]
+    pair2 = (q2[:, :, None] * q2[:, None, :]).reshape(order, n * n)
+    block = pair1.T @ grid @ pair2                                    # [(bra1, ket1), (bra2, ket2)]
     return block.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
 
@@ -349,10 +356,19 @@ def lowest_pair(config: SystemConfig, z0: float, n_max: int,
       scale of the dense gate on every pair.
     """
     potential_fn, offset = _axial_problem(config, z0, n_max, potential_fn)
-    n = n_max + 1
     order = 4 * n_max + _QUAD_MARGIN
-    q_lo, grid_lo = _interaction_grid(config, z0, n_max, order, potential_fn)
-    q, grid = _interaction_grid(config, z0, n_max, order + 16, potential_fn)
+    return _gated_pair(config, offset,
+                       _interaction_grid(config, z0, n_max, order, potential_fn),
+                       _interaction_grid(config, z0, n_max, order + 16, potential_fn), start)
+
+
+def _gated_pair(config: SystemConfig, offset: float, coarse, fine,
+                start) -> tuple[float, np.ndarray, float]:
+    """``lowest_pair`` on the (Q, grid) pairs of ``_interaction_grid`` at
+    orders 4n + 8 (``coarse``) and 4n + 24 (``fine``)."""
+    q_lo, grid_lo = coarse
+    q, grid = fine
+    n = q.shape[1]
     q_sq = q * q
     q_lo_sq = q_lo * q_lo
     diag_b = q_sq.T @ grid @ q_sq
@@ -369,7 +385,7 @@ def lowest_pair(config: SystemConfig, z0: float, n_max: int,
     scale = max(np.max(np.abs(diag_b)), np.max(np.abs(column_b)))
     if drift_norm > 1e-8 * scale:
         raise AccuracyError(
-            f"quadrature not converged: orders {order} and {order + 16} differ by "
+            f"quadrature not converged: orders {q_lo.shape[0]} and {q.shape[0]} differ by "
             f"||D||_2 = {drift_norm:.3g} > 1e-8 max(|diag B|, |B e_00|) = "
             f"{1e-8 * scale:.3g} hbar w_az"
         )
@@ -395,22 +411,46 @@ def lowest_pair(config: SystemConfig, z0: float, n_max: int,
     return unit * value + offset, vector, drift
 
 
-def _projection(state: CorrelatedGaussian, config: SystemConfig, z0: float,
-                n_max: int) -> np.ndarray | None:
-    """Coefficients of ``state`` on the product basis at n_max, flat and up to
-    the factor a_z: C = Q^T (f f^T * Psi) Q on the order-(4n + 8) rule of
-    ``lowest_pair``, with f = w exp(xi^2 / 2) and Psi the state on the node
-    grid.  None (the all-ones start) when that has no finite, nonzero entry,
-    as at a z0 that ``lowest_pair`` refuses."""
-    length = characteristic_scales(config).a_z
-    xi, weights = _gauss_hermite(4 * n_max + _QUAD_MARGIN)
-    q = hermite_values(n_max, xi)
-    f = weights * np.exp(0.5 * xi * xi)
+def _mean_field_start(q: np.ndarray, grid: np.ndarray, orbital: np.ndarray | None = None
+                      ) -> tuple[np.ndarray | None, np.ndarray]:
+    """Lanczos start for the lowest pair of the kinetic part plus
+    ``_block_action(q, grid)``, and atom 2's lowest orbital on the nodes.
+
+    Alternating Hartree iterations each diagonalize one atom's
+    diag(n + 1/2) + Q^T diag(grid u^2) Q, with u the other atom's lowest
+    orbital on the nodes (grid^T for atom 2).  They start from atom 2 in
+    the bare trap ground state and run _MEAN_FIELD_ITERATIONS times, or
+    from atom 2 in ``orbital``, already self-consistent, and run once
+    per atom.  The pair Hamiltonian contracted onto the lowest
+    _MEAN_FIELD_ORBITALS orbitals U of each atom (``_dense_block`` with
+    Q U in place of Q) is diagonalized, and its lowest vector, expanded
+    back, is the start: flat as in ``lowest_pair``, or None (the
+    all-ones start) when it is not finite or zero.
+    """
+    n = q.shape[1]
+    k = min(_MEAN_FIELD_ORBITALS, n)
+    levels = np.arange(n) + 0.5
+    fields = (grid, grid.T)
+    orbitals = [None, None]
+    nodes = [None, q[:, 0] if orbital is None else orbital]
     with np.errstate(all="ignore"):
-        psi = state.wavefunction(z0 + length * xi, -z0 + length * xi)
-        coefficients = q.T @ (np.outer(f, f) * psi) @ q
-    peak = np.max(np.abs(coefficients))
-    return (coefficients / peak).ravel() if 0.0 < peak < math.inf else None
+        try:
+            for i in range(_MEAN_FIELD_ITERATIONS if orbital is None else 2):
+                atom = i % 2
+                h = q.T @ ((fields[atom] @ nodes[1 - atom] ** 2)[:, None] * q)
+                h[np.diag_indices(n)] += levels
+                orbitals[atom] = np.linalg.eigh(h)[1]
+                nodes[atom] = q @ orbitals[atom][:, 0]
+            c1, c2 = (c[:, :k] for c in orbitals)
+            eye = np.eye(k)
+            pair = _dense_block(q @ c1, grid, q @ c2).reshape(k, k, k, k)
+            pair += ((c1.T * levels) @ c1)[:, None, :, None] * eye[None, :, None, :]
+            pair += eye[:, None, :, None] * ((c2.T * levels) @ c2)[None, :, None, :]
+            _, vectors = np.linalg.eigh(pair.reshape(k * k, k * k))
+        except np.linalg.LinAlgError:
+            return None, nodes[1]
+        start = (c1 @ vectors[:, 0].reshape(k, k) @ c2.T).ravel()
+    return (start if np.isfinite(start).all() and start.any() else None), nodes[1]
 
 
 def basis_ground_state(config: SystemConfig, z0: float, n_max: int = 30) -> BasisExpansionState:
@@ -418,15 +458,18 @@ def basis_ground_state(config: SystemConfig, z0: float, n_max: int = 30) -> Basi
 
     The basis is ramped from ``n_max`` to 50 if the ground energy has
     not settled to 1e-6 relative (measured on the axial part of the
-    energy) between n_max and n_max + 4.  Each basis size is solved by
-    ``lowest_pair``.  The solves at n_max and 50 start from
-    ``gaussian_ground_state`` projected onto the basis, or from
-    ``bare_product_state`` (e_00) where the quadratic limit is unstable;
-    the check at n + 4 starts from the solution at n, zero-padded, which
-    it is close to.  On the four benchmark density jobs (2z0 = 12, 16
-    and 24 um at n_max 30, 12 um at n_max 40) the solve at n_max takes
-    64/40/24/72 operator applications, against 120/88/80/136 from all
-    ones, and the check 64/16/8/40.
+    energy) between n_max and n_max + 4.  Each basis size is solved as
+    by ``lowest_pair``; the order-(4n + 24) grid serves as the fine
+    grid of the solve at n and the coarse one of the check at n + 4.
+    Every solve starts from ``_mean_field_start`` on that grid: the pair
+    is nearly a product state, so the contracted mean-field pair state
+    (Beck, Jaeckle, Worth and Meyer, Phys. Rep. 324, 1 (2000); Echave
+    and Clary, Chem. Phys. Lett. 190, 225 (1992)) lies close to the
+    solution.  The check's Hartree iterations start from the orbital
+    at n.  On the four benchmark density jobs (2z0 = 12, 16 and 24 um
+    at n_max 30, 12 um at n_max 40) the solve at n_max takes 24/8/8/16
+    operator applications, against 120/88/80/136 from all ones, and
+    the check 24/8/8/24.
     """
     cap = _MAX_BASIS - _CONVERGENCE_STEP
     if not 0 <= n_max <= cap:
@@ -434,29 +477,27 @@ def basis_ground_state(config: SystemConfig, z0: float, n_max: int = 30) -> Basi
             f"n_max must lie in [0, {cap}]: the basis is capped at {_MAX_BASIS} and the "
             f"convergence check solves at n_max + {_CONVERGENCE_STEP}; got {n_max}"
         )
-    offset = _constant_offset(config)
-    try:
-        quadratic = gaussian_ground_state(config, z0)
-    except (ConfigError, InstabilityError):
-        # lowest_pair reports what is wrong with z0, if anything is
-        quadratic = bare_product_state(config, z0)
-
     for attempt, n in enumerate((n_max, _RAMP_LIMIT)):
         if attempt and n <= n_max:
             break
-        energy, vector, _ = lowest_pair(config, z0, n,
-                                        start=_projection(quadratic, config, z0, n))
-        dim = n + 1
-        start = np.zeros((dim + _CONVERGENCE_STEP, dim + _CONVERGENCE_STEP))
-        start[:dim, :dim] = vector.reshape(dim, dim)
-        energy_check, _, _ = lowest_pair(config, z0, n + _CONVERGENCE_STEP,
-                                         start=start.ravel())
+        big = n + _CONVERGENCE_STEP
+        potential_fn, offset = _axial_problem(config, z0, big, None)
+        order = 4 * n + _QUAD_MARGIN
+        coarse = _interaction_grid(config, z0, n, order, potential_fn)
+        q_shared, grid_shared = _interaction_grid(config, z0, big, order + 16, potential_fn)
+        shared = (np.ascontiguousarray(q_shared[:, :n + 1]), grid_shared)
+        start, orbital = _mean_field_start(*shared)
+        energy, vector, _ = _gated_pair(config, offset, coarse, shared, start)
+        check_start, _ = _mean_field_start(q_shared, grid_shared, orbital)
+        energy_check, _, _ = _gated_pair(
+            config, offset, (q_shared, grid_shared),
+            _interaction_grid(config, z0, big, order + 32, potential_fn), check_start)
         scale = max(abs(energy_check - offset), _axial_energy_scale(config))
         residual = abs(energy - energy_check) / scale
         if residual < 1e-6:
             return BasisExpansionState(
                 n_max=n,
-                coefficients=vector.reshape(dim, dim),
+                coefficients=vector.reshape(n + 1, n + 1),
                 energy=energy,
                 half_separation=z0,
                 osc_length=characteristic_scales(config).a_z,

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ionbridge import DEFAULT_DOCUMENT
-from ionbridge.cli import main
+from ionbridge import DEFAULT_DOCUMENT, cli, motion
+from ionbridge.cli import MAX_DENSITY_POINTS, MAX_GAUGE_N, main
 
 
 def run(capsys, *argv):
@@ -305,6 +305,37 @@ class TestDensity:
         assert "[0, 56]" in err and "capped at 60" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("points", [MAX_DENSITY_POINTS + 1, 10**9])
+    def test_points_above_the_cap_are_refused_before_any_solve(
+            self, points, config_file, tmp_path, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solved a ground state for a refused grid")
+
+        monkeypatch.setattr(cli, "basis_ground_state", unreachable)
+        code, _, err = run(capsys, "density", "--config", str(config_file()),
+                           "--out", str(tmp_path / "x"), "--points", str(points))
+        assert code == 2
+        assert f"[16, {MAX_DENSITY_POINTS}]" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+    def test_quadratic_limit_is_computed_once_per_separation(
+            self, config_file, tmp_path, capsys, monkeypatch):
+        # the grid is centred on it; the ground-state solve does not use it
+        original = motion.gaussian_ground_state
+        calls = []
+
+        def counting(config, z0):
+            calls.append(z0)
+            return original(config, z0)
+
+        monkeypatch.setattr(cli, "gaussian_ground_state", counting)
+        monkeypatch.setattr(motion, "gaussian_ground_state", counting)
+        code, _, _ = run(capsys, "density", "--config", str(config_file()),
+                         "--out", str(tmp_path / "out"), "--separations-um", "16", "24",
+                         "--n-max", "8", "--points", "41")
+        assert code == 0
+        assert calls == [pytest.approx(8e-6, rel=1e-15), pytest.approx(12e-6, rel=1e-15)]
+
 
 class TestGauge:
     def test_writes_connection_and_phases(self, config_file, tmp_path, capsys):
@@ -327,6 +358,19 @@ class TestGauge:
                 "--out", str(tmp_path / "x")]
         assert run(capsys, *base, "--max-n", "-1")[0] == 2
         assert run(capsys, *base, "--side-um", "0")[0] == 2
+
+    @pytest.mark.parametrize("max_n", [MAX_GAUGE_N + 1, 10**6])
+    def test_max_n_above_the_cap_is_refused_before_any_mode_is_built(
+            self, max_n, config_file, tmp_path, capsys, monkeypatch):
+        def unreachable(max_n):
+            raise AssertionError("built the mode set of a refused max-n")
+
+        monkeypatch.setattr(cli, "cartesian_modes", unreachable)
+        code, _, err = run(capsys, "gauge", "--config", str(config_file()),
+                           "--out", str(tmp_path / "x"), "--max-n", str(max_n))
+        assert code == 2
+        assert f"[0, {MAX_GAUGE_N}]" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
 
 
 class TestErrorPaths:

@@ -3,14 +3,20 @@
 Each sha256 was taken from the table the CLI writes for the default
 configuration (an empty JSON document).  Density tables are left out:
 their last printed digit follows the eigensolver's rounding, so they are
-compared against a numerical oracle instead of by bytes.
+compared against the benchmark's numerical oracle (``perfbench/oracle.py``
+and its ``reference.json``, loaded read-only) instead of by bytes.
 """
 
 import hashlib
+import importlib.util
+import json
+from pathlib import Path
 
 import pytest
 
 from ionbridge.cli import main
+
+ORACLE = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
 
 GOLDEN = [
     (["scales"], "scales.csv",
@@ -46,3 +52,28 @@ def test_reference_table_digest(argv, table, digest, config_file, tmp_path, caps
     capsys.readouterr()
     assert code == 0
     assert hashlib.sha256((out_dir / table).read_bytes()).hexdigest() == digest
+
+
+def load_oracle():
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", ORACLE)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    return oracle
+
+
+@pytest.mark.parametrize("separation_um, n_max", [(12, 30), (16, 30), (24, 30), (12, 40)])
+def test_benchmark_density_table_matches_the_oracle(separation_um, n_max, config_file,
+                                                    tmp_path, capsys):
+    # the benchmark's ground_state jobs: its config, its arguments, its
+    # tolerance (relative 1e-9)
+    oracle = load_oracle()
+    reference = json.loads(ORACLE.with_name("reference.json").read_text())
+    expected = reference[f"density/{separation_um}um/n{n_max}"]["summary"]
+    out_dir = tmp_path / "out"
+    config = config_file(z0_um=8.0, states=["30S", "30S"])
+    code = main(["density", "--config", str(config), "--out", str(out_dir),
+                 "--separations-um", str(separation_um), "--n-max", str(n_max)])
+    capsys.readouterr()
+    observed = {"exit": code,
+                "tables": {path.name: oracle.read_table(path) for path in out_dir.iterdir()}}
+    assert oracle.compare(expected, observed) == []

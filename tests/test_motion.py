@@ -255,6 +255,13 @@ def sa_matvec_counts(monkeypatch):
     return counts
 
 
+def shared_grid(config, z0, n_max):
+    """The Hermite values and weighted interaction grid on which
+    basis_ground_state builds the start at n_max: order 4n + 24."""
+    return _interaction_grid(config, z0, n_max, 4 * n_max + _QUAD_MARGIN + 16,
+                             partial(axial_interaction, config=config))
+
+
 def entrywise_drift(config, z0, n_max, potential_fn):
     """The dense gate's measure: max|B1 - B2| / max|B2| between the blocks
     of orders 4n+8 and 4n+24."""
@@ -429,13 +436,17 @@ class TestMatrixFreeSolver:
         _, warm, cold = counts
         assert warm < cold
 
-    @pytest.mark.parametrize("pair", ["rr", "rg"])
-    @pytest.mark.parametrize("n_max, separation_um", [(30, 12), (30, 16), (30, 24),
-                                                      (40, 12)])
+    # The Lanczos start of basis_ground_state is the pair Hamiltonian
+    # projected onto products of self-consistent single-atom orbitals
+    # (motion._mean_field_start): 11.2 um lies just beyond the collision
+    # threshold, where the basis ramps to 50.
+    @pytest.mark.parametrize("pair", ["rr", "rg", "gg"])
+    @pytest.mark.parametrize("n_max, separation_um", [(30, 11.2), (30, 12), (30, 16),
+                                                      (30, 24), (40, 12)])
     def test_projected_start_matches_the_all_ones_start(self, pair, n_max, separation_um):
         z0 = 0.5e-6 * separation_um
         config = reference_config(pair, z0=z0)
-        start = motion._projection(gaussian_ground_state(config, z0), config, z0, n_max)
+        start, _ = motion._mean_field_start(*shared_grid(config, z0, n_max))
         projected_energy, projected_vector, _ = lowest_pair(config, z0, n_max, start=start)
         ones_energy, ones_vector, _ = lowest_pair(config, z0, n_max)
         unit = cst.HBAR * config.atom_trap.axial
@@ -443,7 +454,7 @@ class TestMatrixFreeSolver:
         assert np.max(np.abs(projected_vector - ones_vector)) <= 1e-10
 
     def test_projected_start_needs_fewer_matvecs(self, monkeypatch):
-        # 2z0 = 16 um, n_max 30: the cold solve from the projected Gaussian
+        # 2z0 = 16 um, n_max 30: the cold solve from the mean-field start
         # against the same solve from all ones
         counts = sa_matvec_counts(monkeypatch)
         z0 = 8.0e-6
@@ -453,39 +464,90 @@ class TestMatrixFreeSolver:
         projected, _, ones = counts
         assert projected < ones
 
+    def test_benchmark_jobs_keep_their_application_budget(self, monkeypatch):
+        # the four benchmark density jobs took 48/16/16/40 lowest-pair
+        # applications (solve and check) from the mean-field start on a
+        # 2-core OpenBLAS host, and 128/56/32/112 from the projected
+        # quadratic-limit Gaussian before it
+        counts = sa_matvec_counts(monkeypatch)
+        for separation_um, n_max in [(12, 30), (16, 30), (24, 30), (12, 40)]:
+            z0 = 0.5e-6 * separation_um
+            basis_ground_state(reference_config("rr", z0=z0), z0, n_max=n_max)
+        assert len(counts) == 8
+        assert sum(counts) <= 120
+
     @pytest.mark.parametrize("n_max", [1, 30, 56, 60])
-    def test_bare_product_state_projects_onto_e00(self, cfg_rr, n_max):
-        # n_max 60 projects on the order-248 rule, where w exp(xi^2 / 2)
-        # spans the widest range
-        z0 = cfg_rr.half_separation_z0
-        start = motion._projection(bare_product_state(cfg_rr, z0), cfg_rr, z0, n_max)
-        assert start[0] == 1.0
-        assert np.max(np.abs(start[1:])) <= 1e-12
+    def test_bare_product_state_projects_onto_e00(self, n_max):
+        # without an interaction the mean-field start is the bare product
+        # state e_00; n_max 60 uses the order-264 rule
+        xi, _ = motion._gauss_hermite(4 * n_max + _QUAD_MARGIN + 16)
+        q = hermite_values(n_max, xi)
+        start, orbital = motion._mean_field_start(q, np.zeros((xi.size, xi.size)))
+        assert abs(start[0]) == 1.0
+        assert np.max(np.abs(start[1:])) == 0.0
+        assert np.array_equal(np.abs(orbital), np.abs(q[:, 0]))
 
     def test_unstable_quadratic_limit_starts_from_the_bare_product(self, monkeypatch):
-        # Not reached on the reference systems: at n = 30, 45 and 60 the
-        # collision threshold z0 (5.51, 8.84 and 12.4 um), below which
-        # lowest_pair refuses, lies above the z0 where the quadratic limit
-        # turns unstable (4.59, 7.37 and 10.3 um).
+        # the start no longer depends on the quadratic limit: its Hartree
+        # iterations begin from the bare product state, so a quadratic
+        # limit that is unstable leaves the ground state bit for bit
         z0 = 6.0e-6
         config = reference_config("rr", z0=z0)
         expected = basis_ground_state(config, z0, n_max=20)
-        solve = motion.lowest_pair
-        starts = []
-
-        def recording(config, z0, n_max, potential_fn=None, start=None):
-            starts.append(start)
-            return solve(config, z0, n_max, potential_fn, start)
 
         def unstable(config, z0):
             raise InstabilityError("unstable")
 
-        monkeypatch.setattr(motion, "lowest_pair", recording)
         monkeypatch.setattr(motion, "gaussian_ground_state", unstable)
         state = basis_ground_state(config, z0, n_max=20)
-        bare = motion._projection(bare_product_state(config, z0), config, z0, 20)
-        assert np.array_equal(starts[0], bare)
-        unit = cst.HBAR * config.atom_trap.axial
+        assert state.energy == expected.energy
+        assert np.array_equal(state.coefficients, expected.coefficients)
+
+    def test_check_start_reuses_the_orbital_at_n_max(self, monkeypatch):
+        # the check at n + 4 begins its Hartree iterations from atom 2's
+        # orbital at n, given on the shared nodes
+        z0 = 8.0e-6
+        config = reference_config("rg", z0=z0)
+        build = motion._mean_field_start
+        calls = []
+
+        def recording(q, grid, orbital=None):
+            result = build(q, grid, orbital)
+            calls.append((q.shape, orbital, result[1]))
+            return result
+
+        monkeypatch.setattr(motion, "_mean_field_start", recording)
+        basis_ground_state(config, z0, n_max=30)
+        (first_shape, first_orbital, first_out), (check_shape, check_orbital, _) = calls
+        assert first_shape[0] == check_shape[0] == 4 * 30 + _QUAD_MARGIN + 16
+        assert (first_shape[1], check_shape[1]) == (31, 35)
+        assert first_orbital is None and check_orbital is first_out
+
+    @pytest.mark.parametrize("bad", ["overflow", "zero"])
+    def test_unusable_start_falls_back_to_all_ones(self, cfg_rg, bad, monkeypatch):
+        z0 = cfg_rg.half_separation_z0
+        q, grid = shared_grid(cfg_rg, z0, 12)
+        if bad == "overflow":
+            grid = np.full_like(grid, 1e308)
+        else:
+            eigh = np.linalg.eigh
+
+            def zero_vectors(a):
+                values, vectors = eigh(a)
+                return values, 0.0 * vectors
+
+            monkeypatch.setattr(np.linalg, "eigh", zero_vectors)
+        start, _ = motion._mean_field_start(q, grid)
+        assert start is None
+
+    def test_all_ones_fallback_reaches_the_same_ground_state(self, cfg_rg, monkeypatch):
+        z0 = cfg_rg.half_separation_z0
+        expected = basis_ground_state(cfg_rg, z0, n_max=20)
+        build = motion._mean_field_start
+        monkeypatch.setattr(motion, "_mean_field_start",
+                            lambda q, grid, orbital=None: (None, build(q, grid, orbital)[1]))
+        state = basis_ground_state(cfg_rg, z0, n_max=20)
+        unit = cst.HBAR * cfg_rg.atom_trap.axial
         assert abs(state.energy - expected.energy) <= 1e-12 * unit
         assert np.max(np.abs(state.coefficients - expected.coefficients)) <= 1e-10
 
