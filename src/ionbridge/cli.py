@@ -255,6 +255,9 @@ def cmd_density(args) -> int:
         raise ConfigError(f"--points must lie in [16, {MAX_DENSITY_POINTS}], got {args.points}")
     if any(sep <= 0.0 for sep in args.separations_um):
         raise ConfigError("separations must be positive")
+    names = [f"{sep:g}" for sep in args.separations_um]   # density_<name>um.csv each
+    if len(set(names)) < len(names):
+        raise ConfigError(f"separations {' '.join(names)} um repeat one; each writes one table")
     out_dir = _require_out(args)
 
     for sep_um in args.separations_um:

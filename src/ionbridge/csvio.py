@@ -7,10 +7,9 @@ Layout of every table:
     1.5,2.25,...           (data rows, floats rendered with %.12g)
 
 Floats go through a fixed format so repeated runs produce byte-identical
-files.  A float array of rows is formatted in one call with that
-format; any other rows go cell by cell through ``format_value``, which
-gives the same bytes for a float.  ``write_grid_table`` gives those
-bytes for the rows of a value grid, formatting each axis value once.
+files.  ``write_table`` formats rows cell by cell through
+``format_value``; ``write_grid_table`` gives the same bytes for the rows
+of a value grid in one call, formatting each axis value once.
 Writes land in a temporary file in the target directory and are moved
 into place with os.replace, so a crashed run never leaves a truncated
 table behind.
@@ -49,25 +48,18 @@ def format_value(value) -> str:
 def write_table(path, metadata, header, rows, overwrite: bool = False) -> Path:
     """Write one CSV table; refuses to clobber unless overwrite is set."""
     body = []
-    if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
-        if rows.ndim != 2 or rows.shape[1] != len(header):
-            raise ValueError(f"rows of shape {rows.shape} do not match header {len(header)}")
-        if len(rows):
-            row_format = ",".join([_FLOAT_FORMAT] * len(header))
-            body.append("\n".join([row_format] * len(rows)) % tuple(rows.ravel().tolist()))
-    else:
-        for row in rows:
-            cells = [format_value(cell) for cell in row]
-            if len(cells) != len(header):
-                raise ValueError(f"row width {len(cells)} does not match header {len(header)}")
-            body.append(",".join(cells))
+    for row in rows:
+        cells = [format_value(cell) for cell in row]
+        if len(cells) != len(header):
+            raise ValueError(f"row width {len(cells)} does not match header {len(header)}")
+        body.append(",".join(cells))
     return _write(path, metadata, header, body, overwrite)
 
 
 def write_grid_table(path, metadata, header, x, y, values, overwrite: bool = False) -> Path:
     """Write ``values[i, j]`` on the grid x (outer) by y as rows (x_i, y_j,
-    value), the bytes ``write_table`` gives for those rows as a float
-    array; each axis value is formatted once, not once per row."""
+    value), the bytes ``write_table`` gives for those rows; each axis
+    value is formatted once, not once per row."""
     x, y, values = (np.asarray(a, dtype=float) for a in (x, y, values))
     if len(header) != 3 or x.ndim != 1 or y.ndim != 1 or values.shape != (x.size, y.size):
         raise ValueError(f"values of shape {values.shape} on axes of {x.size} and {y.size} "

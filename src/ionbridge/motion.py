@@ -19,10 +19,9 @@ self-consistent single-atom orbitals (Beck, Jaeckle, Worth and Meyer,
 Phys. Rep. 324, 1 (2000); Echave and Clary, Chem. Phys. Lett. 190, 225
 (1992)).  Each Gauss-Hermite rule is computed once per order.
 ``axial_hamiltonian_matrix`` and ``symmetric_eigensolve`` build
-and diagonalize the dense matrix; they are the reference it is tested
-against.  ``gaussian_ground_state`` is the quadratic limit: the normal
-modes of the axial block of ``phonons``, centered on the equilibrium
-shift.
+and diagonalize the dense matrix: unexported test oracles.
+``gaussian_ground_state`` is the quadratic limit: the closed-form
+normal modes of ``phonons``, centered on the equilibrium shift.
 """
 
 from __future__ import annotations
@@ -37,15 +36,13 @@ from numpy.polynomial.hermite import hermgauss
 from . import constants as cst
 from .errors import AccuracyError, ConfigError, InstabilityError
 from .model import SystemConfig, characteristic_scales
-from .phonons import _axial_block, _axial_shift, _expansion_at
+from .phonons import _axial_shift, _expansion_at, _rotation, _sector_entries
 from .potentials import axial_interaction
 
 __all__ = [
     "CorrelatedGaussian",
     "BasisExpansionState",
     "axial_collision_threshold",
-    "axial_hamiltonian_matrix",
-    "symmetric_eigensolve",
     "basis_ground_state",
     "gaussian_ground_state",
     "bare_product_state",
@@ -58,8 +55,7 @@ _RAMP_LIMIT = 50
 _CONVERGENCE_STEP = 4
 _QUAD_MARGIN = 8
 _NORM_TOL = 1e-3   # relative tolerance of the Lanczos estimate of ||D||_2
-_LANCZOS_CHECK = 8     # Lanczos steps between Ritz-pair checks
-_LANCZOS_STEPS = 240   # step cap: n_max 60 from all ones, the hardest tested solve, takes 160
+_LANCZOS_STEPS = 240   # step cap: n_max 60 from all ones, the hardest tested solve, takes 158
 _MEAN_FIELD_ORBITALS = 6     # orbitals per atom in the contracted Lanczos start
 _MEAN_FIELD_ITERATIONS = 8   # single-atom Hartree diagonalizations of an unseeded start
 
@@ -147,7 +143,8 @@ def axial_hamiltonian_matrix(config: SystemConfig, z0: float, n_max: int,
     diagonal.  Passing ``potential_fn(z1, z2)`` replaces exactly the
     potential beyond the bare traps; no constants are folded then.
     The interaction must be finite on both quadrature grids, and the
-    blocks of the two orders must agree to 1e-8 relative.
+    blocks of the two orders must agree to 1e-8 relative.  A test oracle, kept
+    here for ``perfbench/tracer.py`` until it moves to ``tests/oracles.py``.
     """
     potential_fn, offset = _axial_problem(config, z0, n_max, potential_fn)
     order = 4 * n_max + _QUAD_MARGIN
@@ -172,7 +169,8 @@ def symmetric_eigensolve(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Eigenvalues ascend; each eigenvector's largest-magnitude component
     is made positive.  The residual ||A v - lambda v|| of every pair is
-    checked against 1e-10 ||A||.
+    checked against 1e-10 ||A||.  A test oracle, kept here for the
+    benchmark's tracer like ``axial_hamiltonian_matrix``.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -189,17 +187,20 @@ def symmetric_eigensolve(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as err:
         raise AccuracyError(f"eigensolver failed to converge: {err}") from err
 
-    lead = np.argmax(np.abs(vectors), axis=0)
-    signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
-    signs[signs == 0.0] = 1.0
-    vectors = vectors * signs
-
+    vectors = _lead_positive(vectors)
     norm = max(np.max(np.abs(values)), 1e-300) if values.size else 1e-300
     residual = a @ vectors - vectors * values
     worst = np.max(np.linalg.norm(residual, axis=0))
     if worst > 1e-10 * norm:
         raise AccuracyError(f"eigenpair residual {worst:.3g} exceeds 1e-10 * ||A|| = {1e-10 * norm:.3g}")
     return values, vectors
+
+
+def _lead_positive(vectors: np.ndarray) -> np.ndarray:
+    """``vectors`` with each column's largest-magnitude component made
+    positive (the first such component on ties; a zero column stays zero)."""
+    lead = np.argmax(np.abs(vectors), axis=0)
+    return vectors * np.sign(vectors[lead, np.arange(vectors.shape[1])])
 
 
 @dataclass(frozen=True)
@@ -290,9 +291,9 @@ def _extreme_pair(apply, n: int, which: str, tol: float,
     operator ``apply`` on (n, n) coefficient matrices, flattened row-major.
 
     Lanczos from ``v0`` (default: all ones), reorthogonalized twice per
-    step against the whole stored basis and never restarted.  Every
-    _LANCZOS_CHECK steps the Ritz pair (theta, V s) of the tridiagonal T
-    is accepted when Paige's residual estimate beta |s_m| is at most
+    step against the whole stored basis and never restarted.  After every
+    step the Ritz pair (theta, V s) of the tridiagonal T is accepted
+    when Paige's residual estimate beta |s_m| is at most
     tol max|theta| (tol 0: machine epsilon), and at once when the Krylov
     space is invariant (beta = 0, or the whole space).  Parlett, The
     Symmetric Eigenvalue Problem (1980), ch. 13.
@@ -301,7 +302,8 @@ def _extreme_pair(apply, n: int, which: str, tol: float,
     steps = min(dim, _LANCZOS_STEPS)
     tol = tol or np.finfo(float).eps
     basis = np.empty((steps, dim))
-    alpha, beta = np.empty(steps), np.empty(steps)
+    t = np.zeros((steps, steps))   # T, filled step by step; eigh reads its lower triangle
+    beta = np.empty(steps)
     start = np.ones(dim) if v0 is None else np.asarray(v0, dtype=float)
     basis[0] = start / np.linalg.norm(start)
     for m in range(steps):
@@ -311,19 +313,18 @@ def _extreme_pair(apply, n: int, which: str, tol: float,
                                 "is not finite")
         size = m + 1
         overlaps = basis[:size] @ w
-        alpha[m] = overlaps[m]
+        t[m, m] = overlaps[m]
         w = w - overlaps @ basis[:size]
         w -= (basis[:size] @ w) @ basis[:size]
         beta[m] = np.linalg.norm(w)
-        if size % _LANCZOS_CHECK == 0 or beta[m] == 0.0 or size == steps:
-            t = np.diag(alpha[:size]) + np.diag(beta[:m], 1) + np.diag(beta[:m], -1)
-            theta, s = np.linalg.eigh(t)
-            k = 0 if which == "SA" else int(np.argmax(np.abs(theta)))
-            if (beta[m] == 0.0 or size == dim
-                    or beta[m] * abs(s[m, k]) <= tol * np.max(np.abs(theta))):
-                return theta[k], s[:, k] @ basis[:size]
+        theta, s = np.linalg.eigh(t[:size, :size])
+        k = 0 if which == "SA" else int(np.argmax(np.abs(theta)))
+        if (beta[m] == 0.0 or size == dim
+                or beta[m] * abs(s[m, k]) <= tol * np.max(np.abs(theta))):
+            return theta[k], s[:, k] @ basis[:size]
         if size < steps:
             basis[size] = w / beta[m]
+            t[size, m] = beta[m]
     raise AccuracyError(f"Lanczos ({which}) not converged in {steps} steps at "
                         f"dimension {dim}")
 
@@ -397,9 +398,7 @@ def _gated_pair(config: SystemConfig, offset: float, coarse, fine,
         return kinetic * c + _block_action(q, grid, c)
 
     value, vector = _extreme_pair(hamiltonian, n, "SA", 0.0, start)
-    lead = np.argmax(np.abs(vector))
-    if vector[lead] < 0.0:
-        vector = -vector
+    vector = _lead_positive(vector[:, None])[:, 0]
 
     unit = _axial_energy_scale(config)
     residual = np.linalg.norm(hamiltonian(vector.reshape(n, n)).ravel() - value * vector)
@@ -467,9 +466,9 @@ def basis_ground_state(config: SystemConfig, z0: float, n_max: int = 30) -> Basi
     and Clary, Chem. Phys. Lett. 190, 225 (1992)) lies close to the
     solution.  The check's Hartree iterations start from the orbital
     at n.  On the four benchmark density jobs (2z0 = 12, 16 and 24 um
-    at n_max 30, 12 um at n_max 40) the solve at n_max takes 24/8/8/16
-    operator applications, against 120/88/80/136 from all ones, and
-    the check 24/8/8/24.
+    at n_max 30, 12 um at n_max 40) the solve at n_max takes 23/7/2/13
+    operator applications, against 115/84/78/132 from all ones, and
+    the check 19/8/3/22.
     """
     cap = _MAX_BASIS - _CONVERGENCE_STEP
     if not 0 <= n_max <= cap:
@@ -512,23 +511,31 @@ def basis_ground_state(config: SystemConfig, z0: float, n_max: int = 30) -> Basi
 def gaussian_ground_state(config: SystemConfig, z0: float) -> CorrelatedGaussian:
     """Analytic ground state of the quadratic axial expansion.
 
-    The normal modes are those of ``phonons``' axial block in atom
-    coordinates, centered on the equilibrium shift; both come from one
-    evaluation of the frequency squares.  Widths use the
-    sqrt(hbar / (m omega)) convention, so the density along a normal
-    axis u is proportional to exp(-u^2 / sigma^2).
+    Its normal modes are the closed form of the axial sector
+    (``phonons._rotation``): squared frequencies mean -+ disc along the
+    (relative, com) frame turned by theta, each axis with its own
+    eigenvalue (not its branch's stretch/com label) and its largest
+    component positive.  It is centered on the equilibrium shift, from
+    the same frequency squares.  Widths use the sqrt(hbar / (m omega))
+    convention, so the density along a normal axis u is proportional to
+    exp(-u^2 / sigma^2).
     """
     squares, (stretch, com, _, _) = _expansion_at(config, z0)
-    if not (np.all(stretch > 0.0) and np.all(com > 0.0)):
+    (a, _), (b, _), (c, _) = _sector_entries(squares)
+    mean, disc, theta = _rotation(a, b, c)
+    if not (np.all(stretch > 0.0) and np.all(com > 0.0) and mean - disc > 0.0):
         raise InstabilityError(
             f"configuration unstable at 2z0 = {2.0 * z0:.4g} m, no Gaussian ground state"
         )
     dz1, dz2 = _axial_shift(squares, z0)
-    values, vectors = symmetric_eigensolve(_axial_block(squares))
-    widths = tuple(math.sqrt(cst.HBAR / (config.atom.mass * math.sqrt(v))) for v in values)
+    # (-sin, cos) and (cos, sin) in the (relative, com) frame, taken to (z1, z2)
+    cos, sin = math.cos(theta) / math.sqrt(2.0), math.sin(theta) / math.sqrt(2.0)
+    axes = _lead_positive(np.array([[cos - sin, cos + sin], [cos + sin, sin - cos]]))
+    widths = tuple(math.sqrt(cst.HBAR / (config.atom.mass * math.sqrt(v)))
+                   for v in (mean - disc, mean + disc))
     return CorrelatedGaussian(
         center=(z0 + dz1, -z0 + dz2),
-        normal_axes=vectors,
+        normal_axes=axes,
         widths=widths,
     )
 

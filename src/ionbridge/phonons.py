@@ -8,7 +8,7 @@ negative value marks an unstable (in practice collisional)
 configuration.  The critical separation is the bisection root of the
 smallest squared frequency.  The axial block in atom coordinates,
 [[omega_bar_z1^2, omega_zz^2], [omega_zz^2, omega_bar_z2^2]], gives the
-equilibrium shift and the Gaussian ground state of ``motion``.
+equilibrium shift, and ``_rotation`` the Gaussian ground state of ``motion``.
 """
 
 from __future__ import annotations
@@ -69,18 +69,23 @@ class StabilityResult:
     limiting_branch: str    # e.g. "axial-com"
 
 
+def _rotation(a, b, c):
+    """(mean, disc, theta) of [[a, c], [c, b]], elementwise: eigenvalue
+    mean + disc along (cos theta, sin theta) and mean - disc along
+    (-sin theta, cos theta), with theta = atan2(2c, a - b) / 2 unclamped."""
+    return 0.5 * (a + b), np.hypot(0.5 * (a - b), c), 0.5 * np.arctan2(2.0 * c, a - b)
+
+
 def _diagonalize_sector(a, b, c, bare_sq):
     """Eigenpairs of [[a, c], [c, b]] in the (relative, com) basis, elementwise.
 
-    ``a`` is the relative-relative entry.  The mixing angle is clamped
-    to (-pi/4, pi/4] so the first eigenvector stays mostly relative; at
-    an even weight split the branch closest to ``bare_sq`` is "com".
-    Returns (stretch, com, angle, com_first): the signed squares, their
-    angle, and where com sorts first (the relative eigenvector on ties).
+    ``a`` is the relative-relative entry.  The angle of ``_rotation`` is
+    clamped to (-pi/4, pi/4] so the first eigenvector stays mostly
+    relative; at an even weight split the branch closest to ``bare_sq`` is
+    "com".  Returns (stretch, com, angle, com_first): the signed squares,
+    their angle, and where com sorts first (the relative one on ties).
     """
-    mean = 0.5 * (a + b)
-    disc = np.hypot(0.5 * (a - b), c)
-    theta = 0.5 * np.arctan2(2.0 * c, a - b)
+    mean, disc, theta = _rotation(a, b, c)
     high = theta > 0.25 * np.pi
     low = theta <= -0.25 * np.pi
     flipped = high | low
@@ -219,18 +224,10 @@ def mode_sweep(config: SystemConfig, separations) -> dict[str, np.ndarray]:
     }
 
 
-def _axial_block(squares) -> np.ndarray:
-    """The axial block of the expansion in atom coordinates (z1, z2),
-    [[omega_bar_z1^2, omega_zz^2], [omega_zz^2, omega_bar_z2^2]], rad^2/s^2,
-    from the EffectiveFrequencies fields ``squares``."""
-    _, _, wbz1, wbz2, _, _, _, wzz, _, _ = squares
-    return np.array([[wbz1, wzz], [wzz, wbz2]])
-
-
 def _axial_shift(squares, z0: float) -> tuple[float, float]:
-    """Solution (dz1, dz2) of ``_axial_block`` d = (-z0 Omega_1^2, z0 Omega_2^2)
-    by Cramer's rule, m: the force per unit mass at the trap centers.
-    InstabilityError unless the block is positive definite."""
+    """Solution (dz1, dz2) of the axial block d = (-z0 Omega_1^2, z0 Omega_2^2)
+    by Cramer's rule, m, from the EffectiveFrequencies fields ``squares``: the
+    force per unit mass at the trap centers; InstabilityError unless positive definite."""
     _, _, a, b, _, _, _, c, o1_sq, o2_sq = squares
     det = a * b - c * c
     if not (a > 0.0 and det > 0.0):

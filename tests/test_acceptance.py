@@ -25,7 +25,6 @@ from ionbridge import (
     IonModeIndex,
     LoopPath,
     axial_bo_curve,
-    axial_hamiltonian_matrix,
     bare_product_state,
     basis_ground_state,
     berry_phase,
@@ -46,9 +45,9 @@ from ionbridge import (
     reference_config,
     square_loop,
     state_overlap,
-    symmetric_eigensolve,
 )
 from ionbridge.cli import main as cli_main
+from ionbridge.motion import axial_hamiltonian_matrix, symmetric_eigensolve
 
 KHZ2 = (cst.TWO_PI * 1e3) ** 2
 

@@ -298,6 +298,21 @@ class TestDensity:
         assert run(capsys, *base, "--points", "8")[0] == 2
         assert run(capsys, *base, "--separations-um", "-3")[0] == 2
 
+    @pytest.mark.parametrize("overwrite", [[], ["--overwrite"]])
+    def test_repeated_separations_are_refused_before_any_solve(
+            self, overwrite, config_file, tmp_path, capsys, monkeypatch):
+        # 24 and 24.0 name the same table, density_24um.csv
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solved a ground state for a refused separation list")
+
+        monkeypatch.setattr(cli, "basis_ground_state", unreachable)
+        code, _, err = run(capsys, "density", "--config", str(config_file()),
+                           "--out", str(tmp_path / "x"), "--separations-um", "24", "16",
+                           "24.0", *overwrite)
+        assert code == 2
+        assert "separations 24 16 24 um repeat one" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
     def test_basis_above_the_cap_is_a_config_error(self, config_file, tmp_path, capsys):
         code, _, err = run(capsys, "density", "--config", str(config_file()),
                            "--out", str(tmp_path / "x"), "--n-max", "58")

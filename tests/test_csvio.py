@@ -1,5 +1,5 @@
-"""Table writer: float arrays and value grids are formatted in one call with
-the per-cell bytes."""
+"""Table writer: value grids are formatted in one call with the bytes that
+per-cell rows give."""
 
 import os
 
@@ -17,23 +17,34 @@ SPECIAL = [
 
 
 def per_cell_text(metadata, header, rows):
-    """The writer's former layout: every cell through format(v, ".12g")."""
+    """The table layout with every cell through format(v, ".12g")."""
     lines = [f"# {key} = {format_value(value)}" for key, value in metadata.items()]
     lines.append(",".join(header))
     lines.extend(",".join(format(float(cell), ".12g") for cell in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
+def grid_rows(x, y, values):
+    """The rows (x_i, y_j, values[i, j]) of a value grid, x outer."""
+    grid_x, grid_y = np.meshgrid(x, y, indexing="ij")
+    return np.column_stack([grid_x.ravel(), grid_y.ravel(), values.ravel()])
+
+
 def test_float_array_bytes_match_per_cell_format(tmp_path):
+    # +-0, +-inf, nan, subnormals, 1e+-300 and random values on the axes
+    # and in the grid
     rng = np.random.default_rng(3)
-    random = rng.normal(size=(2000, 3)) * 10.0 ** rng.uniform(-300, 300, size=(2000, 3))
-    special = np.array(SPECIAL).reshape(-1, 3)
-    rows = np.vstack([special, -special, random])
+    axis = np.concatenate([SPECIAL, [-v for v in SPECIAL]])
+    x = np.concatenate([axis, rng.normal(size=14) * 10.0 ** rng.uniform(-300, 300, size=14)])
+    y = axis[::-1].copy()
+    shape = (x.size, y.size)
+    values = rng.normal(size=shape) * 10.0 ** rng.uniform(-300, 300, size=shape)
+    values.flat[:axis.size] = axis
     metadata = {"command": "test", "count": 3, "flag": True, "value": np.float64(0.1)}
     header = ["a", "b", "c"]
 
-    path = write_table(tmp_path / "t.csv", metadata, header, rows)
-    assert path.read_bytes() == per_cell_text(metadata, header, rows).encode()
+    path = write_grid_table(tmp_path / "t.csv", metadata, header, x, y, values)
+    assert path.read_bytes() == per_cell_text(metadata, header, grid_rows(x, y, values)).encode()
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (0, 1), (5, 1), (1, 3), (1, 1)])
@@ -46,10 +57,11 @@ def test_small_float_arrays_match_per_cell_format(tmp_path, shape):
 
 
 def test_float_array_and_tuple_rows_agree(tmp_path):
-    rows = np.array(SPECIAL).reshape(-1, 3)
-    bulk = write_table(tmp_path / "bulk.csv", {}, ["a", "b", "c"], rows)
+    x, y = np.array(SPECIAL[:6]), np.array(SPECIAL[6:9])
+    values = np.array(SPECIAL).reshape(6, 3)
+    bulk = write_grid_table(tmp_path / "bulk.csv", {}, ["a", "b", "c"], x, y, values)
     cells = write_table(tmp_path / "cells.csv", {}, ["a", "b", "c"],
-                        [tuple(np.float64(v) for v in row) for row in rows])
+                        [(a, np.float64(b), float(v)) for a, b, v in grid_rows(x, y, values)])
     assert bulk.read_bytes() == cells.read_bytes()
 
 
@@ -76,8 +88,7 @@ def test_grid_table_bytes_match_the_row_table(tmp_path, nx, ny):
     y = np.sort(rng.normal(size=ny)) * 1e-3
     values = rng.normal(size=(nx, ny)) * 10.0 ** rng.uniform(-300, 5, size=(nx, ny))
     values.flat[:len(SPECIAL)] = SPECIAL[:values.size]
-    grid_x, grid_y = np.meshgrid(x, y, indexing="ij")
-    rows = np.column_stack([grid_x.ravel(), grid_y.ravel(), values.ravel()])
+    rows = grid_rows(x, y, values)
     metadata = {"command": "density", "grid_points": nx}
     header = ["z1_um", "z2_um", "density_per_um2"]
     grid = write_grid_table(tmp_path / "grid.csv", metadata, header, x, y, values)

@@ -17,7 +17,6 @@ from ionbridge import (
     reference_config,
 )
 from ionbridge.expansion import _terms
-from ionbridge.phonons import _axial_block
 
 FD_STEP = 2e-9  # m, balances cancellation noise against truncation
 
@@ -126,14 +125,6 @@ class TestSymmetriesAndStructure:
         assert co2.A6_1 == pytest.approx(2 * co.A6_1, rel=1e-13)
         assert co2.A10_ab == pytest.approx(4 * co.A10_ab, rel=1e-13)
         assert co2.A12_1 == pytest.approx(4 * co.A12_1, rel=1e-13)
-
-    def test_quadratic_form_layout(self, cfg_rg):
-        # the axial block in atom coordinates holds the per-atom curvatures
-        # on its diagonal and the two-atom coupling off it, symmetrically
-        fr = effective_frequencies(cfg_rg, cfg_rg.half_separation_z0)
-        block = _axial_block(dataclasses.astuple(fr))
-        np.testing.assert_array_equal(block, [[fr.omega_bar_z1_sq, fr.omega_zz_sq],
-                                              [fr.omega_zz_sq, fr.omega_bar_z2_sq]])
 
     def test_com_axial_mode_free_of_c6(self, cfg_rr):
         from ionbridge import phonon_spectrum

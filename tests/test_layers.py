@@ -1,5 +1,6 @@
 """The modules of the package import one another without a cycle, and
-numpy and the standard library alone from outside."""
+numpy and the standard library alone from outside; none of them calls
+the dense test oracles."""
 
 import ast
 from graphlib import TopologicalSorter
@@ -42,3 +43,18 @@ def test_no_module_imports_scipy():
                 continue
             imported.setdefault(path.name, set()).update(n.split(".")[0] for n in names)
     assert [name for name, roots in imported.items() if "scipy" in roots] == []
+
+
+def test_no_module_calls_the_dense_oracles():
+    # symmetric_eigensolve and axial_hamiltonian_matrix are test oracles:
+    # they stay defined in motion but the library solves without them
+    oracles = {"symmetric_eigensolve", "axial_hamiltonian_matrix"}
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in oracles:
+                    calls.append(f"{path.name}:{node.lineno} {name}")
+    assert calls == []
