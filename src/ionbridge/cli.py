@@ -1,11 +1,11 @@
 """Command line front end.
 
 Subcommands mirror the library surface: scales, bo-curve, phonons,
-critical, density, and gauge.  Every command takes --config PATH and the
-table-producing ones take --out DIR [--overwrite].  Exit codes: 0 on
-success, 2 for configuration problems, 3 for accuracy or convergence
-failures, 4 when the request lands in the unstable or collisional
-domain.
+critical, density, and gauge.  Every command takes --config PATH and
+--out DIR [--overwrite], which all but scales and critical require.
+Exit codes: 0 on success, 2 for configuration problems, 3 for accuracy
+or convergence failures, 4 when the request lands in the unstable or
+collisional domain.
 """
 
 from __future__ import annotations
@@ -46,9 +46,11 @@ _KHZ2 = (cst.TWO_PI * 1e3) ** 2  # rad^2/s^2 per kHz^2
 # grid writes a 1,002,001-row table (45 MB) per separation, and the
 # process peaks at 220 MB RSS; max-n 6 gives 343 modes and 705,894
 # connection rows (14 MB), with a 329 MB peak.  Memory grows with the
-# square of the points and the sixth power of max-n + 1.
+# square of the points and the sixth power of max-n + 1.  A 100,001-point
+# bo-curve or phonons sweep (7 MB table) peaks at 72 or 103 MB, linear in the points.
 MAX_DENSITY_POINTS = 1001
 MAX_GAUGE_N = 6
+MAX_SWEEP_POINTS = 100_001
 
 
 def _to_khz(energy_j):
@@ -83,12 +85,6 @@ def _metadata(command: str, digest: str, **extra) -> dict:
     }
     meta.update(extra)
     return meta
-
-
-def _require_out(args) -> Path:
-    if args.out is None:
-        raise ConfigError(f"{args.command} writes tables and needs --out DIR")
-    return Path(args.out)
 
 
 def cmd_scales(args) -> int:
@@ -141,8 +137,8 @@ def cmd_bo_curve(args) -> int:
         raise ConfigError(
             f"separation range is reversed or empty: [{args.z_min_um}, {args.z_max_um}] um"
         )
-    if args.points < 2:
-        raise ConfigError(f"--points must be at least 2, got {args.points}")
+    if not 2 <= args.points <= MAX_SWEEP_POINTS:
+        raise ConfigError(f"--points must lie in [2, {MAX_SWEEP_POINTS}], got {args.points}")
 
     # values past the float range raise typed errors below, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -162,7 +158,7 @@ def cmd_bo_curve(args) -> int:
             f"the table row at separation {rows[~finite, 0][0]:.4g} um overflows the "
             "float range, next to the interaction singularity")
     path = write_table(
-        _require_out(args) / "bo_curve.csv",
+        Path(args.out) / "bo_curve.csv",
         _metadata("bo-curve", digest, placement=args.placement,
                   z_min_um=args.z_min_um, z_max_um=args.z_max_um,
                   points=args.points, ion_mode=config.ion_mode.label()),
@@ -180,8 +176,8 @@ def cmd_phonons(args) -> int:
         raise ConfigError(
             f"separation range is reversed or empty: [{args.sep_min_um}, {args.sep_max_um}] um"
         )
-    if args.points < 2:
-        raise ConfigError(f"--points must be at least 2, got {args.points}")
+    if not 2 <= args.points <= MAX_SWEEP_POINTS:
+        raise ConfigError(f"--points must lie in [2, {MAX_SWEEP_POINTS}], got {args.points}")
 
     grid = np.linspace(args.sep_min_um, args.sep_max_um, args.points) * 1e-6
     sweep = mode_sweep(config, grid)
@@ -191,7 +187,7 @@ def cmd_phonons(args) -> int:
                sweep["axial_angle"], sweep["transverse_angle"], sweep["stable"])
     rows = zip(*(column.tolist() for column in columns))
     path = write_table(
-        _require_out(args) / "phonons.csv",
+        Path(args.out) / "phonons.csv",
         _metadata("phonons", digest, sep_min_um=args.sep_min_um,
                   sep_max_um=args.sep_max_um, points=args.points),
         ["separation_um", "axial_stretch_kHz2", "axial_com_kHz2",
@@ -258,7 +254,7 @@ def cmd_density(args) -> int:
     names = [f"{sep:g}" for sep in args.separations_um]   # density_<name>um.csv each
     if len(set(names)) < len(names):
         raise ConfigError(f"separations {' '.join(names)} um repeat one; each writes one table")
-    out_dir = _require_out(args)
+    out_dir = Path(args.out)
 
     for sep_um in args.separations_um:
         z0 = 0.5 * sep_um * 1e-6
@@ -296,7 +292,8 @@ def cmd_gauge(args) -> int:
         raise ConfigError(f"--max-n must lie in [0, {MAX_GAUGE_N}], got {args.max_n}")
     if args.side_um <= 0.0:
         raise ConfigError(f"--side-um must be positive, got {args.side_um}")
-    out_dir = _require_out(args)
+    loop = square_loop(config, side=args.side_um * 1e-6)
+    out_dir = Path(args.out)
 
     modes = cartesian_modes(args.max_n)
     geometry = AtomPairGeometry.at_trap_centers(config)
@@ -326,7 +323,6 @@ def cmd_gauge(args) -> int:
     )
     print(f"wrote {path} (hermiticity residual {hermiticity:.3g} J s/m)")
 
-    loop = square_loop(config, side=args.side_um * 1e-6)
     phase_rows = []
     for mode in modes:
         phase = berry_phase(loop, mode, config)
@@ -350,11 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Ion-mediated potentials, phonon modes, and gauge "
                     "structure of a trapped atom-ion-atom system.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, help="JSON configuration file")
-    common.add_argument("--out", default=None, help="output directory for CSV tables")
-    common.add_argument("--overwrite", action="store_true",
-                        help="replace existing output files")
+    # scales and critical print their results; the other commands require --out
+    common, writes = (argparse.ArgumentParser(add_help=False) for _ in range(2))
+    for parent, required in ((common, False), (writes, True)):
+        parent.add_argument("--config", required=True, help="JSON configuration file")
+        parent.add_argument("--out", required=required, help="output directory for CSV tables")
+        parent.add_argument("--overwrite", action="store_true",
+                            help="replace existing output files")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -362,20 +360,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="characteristic lengths, periods, and the adiabaticity ratio")
     p.set_defaults(handler=cmd_scales)
 
-    p = sub.add_parser("bo-curve", parents=[common],
+    p = sub.add_parser("bo-curve", parents=[writes],
                        help="adiabatic potential curves along the trap axis")
     p.add_argument("--z-min-um", type=float, default=10.0)
     p.add_argument("--z-max-um", type=float, default=30.0)
-    p.add_argument("--points", type=int, default=201)
+    p.add_argument("--points", type=int, default=201, help=f"2 to {MAX_SWEEP_POINTS}")
     p.add_argument("--placement", choices=("symmetric", "atom2-fixed"),
                    default="symmetric")
     p.set_defaults(handler=cmd_bo_curve)
 
-    p = sub.add_parser("phonons", parents=[common],
+    p = sub.add_parser("phonons", parents=[writes],
                        help="phonon branches over a range of trap separations")
     p.add_argument("--sep-min-um", type=float, default=10.0)
     p.add_argument("--sep-max-um", type=float, default=24.0)
-    p.add_argument("--points", type=int, default=141)
+    p.add_argument("--points", type=int, default=141, help=f"2 to {MAX_SWEEP_POINTS}")
     p.set_defaults(handler=cmd_phonons)
 
     p = sub.add_parser("critical", parents=[common],
@@ -384,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="PAIR", help="state pairs like 30S-30S, 25S-25S, rr, rg, gg")
     p.set_defaults(handler=cmd_critical)
 
-    p = sub.add_parser("density", parents=[common],
+    p = sub.add_parser("density", parents=[writes],
                        help="two-atom ground-state density on an axial grid")
     p.add_argument("--separations-um", type=float, nargs="+",
                    default=[12.0, 16.0, 24.0], metavar="SEP")
@@ -393,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"grid points per axis, 16 to {MAX_DENSITY_POINTS}")
     p.set_defaults(handler=cmd_density)
 
-    p = sub.add_parser("gauge", parents=[common],
+    p = sub.add_parser("gauge", parents=[writes],
                        help="gauge connection tables and loop phases")
     p.add_argument("--max-n", type=int, default=1,
                    help="largest quantum number per Cartesian axis in the mode set, "

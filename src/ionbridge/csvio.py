@@ -12,7 +12,8 @@ files.  ``write_table`` formats rows cell by cell through
 of a value grid in one call, formatting each axis value once.
 Writes land in a temporary file in the target directory and are moved
 into place with os.replace, so a crashed run never leaves a truncated
-table behind.
+table behind.  A metadata entry with a line break, or a path that
+cannot be written, is a ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -77,28 +78,34 @@ def _write(path, metadata, header, body: list[str], overwrite: bool) -> Path:
     """Write the preamble and the formatted data lines to a temporary file
     beside ``path``, then move it into place."""
     path = Path(path)
-    if path.exists() and not overwrite:
-        raise ConfigError(f"output {path} already exists; pass --overwrite to replace it")
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"# {key} = {format_value(value)}" for key, value in dict(metadata).items()]
+    for line in lines:
+        if line.splitlines() != [line]:
+            raise ConfigError(f"table metadata {line[2:]!r} holds a line break")
     lines.append(",".join(header))
     text = "\n".join(lines + body) + "\n"
 
-    handle = tempfile.NamedTemporaryFile(
-        "w", dir=path.parent, prefix=path.name + ".", suffix=".tmp", delete=False
-    )
     try:
-        with handle:
-            # NamedTemporaryFile creates mode 0600; give the table the mode
-            # open() would, 0666 less the umask (read by setting it back).
-            os.umask(umask := os.umask(0o077))
-            os.fchmod(handle.fileno(), 0o666 & ~umask)
-            handle.write(text)
-        os.replace(handle.name, path)
-    except BaseException:
+        if path.exists() and not overwrite:
+            raise ConfigError(f"output {path} already exists; pass --overwrite to replace it")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        handle = tempfile.NamedTemporaryFile(
+            "w", dir=path.parent, prefix=path.name + ".", suffix=".tmp", delete=False
+        )
         try:
-            os.unlink(handle.name)
-        except OSError:
-            pass
-        raise
+            with handle:
+                # NamedTemporaryFile creates mode 0600; give the table the mode
+                # open() would, 0666 less the umask (read by setting it back).
+                os.umask(umask := os.umask(0o077))
+                os.fchmod(handle.fileno(), 0o666 & ~umask)
+                handle.write(text)
+            os.replace(handle.name, path)
+        except BaseException:
+            try:
+                os.unlink(handle.name)
+            except OSError:
+                pass
+            raise
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err}") from err
     return path

@@ -153,7 +153,12 @@ def gauge_hermiticity_check(modes: list[IonModeIndex], geometry: AtomPairGeometr
 
 @dataclass(frozen=True)
 class LoopPath:
-    """Ordered waypoints in (r1, r2) space; shape (points, 2, 3), m."""
+    """Ordered waypoints in (r1, r2) space; shape (points, 2, 3), m.
+
+    Every waypoint and each leg's points at 1/4, 1/2 and 3/4 must pass
+    ``_squared_distances``: an atom on the ion-trap center or on the other
+    atom is a ``SingularGeometryError``, a coordinate beyond 1e38 m a
+    ``ConfigError``."""
 
     waypoints: np.ndarray
 
@@ -161,6 +166,10 @@ class LoopPath:
         w = np.asarray(self.waypoints, dtype=float)
         if w.ndim != 3 or w.shape[1:] != (2, 3) or w.shape[0] < 2:
             raise ConfigError("waypoints must have shape (points >= 2, 2, 3)")
+        start, step = w[:-1], w[1:] - w[:-1]
+        half, end = start + 0.5 * step, start + step
+        points = np.concatenate([w, 0.5 * (start + end), 0.5 * (start + half), 0.5 * (half + end)])
+        _squared_distances(points[:, 0], points[:, 1])
         object.__setattr__(self, "waypoints", w)
 
     @property
@@ -181,31 +190,16 @@ def square_loop(config: SystemConfig, side: float = 1e-6) -> LoopPath:
     return LoopPath(np.array(waypoints))
 
 
-def _check_path(loop: LoopPath) -> None:
-    """The path check of ``berry_phase`` and ``wilson_loop``: every
-    waypoint, and the midpoints of each leg cut once and twice, pass
-    ``_squared_distances``."""
-    w = loop.waypoints
-    start = w[:-1]
-    cuts = [start + (w[1:] - start) * f for f in (0.0, 0.5, 1.0)]
-    points = np.concatenate([w, 0.5 * (cuts[0] + cuts[2]),
-                             0.5 * (cuts[0] + cuts[1]), 0.5 * (cuts[1] + cuts[2])])
-    _squared_distances(points[:, 0], points[:, 1])
-
-
 def berry_phase(loop: LoopPath, mode: IonModeIndex, config: SystemConfig) -> float:
     """Geometric phase of one adiabatic surface around a closed loop, rad.
 
     The diagonal connection of the real displaced-oscillator states
     vanishes identically, so the phase is exactly zero.  The mode must
-    be Cartesian and the loop closed, and no waypoint or midpoint of a
-    leg cut once or twice may put an atom on the ion-trap center or on
-    the other atom.
+    be Cartesian and the loop closed; ``LoopPath`` has checked its points.
     """
     _quantum_numbers([mode])
     if not loop.closed:
         raise ConfigError("Berry phase needs a closed loop")
-    _check_path(loop)
     return 0.0
 
 
@@ -220,13 +214,12 @@ def wilson_loop(loop: LoopPath, modes: list[IonModeIndex],
     -(delta d_a) / (sqrt(2) l_a).  Every closed loop gives exactly the
     identity.  The modes must form the Cartesian product of one
     quantum-number set per axis: only then do the truncated generators
-    commute.
+    commute.  ``LoopPath`` has checked the path's points.
     """
     numbers = _quantum_numbers(modes)
     if len(modes) != math.prod(len(set(axis)) for axis in numbers.T):
         raise ConfigError("Wilson transport needs modes that form a product "
                           "of per-axis quantum-number sets")
-    _check_path(loop)
     first, last = loop.waypoints[0], loop.waypoints[-1]
     shift = (np.array(_ion_shift(last[0], last[1], config))
              - np.array(_ion_shift(first[0], first[1], config)))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ionbridge import DEFAULT_DOCUMENT, cli, motion
-from ionbridge.cli import MAX_DENSITY_POINTS, MAX_GAUGE_N, main
+from ionbridge.cli import MAX_DENSITY_POINTS, MAX_GAUGE_N, MAX_SWEEP_POINTS, main
 
 
 def run(capsys, *argv):
@@ -269,6 +269,15 @@ class TestCritical:
         assert run(capsys, "critical", "--config", str(ground),
                    "--pairs", "rr")[0] == 2
 
+    def test_line_break_in_a_pair_token_writes_no_table(self, config_file, tmp_path, capsys):
+        # parse_state strips each half, but the raw token is table metadata
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "critical", "--config", str(config_file()),
+                           "--pairs", "30S-\n25S", "--out", str(out_dir))
+        assert code == 2
+        assert "line break" in err and "Traceback" not in err
+        assert not out_dir.exists()
+
 
 class TestDensity:
     def test_writes_density_grid(self, config_file, tmp_path, capsys):
@@ -386,6 +395,54 @@ class TestGauge:
         assert code == 2
         assert f"[0, {MAX_GAUGE_N}]" in err and "Traceback" not in err
         assert not (tmp_path / "x").exists()
+
+
+class TestRefusedBeforeAnyWork:
+    CASES = [
+        (["bo-curve"], 2),
+        (["phonons"], 2),
+        (["density"], 2),
+        (["gauge"], 2),
+        (["bo-curve", "--out", "out", "--points", str(MAX_SWEEP_POINTS + 1)], 2),
+        (["phonons", "--out", "out", "--points", str(MAX_SWEEP_POINTS + 1)], 2),
+        (["gauge", "--out", "out", "--side-um", "16"], 4),  # the loop crosses the ion
+    ]
+
+    @pytest.mark.parametrize("argv, expected", CASES, ids=[" ".join(c[0]) for c in CASES])
+    def test_no_library_call_and_no_table(self, argv, expected, config_file, tmp_path,
+                                          capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("computed a table for a refused request")
+
+        for name in ("axial_bo_curve", "mode_sweep", "basis_ground_state",
+                     "connection_records"):
+            monkeypatch.setattr(cli, name, unreachable)
+        config = str(config_file())
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, argv[0], "--config", config, *argv[1:])
+        assert code == expected
+        assert "Traceback" not in err
+        assert not list(tmp_path.rglob("*.csv"))
+
+
+class TestUnwritableOutput:
+    def test_out_is_an_existing_file(self, config_file, tmp_path, capsys):
+        blocker = tmp_path / "F"
+        blocker.write_text("")
+        code, _, err = run(capsys, "scales", "--config", str(config_file()),
+                           "--out", str(blocker))
+        assert code == 2
+        assert "cannot write" in err and "Traceback" not in err
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_overwrite_onto_a_directory(self, config_file, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        (out_dir / "scales.csv").mkdir(parents=True)
+        code, _, err = run(capsys, "scales", "--config", str(config_file()),
+                           "--out", str(out_dir), "--overwrite")
+        assert code == 2
+        assert "cannot write" in err and "Traceback" not in err
+        assert not list(tmp_path.rglob("*.tmp"))
 
 
 class TestErrorPaths:

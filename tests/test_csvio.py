@@ -112,3 +112,12 @@ def test_grid_table_refuses_to_clobber(tmp_path):
         write_grid_table(path, {}, ["a", "b", "c"], [1.0], [2.0], [[4.0]])
     write_grid_table(path, {}, ["a", "b", "c"], [1.0], [2.0], [[4.0]], overwrite=True)
     assert path.read_text() == "a,b,c\n1,2,4\n"
+
+
+@pytest.mark.parametrize("value", ["30S-\n25S", "30S-\r25S", "a\r\nb", "a\x1cb", "end\n"])
+def test_metadata_line_breaks_are_refused_before_anything_is_written(tmp_path, value):
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match="line break"):
+        write_table(out / "t.csv", {"pairs": value}, ["a"], [(1.0,)])
+    assert not out.exists()
+

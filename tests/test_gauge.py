@@ -246,6 +246,16 @@ class TestLoops:
         ])
         LoopPath(open_path)  # fine as an open path
 
+    @pytest.mark.parametrize("end1, error, message", [
+        ([1e39, 0.0, 8e-6], ConfigError, "1e38 m"),
+        ([np.nan, 0.0, 8e-6], ConfigError, "1e38 m"),
+        ([1e-6, 0.0, -8e-6], SingularGeometryError, "coincident atoms"),
+    ])
+    def test_the_path_is_checked_when_it_is_built(self, end1, error, message):
+        r2 = [1e-6, 0.0, -8e-6]
+        with pytest.raises(error, match=message):
+            LoopPath(np.array([[[0.0, 0.0, 8e-6], r2], [end1, r2]]))
+
     def test_closed_when_the_path_ends_where_it_starts(self, cfg_rr):
         assert square_loop(cfg_rr).closed is True
         assert open_path(cfg_rr).closed is False
@@ -289,17 +299,15 @@ class TestLoops:
         with pytest.raises(ConfigError, match="Cartesian"):
             berry_phase(square_loop(cfg_rr), IonModeIndex.cylindrical(0, 0, 0), cfg_rr)
 
-    def test_twice_subdivided_midpoint_on_the_ion_is_singular(self, cfg_rr):
+    def test_twice_subdivided_midpoint_on_the_ion_is_singular(self):
         # each leg's own midpoint is clear of the ion; its first half's is not
         r2 = [0.0, 0.0, -8e-6]
-        path = LoopPath(np.array([[[-1e-6, 0.0, 0.0], r2], [[3e-6, 0.0, 0.0], r2],
-                                  [[-1e-6, 0.0, 0.0], r2]]))
-        mids = np.array([mid for mid, _ in oracles.segments(path, 1)])
+        waypoints = np.array([[[-1e-6, 0.0, 0.0], r2], [[3e-6, 0.0, 0.0], r2],
+                              [[-1e-6, 0.0, 0.0], r2]])
+        mids = 0.5 * (waypoints[:-1] + waypoints[1:])
         assert np.all(np.linalg.norm(mids[:, 0], axis=1) > 0.0)
         with pytest.raises(SingularGeometryError, match="ion-trap center"):
-            berry_phase(path, IonModeIndex.cartesian(0, 0, 0), cfg_rr)
-        with pytest.raises(SingularGeometryError, match="ion-trap center"):
-            wilson_loop(path, cartesian_modes(1), cfg_rr)
+            LoopPath(waypoints)
 
     def test_batched_jacobian_matches_each_geometry(self, cfg_rg):
         rng = np.random.default_rng(7)
@@ -311,19 +319,15 @@ class TestLoops:
                 geom = AtomPairGeometry(point, r2) if atom == 1 else AtomPairGeometry(r2, point)
                 np.testing.assert_array_equal(jac, displacement_jacobian(atom, geom, cfg_rg))
 
-    def test_loop_through_the_ion_is_singular(self, cfg_rr):
+    def test_loop_through_the_ion_is_singular(self):
         # atom 1 crosses the ion-trap center: a segment midpoint lands on it
         r2 = [0.0, 0.0, -8e-6]
-        path = LoopPath(np.array([[[-1e-6, 0.0, 0.0], r2], [[1e-6, 0.0, 0.0], r2],
-                                  [[-1e-6, 0.0, 0.0], r2]]))
         with pytest.raises(SingularGeometryError, match="ion-trap center"):
-            berry_phase(path, IonModeIndex.cartesian(0, 0, 0), cfg_rr)
-        with pytest.raises(SingularGeometryError, match="ion-trap center"):
-            wilson_loop(path, cartesian_modes(1), cfg_rr)
+            LoopPath(np.array([[[-1e-6, 0.0, 0.0], r2], [[1e-6, 0.0, 0.0], r2],
+                               [[-1e-6, 0.0, 0.0], r2]]))
         # an open path that ends on the ion-trap center
-        ends_on_ion = LoopPath(np.array([[[1e-6, 0.0, 0.0], r2], [[0.0, 0.0, 0.0], r2]]))
         with pytest.raises(SingularGeometryError, match="ion-trap center"):
-            wilson_loop(ends_on_ion, cartesian_modes(1), cfg_rr)
+            LoopPath(np.array([[[1e-6, 0.0, 0.0], r2], [[0.0, 0.0, 0.0], r2]]))
 
     def test_berry_phase_needs_closed_loop(self, cfg_rr):
         path = LoopPath(np.array([
