@@ -11,6 +11,7 @@ collisional domain.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -43,8 +44,8 @@ FORMAT_VERSION = 1
 _KHZ2 = (cst.TWO_PI * 1e3) ** 2  # rad^2/s^2 per kHz^2
 
 # Input caps that keep a run well inside memory.  A 1001-point density
-# grid writes a 1,002,001-row table (45 MB) per separation, and the
-# process peaks at 220 MB RSS; max-n 6 gives 343 modes and 705,894
+# grid writes a 1,002,001-row table (45 MB) per separation, in blocks,
+# and the process peaks at 69 MB RSS; max-n 6 gives 343 modes and 705,894
 # connection rows (14 MB), with a 329 MB peak.  Memory grows with the
 # square of the points and the sixth power of max-n + 1.  A 100,001-point
 # bo-curve or phonons sweep (7 MB table) peaks at 72 or 103 MB, linear in the points.
@@ -385,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density", parents=[writes],
                        help="two-atom ground-state density on an axial grid")
     p.add_argument("--separations-um", type=float, nargs="+",
-                   default=[12.0, 16.0, 24.0], metavar="SEP")
+                   default=(12.0, 16.0, 24.0), metavar="SEP")
     p.add_argument("--n-max", type=int, default=30)
     p.add_argument("--points", type=int, default=161,
                    help=f"grid points per axis, 16 to {MAX_DENSITY_POINTS}")
@@ -402,10 +403,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process; each parse makes a
+    fresh namespace, and no default is mutable."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

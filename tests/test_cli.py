@@ -172,6 +172,30 @@ class TestBoCurve:
         assert run(capsys, *args, "--overwrite")[0] == 0
 
 
+class TestRepeatedCalls:
+    """main builds its parser once per process, and its calls share no
+    parsed state."""
+
+    def test_the_parser_is_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_a_later_call_without_overwrite_still_refuses(self, config_file, tmp_path, capsys):
+        args = ["scales", "--config", str(config_file()), "--out", str(tmp_path)]
+        assert run(capsys, *args, "--overwrite")[0] == 0
+        code, _, err = run(capsys, *args)
+        assert code == 2
+        assert "already exists" in err
+
+    def test_options_of_one_call_do_not_reach_the_next(self):
+        parse = cli._parser().parse_args
+        first = parse(["density", "--config", "c.json", "--out", "o", "--overwrite",
+                       "--separations-um", "9", "--n-max", "5"])
+        assert (first.separations_um, first.n_max, first.overwrite) == ([9.0], 5, True)
+        second = parse(["density", "--config", "c.json", "--out", "o"])
+        assert (list(second.separations_um), second.n_max, second.overwrite) == (
+            [12.0, 16.0, 24.0], 30, False)
+
+
 MAGNITUDES = st.floats(min_value=-330.0, max_value=308.0).map(lambda e: 10.0 ** e)
 
 

@@ -2,11 +2,15 @@
 per-cell rows give."""
 
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from ionbridge import ConfigError
+from ionbridge import ConfigError, csvio
 from ionbridge.csvio import format_value, write_grid_table, write_table
 
 SPECIAL = [
@@ -121,3 +125,74 @@ def test_metadata_line_breaks_are_refused_before_anything_is_written(tmp_path, v
         write_table(out / "t.csv", {"pairs": value}, ["a"], [(1.0,)])
     assert not out.exists()
 
+
+HEADER = ["z1_um", "z2_um", "density_per_um2"]
+
+
+def assert_grid_bytes_match_per_cell_format(x, y, values):
+    """write_grid_table writes the table that per-cell %.12g gives."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = write_grid_table(Path(folder) / "t.csv", {}, HEADER, x, y, values)
+        assert path.read_bytes() == per_cell_text({}, HEADER, grid_rows(x, y, values)).encode()
+
+
+def assert_values_match_per_cell_format(values):
+    """The values, one per row, as write_grid_table writes them."""
+    values = np.asarray(values, dtype=float).reshape(-1, 1)
+    assert_grid_bytes_match_per_cell_format(np.arange(float(len(values))), np.array([0.5]),
+                                            values)
+
+
+@st.composite
+def float_grids(draw):
+    """Axes and a value grid of any float64: nan, +-inf, subnormals, +-0."""
+    shape = draw(hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=12))
+    floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    return (draw(hnp.arrays(np.float64, shape[0], elements=floats)),
+            draw(hnp.arrays(np.float64, shape[1], elements=floats)),
+            draw(hnp.arrays(np.float64, shape, elements=floats)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(float_grids())
+def test_any_float_grid_matches_per_cell_format(grid):
+    assert_grid_bytes_match_per_cell_format(*grid)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(10**11, 10**12 - 1), st.integers(-335, 296),
+                          st.sampled_from([-1.0, 1.0])), min_size=1, max_size=40))
+def test_thirteen_digit_ties_match_per_cell_format(draws):
+    # d.ddddddddddd5 x 10**k sits on, or one rounding away from, a
+    # rounding tie of the twelfth digit
+    ties = np.array([sign * float(f"{digits}5e{k}") for digits, k, sign in draws])
+    assert_values_match_per_cell_format(
+        np.concatenate([ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf)]))
+
+
+def test_neighbours_of_powers_of_ten_match_per_cell_format():
+    powers = np.array([float(f"1e{k}") for k in range(-310, 309)])
+    near = [powers]
+    for direction in (np.inf, -np.inf):
+        step = powers
+        for _ in range(3):
+            step = np.nextafter(step, direction)
+            near.append(step)
+    near = np.concatenate(near)
+    assert_values_match_per_cell_format(np.concatenate([near, -near]))
+
+
+@pytest.mark.parametrize("shape", [(csvio._CHUNK_ROWS + 1, 1), (1, csvio._CHUNK_ROWS + 1)])
+def test_grid_one_row_longer_than_a_block_matches_per_cell_format(shape):
+    rng = np.random.default_rng(sum(shape))
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-30, 30, size=shape)
+    values.flat[-len(SPECIAL):] = SPECIAL
+    assert_grid_bytes_match_per_cell_format(rng.normal(size=shape[0]),
+                                            rng.normal(size=shape[1]), values)
+
+
+@pytest.mark.parametrize("chunk_rows", [3, 6, 12])   # blocks of 1, 2 and 4 rows
+def test_blocks_end_between_grid_rows(monkeypatch, chunk_rows):
+    monkeypatch.setattr(csvio, "_CHUNK_ROWS", chunk_rows)
+    values = np.array(SPECIAL).reshape(6, 3)
+    assert_grid_bytes_match_per_cell_format(np.arange(6.0), np.array([0.1, -2.5, 1e16]), values)
