@@ -3,9 +3,11 @@
 Subcommands mirror the library surface: scales, bo-curve, phonons,
 critical, density, and gauge.  Every command takes --config PATH and
 --out DIR [--overwrite], which all but scales and critical require.
-Exit codes: 0 on success, 2 for configuration problems, 3 for accuracy
-or convergence failures, 4 when the request lands in the unstable or
-collisional domain.
+Each table goes to --out through ``_write`` (density grids stream
+through ``write_grid_table``) with the same ``_metadata``.  Exit codes,
+from ``_EXIT_CODES``: 0 on success, 2 for configuration problems, 3 for
+accuracy or convergence failures, 4 when the request lands in the
+unstable or collisional domain.
 """
 
 from __future__ import annotations
@@ -53,6 +55,10 @@ MAX_DENSITY_POINTS = 1001
 MAX_GAUGE_N = 6
 MAX_SWEEP_POINTS = 100_001
 
+_EXIT_CODES = {ConfigError: EXIT_CONFIG, AccuracyError: EXIT_ACCURACY,
+               NotBracketedError: EXIT_ACCURACY, InstabilityError: EXIT_INSTABILITY,
+               SingularGeometryError: EXIT_INSTABILITY}
+
 
 def _to_khz(energy_j):
     return energy_j / cst.PLANCK / 1e3
@@ -62,7 +68,7 @@ def _load(args, check_stability: bool = False):
     """Load and validate the config; with ``check_stability`` warn on
     stderr when the configured separation is below the stability
     threshold."""
-    config, resolved, digest = load_config(args.config)
+    config, _, digest = load_config(args.config)
     require_valid(config)
     if check_stability:
         sep = 2.0 * config.half_separation_z0
@@ -75,21 +81,38 @@ def _load(args, check_stability: bool = False):
                 print(f"warning: 2z0 = {sep:.4g} m is below the stability threshold "
                       f"{crit.critical_2z0:.4g} m ({crit.limiting_branch} branch)",
                       file=sys.stderr)
-    return config, resolved, digest
+    return config, digest
 
 
-def _metadata(command: str, digest: str, **extra) -> dict:
-    meta = {
-        "format_version": FORMAT_VERSION,
-        "command": command,
-        "config_digest": "sha256:" + digest,
-    }
-    meta.update(extra)
-    return meta
+def _metadata(args, digest: str, **extra) -> dict:
+    return {"format_version": FORMAT_VERSION, "command": args.command,
+            "config_digest": "sha256:" + digest, **extra}
+
+
+def _write(args, digest: str, name: str, header, rows, note: str = "", **extra) -> None:
+    """Write table ``name`` into --out with the command's metadata and
+    ``extra``, and print its path followed by ``note``."""
+    path = write_table(Path(args.out) / name, _metadata(args, digest, **extra),
+                       header, rows, overwrite=args.overwrite)
+    print(f"wrote {path}{note}")
+
+
+def _require_in(flag: str, value, lo, hi) -> None:
+    if not lo <= value <= hi:
+        raise ConfigError(f"{flag} must lie in [{lo}, {hi}], got {value}")
+
+
+def _separation_grid(lo_um: float, hi_um: float, points: int) -> np.ndarray:
+    """The sweep grid of ``points`` separations from lo_um to hi_um, in m."""
+    if not 0.0 < lo_um < hi_um < np.inf:
+        raise ConfigError("separation range must be positive, finite and increasing, "
+                          f"got [{lo_um}, {hi_um}] um")
+    _require_in("--points", points, 2, MAX_SWEEP_POINTS)
+    return np.linspace(lo_um, hi_um, points) * 1e-6
 
 
 def cmd_scales(args) -> int:
-    config, _, digest = _load(args, check_stability=True)
+    config, digest = _load(args, check_stability=True)
     s = characteristic_scales(config)
     pair = "-".join(state.label() for state in config.state_pair)
 
@@ -119,31 +142,15 @@ def cmd_scales(args) -> int:
             ("R_ia_star", s.R_ia_star * 1e6, "um"),
             ("R_aa_star", s.R_aa_star * 1e6, "um"),
         ]
-        path = write_table(
-            Path(args.out) / "scales.csv",
-            _metadata("scales", digest, states=pair),
-            ["quantity", "value", "unit"],
-            rows,
-            overwrite=args.overwrite,
-        )
-        print(f"wrote {path}")
+        _write(args, digest, "scales.csv", ["quantity", "value", "unit"], rows, states=pair)
     return EXIT_OK
 
 
 def cmd_bo_curve(args) -> int:
-    config, _, digest = _load(args, check_stability=True)
-    if args.z_min_um <= 0.0:
-        raise ConfigError(f"--z-min-um must be positive, got {args.z_min_um}")
-    if args.z_max_um <= args.z_min_um:
-        raise ConfigError(
-            f"separation range is reversed or empty: [{args.z_min_um}, {args.z_max_um}] um"
-        )
-    if not 2 <= args.points <= MAX_SWEEP_POINTS:
-        raise ConfigError(f"--points must lie in [2, {MAX_SWEEP_POINTS}], got {args.points}")
-
+    config, digest = _load(args, check_stability=True)
+    grid = _separation_grid(args.z_min_um, args.z_max_um, args.points)
     # values past the float range raise typed errors below, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        grid = np.linspace(args.z_min_um, args.z_max_um, args.points) * 1e-6
         curves = axial_bo_curve(grid, config.ion_mode, config, placement=args.placement)
         if not curves["V_rg"].all():
             z = curves["z"][curves["V_rg"] == 0.0][0]
@@ -158,46 +165,26 @@ def cmd_bo_curve(args) -> int:
         raise SingularGeometryError(
             f"the table row at separation {rows[~finite, 0][0]:.4g} um overflows the "
             "float range, next to the interaction singularity")
-    path = write_table(
-        Path(args.out) / "bo_curve.csv",
-        _metadata("bo-curve", digest, placement=args.placement,
-                  z_min_um=args.z_min_um, z_max_um=args.z_max_um,
-                  points=args.points, ion_mode=config.ion_mode.label()),
-        ["separation_um", "V_rr_kHz", "V_rg_kHz", "V_gg_Hz", "abs_ratio_rr_rg"],
-        rows,
-        overwrite=args.overwrite,
-    )
-    print(f"wrote {path}")
+    _write(args, digest, "bo_curve.csv",
+           ["separation_um", "V_rr_kHz", "V_rg_kHz", "V_gg_Hz", "abs_ratio_rr_rg"], rows,
+           placement=args.placement, z_min_um=args.z_min_um, z_max_um=args.z_max_um,
+           points=args.points, ion_mode=config.ion_mode.label())
     return EXIT_OK
 
 
 def cmd_phonons(args) -> int:
-    config, _, digest = _load(args)
-    if args.sep_min_um <= 0.0 or args.sep_max_um <= args.sep_min_um:
-        raise ConfigError(
-            f"separation range is reversed or empty: [{args.sep_min_um}, {args.sep_max_um}] um"
-        )
-    if not 2 <= args.points <= MAX_SWEEP_POINTS:
-        raise ConfigError(f"--points must lie in [2, {MAX_SWEEP_POINTS}], got {args.points}")
-
-    grid = np.linspace(args.sep_min_um, args.sep_max_um, args.points) * 1e-6
-    sweep = mode_sweep(config, grid)
+    config, digest = _load(args)
+    sweep = mode_sweep(config, _separation_grid(args.sep_min_um, args.sep_max_um, args.points))
     columns = (sweep["separation"] * 1e6,
                *(sweep[key] / _KHZ2 for key in ("axial_stretch_sq", "axial_com_sq",
                                                  "transverse_stretch_sq", "transverse_com_sq")),
                sweep["axial_angle"], sweep["transverse_angle"], sweep["stable"])
     rows = zip(*(column.tolist() for column in columns))
-    path = write_table(
-        Path(args.out) / "phonons.csv",
-        _metadata("phonons", digest, sep_min_um=args.sep_min_um,
-                  sep_max_um=args.sep_max_um, points=args.points),
-        ["separation_um", "axial_stretch_kHz2", "axial_com_kHz2",
-         "transverse_stretch_kHz2", "transverse_com_kHz2",
-         "axial_angle_rad", "transverse_angle_rad", "stable"],
-        rows,
-        overwrite=args.overwrite,
-    )
-    print(f"wrote {path}")
+    _write(args, digest, "phonons.csv",
+           ["separation_um", "axial_stretch_kHz2", "axial_com_kHz2",
+            "transverse_stretch_kHz2", "transverse_com_kHz2",
+            "axial_angle_rad", "transverse_angle_rad", "stable"], rows,
+           sep_min_um=args.sep_min_um, sep_max_um=args.sep_max_um, points=args.points)
     return EXIT_OK
 
 
@@ -214,7 +201,7 @@ def _pair_from_token(token: str, config):
 
 
 def cmd_critical(args) -> int:
-    config, _, digest = _load(args)
+    config, digest = _load(args)
     tokens = args.pairs or ["-".join(s.label() for s in config.state_pair)]
 
     rows = []
@@ -233,29 +220,21 @@ def cmd_critical(args) -> int:
         rows.append((label, result.critical_2z0 * 1e6, result.limiting_branch))
 
     if args.out is not None:
-        path = write_table(
-            Path(args.out) / "critical.csv",
-            _metadata("critical", digest, pairs=" ".join(tokens)),
-            ["pair", "critical_2z0_um", "limiting_branch"],
-            rows,
-            overwrite=args.overwrite,
-        )
-        print(f"wrote {path}")
+        _write(args, digest, "critical.csv", ["pair", "critical_2z0_um", "limiting_branch"],
+               rows, pairs=" ".join(tokens))
     return EXIT_OK
 
 
 def cmd_density(args) -> int:
-    config, _, digest = _load(args)
+    config, digest = _load(args)
     if args.n_max < 0:
         raise ConfigError(f"--n-max must be non-negative, got {args.n_max}")
-    if not 16 <= args.points <= MAX_DENSITY_POINTS:
-        raise ConfigError(f"--points must lie in [16, {MAX_DENSITY_POINTS}], got {args.points}")
+    _require_in("--points", args.points, 16, MAX_DENSITY_POINTS)
     if any(sep <= 0.0 for sep in args.separations_um):
         raise ConfigError("separations must be positive")
     names = [f"{sep:g}" for sep in args.separations_um]   # density_<name>um.csv each
     if len(set(names)) < len(names):
         raise ConfigError(f"separations {' '.join(names)} um repeat one; each writes one table")
-    out_dir = Path(args.out)
 
     for sep_um in args.separations_um:
         z0 = 0.5 * sep_um * 1e-6
@@ -272,8 +251,8 @@ def cmd_density(args) -> int:
         density = pair_density(state, z1, z2)
 
         path = write_grid_table(
-            out_dir / f"density_{sep_um:g}um.csv",
-            _metadata("density", digest, separation_um=sep_um,
+            Path(args.out) / f"density_{sep_um:g}um.csv",
+            _metadata(args, digest, separation_um=sep_um,
                       n_max_used=state.n_max,
                       convergence_residual=state.residual,
                       ground_energy_kHz=_to_khz(state.energy),
@@ -288,13 +267,11 @@ def cmd_density(args) -> int:
 
 
 def cmd_gauge(args) -> int:
-    config, _, digest = _load(args, check_stability=True)
-    if not 0 <= args.max_n <= MAX_GAUGE_N:
-        raise ConfigError(f"--max-n must lie in [0, {MAX_GAUGE_N}], got {args.max_n}")
+    config, digest = _load(args, check_stability=True)
+    _require_in("--max-n", args.max_n, 0, MAX_GAUGE_N)
     if args.side_um <= 0.0:
         raise ConfigError(f"--side-um must be positive, got {args.side_um}")
     loop = square_loop(config, side=args.side_um * 1e-6)
-    out_dir = Path(args.out)
 
     modes = cartesian_modes(args.max_n)
     geometry = AtomPairGeometry.at_trap_centers(config)
@@ -313,16 +290,12 @@ def cmd_gauge(args) -> int:
         for rec in records
         for axis in range(3)
     ]
-    path = write_table(
-        out_dir / "connection.csv",
-        _metadata("gauge", digest, max_n=args.max_n,
-                  geometry="trap-centers", hermiticity_residual_Js_per_m=hermiticity),
-        ["atom", "bra_nx", "bra_ny", "bra_nz", "ket_nx", "ket_ny", "ket_nz",
-         "axis", "re_Js_per_m", "im_Js_per_m"],
-        rows,
-        overwrite=args.overwrite,
-    )
-    print(f"wrote {path} (hermiticity residual {hermiticity:.3g} J s/m)")
+    _write(args, digest, "connection.csv",
+           ["atom", "bra_nx", "bra_ny", "bra_nz", "ket_nx", "ket_ny", "ket_nz",
+            "axis", "re_Js_per_m", "im_Js_per_m"], rows,
+           note=f" (hermiticity residual {hermiticity:.3g} J s/m)",
+           max_n=args.max_n, geometry="trap-centers",
+           hermiticity_residual_Js_per_m=hermiticity)
 
     phase_rows = []
     for mode in modes:
@@ -330,14 +303,8 @@ def cmd_gauge(args) -> int:
         phase_rows.append((mode.n1, mode.n2, mode.n3, phase))
         print(f"mode ({mode.n1},{mode.n2},{mode.n3}): "
               f"Berry phase {phase:.3g} rad on a {args.side_um:g} um square loop")
-    path = write_table(
-        out_dir / "phases.csv",
-        _metadata("gauge", digest, loop="square", side_um=args.side_um),
-        ["mode_nx", "mode_ny", "mode_nz", "berry_phase_rad"],
-        phase_rows,
-        overwrite=args.overwrite,
-    )
-    print(f"wrote {path}")
+    _write(args, digest, "phases.csv", ["mode_nx", "mode_ny", "mode_nz", "berry_phase_rad"],
+           phase_rows, loop="square", side_um=args.side_um)
     return EXIT_OK
 
 
@@ -417,15 +384,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except ConfigError as err:
+    except tuple(_EXIT_CODES) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (AccuracyError, NotBracketedError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ACCURACY
-    except (InstabilityError, SingularGeometryError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INSTABILITY
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(err, kind))
 
 
 if __name__ == "__main__":

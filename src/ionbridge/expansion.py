@@ -15,6 +15,8 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError
 from .model import SystemConfig
 
@@ -118,6 +120,17 @@ def effective_frequencies(config: SystemConfig, z0) -> EffectiveFrequencies:
     moving off-axis recedes from the ion) while the axial one softens;
     the ion-following A10 terms enter both, including a transverse
     6*(A10_j - A10_ab) piece that cancels for identical states.  ``z0``
-    may be an ndarray; every field then has its shape.
+    may be an ndarray; every field then has its shape.  It is taken in
+    float64, so beyond the float range of z0^12 every correction is 0
+    and the bare trap remains.  ConfigError unless every z0 is positive
+    and finite, or when a field leaves the float range.
     """
-    return EffectiveFrequencies(*_frequency_squares(_terms(config), z0))
+    z0 = np.float64(z0)
+    if not np.all((0.0 < z0) & (z0 < math.inf)):
+        raise ConfigError(f"half-separation must be positive and finite, got {z0}")
+    with np.errstate(all="ignore"):
+        squares = _frequency_squares(_terms(config), z0)
+    if not np.all(np.isfinite(squares)):
+        raise ConfigError("the quadratic expansion leaves the float range between "
+                          f"2z0 = {2.0 * np.min(z0):.3g} and {2.0 * np.max(z0):.3g} m")
+    return EffectiveFrequencies(*squares)

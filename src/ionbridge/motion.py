@@ -541,7 +541,10 @@ def gaussian_ground_state(config: SystemConfig, z0: float) -> CorrelatedGaussian
 
 
 def bare_product_state(config: SystemConfig, z0: float) -> CorrelatedGaussian:
-    """Uncoupled trap ground state: the no-interaction reference."""
+    """Uncoupled trap ground state: the no-interaction reference;
+    ConfigError unless z0 is positive and finite."""
+    if not 0.0 < z0 < math.inf:
+        raise ConfigError(f"half-separation must be positive and finite, got {z0}")
     a_z = characteristic_scales(config).a_z
     return CorrelatedGaussian(center=(z0, -z0), normal_axes=np.eye(2), widths=(a_z, a_z))
 
@@ -551,14 +554,14 @@ def pair_density(state, z1_grid, z2_grid) -> np.ndarray:
 
     The grid must resolve and cover the state: the trapezoid integral of
     the density is required to equal 1 within 1e-3 (defaults land well
-    inside 1e-4).
+    inside 1e-4); AccuracyError otherwise, a non-finite integral included.
     """
     z1 = np.asarray(z1_grid, dtype=float)
     z2 = np.asarray(z2_grid, dtype=float)
     psi = state.wavefunction(z1, z2)
     density = psi * psi
     total = np.trapezoid(np.trapezoid(density, z2, axis=1), z1)
-    if abs(total - 1.0) > 1e-3:
+    if not abs(total - 1.0) <= 1e-3:
         raise AccuracyError(
             f"density integrates to {total:.6g}; the grid under-covers or "
             "under-resolves the state"
@@ -567,8 +570,13 @@ def pair_density(state, z1_grid, z2_grid) -> np.ndarray:
 
 
 def state_overlap(state_a, state_b, z1_grid, z2_grid) -> float:
-    """Trapezoid overlap integral <a|b> of two real pair states."""
+    """Trapezoid overlap integral <a|b> of two real pair states;
+    AccuracyError when it is not finite."""
     z1 = np.asarray(z1_grid, dtype=float)
     z2 = np.asarray(z2_grid, dtype=float)
     product = state_a.wavefunction(z1, z2) * state_b.wavefunction(z1, z2)
-    return float(np.trapezoid(np.trapezoid(product, z2, axis=1), z1))
+    overlap = float(np.trapezoid(np.trapezoid(product, z2, axis=1), z1))
+    if not math.isfinite(overlap):
+        raise AccuracyError(f"overlap integrates to {overlap}; the grid or a state "
+                            "is not finite")
+    return overlap

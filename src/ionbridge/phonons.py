@@ -203,10 +203,11 @@ def critical_separation(config: SystemConfig) -> StabilityResult:
 
 
 def mode_sweep(config: SystemConfig, separations) -> dict[str, np.ndarray]:
-    """Phonon spectra over a monotone grid of full separations 2z0, SI."""
+    """Phonon spectra over a monotone grid of full separations 2z0, SI;
+    ConfigError unless the grid is non-empty, positive and finite."""
     separations = np.asarray(separations, dtype=float)
-    if separations.size < 1 or np.any(separations <= 0.0):
-        raise ConfigError("separation grid must be positive and non-empty")
+    if separations.size < 1 or not np.all((separations > 0.0) & (separations < np.inf)):
+        raise ConfigError("separation grid must be positive, finite and non-empty")
     steps = np.diff(separations)
     if steps.size and not (np.all(steps > 0.0) or np.all(steps < 0.0)):
         raise ConfigError("separation grid must be monotone")

@@ -12,11 +12,12 @@ import pytest
 
 from ionbridge import (
     AtomPairGeometry,
+    ConfigError,
     effective_frequencies,
     effective_potential_U,
     reference_config,
 )
-from ionbridge.expansion import _terms
+from ionbridge.expansion import _frequency_squares, _terms
 
 FD_STEP = 2e-9  # m, balances cancellation noise against truncation
 
@@ -153,3 +154,42 @@ class TestSymmetriesAndStructure:
             > without.branch("axial", "stretch").omega_sq
         assert with_c6.branch("transverse", "stretch").omega_sq \
             < without.branch("transverse", "stretch").omega_sq
+
+
+class TestHalfSeparationInputs:
+    """effective_frequencies takes z0 in float64: positive and finite, else
+    ConfigError; a result that leaves the float range is ConfigError too."""
+
+    @pytest.mark.parametrize("z0", [0.0, -8e-6, float("nan"), float("inf"),
+                                    np.array([0.0, 8e-6]), np.array([8e-6, np.nan])],
+                             ids=["zero", "negative", "nan", "inf", "array-with-zero",
+                                  "array-with-nan"])
+    def test_refused_half_separations(self, cfg_rr, z0):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            effective_frequencies(cfg_rr, z0)
+
+    def test_half_separation_below_the_float_range_of_its_powers(self, cfg_rr):
+        with pytest.raises(ConfigError, match="float range"):
+            effective_frequencies(cfg_rr, 1e-300)
+
+    @pytest.mark.parametrize("z0", [1e200, np.array([1e200, 1e300])])
+    def test_beyond_the_float_range_of_z0_powers_the_bare_trap_remains(self, cfg_rr, z0):
+        fr = effective_frequencies(cfg_rr, z0)
+        for name in ("omega_bar_rho1_sq", "omega_bar_rho2_sq", "omega_prime_rho_sq"):
+            assert np.all(getattr(fr, name) == cfg_rr.atom_trap.radial**2)
+        for name in ("omega_bar_z1_sq", "omega_bar_z2_sq", "omega_prime_z_sq"):
+            assert np.all(getattr(fr, name) == cfg_rr.atom_trap.axial**2)
+        for name in ("omega_xy_sq", "omega_zz_sq", "Omega_1_sq", "Omega_2_sq"):
+            assert np.all(getattr(fr, name) == 0.0)
+
+    @pytest.mark.parametrize("kind", ["rr", "rg", "gg"])
+    def test_valid_half_separations_give_the_python_float_values(self, kind):
+        config = reference_config(kind)
+        t = _terms(config)
+        for z0 in np.geomspace(1e-7, 1e-3, 97).tolist():
+            assert dataclasses.astuple(effective_frequencies(config, z0)) \
+                == _frequency_squares(t, z0)
+        grid = np.linspace(2e-6, 20e-6, 31)
+        observed = dataclasses.astuple(effective_frequencies(config, grid))
+        for got, expected in zip(observed, _frequency_squares(t, grid)):
+            assert np.array_equal(got, expected)

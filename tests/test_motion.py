@@ -226,6 +226,21 @@ class TestGroundStates:
         with pytest.raises(AccuracyError):
             pair_density(state, narrow, -narrow)
 
+    def test_non_finite_grid_is_rejected(self, cfg_rr):
+        z0 = cfg_rr.half_separation_z0
+        gauss = gaussian_ground_state(cfg_rr, z0)
+        z1 = np.full(81, np.nan)
+        z2 = np.linspace(-z0 - 1e-6, -z0 + 1e-6, 81)
+        with pytest.raises(AccuracyError, match="nan"):
+            pair_density(gauss, z1, z2)
+        with pytest.raises(AccuracyError, match="not finite"):
+            state_overlap(gauss, gauss, z1, z2)
+
+    @pytest.mark.parametrize("z0", [0.0, -8e-6, float("nan"), float("inf")])
+    def test_bare_product_state_needs_a_positive_finite_half_separation(self, cfg_rr, z0):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            bare_product_state(cfg_rr, z0)
+
     def test_identical_gaussians_overlap_to_unity(self, cfg_rr):
         z0 = cfg_rr.half_separation_z0
         gauss = gaussian_ground_state(cfg_rr, z0)

@@ -152,6 +152,9 @@ class TestModeSweep:
             mode_sweep(cfg_rr, [10e-6, 12e-6, 11e-6])
         with pytest.raises(ConfigError):
             mode_sweep(cfg_rr, [-1e-6, 10e-6])
+        for grid in ([], [np.inf], [10e-6, np.inf], [np.nan], [10e-6, np.nan]):
+            with pytest.raises(ConfigError, match="positive, finite and non-empty"):
+                mode_sweep(cfg_rr, grid)
 
     def test_stable_flags_track_threshold(self, cfg_rr):
         crit = critical_separation(cfg_rr).critical_2z0
