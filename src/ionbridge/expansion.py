@@ -90,6 +90,14 @@ class EffectiveFrequencies:
     Omega_2_sq: float
 
 
+def _half_separation(z0):
+    """``z0`` in float64; ConfigError unless every half-separation in it is positive and finite."""
+    z0 = np.float64(z0)
+    if not np.all((0.0 < z0) & (z0 < math.inf)):
+        raise ConfigError(f"half-separation must be positive and finite, got {z0}")
+    return z0
+
+
 def _frequency_squares(t: _Terms, z0):
     """The fields of EffectiveFrequencies at z0, in their order.  Only
     + - * / and ** act on z0, so it may be a float or an ndarray."""
@@ -125,9 +133,7 @@ def effective_frequencies(config: SystemConfig, z0) -> EffectiveFrequencies:
     and the bare trap remains.  ConfigError unless every z0 is positive
     and finite, or when a field leaves the float range.
     """
-    z0 = np.float64(z0)
-    if not np.all((0.0 < z0) & (z0 < math.inf)):
-        raise ConfigError(f"half-separation must be positive and finite, got {z0}")
+    z0 = _half_separation(z0)
     with np.errstate(all="ignore"):
         squares = _frequency_squares(_terms(config), z0)
     if not np.all(np.isfinite(squares)):

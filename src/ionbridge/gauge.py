@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants as cst
-from .errors import ConfigError
+from .errors import ConfigError, SingularGeometryError
 from .model import IonModeIndex, SystemConfig
 from .potentials import AtomPairGeometry, _ion_shift, _shift_coefficients, _squared_distances
 
@@ -155,10 +155,12 @@ def gauge_hermiticity_check(modes: list[IonModeIndex], geometry: AtomPairGeometr
 class LoopPath:
     """Ordered waypoints in (r1, r2) space; shape (points, 2, 3), m.
 
-    Every waypoint and each leg's points at 1/4, 1/2 and 3/4 must pass
-    ``_squared_distances``: an atom on the ion-trap center or on the other
-    atom is a ``SingularGeometryError``, a coordinate beyond 1e38 m a
-    ``ConfigError``."""
+    Every waypoint must pass ``_squared_distances``: an atom on the
+    ion-trap center or on the other atom is a ``SingularGeometryError``,
+    a coordinate beyond 1e38 m a ``ConfigError``.  So is a leg whose closest
+    approach of an atom to the center, or of r1 - r2 to 0, is within 1e-12
+    of that vector's |start| + |step| (1e4 times the rounding): a crossing
+    anywhere on a leg, but not a leg 1 nm off the center at micrometers."""
 
     waypoints: np.ndarray
 
@@ -166,10 +168,19 @@ class LoopPath:
         w = np.asarray(self.waypoints, dtype=float)
         if w.ndim != 3 or w.shape[1:] != (2, 3) or w.shape[0] < 2:
             raise ConfigError("waypoints must have shape (points >= 2, 2, 3)")
-        start, step = w[:-1], w[1:] - w[:-1]
-        half, end = start + 0.5 * step, start + step
-        points = np.concatenate([w, 0.5 * (start + end), 0.5 * (start + half), 0.5 * (half + end)])
-        _squared_distances(points[:, 0], points[:, 1])
+        _squared_distances(w[:, 0], w[:, 1])
+        vectors = np.concatenate([w, w[:, :1] - w[:, 1:]], axis=1)   # r1, r2, r1 - r2
+        start, step = vectors[:-1], np.diff(vectors, axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 where a vector stays
+            t = np.clip(-np.sum(start * step, axis=-1) / np.sum(step * step, axis=-1), 0.0, 1.0)
+        closest = np.linalg.norm(start + np.nan_to_num(t)[..., None] * step, axis=-1)
+        scale = np.linalg.norm(start, axis=-1) + np.linalg.norm(step, axis=-1)
+        crossings = np.argwhere(closest <= 1e-12 * scale)   # (leg, vector) pairs
+        if crossings.size:
+            leg, vector = crossings[0]
+            raise SingularGeometryError(
+                f"{'coincident atoms' if vector == 2 else 'atom at the ion-trap center'} "
+                f"on the leg from waypoint {leg} to {leg + 1}")
         object.__setattr__(self, "waypoints", w)
 
     @property

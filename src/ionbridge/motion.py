@@ -35,6 +35,7 @@ from numpy.polynomial.hermite import hermgauss
 
 from . import constants as cst
 from .errors import AccuracyError, ConfigError, InstabilityError
+from .expansion import _half_separation
 from .model import SystemConfig, characteristic_scales
 from .phonons import _axial_shift, _expansion_at, _rotation, _sector_entries
 from .potentials import axial_interaction
@@ -543,8 +544,7 @@ def gaussian_ground_state(config: SystemConfig, z0: float) -> CorrelatedGaussian
 def bare_product_state(config: SystemConfig, z0: float) -> CorrelatedGaussian:
     """Uncoupled trap ground state: the no-interaction reference;
     ConfigError unless z0 is positive and finite."""
-    if not 0.0 < z0 < math.inf:
-        raise ConfigError(f"half-separation must be positive and finite, got {z0}")
+    _half_separation(z0)
     a_z = characteristic_scales(config).a_z
     return CorrelatedGaussian(center=(z0, -z0), normal_axes=np.eye(2), widths=(a_z, a_z))
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InstabilityError, NotBracketedError
-from .expansion import _frequency_squares, _terms
+from .expansion import _frequency_squares, _half_separation, _terms
 from .model import SystemConfig, require_valid
 
 __all__ = [
@@ -136,9 +136,7 @@ def _expansion_at(config: SystemConfig, z0: float):
     """``_branches`` of a configuration at one half-separation z0, with the
     EffectiveFrequencies fields as Python floats and branches of shape (2,);
     ConfigError unless z0 is positive and finite."""
-    if not 0.0 < z0 < math.inf:
-        raise ConfigError(f"half-separation must be positive and finite, got {z0}")
-    squares, branches = _branches(_terms(config), np.float64(z0))
+    squares, branches = _branches(_terms(config), _half_separation(z0))
     return tuple(map(float, squares)), branches
 
 

@@ -38,18 +38,18 @@ def _squared_norm(r: np.ndarray) -> np.ndarray:
     return r[..., 0] * r[..., 0] + r[..., 1] * r[..., 1] + r[..., 2] * r[..., 2]
 
 
-def _squared_distances(r1: np.ndarray, r2: np.ndarray):
-    """|r1|^2, |r2|^2, |r1|^6, |r2|^6 and |r1 - r2|^6 of (..., 3) positions
-    with every coordinate within _MAX_COORDINATE, all nonzero, and
-    |r1 - r2|^2 nonzero: the Born-Oppenheimer terms divide by the sixth
-    powers and the gauge Jacobian by |r|^8, and a 0 or an inf gives NaN."""
+def _squared_distances(r1: np.ndarray, r2: np.ndarray, norm=_squared_norm):
+    """|r1|^2, |r2|^2, |r1|^6, |r2|^6 and |r1 - r2|^6 of (..., 3) positions, or of
+    z on the trap axis with ``norm=np.square``, with every coordinate within
+    _MAX_COORDINATE, all nonzero, and |r1 - r2|^2 nonzero: the Born-Oppenheimer
+    terms divide by the sixth powers and the gauge Jacobian by |r|^8, and a 0
+    or an inf gives NaN."""
     if not (np.all(np.abs(r1) <= _MAX_COORDINATE) and np.all(np.abs(r2) <= _MAX_COORDINATE)):
         raise ConfigError("atom positions must be finite and within 1e38 m of the ion "
                           "trap, where |r|^8 stays inside the float range")
-    r1_sq, r2_sq = _squared_norm(r1), _squared_norm(r2)
+    r1_sq, r2_sq = norm(r1), norm(r2)
     r1_6, r2_6 = r1_sq ** 3, r2_sq ** 3
-    dx, dy, dz = (r1[..., a] - r2[..., a] for a in range(3))
-    r12_sq = dx * dx + dy * dy + dz * dz
+    r12_sq = norm(r1 - r2)
     r12_6 = r12_sq ** 3
     if not (r1_sq.all() and r2_sq.all()):
         raise SingularGeometryError("atom at the ion-trap center")
@@ -62,10 +62,6 @@ def _squared_distances(r1: np.ndarray, r2: np.ndarray):
         raise SingularGeometryError("atoms so close to each other that |r1 - r2|^6 "
                                     "underflows to 0")
     return r1_sq, r2_sq, r1_6, r2_6, r12_6
-
-
-def _on_axis(z) -> np.ndarray:
-    return np.stack(np.broadcast_arrays(0.0, 0.0, np.asarray(z, dtype=float)), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -116,15 +112,16 @@ def _shift_coefficients(config: SystemConfig) -> tuple[float, float, float]:
     return k_rho, k_rho, 4.0 / (m_i * config.ion_trap.axial**2)
 
 
-def _ion_shift(r1: np.ndarray, r2: np.ndarray, config: SystemConfig,
-               r1_6=None, r2_6=None) -> list[np.ndarray]:
-    """Closed-form ion displacement (x0, y0, zeta0) for atoms at ``r1``, ``r2`` (..., 3), m:
-    (4 / (m_i w^2)) (C4_1 r_1 / r_1^6 + C4_2 r_2 / r_2^6).  Pass ``r1_6`` and
-    ``r2_6`` when ``_squared_distances`` has computed them."""
+def _shift(k: float, c4_1: float, c4_2: float, u1, u2, r1_6, r2_6):
+    """Ion displacement along one axis with coefficient k and atom coordinates u1, u2, m."""
+    return k * (c4_1 * u1 / r1_6 + c4_2 * u2 / r2_6)
+
+
+def _ion_shift(r1: np.ndarray, r2: np.ndarray, config: SystemConfig) -> list[np.ndarray]:
+    """Closed-form ion displacement (x0, y0, zeta0) for atoms at ``r1``, ``r2`` (..., 3), m."""
     c4_1, c4_2 = config.c4_pair
-    if r1_6 is None:
-        r1_6, r2_6 = _squared_norm(r1) ** 3, _squared_norm(r2) ** 3
-    return [k * (c4_1 * r1[..., a] / r1_6 + c4_2 * r2[..., a] / r2_6)
+    r1_6, r2_6 = _squared_norm(r1) ** 3, _squared_norm(r2) ** 3
+    return [_shift(k, c4_1, c4_2, r1[..., a], r2[..., a], r1_6, r2_6)
             for a, k in enumerate(_shift_coefficients(config))]
 
 
@@ -133,8 +130,24 @@ def ion_displacement(geometry: AtomPairGeometry, config: SystemConfig) -> IonDis
     return IonDisplacement(*_ion_shift(geometry.r1, geometry.r2, config))
 
 
+def _energy(start, z1, z2, distances, c4_1, c4_2, c6, config: SystemConfig) -> np.ndarray:
+    """``bo_energy`` after its radial term, for atoms with axial coordinates
+    ``z1``, ``z2`` and the ``_squared_distances`` ``distances``."""
+    r1_sq, r2_sq, r1_6, r2_6, r12_6 = distances
+    m_i = config.ion.mass
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below raises
+        zeta0 = _shift(_shift_coefficients(config)[2], c4_1, c4_2, z1, z2, r1_6, r2_6)
+        energy = start - 0.5 * m_i * config.ion_trap.axial**2 * zeta0**2
+        energy = energy - (c4_1 / r1_sq**2 + c4_2 / r2_sq**2)
+        energy = energy - c6 / r12_6
+    if not np.isfinite(energy).all():
+        raise SingularGeometryError("Born-Oppenheimer energy overflows the float range: "
+                                    "an atom sits next to the interaction singularity")
+    return energy
+
+
 def bo_energy(r1, r2, config: SystemConfig, start: float = 0.0) -> np.ndarray:
-    """Born-Oppenheimer energy for atoms at ``r1``, ``r2``, J.
+    """Born-Oppenheimer energy for atoms at ``r1``, ``r2``, J; the off-axis kernel.
 
     Positions are broadcasting arrays of shape (..., 3), m.  From
     ``start`` it subtracts, in this order, the displacement energy gains
@@ -145,24 +158,21 @@ def bo_energy(r1, r2, config: SystemConfig, start: float = 0.0) -> np.ndarray:
     range, next to the ion, is a SingularGeometryError.
     """
     r1, r2 = np.asarray(r1, dtype=float), np.asarray(r2, dtype=float)
-    r1_sq, r2_sq, r1_6, r2_6, r12_6 = _squared_distances(r1, r2)
-    c4_1, c4_2 = config.c4_pair
-    m_i = config.ion.mass
-    with np.errstate(over="ignore", invalid="ignore"):  # the check below raises
-        x0, y0, zeta0 = _ion_shift(r1, r2, config, r1_6, r2_6)
-        energy = start - 0.5 * m_i * config.ion_trap.radial**2 * (x0 * x0 + y0 * y0)
-        energy = energy - 0.5 * m_i * config.ion_trap.axial**2 * zeta0**2
-        energy = energy - (c4_1 / r1_sq**2 + c4_2 / r2_sq**2)
-        energy = energy - config.c6_pair / r12_6
-    if not np.isfinite(energy).all():
-        raise SingularGeometryError("Born-Oppenheimer energy overflows the float range: "
-                                    "an atom sits next to the interaction singularity")
-    return energy
+    distances = _squared_distances(r1, r2)
+    with np.errstate(over="ignore", invalid="ignore"):  # _energy raises
+        x0, y0, _ = _ion_shift(r1, r2, config)
+        start = start - 0.5 * config.ion.mass * config.ion_trap.radial**2 * (x0 * x0 + y0 * y0)
+    return _energy(start, r1[..., 2], r2[..., 2], distances, *config.c4_pair, config.c6_pair,
+                   config)
 
 
 def axial_interaction(z1, z2, config: SystemConfig) -> np.ndarray:
-    """V - E0 for atoms on the trap axis at broadcasting ``z1``, ``z2``, J."""
-    return bo_energy(_on_axis(z1), _on_axis(z2), config)
+    """V - E0 for atoms on the trap axis at broadcasting ``z1``, ``z2``, J:
+    ``bo_energy``'s checks and values, bit for bit, without (..., 3) positions
+    or the radial term, which is 0 on the axis."""
+    z1, z2 = np.asarray(z1, dtype=float), np.asarray(z2, dtype=float)
+    return _energy(0.0, z1, z2, _squared_distances(z1, z2, np.square), *config.c4_pair,
+                   config.c6_pair, config)
 
 
 def bo_eigenvalue(geometry: AtomPairGeometry, mu: IonModeIndex,
@@ -193,7 +203,11 @@ def axial_bo_curve(z_grid, mu: IonModeIndex, config: SystemConfig,
     at +-z/2 ("symmetric" placement) or with atom 2 pinned at its trap
     center -z0 and atom 1 at -z0 + z ("atom2-fixed").  Columns hold
     V - E0 for the rr, rg, and gg state pairs built from the configured
-    Rydberg level, found as ``bo_energy`` from E0 minus E0.
+    Rydberg level, on ``axial_interaction``'s path: the geometry and its
+    checks once, then each pair's energy from E0, minus E0.  That rounds
+    to the spacing of E0 (9e-44 J at 7.3e-28 J), so V_gg (2e-37 to 3e-34 J)
+    keeps only about 7 significant digits; the subtraction is kept until
+    the ``bo-curve`` digests are taken again.
     """
     if placement not in ("symmetric", "atom2-fixed"):
         raise ConfigError(f"unknown placement {placement!r}")
@@ -203,13 +217,15 @@ def axial_bo_curve(z_grid, mu: IonModeIndex, config: SystemConfig,
     if np.any(z_grid <= 0.0):
         raise SingularGeometryError("separation grid must stay positive")
     if placement == "symmetric":
-        r1, r2 = _on_axis(0.5 * z_grid), _on_axis(-0.5 * z_grid)
+        z1, z2 = 0.5 * z_grid, -0.5 * z_grid
     else:
-        z2 = -config.half_separation_z0
-        r1, r2 = _on_axis(z2 + z_grid), _on_axis(z2)
+        z2 = np.asarray(-config.half_separation_z0)
+        z1 = z2 + z_grid
+    distances = _squared_distances(z1, z2, np.square)
 
     e0 = mu.bare_energy(config.ion_trap)
+    c4, c6 = config.coefficients.c4, config.coefficients.c6
     out: dict[str, np.ndarray] = {"z": z_grid.copy()}
-    for name, pair in config.named_pairs().items():
-        out["V_" + name] = bo_energy(r1, r2, config.with_states(*pair), e0) - e0
+    for name, (a, b) in config.named_pairs().items():
+        out["V_" + name] = _energy(e0, z1, z2, distances, c4(a), c4(b), c6(a, b), config) - e0
     return out

@@ -13,8 +13,10 @@ import pytest
 from ionbridge import (
     AtomPairGeometry,
     ConfigError,
+    bare_product_state,
     effective_frequencies,
     effective_potential_U,
+    phonon_spectrum,
     reference_config,
 )
 from ionbridge.expansion import _frequency_squares, _terms
@@ -167,6 +169,14 @@ class TestHalfSeparationInputs:
     def test_refused_half_separations(self, cfg_rr, z0):
         with pytest.raises(ConfigError, match="positive and finite"):
             effective_frequencies(cfg_rr, z0)
+
+    @pytest.mark.parametrize("z0", [0.0, -8e-6, float("nan"), float("inf"), float("-inf")])
+    def test_one_rule_and_message_for_every_scalar_caller(self, cfg_rr, z0):
+        # the expansion, the phonon modes and the bare product state share the rule
+        for refuse in (effective_frequencies, phonon_spectrum, bare_product_state):
+            with pytest.raises(ConfigError) as error:
+                refuse(cfg_rr, z0)
+            assert str(error.value) == f"half-separation must be positive and finite, got {z0}"
 
     def test_half_separation_below_the_float_range_of_its_powers(self, cfg_rr):
         with pytest.raises(ConfigError, match="float range"):

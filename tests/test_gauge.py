@@ -329,6 +329,41 @@ class TestLoops:
         with pytest.raises(SingularGeometryError, match="ion-trap center"):
             LoopPath(np.array([[[1e-6, 0.0, 0.0], r2], [[0.0, 0.0, 0.0], r2]]))
 
+    def test_a_crossing_anywhere_on_a_leg_is_singular(self):
+        # atom 1 crosses the ion-trap center at 1/6 of the leg, where no quarter point
+        # lands; test_twice_subdivided_midpoint_on_the_ion_is_singular has the loop to 3 um
+        r2 = [0.0, 0.0, -8e-6]
+        with pytest.raises(SingularGeometryError, match="ion-trap center on the leg from "
+                                                        "waypoint 0 to 1"):
+            LoopPath(np.array([[[-1e-6, 0.0, 0.0], r2], [[5e-6, 0.0, 0.0], r2],
+                               [[-1e-6, 0.0, 0.0], r2]]))
+
+    def test_a_crossing_is_refused_whatever_the_rounding(self):
+        # in a skew direction the computed closest point misses the center by rounding
+        rng = np.random.default_rng(11)
+        r2 = [0.0, 0.0, -8e-6]
+        for _ in range(50):
+            direction = rng.normal(size=3)
+            direction *= 1e-6 / np.linalg.norm(direction)
+            fraction = rng.uniform(0.05, 0.95)
+            with pytest.raises(SingularGeometryError, match="ion-trap center"):
+                LoopPath(np.array([[-fraction * direction, r2],
+                                   [(5.0 - fraction) * direction, r2]]))
+
+    def test_atoms_passing_through_each_other_are_singular(self):
+        # r1 - r2 runs from (-1, 0, 0) um to (5, 0, 0) um on the second leg
+        r2 = [0.0, 0.0, 8e-6]
+        with pytest.raises(SingularGeometryError, match="coincident atoms on the leg from "
+                                                        "waypoint 1 to 2"):
+            LoopPath(np.array([[[1e-6, 0.0, 7e-6], r2], [[-1e-6, 0.0, 8e-6], r2],
+                               [[5e-6, 0.0, 8e-6], r2]]))
+
+    def test_a_leg_one_nanometer_off_the_center_is_kept(self):
+        r2 = [0.0, 0.0, -8e-6]
+        waypoints = np.array([[[-1e-6, 1e-9, 0.0], r2], [[5e-6, 1e-9, 0.0], r2],
+                              [[5e-6, 1e-9, 3e-6], r2], [[-1e-6, 1e-9, 0.0], r2]])
+        assert LoopPath(waypoints).closed is True
+
     def test_berry_phase_needs_closed_loop(self, cfg_rr):
         path = LoopPath(np.array([
             [[0.0, 0.0, 8e-6], [0.0, 0.0, -8e-6]],

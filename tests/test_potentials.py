@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from ionbridge import (
@@ -12,13 +13,16 @@ from ionbridge import (
     ConfigError,
     SingularGeometryError,
     axial_bo_curve,
+    axial_interaction,
     bo_eigenvalue,
     bo_energy,
+    characteristic_scales,
     constants as cst,
     effective_potential_U,
     ion_displacement,
     reference_config,
 )
+from ionbridge.motion import _QUAD_MARGIN, _gauss_hermite
 
 
 def scaled_c4(config, factor):
@@ -304,3 +308,101 @@ class TestBornOppenheimerKernel:
             bo_energy(r1, r2, cfg_rr)
         with pytest.raises(SingularGeometryError, match=fragment):
             AtomPairGeometry(np.array(r1), np.array(r2))
+
+
+def on_axis(z):
+    """(..., 3) positions of atoms on the trap axis at ``z``."""
+    z = np.asarray(z, dtype=float)
+    return np.stack(np.broadcast_arrays(0.0, 0.0, z), axis=-1)
+
+
+def outcome(fn):
+    """fn's value, or the type and message of the typed error it raises."""
+    try:
+        return fn()
+    except (ConfigError, SingularGeometryError) as error:
+        return type(error), str(error)
+
+
+class TestOnAxisPath:
+    """The on-axis path behind ``axial_interaction`` and ``axial_bo_curve``
+    returns ``bo_energy``'s values on on-axis positions bit for bit, and
+    raises its typed errors with the same messages."""
+
+    # the (2z0 in um, n_max) of the benchmark's density jobs
+    @pytest.mark.parametrize("separation_um, n_max", [(12, 30), (16, 30), (24, 30), (12, 40)])
+    def test_the_density_jobs_grids(self, cfg_rr, separation_um, n_max):
+        # the coarse, shared and check grids of basis_ground_state's solve
+        z0 = 0.5e-6 * separation_um
+        length = characteristic_scales(cfg_rr).a_z
+        for extra in (0, 16, 32):
+            order = 4 * n_max + _QUAD_MARGIN + extra
+            xi, _ = _gauss_hermite(order)
+            z1, z2 = z0 + length * xi[:, None], -z0 + length * xi[None, :]
+            grid = axial_interaction(z1, z2, cfg_rr)
+            assert grid.shape == (order, order)
+            assert np.array_equal(grid, bo_energy(on_axis(z1), on_axis(z2), cfg_rr))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_broadcast_grid(self, data):
+        shapes = data.draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3,
+                                                             max_side=4))
+        coordinate = st.one_of(st.floats(-3e-5, 3e-5), st.sampled_from(
+            [0.0, 8e-6, -8e-6, 1e-46, 1e-60, 2e38, np.nan, np.inf, -np.inf]))
+        z1 = data.draw(hnp.arrays(np.float64, shapes.input_shapes[0], elements=coordinate))
+        z2 = data.draw(hnp.arrays(np.float64, shapes.input_shapes[1], elements=coordinate))
+        config = reference_config(data.draw(st.sampled_from(["rr", "rg", "gg"])))
+        on_path = outcome(lambda: axial_interaction(z1, z2, config))
+        kernel = outcome(lambda: bo_energy(on_axis(z1), on_axis(z2), config))
+        if isinstance(kernel, tuple):
+            assert on_path == kernel
+        else:
+            assert on_path.shape == kernel.shape == shapes.result_shape
+            assert np.array_equal(on_path, kernel)
+
+    @pytest.mark.parametrize("scaling", ["bare_n", "quantum_defect"])
+    @pytest.mark.parametrize("n", [20, 30, 60])
+    @pytest.mark.parametrize("placement", ["symmetric", "atom2-fixed"])
+    def test_each_curve_column_is_its_pair_kernel(self, scaling, n, placement):
+        config = reference_config("rr", n, 8e-6, scaling)
+        grid = np.linspace(10e-6, 30e-6, 201)
+        curves = axial_bo_curve(grid, config.ion_mode, config, placement=placement)
+        if placement == "symmetric":
+            r1, r2 = on_axis(0.5 * grid), on_axis(-0.5 * grid)
+        else:
+            z2 = -config.half_separation_z0
+            r1, r2 = on_axis(z2 + grid), on_axis(z2)
+        e0 = config.ion_mode.bare_energy(config.ion_trap)
+        for name, pair in config.named_pairs().items():
+            expected = bo_energy(r1, r2, config.with_states(*pair), e0) - e0
+            assert np.array_equal(curves["V_" + name], expected)
+
+    @pytest.mark.parametrize("z1, z2, error, fragment", [
+        (0.0, -8e-6, SingularGeometryError, "atom at the ion-trap center"),
+        (8e-6, 0.0, SingularGeometryError, "atom at the ion-trap center"),
+        (8e-6, 8e-6, SingularGeometryError, "coincident atoms"),
+        (1e-60, -8e-6, SingularGeometryError, "ion-trap center that \\|r\\|\\^6 underflows"),
+        (-1e-60, -8e-6, SingularGeometryError, "ion-trap center that \\|r\\|\\^6 underflows"),
+        (1e-50, 1.0000001e-50, SingularGeometryError, "each other that \\|r1 - r2\\|\\^6"),
+        (1e-46, -8e-6, SingularGeometryError, "energy overflows the float range"),
+        (2e38, -8e-6, ConfigError, "within 1e38 m"),
+        (8e-6, -2e38, ConfigError, "within 1e38 m"),
+        (np.nan, -8e-6, ConfigError, "within 1e38 m"),
+        (np.inf, -8e-6, ConfigError, "within 1e38 m"),
+        (8e-6, -np.inf, ConfigError, "within 1e38 m"),
+    ])
+    def test_typed_errors(self, cfg_rr, z1, z2, error, fragment):
+        good = np.array([7e-6, 9e-6])
+        z1, z2 = np.append(good, z1), np.append(-good, z2)
+        with pytest.raises(error, match=fragment) as on_path:
+            axial_interaction(z1, z2, cfg_rr)
+        with pytest.raises(error) as kernel:
+            bo_energy(on_axis(z1), on_axis(z2), cfg_rr)
+        assert str(on_path.value) == str(kernel.value)
+
+    @pytest.mark.parametrize("placement", ["symmetric", "atom2-fixed"])
+    def test_curves_raise_the_kernel_errors(self, cfg_rr, placement):
+        # one separation puts an atom beyond 1e38 m, where the coordinate check refuses it
+        with pytest.raises(ConfigError, match="within 1e38 m"):
+            axial_bo_curve(np.array([12e-6, 4e38]), cfg_rr.ion_mode, cfg_rr, placement=placement)
