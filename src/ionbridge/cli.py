@@ -3,10 +3,10 @@
 Subcommands mirror the library surface: scales, bo-curve, phonons,
 critical, density, and gauge.  Every command takes --config PATH and
 --out DIR [--overwrite], which all but scales and critical require.
-Each table goes to --out through ``_write`` (density grids stream
-through ``write_grid_table``) with the same ``_metadata``.  Exit codes,
-from ``_EXIT_CODES``: 0 on success, 2 for configuration problems, 3 for
-accuracy or convergence failures, 4 when the request lands in the
+Each table goes to --out as columns through ``_write`` (density grids
+stream through ``write_grid_table``) with the same ``_metadata``.  Exit
+codes, from ``_EXIT_CODES``: 0 on success, 2 for configuration problems,
+3 for accuracy or convergence failures, 4 when the request lands in the
 unstable or collisional domain.
 """
 
@@ -48,9 +48,9 @@ _KHZ2 = (cst.TWO_PI * 1e3) ** 2  # rad^2/s^2 per kHz^2
 # Input caps that keep a run well inside memory.  A 1001-point density
 # grid writes a 1,002,001-row table (45 MB) per separation, in blocks,
 # and the process peaks at 69 MB RSS; max-n 6 gives 343 modes and 705,894
-# connection rows (14 MB), with a 329 MB peak.  Memory grows with the
+# connection rows (14 MB), with a 215 MB peak.  Memory grows with the
 # square of the points and the sixth power of max-n + 1.  A 100,001-point
-# bo-curve or phonons sweep (7 MB table) peaks at 72 or 103 MB, linear in the points.
+# bo-curve or phonons sweep (7 MB table) peaks at 58 or 66 MB, linear in the points.
 MAX_DENSITY_POINTS = 1001
 MAX_GAUGE_N = 6
 MAX_SWEEP_POINTS = 100_001
@@ -89,11 +89,11 @@ def _metadata(args, digest: str, **extra) -> dict:
             "config_digest": "sha256:" + digest, **extra}
 
 
-def _write(args, digest: str, name: str, header, rows, note: str = "", **extra) -> None:
-    """Write table ``name`` into --out with the command's metadata and
-    ``extra``, and print its path followed by ``note``."""
+def _write(args, digest: str, name: str, header, columns, note: str = "", **extra) -> None:
+    """Write table ``name`` of ``columns`` into --out with the command's
+    metadata and ``extra``, and print its path followed by ``note``."""
     path = write_table(Path(args.out) / name, _metadata(args, digest, **extra),
-                       header, rows, overwrite=args.overwrite)
+                       header, columns, overwrite=args.overwrite)
     print(f"wrote {path}{note}")
 
 
@@ -131,18 +131,13 @@ def cmd_scales(args) -> int:
     print(f"atom-atom van der Waals length R_aa* = {um_or_na(s.R_aa_star)}")
 
     if args.out is not None:
-        rows = [
-            ("eta", s.eta, "1"),
-            ("a_z", s.a_z * 1e6, "um"),
-            ("a_rho", s.a_rho * 1e6, "um"),
-            ("L_i", s.L_i * 1e6, "um"),
-            ("L_a", s.L_a * 1e6, "um"),
-            ("T_i", s.T_i * 1e3, "ms"),
-            ("T_a", s.T_a * 1e3, "ms"),
-            ("R_ia_star", s.R_ia_star * 1e6, "um"),
-            ("R_aa_star", s.R_aa_star * 1e6, "um"),
-        ]
-        _write(args, digest, "scales.csv", ["quantity", "value", "unit"], rows, states=pair)
+        # quantity: unit of its table value, from the field of the same name in SI
+        units = {"eta": "1", "a_z": "um", "a_rho": "um", "L_i": "um", "L_a": "um",
+                 "T_i": "ms", "T_a": "ms", "R_ia_star": "um", "R_aa_star": "um"}
+        per_si = {"1": 1.0, "um": 1e6, "ms": 1e3}
+        values = np.array([getattr(s, name) * per_si[unit] for name, unit in units.items()])
+        _write(args, digest, "scales.csv", ["quantity", "value", "unit"],
+               [list(units), values, list(units.values())], states=pair)
     return EXIT_OK
 
 
@@ -158,15 +153,15 @@ def cmd_bo_curve(args) -> int:
                 f"V_rg is 0 at separation {z * 1e6:.4g} um, so abs_ratio_rr_rg is undefined "
                 "(at large separations |V - E0| falls below the rounding of E0)")
         ratio = np.abs(curves["V_rr"]) / np.abs(curves["V_rg"])
-        rows = np.column_stack([curves["z"] * 1e6, _to_khz(curves["V_rr"]),
-                                _to_khz(curves["V_rg"]), curves["V_gg"] / cst.PLANCK, ratio])
-    finite = np.isfinite(rows).all(axis=1)
+        columns = [curves["z"] * 1e6, _to_khz(curves["V_rr"]), _to_khz(curves["V_rg"]),
+                   curves["V_gg"] / cst.PLANCK, ratio]
+    finite = np.isfinite(columns).all(axis=0)
     if not finite.all():
         raise SingularGeometryError(
-            f"the table row at separation {rows[~finite, 0][0]:.4g} um overflows the "
+            f"the table row at separation {columns[0][~finite][0]:.4g} um overflows the "
             "float range, next to the interaction singularity")
     _write(args, digest, "bo_curve.csv",
-           ["separation_um", "V_rr_kHz", "V_rg_kHz", "V_gg_Hz", "abs_ratio_rr_rg"], rows,
+           ["separation_um", "V_rr_kHz", "V_rg_kHz", "V_gg_Hz", "abs_ratio_rr_rg"], columns,
            placement=args.placement, z_min_um=args.z_min_um, z_max_um=args.z_max_um,
            points=args.points, ion_mode=config.ion_mode.label())
     return EXIT_OK
@@ -179,11 +174,10 @@ def cmd_phonons(args) -> int:
                *(sweep[key] / _KHZ2 for key in ("axial_stretch_sq", "axial_com_sq",
                                                  "transverse_stretch_sq", "transverse_com_sq")),
                sweep["axial_angle"], sweep["transverse_angle"], sweep["stable"])
-    rows = zip(*(column.tolist() for column in columns))
     _write(args, digest, "phonons.csv",
            ["separation_um", "axial_stretch_kHz2", "axial_com_kHz2",
             "transverse_stretch_kHz2", "transverse_com_kHz2",
-            "axial_angle_rad", "transverse_angle_rad", "stable"], rows,
+            "axial_angle_rad", "transverse_angle_rad", "stable"], columns,
            sep_min_um=args.sep_min_um, sep_max_um=args.sep_max_um, points=args.points)
     return EXIT_OK
 
@@ -221,7 +215,7 @@ def cmd_critical(args) -> int:
 
     if args.out is not None:
         _write(args, digest, "critical.csv", ["pair", "critical_2z0_um", "limiting_branch"],
-               rows, pairs=" ".join(tokens))
+               list(zip(*rows)), pairs=" ".join(tokens))
     return EXIT_OK
 
 
@@ -278,33 +272,26 @@ def cmd_gauge(args) -> int:
     records = connection_records(modes, geometry, config)
     hermiticity = gauge_hermiticity_check(modes, geometry, config)
 
-    rows = [
-        (
-            rec.atom_index,
-            rec.bra_mode.n1, rec.bra_mode.n2, rec.bra_mode.n3,
-            rec.ket_mode.n1, rec.ket_mode.n2, rec.ket_mode.n3,
-            "xyz"[axis],
-            rec.value[axis].real,
-            rec.value[axis].imag,
-        )
-        for rec in records
-        for axis in range(3)
-    ]
+    indices = np.repeat([(rec.atom_index, rec.bra_mode.n1, rec.bra_mode.n2, rec.bra_mode.n3,
+                          rec.ket_mode.n1, rec.ket_mode.n2, rec.ket_mode.n3)
+                         for rec in records], 3, axis=0)
+    values = np.array([rec.value for rec in records]).ravel()
     _write(args, digest, "connection.csv",
            ["atom", "bra_nx", "bra_ny", "bra_nz", "ket_nx", "ket_ny", "ket_nz",
-            "axis", "re_Js_per_m", "im_Js_per_m"], rows,
+            "axis", "re_Js_per_m", "im_Js_per_m"],
+           [*indices.T, list("xyz") * len(records), values.real, values.imag],
            note=f" (hermiticity residual {hermiticity:.3g} J s/m)",
            max_n=args.max_n, geometry="trap-centers",
            hermiticity_residual_Js_per_m=hermiticity)
 
-    phase_rows = []
+    phases = []
     for mode in modes:
-        phase = berry_phase(loop, mode, config)
-        phase_rows.append((mode.n1, mode.n2, mode.n3, phase))
+        phases.append(berry_phase(loop, mode, config))
         print(f"mode ({mode.n1},{mode.n2},{mode.n3}): "
-              f"Berry phase {phase:.3g} rad on a {args.side_um:g} um square loop")
+              f"Berry phase {phases[-1]:.3g} rad on a {args.side_um:g} um square loop")
     _write(args, digest, "phases.csv", ["mode_nx", "mode_ny", "mode_nz", "berry_phase_rad"],
-           phase_rows, loop="square", side_um=args.side_um)
+           [*zip(*((mode.n1, mode.n2, mode.n3) for mode in modes)), np.array(phases)],
+           loop="square", side_um=args.side_um)
     return EXIT_OK
 
 

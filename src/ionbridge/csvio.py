@@ -7,18 +7,17 @@ Layout of every table:
     1.5,2.25,...           (data rows, floats rendered with %.12g)
 
 Floats go through a fixed format so repeated runs produce byte-identical
-files.  ``write_table`` formats rows cell by cell through
-``format_value``.  ``write_grid_table`` gives the same bytes for the rows
-of a value grid: it formats each axis value once, and the grid values
-through ``_format_values``, a numpy kernel that gives exactly the bytes
-of ``"%.12g" % v``.  The kernel hands a value to ``"%.12g" % v`` itself
-when it is zero, not finite or at most 1e-297 in size, or when its
-12-digit scaled mantissa lies within 1e-3 of a rounding tie or 1e-2 of
-a power of ten (0.2% of the values of the reference density tables).
-Writes land in a temporary file in the target directory and are moved
-into place with os.replace, so a crashed run never leaves a truncated
-table behind.  A metadata entry with a line break, or a path that
-cannot be written, is a ``ConfigError``.
+files.  ``write_table`` takes one column per header entry.  Every
+float64 array column goes through ``_format_values``, a kernel with
+exactly the bytes of ``"%.12g" % v``; other columns (bools, ints,
+strings, a list mixing floats and text) and the metadata values go cell
+by cell through ``format_value``.  ``write_grid_table`` writes the (x,
+y, value) rows of a value grid.  Both join NUL-padded cell blocks into
+rows in ``_join``, about _CHUNK_ROWS rows at a time.  Writes land in a
+temporary file in the target directory and are moved into place with
+os.replace, so a crashed run never leaves a truncated table behind.  A
+metadata entry with a line break, or a path that cannot be written, is
+a ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -39,70 +38,83 @@ _FLOAT_FORMAT = "%.12g"
 
 
 def format_value(value) -> str:
+    """One metadata value or cell outside a float64 array: true or false,
+    ``"%.12g"`` of a float, else str (ints and strings)."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int,)):
-        return str(value)
-    if isinstance(value, float):
-        return _FLOAT_FORMAT % value
-    if isinstance(value, str):
-        return value
-    try:
-        return _FLOAT_FORMAT % float(value)
-    except (TypeError, ValueError):
-        return str(value)
+    return _FLOAT_FORMAT % value if isinstance(value, float) else str(value)
 
 
-def write_table(path, metadata, header, rows, overwrite: bool = False) -> Path:
-    """Write one CSV table; refuses to clobber unless overwrite is set."""
-    body = []
-    for row in rows:
-        cells = [format_value(cell) for cell in row]
-        if len(cells) != len(header):
-            raise ValueError(f"row width {len(cells)} does not match header {len(header)}")
-        body.append(",".join(cells))
-    return _write(path, metadata, header, ["\n".join([*body, ""])], overwrite)
+def write_table(path, metadata, header, columns, overwrite: bool = False) -> Path:
+    """Write one CSV table of ``columns``, one sequence per header entry;
+    refuses to clobber unless overwrite is set.  Other than float64
+    arrays, an array is formatted after ``tolist()``, so numpy bools
+    print as bools."""
+    shapes = [np.shape(column) for column in columns]
+    if len(shapes) != len(header) or len(set(shapes)) > 1 or any(len(s) != 1 for s in shapes):
+        raise ValueError(f"columns of shapes {shapes} do not match header {list(header)}")
+    # float columns stay 1-D until their block is formatted; the rest become padded matrices
+    cells = [column if isinstance(column, np.ndarray) and column.dtype == np.float64 else
+             _padded([format_value(v) for v in
+                      (column.tolist() if isinstance(column, np.ndarray) else column)])
+             for column in columns]
+
+    def chunks():
+        for first in range(0, shapes[0][0] if shapes else 0, _CHUNK_ROWS):
+            blocks = (cell[first:first + _CHUNK_ROWS] for cell in cells)
+            yield _join([_format_values(b) if b.ndim == 1 else b for b in blocks])
+
+    return _write(path, metadata, header, chunks(), overwrite)
 
 
 def write_grid_table(path, metadata, header, x, y, values, overwrite: bool = False) -> Path:
     """Write ``values[i, j]`` on the grid x (outer) by y as rows (x_i, y_j,
-    value), the bytes ``write_table`` gives for those rows.  Each axis
-    value is formatted once, and the values go through ``_format_values``
-    in blocks of whole x rows, about _CHUNK_ROWS table rows each."""
+    value), the bytes ``write_table`` gives for those columns.  Each axis
+    value goes through ``"%.12g"`` once (through the kernel it raised the
+    ground_state benchmark's peak RSS by 1 MB), and the values through
+    ``_format_values`` in blocks of whole x rows, about _CHUNK_ROWS each."""
     x, y, values = (np.asarray(a, dtype=float) for a in (x, y, values))
     if len(header) != 3 or x.ndim != 1 or y.ndim != 1 or values.shape != (x.size, y.size):
         raise ValueError(f"values of shape {values.shape} on axes of {x.size} and {y.size} "
                          f"points do not match header {len(header)}")
-    starts, ends = (_padded([_FLOAT_FORMAT % a + "," for a in axis.tolist()]) for axis in (x, y))
+    starts, ends = (_padded([_FLOAT_FORMAT % a for a in axis.tolist()]) for axis in (x, y))
     step = max(1, _CHUNK_ROWS // max(y.size, 1))
 
     def chunks():
         for first in range(0, x.size if values.size else 0, step):
             block = values[first:first + step]
-            # x_i "," y_j "," value "\n", NUL padded; the NULs are dropped below
-            lines = np.empty(block.shape + (starts.shape[1] + ends.shape[1] + _WIDTH + 1,),
-                             dtype=np.uint8)
-            lines[..., :starts.shape[1]] = starts[first:first + step, None]
-            lines[..., starts.shape[1]:-_WIDTH - 1] = ends
-            lines[..., -_WIDTH - 1:-1] = _format_values(block.ravel()).reshape(
-                block.shape + (_WIDTH,))
-            lines[..., -1] = ord("\n")
-            yield lines.tobytes().translate(None, b"\0").decode("ascii")
+            yield _join([starts[first:first + step, None], ends,
+                         _format_values(block.ravel()).reshape(block.shape + (_WIDTH,))])
 
     return _write(path, metadata, header, chunks(), overwrite)
 
 
-# Table rows per block of write_grid_table.  A block's arrays take a few MB;
+# Table rows per block of both writers.  A block's arrays take a few MB;
 # blocks of 65,536 rows, one per 161 x 161 table, raised the peak RSS of the
 # ground_state benchmark by 0.6 MB over formatting through "%" in one piece.
 _CHUNK_ROWS = 1 << 14
 _WIDTH = 40   # bytes per value in _format_values: ten 4-byte words
 
 
+def _join(cells) -> str:
+    """Rows of NUL-padded cell blocks, uint8 arrays whose last axis holds
+    one cell and whose other axes broadcast to the rows: cells joined by
+    commas, each row ended by a newline, the NULs dropped."""
+    shape = np.broadcast_shapes(*(cell.shape[:-1] for cell in cells))
+    lines = np.empty(shape + (sum(cell.shape[-1] + 1 for cell in cells),), dtype=np.uint8)
+    end = 0
+    for cell in cells:
+        lines[..., end:end + cell.shape[-1]] = cell
+        end += cell.shape[-1] + 1
+        lines[..., end - 1] = ord(",")
+    lines[..., -1] = ord("\n")
+    return lines.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _padded(strings, width: int | None = None) -> np.ndarray:
     """ASCII strings as the rows of a uint8 matrix, NUL padded to ``width``
     bytes or to the longest string."""
-    array = np.array([s.encode("ascii") for s in strings], dtype=f"S{width or ''}")
+    array = np.array(strings, dtype=f"S{width or ''}")
     return array.view(np.uint8).reshape(array.size, array.dtype.itemsize)
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ionbridge import DEFAULT_DOCUMENT, cli, motion
+from ionbridge import DEFAULT_DOCUMENT, cli, csvio, motion
 from ionbridge.cli import MAX_DENSITY_POINTS, MAX_GAUGE_N, MAX_SWEEP_POINTS, main
 
 
@@ -143,6 +143,30 @@ class TestBoCurve:
         first = (tmp_path / "a" / "bo_curve.csv").read_bytes()
         second = (tmp_path / "b" / "bo_curve.csv").read_bytes()
         assert first == second
+
+    def test_floats_are_formatted_by_the_vectorized_kernel_only(self, config_file, tmp_path,
+                                                                capsys, monkeypatch):
+        # format_value renders the 8 metadata values; the 5 float columns of
+        # 1001 rows go through _format_values, not cell by cell
+        calls = {"format_value": 0, "kernel_values": 0}
+        format_value, format_values = csvio.format_value, csvio._format_values
+
+        def counted_format_value(value):
+            calls["format_value"] += 1
+            return format_value(value)
+
+        def counted_format_values(values):
+            calls["kernel_values"] += values.size
+            return format_values(values)
+
+        monkeypatch.setattr(csvio, "format_value", counted_format_value)
+        monkeypatch.setattr(csvio, "_format_values", counted_format_values)
+        code, _, _ = run(capsys, "bo-curve", "--config", str(config_file()),
+                         "--out", str(tmp_path / "out"), "--points", "1001")
+        assert code == 0
+        metadata, _, rows = read_table(tmp_path / "out" / "bo_curve.csv")
+        assert (len(metadata), len(rows)) == (8, 1001)
+        assert calls == {"format_value": 8, "kernel_values": 5 * 1001}
 
     @pytest.mark.parametrize("z_min, z_max, code, fragment", [
         ("1e-60", "2e-60", 4, "underflows"),      # |r|^6 of an atom rounds to 0

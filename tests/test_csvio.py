@@ -1,5 +1,5 @@
-"""Table writer: value grids are formatted in one call with the bytes that
-per-cell rows give."""
+"""Table writers: columns and value grids give the bytes that per-cell
+formatting gives, floats through %.12g."""
 
 import os
 import tempfile
@@ -20,18 +20,34 @@ SPECIAL = [
 ]
 
 
-def per_cell_text(metadata, header, rows):
-    """The table layout with every cell through format(v, ".12g")."""
+def cell_text(value):
+    """One cell: floats through format(v, ".12g"), bools as true/false."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return format(value, ".12g") if isinstance(value, float) else str(value)
+
+
+def per_cell_text(metadata, header, columns):
+    """The table layout with every cell through ``cell_text``."""
     lines = [f"# {key} = {format_value(value)}" for key, value in metadata.items()]
     lines.append(",".join(header))
-    lines.extend(",".join(format(float(cell), ".12g") for cell in row) for row in rows)
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    lines.extend(",".join(map(cell_text, row)) for row in zip(*columns))
     return "\n".join(lines) + "\n"
 
 
-def grid_rows(x, y, values):
-    """The rows (x_i, y_j, values[i, j]) of a value grid, x outer."""
+def grid_columns(x, y, values):
+    """The columns x_i, y_j and values[i, j] of a value grid's rows, x outer."""
     grid_x, grid_y = np.meshgrid(x, y, indexing="ij")
-    return np.column_stack([grid_x.ravel(), grid_y.ravel(), values.ravel()])
+    return [grid_x.ravel(), grid_y.ravel(), values.ravel()]
+
+
+@pytest.mark.parametrize("value, text", [
+    (True, "true"), (False, "false"), (3, "3"), (-7, "-7"), (0.1, "0.1"),
+    (np.float64(1.0 / 3.0), "0.333333333333"), (-0.0, "-0"), ("30S-25S", "30S-25S"),
+])
+def test_format_value_rules(value, text):
+    assert format_value(value) == text
 
 
 def test_float_array_bytes_match_per_cell_format(tmp_path):
@@ -48,15 +64,15 @@ def test_float_array_bytes_match_per_cell_format(tmp_path):
     header = ["a", "b", "c"]
 
     path = write_grid_table(tmp_path / "t.csv", metadata, header, x, y, values)
-    assert path.read_bytes() == per_cell_text(metadata, header, grid_rows(x, y, values)).encode()
+    assert path.read_bytes() == per_cell_text(metadata, header, grid_columns(x, y, values)).encode()
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (0, 1), (5, 1), (1, 3), (1, 1)])
 def test_small_float_arrays_match_per_cell_format(tmp_path, shape):
-    rows = np.array(SPECIAL[:shape[0] * shape[1]]).reshape(shape)
+    columns = list(np.array(SPECIAL[:shape[0] * shape[1]]).reshape(shape).T)
     header = ["a", "b", "c"][:shape[1]]
-    path = write_table(tmp_path / "t.csv", {"n": shape[0]}, header, rows)
-    assert path.read_bytes() == per_cell_text({"n": shape[0]}, header, rows).encode()
+    path = write_table(tmp_path / "t.csv", {"n": shape[0]}, header, columns)
+    assert path.read_bytes() == per_cell_text({"n": shape[0]}, header, columns).encode()
     assert len(path.read_text().splitlines()) == 2 + shape[0]
 
 
@@ -64,21 +80,76 @@ def test_float_array_and_tuple_rows_agree(tmp_path):
     x, y = np.array(SPECIAL[:6]), np.array(SPECIAL[6:9])
     values = np.array(SPECIAL).reshape(6, 3)
     bulk = write_grid_table(tmp_path / "bulk.csv", {}, ["a", "b", "c"], x, y, values)
+    a, b, v = grid_columns(x, y, values)
+    # tuples of floats and numpy floats go cell by cell through format_value
     cells = write_table(tmp_path / "cells.csv", {}, ["a", "b", "c"],
-                        [(a, np.float64(b), float(v)) for a, b, v in grid_rows(x, y, values)])
+                        [tuple(a.tolist()), tuple(np.float64(c) for c in b), tuple(v.tolist())])
     assert bulk.read_bytes() == cells.read_bytes()
 
 
 def test_float_array_width_must_match_header(tmp_path):
     with pytest.raises(ValueError):
-        write_table(tmp_path / "t.csv", {}, ["a", "b"], np.zeros((4, 3)))
+        write_table(tmp_path / "t.csv", {}, ["a", "b"], list(np.zeros((3, 4))))
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("columns", [
+    [np.zeros(4), np.zeros(3)],                       # ragged float columns
+    [np.zeros(4), [1, 2, 3]],                         # ragged mixed columns
+    [["a", "b"], np.zeros(2), [True, False]],         # more columns than header entries
+    [np.zeros(2)],                                    # fewer
+    [np.zeros((2, 2)), np.zeros(2)],                  # a column that is not 1-D
+])
+def test_columns_that_do_not_form_the_table_are_refused_before_anything_is_written(
+        tmp_path, columns):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError):
+        write_table(out / "t.csv", {}, ["a", "b"], columns)
+    assert not out.exists()
+
+
+def test_mixed_float_and_text_list_column(tmp_path):
+    # the critical table's critical_2z0_um column: a float per bracketed pair, else n/a
+    columns = [["30S-30S", "g-g", "25S-25S"], [9.18866953906, "n/a", -0.0],
+               np.array([True, False, True]), np.array([3, -1, 0])]
+    path = write_table(tmp_path / "t.csv", {"pairs": "rr gg"}, ["a", "b", "c", "d"], columns)
+    assert path.read_text().splitlines()[2:] == [
+        "30S-30S,9.18866953906,true,3", "g-g,n/a,false,-1", "25S-25S,-0,true,0"]
+    assert path.read_bytes() == per_cell_text({"pairs": "rr gg"}, ["a", "b", "c", "d"],
+                                              columns).encode()
+
+
+@st.composite
+def mixed_columns(draw):
+    """A table of float64 columns of any value (nan, +-inf, subnormals,
+    +-0) mixed with bool, int and str columns."""
+    rows = draw(st.integers(0, 12))
+    floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    kinds = {
+        "float": hnp.arrays(np.float64, rows, elements=floats),
+        "bool": hnp.arrays(np.bool_, rows),
+        "int": hnp.arrays(np.int64, rows),
+        "str": st.lists(st.text("abcxyz-/_ ", max_size=8), min_size=rows, max_size=rows),
+    }
+    return [draw(kinds[kind]) for kind in
+            draw(st.lists(st.sampled_from(sorted(kinds)), min_size=1, max_size=6))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_columns())
+def test_any_mixed_columns_match_per_cell_format(columns):
+    header = [f"c{i}" for i in range(len(columns))]
+    with tempfile.TemporaryDirectory() as folder:
+        path = write_table(Path(folder) / "t.csv", {"rows": len(columns[0])}, header, columns)
+        assert path.read_bytes() == per_cell_text({"rows": len(columns[0])}, header,
+                                                  columns).encode()
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
 def test_table_mode_follows_the_umask(tmp_path, umask, mode):
     previous = os.umask(umask)
     try:
-        path = write_table(tmp_path / "t.csv", {}, ["a"], np.zeros((2, 1)))
+        path = write_table(tmp_path / "t.csv", {}, ["a"], [np.zeros(2)])
         assert os.umask(umask) == umask  # the writer restores the umask
     finally:
         os.umask(previous)
@@ -92,11 +163,10 @@ def test_grid_table_bytes_match_the_row_table(tmp_path, nx, ny):
     y = np.sort(rng.normal(size=ny)) * 1e-3
     values = rng.normal(size=(nx, ny)) * 10.0 ** rng.uniform(-300, 5, size=(nx, ny))
     values.flat[:len(SPECIAL)] = SPECIAL[:values.size]
-    rows = grid_rows(x, y, values)
     metadata = {"command": "density", "grid_points": nx}
     header = ["z1_um", "z2_um", "density_per_um2"]
     grid = write_grid_table(tmp_path / "grid.csv", metadata, header, x, y, values)
-    table = write_table(tmp_path / "rows.csv", metadata, header, rows)
+    table = write_table(tmp_path / "rows.csv", metadata, header, grid_columns(x, y, values))
     assert grid.read_bytes() == table.read_bytes()
 
 
@@ -122,7 +192,7 @@ def test_grid_table_refuses_to_clobber(tmp_path):
 def test_metadata_line_breaks_are_refused_before_anything_is_written(tmp_path, value):
     out = tmp_path / "out"
     with pytest.raises(ConfigError, match="line break"):
-        write_table(out / "t.csv", {"pairs": value}, ["a"], [(1.0,)])
+        write_table(out / "t.csv", {"pairs": value}, ["a"], [np.array([1.0])])
     assert not out.exists()
 
 
@@ -133,7 +203,7 @@ def assert_grid_bytes_match_per_cell_format(x, y, values):
     """write_grid_table writes the table that per-cell %.12g gives."""
     with tempfile.TemporaryDirectory() as folder:
         path = write_grid_table(Path(folder) / "t.csv", {}, HEADER, x, y, values)
-        assert path.read_bytes() == per_cell_text({}, HEADER, grid_rows(x, y, values)).encode()
+        assert path.read_bytes() == per_cell_text({}, HEADER, grid_columns(x, y, values)).encode()
 
 
 def assert_values_match_per_cell_format(values):
@@ -196,3 +266,13 @@ def test_blocks_end_between_grid_rows(monkeypatch, chunk_rows):
     monkeypatch.setattr(csvio, "_CHUNK_ROWS", chunk_rows)
     values = np.array(SPECIAL).reshape(6, 3)
     assert_grid_bytes_match_per_cell_format(np.arange(6.0), np.array([0.1, -2.5, 1e16]), values)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 5, len(SPECIAL) - 1, len(SPECIAL)])
+def test_column_blocks_match_per_cell_format(tmp_path, monkeypatch, chunk_rows):
+    monkeypatch.setattr(csvio, "_CHUNK_ROWS", chunk_rows)
+    values = np.array(SPECIAL)
+    columns = [values, np.arange(values.size) % 3 == 0, [f"r{i}" for i in range(values.size)],
+               -values]
+    path = write_table(tmp_path / "t.csv", {}, ["a", "b", "c", "d"], columns)
+    assert path.read_bytes() == per_cell_text({}, ["a", "b", "c", "d"], columns).encode()
