@@ -272,9 +272,13 @@ def cmd_gauge(args) -> int:
     records = connection_records(modes, geometry, config)
     hermiticity = gauge_hermiticity_check(modes, geometry, config)
 
-    indices = np.repeat([(rec.atom_index, rec.bra_mode.n1, rec.bra_mode.n2, rec.bra_mode.n3,
-                          rec.ket_mode.n1, rec.ket_mode.n2, rec.ket_mode.n3)
-                         for rec in records], 3, axis=0)
+    # records run over atom, bra and ket, row-major; one row per axis
+    numbers = np.array([(mode.n1, mode.n2, mode.n3) for mode in modes])
+    count = len(modes)
+    atom = np.repeat([1, 2], count * count)
+    bra = np.tile(np.repeat(numbers, count, axis=0), (2, 1))
+    ket = np.tile(numbers, (2 * count, 1))
+    indices = np.repeat(np.column_stack([atom, bra, ket]), 3, axis=0)
     values = np.array([rec.value for rec in records]).ravel()
     _write(args, digest, "connection.csv",
            ["atom", "bra_nx", "bra_ny", "bra_nz", "ket_nx", "ket_ny", "ket_nz",
@@ -290,7 +294,7 @@ def cmd_gauge(args) -> int:
         print(f"mode ({mode.n1},{mode.n2},{mode.n3}): "
               f"Berry phase {phases[-1]:.3g} rad on a {args.side_um:g} um square loop")
     _write(args, digest, "phases.csv", ["mode_nx", "mode_ny", "mode_nz", "berry_phase_rad"],
-           [*zip(*((mode.n1, mode.n2, mode.n3) for mode in modes)), np.array(phases)],
+           [*numbers.T, np.array(phases)],
            loop="square", side_um=args.side_um)
     return EXIT_OK
 

@@ -31,19 +31,29 @@ __all__ = [
 # values and _ab to the cross product C4_1 * C4_2.  A4 and A6 carry
 # m^6/s^2, A10 and A12 m^12/s^2.  Then C6 (J m^6), the atom mass (kg) and
 # the atom trap squares (rad^2/s^2).
-_Terms = namedtuple("_Terms", ["A12_1", "A12_2", "A12_ab", "A10_1", "A10_2", "A10_ab",
-                               "A6_1", "A6_2", "A4_1", "A4_2",
-                               "c6", "m_a", "w_ar_sq", "w_az_sq"])
+_Coefficients = namedtuple("_Coefficients", ["A12_1", "A12_2", "A12_ab",
+                                             "A10_1", "A10_2", "A10_ab",
+                                             "A6_1", "A6_2", "A4_1", "A4_2",
+                                             "c6", "m_a", "w_ar_sq", "w_az_sq"])
+# The coefficients, then the products of them that ``_frequency_squares``
+# forms first, combined once per configuration: the A10 numerators of
+# omega_bar_rhoj^2 (rho10_j), the A4 and A10 numerators of omega_bar_zj^2
+# (z4_j, z10_j) and of omega_zz^2 (zz10), those of Omega_j^2 (force4_j,
+# force10_j), 3 C6, 21 C6 and 128 m_a.  A product that overflows is inf,
+# and the kernel's range check reports it.
+_Terms = namedtuple("_Terms", _Coefficients._fields + (
+    "rho10_1", "rho10_2", "z4_1", "z4_2", "z10_1", "z10_2", "zz10",
+    "force4_1", "force4_2", "force10_1", "force10_2", "c6x3", "c6x21", "m_ax128"))
 
 
 def _terms(config: SystemConfig) -> _Terms:
-    """The ``_Terms`` of a configuration; ConfigError when one of them
-    leaves the float range."""
+    """The ``_Terms`` of a configuration; ConfigError when one of its
+    ``_Coefficients`` leaves the float range."""
     try:
         c4_1, c4_2 = config.c4_pair
         m_a, m_i = config.atom.mass, config.ion.mass
         w_ir_sq, w_iz_sq = config.ion_trap.radial**2, config.ion_trap.axial**2
-        terms = _Terms(
+        k = _Coefficients(
             A12_1=16.0 * c4_1**2 / (m_a * m_i * w_ir_sq),
             A12_2=16.0 * c4_2**2 / (m_a * m_i * w_ir_sq),
             A12_ab=16.0 * c4_1 * c4_2 / (m_a * m_i * w_ir_sq),
@@ -60,11 +70,27 @@ def _terms(config: SystemConfig) -> _Terms:
             w_az_sq=config.atom_trap.axial**2,
         )
     except (OverflowError, ZeroDivisionError):
-        terms = None
-    if terms is None or not all(map(math.isfinite, terms)):
+        k = None
+    if k is None or not all(map(math.isfinite, k)):
         raise ConfigError("the configured masses, trap frequencies, C4 or C6 put the "
                           "expansion coefficients out of the float range")
-    return terms
+    return _Terms(
+        *k,
+        rho10_1=6.0 * (k.A10_1 - k.A10_ab),
+        rho10_2=6.0 * (k.A10_2 - k.A10_ab),
+        z4_1=10.0 * k.A4_1,
+        z4_2=10.0 * k.A4_2,
+        z10_1=55.0 * k.A10_1 - 30.0 * k.A10_ab,
+        z10_2=55.0 * k.A10_2 - 30.0 * k.A10_ab,
+        zz10=-25.0 * k.A10_ab,
+        force4_1=2.0 * k.A4_1,
+        force4_2=2.0 * k.A4_2,
+        force10_1=5.0 * (k.A10_1 - k.A10_ab),
+        force10_2=5.0 * (k.A10_2 - k.A10_ab),
+        c6x3=3.0 * k.c6,
+        c6x21=21.0 * k.c6,
+        m_ax128=128.0 * k.m_a,
+    )
 
 
 @dataclass(frozen=True)
@@ -101,23 +127,26 @@ def _half_separation(z0):
 def _frequency_squares(t: _Terms, z0):
     """The fields of EffectiveFrequencies at z0, in their order.  Only
     + - * / and ** act on z0, so it may be a float or an ndarray."""
+    (A12_1, A12_2, A12_ab, _, _, _, A6_1, A6_2, _, _, _, _, w_ar_sq, w_az_sq,
+     rho10_1, rho10_2, z4_1, z4_2, z10_1, z10_2, zz10,
+     force4_1, force4_2, force10_1, force10_2, c6x3, c6x21, m_ax128) = t
     z6 = z0**6
     z12 = z0**12
-    z8 = z0**8
-    c6_rho = 3.0 * t.c6 / (128.0 * t.m_a * z8)
-    c6_z = 21.0 * t.c6 / (128.0 * t.m_a * z8)
-    wbr1 = t.w_ar_sq + t.A6_1 / z6 - t.A12_1 / z12 + 6.0 * (t.A10_1 - t.A10_ab) / z12 + c6_rho
-    wbr2 = t.w_ar_sq + t.A6_2 / z6 - t.A12_2 / z12 + 6.0 * (t.A10_2 - t.A10_ab) / z12 + c6_rho
-    wbz1 = t.w_az_sq - 10.0 * t.A4_1 / z6 - (55.0 * t.A10_1 - 30.0 * t.A10_ab) / z12 - c6_z
-    wbz2 = t.w_az_sq - 10.0 * t.A4_2 / z6 - (55.0 * t.A10_2 - 30.0 * t.A10_ab) / z12 - c6_z
+    c6_den = m_ax128 * z0**8
+    c6_rho = c6x3 / c6_den
+    c6_z = c6x21 / c6_den
+    wbr1 = w_ar_sq + A6_1 / z6 - A12_1 / z12 + rho10_1 / z12 + c6_rho
+    wbr2 = w_ar_sq + A6_2 / z6 - A12_2 / z12 + rho10_2 / z12 + c6_rho
+    wbz1 = w_az_sq - z4_1 / z6 - z10_1 / z12 - c6_z
+    wbz2 = w_az_sq - z4_2 / z6 - z10_2 / z12 - c6_z
     return (
         wbr1, wbr2, wbz1, wbz2,
         0.5 * (wbr1 + wbr2),
         0.5 * (wbz1 + wbz2),
-        t.A12_ab / z12 + c6_rho,
-        -25.0 * t.A10_ab / z12 + c6_z,
-        2.0 * t.A4_1 / z6 + 5.0 * (t.A10_1 - t.A10_ab) / z12 + 2.0 * c6_rho,
-        2.0 * t.A4_2 / z6 + 5.0 * (t.A10_2 - t.A10_ab) / z12 + 2.0 * c6_rho,
+        A12_ab / z12 + c6_rho,
+        zz10 / z12 + c6_z,
+        force4_1 / z6 + force10_1 / z12 + 2.0 * c6_rho,
+        force4_2 / z6 + force10_2 / z12 + 2.0 * c6_rho,
     )
 
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,9 +119,9 @@ def connection_matrix(modes: list[IonModeIndex], atom_index: int,
     return -1j * cst.HBAR * np.tensordot(ladders, jac, (0, 0)).transpose(1, 0, 2)
 
 
-@dataclass(frozen=True)
-class GaugeConnection:
-    """One stored connection element (for table output)."""
+class GaugeConnection(NamedTuple):
+    """One stored connection element (for table output): an immutable
+    named tuple whose value is a view of its row of the connection tensor."""
 
     bra_mode: IonModeIndex
     ket_mode: IonModeIndex
@@ -129,13 +131,16 @@ class GaugeConnection:
 
 def connection_records(modes: list[IonModeIndex], geometry: AtomPairGeometry,
                        config: SystemConfig) -> list[GaugeConnection]:
-    """Every connection element over the mode set, both atoms, row-major."""
+    """Every connection element over the mode set, both atoms, row-major.
+
+    Each bra row is built by one ``map`` of ``tuple.__new__``, which skips
+    the Python-level ``__new__`` of the named tuple class."""
     records = []
     for atom_index in (1, 2):
         matrix = connection_matrix(modes, atom_index, geometry, config)
         for bra, row in zip(modes, matrix):
-            records.extend(GaugeConnection(bra, ket, atom_index, value)
-                           for ket, value in zip(modes, row))
+            records.extend(map(tuple.__new__, repeat(GaugeConnection),
+                               zip(repeat(bra), modes, repeat(atom_index), row)))
     return records
 
 
@@ -145,9 +150,7 @@ def gauge_hermiticity_check(modes: list[IonModeIndex], geometry: AtomPairGeometr
     worst = 0.0
     for atom_index in (1, 2):
         matrix = connection_matrix(modes, atom_index, geometry, config)
-        for b in range(3):
-            dev = np.max(np.abs(matrix[:, :, b] - matrix[:, :, b].conj().T))
-            worst = max(worst, float(dev))
+        worst = max(worst, float(np.max(np.abs(matrix - matrix.conj().transpose(1, 0, 2)))))
     return worst
 
 

@@ -152,13 +152,20 @@ def phonon_spectrum(config: SystemConfig, z0: float) -> PhononSpectrum:
                           stable=bool(np.all(stretch > 0.0) and np.all(com > 0.0)))
 
 
+def _lower_eigenvalue(a: float, b: float, c: float) -> float:
+    """Lower eigenvalue of [[a, c], [c, b]] in Python floats: mean - hypot,
+    or exactly min(a, b) where c == 0, as ``_diagonalize_sector`` takes it."""
+    if c == 0.0:
+        return min(a, b)
+    return 0.5 * (a + b) - math.hypot(0.5 * (a - b), c)
+
+
 def _min_omega_sq(t, separation: float) -> float:
     """Smallest squared mode frequency at one separation, from ``_terms``:
-    the lower of mean - hypot over the two sectors, in Python floats."""
+    the lower of the two sectors' lower eigenvalues, in Python floats."""
     (a_ax, a_tr), (b_ax, b_tr), (c_ax, c_tr) = _sector_entries(
         _frequency_squares(t, 0.5 * separation))
-    return min(0.5 * (a_ax + b_ax) - math.hypot(0.5 * (a_ax - b_ax), c_ax),
-               0.5 * (a_tr + b_tr) - math.hypot(0.5 * (a_tr - b_tr), c_tr))
+    return min(_lower_eigenvalue(a_ax, b_ax, c_ax), _lower_eigenvalue(a_tr, b_tr, c_tr))
 
 
 def critical_separation(config: SystemConfig) -> StabilityResult:

@@ -13,6 +13,7 @@ import oracles
 from ionbridge import (
     AtomPairGeometry,
     ConfigError,
+    GaugeConnection,
     IonModeIndex,
     LoopPath,
     SingularGeometryError,
@@ -198,6 +199,17 @@ class TestConnectionStructure:
                     continue
                 single = oracles.gauge_element(bra, ket, 1, geom, cfg_rr)
                 np.testing.assert_array_equal(single, conn[i, k])
+
+    def test_records_are_immutable_named_tuples(self, cfg_rr, geom):
+        records = connection_records(cartesian_modes(1), geom, cfg_rr)
+        assert GaugeConnection._fields == ("bra_mode", "ket_mode", "atom_index", "value")
+        for record in records:
+            assert type(record) is GaugeConnection
+            assert tuple(record) == (record.bra_mode, record.ket_mode,
+                                     record.atom_index, record.value)
+        for field in GaugeConnection._fields:
+            with pytest.raises(AttributeError):
+                setattr(records[0], field, None)
 
     def test_records_are_the_matrix_elements_row_major(self, cfg_rg):
         geom = AtomPairGeometry.at_trap_centers(cfg_rg)

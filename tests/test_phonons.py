@@ -25,7 +25,7 @@ from ionbridge import (
     reference_config,
 )
 from ionbridge import constants as cst
-from ionbridge.expansion import _terms
+from ionbridge.expansion import _Coefficients, _terms
 from ionbridge.model import ElectronicState
 from ionbridge.phonons import _diagonalize_sector, _min_omega_sq
 
@@ -118,7 +118,7 @@ class TestCriticalSeparation:
         assert err.value.f_lo > 0.0 and err.value.f_hi > 0.0
 
     @pytest.mark.parametrize("scaling", ["bare_n", "quantum_defect"])
-    @pytest.mark.parametrize("n", [20, 27, 38, 49, 60])
+    @pytest.mark.parametrize("n", range(20, 61))  # the benchmark's level grid
     def test_bisection_is_bit_identical_to_the_scalar_one(self, n, scaling):
         for pair in ("rr", "rg", "gg"):
             config = reference_config(pair, n, 8e-6, scaling)
@@ -131,12 +131,13 @@ class TestCriticalSeparation:
             got = critical_separation(config)
             assert (got.critical_2z0, got.limiting_branch) == want
 
-    @pytest.mark.parametrize("pair", ["rr", "rg"])
+    @pytest.mark.parametrize("pair", ["rr", "rg", "gg"])
     def test_bisection_step_is_the_scalar_minimum(self, pair):
-        config = reference_config(pair, 44)
-        terms = _terms(config)
-        for sep in np.linspace(1e-6, 40e-6, 157):
-            assert _min_omega_sq(terms, sep) == oracles.min_omega_sq(config, sep)
+        for scaling in ("bare_n", "quantum_defect"):
+            config = reference_config(pair, 44, 8e-6, scaling)
+            terms = _terms(config)
+            for sep in np.linspace(1e-6, 40e-6, 157):
+                assert _min_omega_sq(terms, sep) == oracles.min_omega_sq(config, sep)
 
     def test_overflow_in_the_bracket_is_a_config_error(self):
         rr = reference_config("rr")
@@ -144,6 +145,34 @@ class TestCriticalSeparation:
             rr, coefficients=dataclasses.replace(rr.coefficients, c4_ground=1e90))
         with pytest.raises(ConfigError, match="float range"):
             critical_separation(config)
+
+    # A ground pair with A10 = 4e306 m^12/s^2: every coefficient is finite,
+    # but the combined product 55 A10 - 30 A10_ab overflows.  It must surface
+    # as the kernel's range error.
+    @pytest.mark.parametrize("call, message", [
+        (critical_separation,
+         "the quadratic expansion leaves the float range in the bracket [1e-06, 4e-05] m"),
+        (lambda config: phonon_spectrum(config, 8e-6),
+         "the quadratic expansion leaves the float range between 2z0 = 1.6e-05 and 1.6e-05 m"),
+        (lambda config: mode_sweep(config, [2e-6, 16e-6]),
+         "the quadratic expansion leaves the float range between 2z0 = 2e-06 and 1.6e-05 m"),
+        (lambda config: equilibrium_shift(config, 8e-6),
+         "the quadratic expansion leaves the float range between 2z0 = 1.6e-05 and 1.6e-05 m"),
+        (lambda config: effective_frequencies(config, 1e-3),
+         "the quadratic expansion leaves the float range between 2z0 = 0.002 and 0.002 m"),
+    ], ids=["critical", "spectrum", "sweep", "shift", "frequencies"])
+    def test_an_overflowing_combined_product_is_the_kernel_config_error(self, call, message):
+        gg = reference_config("gg")
+        m_a, m_i, w_iz = gg.atom.mass, gg.ion.mass, gg.ion_trap.axial
+        c4 = math.sqrt(4e306 * m_a * m_i * w_iz**2 / 16.0)
+        config = dataclasses.replace(
+            gg, coefficients=dataclasses.replace(gg.coefficients, c4_ground=c4))
+        terms = _terms(config)
+        assert all(map(math.isfinite, terms[:len(_Coefficients._fields)]))
+        assert terms.z10_1 == math.inf
+        with pytest.raises(ConfigError) as err:
+            call(config)
+        assert str(err.value) == message
 
 
 class TestModeSweep:
