@@ -6,18 +6,25 @@ integrated with Gauss-Hermite quadrature, whose weight absorbs the
 basis Gaussians exactly.  The radial degrees of freedom stay frozen in
 their ground state and contribute the constant 2 hbar omega_rho.
 
-``basis_ground_state`` never forms the (N^2, N^2) matrix: it applies the
-quadrature block to a coefficient matrix through the node grid, as in a
-discrete variable representation (Light, Hamilton and Lill, JCP 82,
-1400 (1985)), and Lanczos with full reorthogonalization finds the
-lowest pair.  Lanczos converges faster the more its start overlaps
-the wanted eigenvector (Parlett, The Symmetric Eigenvalue Problem,
-1980).  The two atoms interact only through the ion, so the pair
-ground state is nearly a product state, and every solve of
-``basis_ground_state`` starts from the pair Hamiltonian contracted onto
-self-consistent single-atom orbitals (Beck, Jaeckle, Worth and Meyer,
-Phys. Rep. 324, 1 (2000); Echave and Clary, Chem. Phys. Lett. 190, 225
-(1992)).  Each Gauss-Hermite rule is computed once per order.
+``basis_ground_state`` never forms the (N^2, N^2) matrix.  On the axis
+the interaction is two single-atom terms, a rank-one ion-following
+cross term and the smooth C6 term, so its node grid (a discrete
+variable representation: Light, Hamilton and Lill, JCP 82, 1400 (1985))
+has a numerical rank of a few.  An adaptive cross approximation
+(Bebendorf, Numer. Math. 86, 565 (2000)) writes it as a sum of products
+of single-atom functions, the product form of MCTDH (Jaeckle and Meyer,
+J. Chem. Phys. 104, 7974 (1996)), and the pair Hamiltonian acts on a
+coefficient matrix C as K * C + sum_k A_k C B_k with (N, N) factors.
+The same factors at two quadrature orders bound the quadrature drift,
+and Lanczos with full reorthogonalization finds the lowest pair.
+Lanczos converges faster the more its start overlaps the wanted
+eigenvector (Parlett, The Symmetric Eigenvalue Problem, 1980).  The two
+atoms interact only through the ion, so the pair ground state is nearly
+a product state, and every solve of ``basis_ground_state`` starts from
+the pair Hamiltonian contracted onto self-consistent single-atom
+orbitals (Beck, Jaeckle, Worth and Meyer, Phys. Rep. 324, 1 (2000);
+Echave and Clary, Chem. Phys. Lett. 190, 225 (1992)).  Gauss-Hermite
+rules and the tables of Hermite values on them are cached.
 ``axial_hamiltonian_matrix`` and ``symmetric_eigensolve`` build
 and diagonalize the dense matrix: unexported test oracles.
 ``gaussian_ground_state`` is the quadratic limit: the closed-form
@@ -29,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -55,7 +63,7 @@ _MAX_BASIS = 60
 _RAMP_LIMIT = 50
 _CONVERGENCE_STEP = 4
 _QUAD_MARGIN = 8
-_NORM_TOL = 1e-3   # relative tolerance of the Lanczos estimate of ||D||_2
+_HERMITE_TABLES = 16   # Hermite tables cached: at most 2.1 MB
 _LANCZOS_STEPS = 240   # step cap: n_max 60 from all ones, the hardest tested solve, takes 158
 _MEAN_FIELD_ORBITALS = 6     # orbitals per atom in the contracted Lanczos start
 _MEAN_FIELD_ITERATIONS = 8   # single-atom Hartree diagonalizations of an unseeded start
@@ -91,6 +99,18 @@ def hermite_values(n_max: int, xi: np.ndarray) -> np.ndarray:
         p[:, n + 1] = (math.sqrt(2.0 / (n + 1)) * xi * p[:, n]
                        - math.sqrt(n / (n + 1)) * p[:, n - 1])
     return p
+
+
+@lru_cache(maxsize=_HERMITE_TABLES)
+def _hermite_table(n_max: int, order: int) -> np.ndarray:
+    """Read-only ``hermite_values(n_max, xi)`` at the order-``order``
+    Gauss-Hermite nodes, computed once while among the _HERMITE_TABLES
+    most recently used: ``basis_ground_state`` reads the same four (eight
+    when it ramps) at every separation.  The largest, n_max 60 at order
+    264, takes 0.13 MB."""
+    table = hermite_values(n_max, _gauss_hermite(order)[0])
+    table.flags.writeable = False
+    return table
 
 
 def _oscillator_values(n_max: int, z: np.ndarray, center: float, length: float) -> np.ndarray:
@@ -253,31 +273,72 @@ def _constant_offset(config: SystemConfig) -> float:
         + 2.0 * cst.HBAR * config.atom_trap.radial
 
 
+class _Quadrature(NamedTuple):
+    """One Gauss-Hermite order of a solve, energies in units of hbar w_az."""
+
+    q: np.ndarray          # Hermite values Q[a, n] = p_n(xi_a), read-only
+    weights: np.ndarray    # w_a
+    z1: np.ndarray         # atom 1's nodes z0 + a_z xi_a, m
+    z2: np.ndarray         # atom 2's nodes -z0 + a_z xi_a, m
+    potential: np.ndarray  # W(z1_a, z2_b) on the node grid, unweighted
+    grid: np.ndarray       # w_a w_b W(z1_a, z2_b)
+
+
+class _Cross(NamedTuple):
+    """Cross approximation W(z1, z2) ~ sum_k x_k(z1) y_k(z2) of one order's
+    grid: the pivot positions and what the LU recurrence of
+    ``_cross_functions`` takes from the pivot order."""
+
+    z1: np.ndarray            # atom 1's pivot nodes z1_{I_k}, m
+    z2: np.ndarray            # atom 2's pivot nodes z2_{J_k}, m
+    pivots: np.ndarray        # p_k, the residual's largest entry at step k
+    x_at_rows: np.ndarray     # [k, l] = x_l(z1_{I_k})
+    y_at_columns: np.ndarray  # [k, l] = y_l(z2_{J_k})
+    x: np.ndarray             # x_k at the pivot order's nodes, (order, rank)
+    y: np.ndarray             # y_k at the pivot order's nodes, (order, rank)
+
+
+def _field(potential_fn, unit: float, z1: np.ndarray, z2: np.ndarray,
+           order: int) -> np.ndarray:
+    """``potential_fn`` at the broadcasting positions z1, z2 in units of
+    ``unit``, as a writable array of their broadcast shape (a constant
+    potential may return a scalar); AccuracyError unless finite."""
+    values = np.broadcast_to(potential_fn(z1, z2) / unit, np.broadcast(z1, z2).shape).copy()
+    if not np.all(np.isfinite(values)):
+        raise AccuracyError(f"interaction is not finite on the order-{order} quadrature grid")
+    return values
+
+
+def _quadrature(config: SystemConfig, z0: float, n_max: int, order: int,
+                potential_fn) -> _Quadrature:
+    """The order-``order`` Gauss-Hermite nodes of the pair at +-z0, the
+    Hermite values p_0..p_n_max there and the interaction on the node grid."""
+    length = characteristic_scales(config).a_z
+    xi, weights = _gauss_hermite(order)
+    z1, z2 = z0 + length * xi, -z0 + length * xi
+    potential = _field(potential_fn, _axial_energy_scale(config), z1[:, None], z2[None, :],
+                       order)
+    return _Quadrature(_hermite_table(n_max, order), weights, z1, z2, potential,
+                       potential * np.outer(weights, weights))
+
+
 def _interaction_grid(config: SystemConfig, z0: float, n_max: int, order: int,
                       potential_fn) -> tuple[np.ndarray, np.ndarray]:
     """Hermite values Q[a, n] = p_n(xi_a) at the Gauss-Hermite nodes and the
     weighted interaction w_a w_b W(z1_a, z2_b) on the node grid, hbar w_az.
 
     With these, the interaction block is the action
-    C -> Q^T (grid * (Q C Q^T)) Q on (N, N) coefficient matrices
-    (``_block_action``), or the dense matrix of ``_dense_block``.
+    C -> Q^T (grid * (Q C Q^T)) Q on (N, N) coefficient matrices, or the
+    dense matrix of ``_dense_block``.
     """
-    length = characteristic_scales(config).a_z
-    xi, weights = _gauss_hermite(order)
-    grid = potential_fn(z0 + length * xi[:, None], -z0 + length * xi[None, :])
-    grid = grid * np.outer(weights, weights) / _axial_energy_scale(config)
-    if not np.all(np.isfinite(grid)):
-        raise AccuracyError(f"interaction is not finite on the order-{order} quadrature grid")
-    return hermite_values(n_max, xi), grid
-
-
-def _block_action(q: np.ndarray, grid: np.ndarray, c: np.ndarray) -> np.ndarray:
-    return q.T @ (grid * (q @ c @ q.T)) @ q
+    quadrature = _quadrature(config, z0, n_max, order, potential_fn)
+    return quadrature.q, quadrature.grid
 
 
 def _dense_block(q: np.ndarray, grid: np.ndarray, q2: np.ndarray | None = None) -> np.ndarray:
-    """The (N^2, N^2) matrix of ``_block_action``, flat index n1 * N + n2;
-    with ``q2``, atom 2's functions are its columns instead of Q's."""
+    """The (N^2, N^2) matrix of the action C -> Q^T (grid * (Q C Q^T)) Q, flat
+    index n1 * N + n2; with ``q2``, atom 2's functions are its columns
+    instead of Q's."""
     q2 = q if q2 is None else q2
     order, n = q.shape
     pair1 = (q[:, :, None] * q[:, None, :]).reshape(order, n * n)     # [a, (bra, ket)]
@@ -286,10 +347,71 @@ def _dense_block(q: np.ndarray, grid: np.ndarray, q2: np.ndarray | None = None) 
     return block.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
 
+def _cross(quadrature: _Quadrature) -> _Cross:
+    """Full-pivot adaptive cross approximation of the unweighted grid W.
+
+    Each step takes the residual's largest entry p_k = R[I_k, J_k] and
+    subtracts x_k y_k^T with x_k = R[:, J_k] and y_k = R[I_k, :] / p_k
+    (LU with complete pivoting), until no entry exceeds 4 eps max|W|.
+    A zero grid has rank 0.  Bebendorf, Numer. Math. 86, 565 (2000).
+    """
+    w = quadrature.potential
+    residual = w.copy()
+    tol = 4.0 * np.finfo(float).eps * np.max(np.abs(w))
+    rows, columns, pivots, xs, ys = [], [], [], [], []
+    for _ in range(min(w.shape)):
+        i, j = np.unravel_index(np.argmax(np.abs(residual)), residual.shape)
+        pivot = residual[i, j]
+        if not abs(pivot) > tol:
+            break
+        x = residual[:, j].copy()
+        y = residual[i] / pivot
+        residual -= np.outer(x, y)
+        rows.append(i)
+        columns.append(j)
+        pivots.append(pivot)
+        xs.append(x)
+        ys.append(y)
+    x = np.array(xs).T.reshape(w.shape[0], len(xs))
+    y = np.array(ys).T.reshape(w.shape[1], len(ys))
+    return _Cross(quadrature.z1[rows], quadrature.z2[columns], np.array(pivots),
+                  x[rows], y[columns], x, y)
+
+
+def _cross_functions(quadrature: _Quadrature, cross: _Cross, potential_fn, unit: float
+                     ) -> tuple[np.ndarray, np.ndarray, float]:
+    """The cross functions x_k, y_k at this order's nodes, as (order, rank)
+    columns, and the separation error max|W - sum_k x_k y_k^T| on its grid.
+
+    x_k = W(., z2_{J_k}) - sum_{l<k} x_l y_l(z2_{J_k}) and
+    y_k = (W(z1_{I_k}, .) - sum_{l<k} x_l(z1_{I_k}) y_l) / p_k, from the
+    potential on the pivot lines: the LU recurrence, which never inverts
+    the pivot matrix W(I, J).
+    """
+    order = quadrature.weights.size
+    x = _field(potential_fn, unit, quadrature.z1[:, None], cross.z2[None, :], order)
+    y = _field(potential_fn, unit, cross.z1[None, :], quadrature.z2[:, None], order)
+    for k in range(cross.pivots.size):
+        x[:, k] -= x[:, :k] @ cross.y_at_columns[k, :k]
+        y[:, k] = (y[:, k] - y[:, :k] @ cross.x_at_rows[k, :k]) / cross.pivots[k]
+    return x, y, np.max(np.abs(quadrature.potential - x @ y.T))
+
+
+def _stack(quadrature: _Quadrature, f: np.ndarray) -> np.ndarray:
+    """Q^T diag(w f_k) Q for every column f_k of f, as a (rank, N, N)
+    stack built by one GEMM."""
+    q = quadrature.q
+    order, n = q.shape
+    weighted = (f.T * quadrature.weights)[:, None, :] * q.T   # [k, i, a]
+    return (weighted.reshape(-1, order) @ q).reshape(f.shape[1], n, n)
+
+
 def _extreme_pair(apply, n: int, which: str, tol: float,
                   v0: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    """Lowest ("SA") or largest-magnitude ("LM") eigenpair of the symmetric
-    operator ``apply`` on (n, n) coefficient matrices, flattened row-major.
+    """Lowest eigenpair of the symmetric operator ``apply`` on (n, n)
+    coefficient matrices, flattened row-major.  ``which`` is ARPACK's name
+    of that one mode, "SA", so that ARPACK can stand in for this routine
+    in the tests; it labels the errors.
 
     Lanczos from ``v0`` (default: all ones), reorthogonalized twice per
     step against the whole stored basis and never restarted.  After every
@@ -319,10 +441,9 @@ def _extreme_pair(apply, n: int, which: str, tol: float,
         w -= (basis[:size] @ w) @ basis[:size]
         beta[m] = np.linalg.norm(w)
         theta, s = np.linalg.eigh(t[:size, :size])
-        k = 0 if which == "SA" else int(np.argmax(np.abs(theta)))
         if (beta[m] == 0.0 or size == dim
-                or beta[m] * abs(s[m, k]) <= tol * np.max(np.abs(theta))):
-            return theta[k], s[:, k] @ basis[:size]
+                or beta[m] * abs(s[m, 0]) <= tol * np.max(np.abs(theta))):
+            return theta[0], s[:, 0] @ basis[:size]
         if size < steps:
             basis[size] = w / beta[m]
             t[size, m] = beta[m]
@@ -340,81 +461,96 @@ def lowest_pair(config: SystemConfig, z0: float, n_max: int,
     in ``axial_hamiltonian_matrix``; ``start``, a flat vector of the same
     layout, is where Lanczos starts (default: all ones).  Work is in
     units of hbar w_az with the constants left out, so the kinetic part
-    is the diagonal n1 + n2 + 1.  Every solve passes the same two gates,
-    whatever its start, measured against the dense ones:
+    is the diagonal n1 + n2 + 1.
 
-    - quadrature: the drift operator D between orders 4n+8 and 4n+24
-      must obey ||D||_2 <= 1e-8 s, with s the larger of max|diag B| and
-      max|B e_00| (B at order 4n+24).  Both are exact entries of B, so
-      s <= max|B_ij|; s is zero only if the interaction projects to
-      zero on every basis product.  ||D||_2 is a Lanczos estimate,
-      scaled up by (1 + its tolerance) and raised to at least the exact
-      entries diag D and D e_00.  The gate is therefore never weaker
-      than the dense entrywise max|D_ij| <= 1e-8 max|B_ij| on those
-      entries; elsewhere it holds only as far as the estimate does,
-      since a Ritz value can fall short of ||D||_2.
-    - residual: ||H v - E v|| <= 1e-10 max|diag H|, with the constants
-      folded into H as in the dense matrix; max|diag H| <= ||H||_2, the
-      scale of the dense gate on every pair.
+    The interaction grid W of order 4n+24 is cross-approximated
+    (``_cross``) to W ~ sum_k x_k(z1) y_k(z2), the product form of MCTDH
+    (Jaeckle and Meyer, J. Chem. Phys. 104, 7974 (1996)), and the same
+    cross functions are evaluated at the nodes of orders 4n+8 and 4n+24
+    (``_cross_functions``).  At order g the interaction block is then
+    C -> sum_k A_k C B_k, and it is off by at most the separation error
+    e_g = max|W - sum_k x_k y_k| over that grid in 2-norm, because
+    diag(sqrt w) Q has orthonormal columns; for the same reason
+    ||A_k||_2 <= max|x_k| and ||B_k||_2 <= max|y_k|.  Lanczos applies
+    C -> K * C + sum_k A_k C B_k at order 4n+24.  Every solve, whatever
+    its start, passes the quadrature gate before that Lanczos and the
+    residual gate after it, both measured against the dense ones:
+
+    - quadrature: U <= 1e-8 s, where
+      U = sum_k (||A_k^lo - A_k^hi||_F max|y_k^lo|
+      + max|x_k^hi| ||B_k^lo - B_k^hi||_F) + e_lo + e_hi
+      bounds ||D||_2, D the drift operator between orders 4n+8 and
+      4n+24, in exact arithmetic, and s is the larger of max|diag B|
+      and max|B e_00| (B at order 4n+24).  Both
+      are exact entries of B, so s <= max|B_ij|; s is zero only if the
+      interaction projects to zero on every basis product.  The gate is
+      therefore never weaker than the dense entrywise max|D_ij| <= 1e-8
+      max|B_ij|.  The returned drift is U / s.
+    - residual: ||H v - E v|| + e_hi <= 1e-10 max|diag H|, with the
+      constants folded into H as in the dense matrix; the first term is
+      measured with the separated operator, and e_hi bounds what it
+      leaves out.  max|diag H| <= ||H||_2, the scale of the dense gate
+      on every pair.
     """
     potential_fn, offset = _axial_problem(config, z0, n_max, potential_fn)
     order = 4 * n_max + _QUAD_MARGIN
-    return _gated_pair(config, offset,
-                       _interaction_grid(config, z0, n_max, order, potential_fn),
-                       _interaction_grid(config, z0, n_max, order + 16, potential_fn), start)
+    return _gated_pair(config, offset, potential_fn,
+                       _quadrature(config, z0, n_max, order, potential_fn),
+                       _quadrature(config, z0, n_max, order + 16, potential_fn), start)
 
 
-def _gated_pair(config: SystemConfig, offset: float, coarse, fine,
-                start) -> tuple[float, np.ndarray, float]:
-    """``lowest_pair`` on the (Q, grid) pairs of ``_interaction_grid`` at
-    orders 4n + 8 (``coarse``) and 4n + 24 (``fine``)."""
-    q_lo, grid_lo = coarse
-    q, grid = fine
+def _gated_pair(config: SystemConfig, offset: float, potential_fn,
+                coarse: _Quadrature, fine: _Quadrature, start
+                ) -> tuple[float, np.ndarray, float]:
+    """``lowest_pair`` on the ``_quadrature`` rules of orders 4n + 8
+    (``coarse``) and 4n + 24 (``fine``) and the cross of the fine grid."""
+    unit = _axial_energy_scale(config)
+    cross = _cross(fine)
+    x_lo, y_lo, e_lo = _cross_functions(coarse, cross, potential_fn, unit)
+    x, y, e_hi = _cross_functions(fine, cross, potential_fn, unit)
+    a, b = _stack(fine, x), _stack(fine, y)
+    bound = e_lo + e_hi + np.sum(
+        np.linalg.norm(_stack(coarse, x_lo) - a, axis=(1, 2)) * np.max(np.abs(y_lo), axis=0)
+        + np.max(np.abs(x), axis=0) * np.linalg.norm(_stack(coarse, y_lo) - b, axis=(1, 2)))
+    q, grid = fine.q, fine.grid
     n = q.shape[1]
     q_sq = q * q
-    q_lo_sq = q_lo * q_lo
     diag_b = q_sq.T @ grid @ q_sq
-    e_00 = np.zeros((n, n))
-    e_00[0, 0] = 1.0
-    column_b = _block_action(q, grid, e_00)
-    drift_norm = max(np.max(np.abs(q_lo_sq.T @ grid_lo @ q_lo_sq - diag_b)),
-                     np.max(np.abs(_block_action(q_lo, grid_lo, e_00) - column_b)))
-    if np.any(grid_lo) or np.any(grid):
-        theta, _ = _extreme_pair(
-            lambda c: _block_action(q_lo, grid_lo, c) - _block_action(q, grid, c),
-            n, "LM", _NORM_TOL)
-        drift_norm = max(drift_norm, abs(theta) * (1.0 + _NORM_TOL))
+    column_b = q.T @ (grid * np.outer(q[:, 0], q[:, 0])) @ q
     scale = max(np.max(np.abs(diag_b)), np.max(np.abs(column_b)))
-    if drift_norm > 1e-8 * scale:
+    if not bound <= 1e-8 * scale:
         raise AccuracyError(
-            f"quadrature not converged: orders {q_lo.shape[0]} and {q.shape[0]} differ by "
-            f"||D||_2 = {drift_norm:.3g} > 1e-8 max(|diag B|, |B e_00|) = "
+            f"quadrature not converged: orders {coarse.weights.size} and {fine.weights.size} "
+            f"differ by ||D||_2 <= {bound:.3g} > 1e-8 max(|diag B|, |B e_00|) = "
             f"{1e-8 * scale:.3g} hbar w_az"
         )
-    drift = drift_norm / scale if scale > 0.0 else 0.0
+    drift = bound / scale if scale > 0.0 else 0.0
 
     kinetic = np.add.outer(np.arange(n), np.arange(n)) + 1.0
+    rank = cross.pivots.size
+    a = a.transpose(1, 0, 2).reshape(n, rank * n)   # [A_1 ... A_r]
 
     def hamiltonian(c):
-        return kinetic * c + _block_action(q, grid, c)
+        return kinetic * c + a @ (c @ b).reshape(rank * n, n)
 
     value, vector = _extreme_pair(hamiltonian, n, "SA", 0.0, start)
     vector = _lead_positive(vector[:, None])[:, 0]
 
-    unit = _axial_energy_scale(config)
     residual = np.linalg.norm(hamiltonian(vector.reshape(n, n)).ravel() - value * vector)
     limit = 1e-10 * np.max(np.abs(kinetic + diag_b + offset / unit))
-    if not residual <= limit:
+    if not residual + e_hi <= limit:
         raise AccuracyError(
-            f"eigenpair residual {residual:.3g} exceeds 1e-10 max|diag H| = {limit:.3g} hbar w_az"
+            f"eigenpair residual {residual:.3g} plus separation error {e_hi:.3g} exceeds "
+            f"1e-10 max|diag H| = {limit:.3g} hbar w_az"
         )
     return unit * value + offset, vector, drift
 
 
 def _mean_field_start(q: np.ndarray, grid: np.ndarray, orbital: np.ndarray | None = None
                       ) -> tuple[np.ndarray | None, np.ndarray]:
-    """Lanczos start for the lowest pair of the kinetic part plus
-    ``_block_action(q, grid)``, and atom 2's lowest orbital on the nodes.
+    """Lanczos start for the lowest pair of the kinetic part plus the
+    interaction block ``_dense_block(q, grid)``, and atom 2's lowest
+    orbital on the nodes.
 
     Alternating Hartree iterations each diagonalize one atom's
     diag(n + 1/2) + Q^T diag(grid u^2) Q, with u the other atom's lowest
@@ -466,10 +602,7 @@ def basis_ground_state(config: SystemConfig, z0: float, n_max: int = 30) -> Basi
     (Beck, Jaeckle, Worth and Meyer, Phys. Rep. 324, 1 (2000); Echave
     and Clary, Chem. Phys. Lett. 190, 225 (1992)) lies close to the
     solution.  The check's Hartree iterations start from the orbital
-    at n.  On the four benchmark density jobs (2z0 = 12, 16 and 24 um
-    at n_max 30, 12 um at n_max 40) the solve at n_max takes 23/7/2/13
-    operator applications, against 115/84/78/132 from all ones, and
-    the check 19/8/3/22.
+    at n.  Each of the two solves cross-approximates its own fine grid.
     """
     cap = _MAX_BASIS - _CONVERGENCE_STEP
     if not 0 <= n_max <= cap:
@@ -483,15 +616,15 @@ def basis_ground_state(config: SystemConfig, z0: float, n_max: int = 30) -> Basi
         big = n + _CONVERGENCE_STEP
         potential_fn, offset = _axial_problem(config, z0, big, None)
         order = 4 * n + _QUAD_MARGIN
-        coarse = _interaction_grid(config, z0, n, order, potential_fn)
-        q_shared, grid_shared = _interaction_grid(config, z0, big, order + 16, potential_fn)
-        shared = (np.ascontiguousarray(q_shared[:, :n + 1]), grid_shared)
-        start, orbital = _mean_field_start(*shared)
-        energy, vector, _ = _gated_pair(config, offset, coarse, shared, start)
-        check_start, _ = _mean_field_start(q_shared, grid_shared, orbital)
+        coarse = _quadrature(config, z0, n, order, potential_fn)
+        shared = _quadrature(config, z0, big, order + 16, potential_fn)
+        fine = shared._replace(q=_hermite_table(n, order + 16))
+        start, orbital = _mean_field_start(fine.q, fine.grid)
+        energy, vector, _ = _gated_pair(config, offset, potential_fn, coarse, fine, start)
+        check_start, _ = _mean_field_start(shared.q, shared.grid, orbital)
         energy_check, _, _ = _gated_pair(
-            config, offset, (q_shared, grid_shared),
-            _interaction_grid(config, z0, big, order + 32, potential_fn), check_start)
+            config, offset, potential_fn, shared,
+            _quadrature(config, z0, big, order + 32, potential_fn), check_start)
         scale = max(abs(energy_check - offset), _axial_energy_scale(config))
         residual = abs(energy - energy_check) / scale
         if residual < 1e-6:

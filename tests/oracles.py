@@ -8,7 +8,9 @@ the loop segments, the one-pair connection element, the Berry-phase
 line integral and the path-ordered Wilson product.
 The unexpanded ion potential and its finite-difference minimizer check
 the closed-form ion displacement, and ARPACK (``arpack_pair``) is a
-second oracle for the library's Lanczos routine.
+second oracle for the library's Lanczos routine.  ``block_action`` is
+the pair solver's former operator: the interaction block applied
+through the whole node grid.
 """
 
 import math
@@ -335,12 +337,18 @@ def oracle_min_ion_energy(geometry, config, max_iter=500):
 
 def arpack_pair(apply, n, which, tol, v0=None):
     """``motion._extreme_pair`` through ARPACK ``eigsh``: the lowest ("SA")
-    or largest-magnitude ("LM") pair of ``apply`` on (n, n) matrices,
-    flattened row-major, started from ``v0`` (default: all ones).  ARPACK
-    needs a dimension above 2."""
+    pair of ``apply`` on (n, n) matrices, flattened row-major, started
+    from ``v0`` (default: all ones).  ARPACK needs a dimension above 2."""
     dim = n * n
     operator = LinearOperator((dim, dim), matvec=lambda v: apply(v.reshape(n, n)).ravel(),
                               dtype=float)
     values, vectors = eigsh(operator, k=1, which=which, tol=tol,
                             v0=np.ones(dim) if v0 is None else v0)
     return values[0], vectors[:, 0]
+
+
+def block_action(q, grid, c):
+    """The interaction block on an (N, N) coefficient matrix through the
+    node grid: C -> Q^T (grid * (Q C Q^T)) Q, with ``grid`` the weighted
+    interaction of ``motion._interaction_grid``."""
+    return q.T @ (grid * (q @ c @ q.T)) @ q
