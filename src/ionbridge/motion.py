@@ -16,15 +16,19 @@ of single-atom functions, the product form of MCTDH (Jaeckle and Meyer,
 J. Chem. Phys. 104, 7974 (1996)), and the pair Hamiltonian acts on a
 coefficient matrix C as K * C + sum_k A_k C B_k with (N, N) factors.
 The same factors at two quadrature orders bound the quadrature drift,
-and Lanczos with full reorthogonalization finds the lowest pair.
+and Lanczos with full reorthogonalization finds the lowest pair.  On a
+smaller basis the pair Hamiltonian is the leading block of the larger
+basis's (a Galerkin restriction), so one operator per basis size serves
+the solve at n and the check at n + 4, and E_n >= E_{n+4} by Cauchy
+interlacing (Parlett, The Symmetric Eigenvalue Problem, 1980, ch. 10).
 Lanczos converges faster the more its start overlaps the wanted
-eigenvector (Parlett, The Symmetric Eigenvalue Problem, 1980).  The two
-atoms interact only through the ion, so the pair ground state is nearly
-a product state, and every solve of ``basis_ground_state`` starts from
-the pair Hamiltonian contracted onto self-consistent single-atom
-orbitals (Beck, Jaeckle, Worth and Meyer, Phys. Rep. 324, 1 (2000);
-Echave and Clary, Chem. Phys. Lett. 190, 225 (1992)).  Gauss-Hermite
-rules and the tables of Hermite values on them are cached.
+eigenvector (ibid.).  The two atoms interact only through the ion, so
+the pair ground state is nearly a product state, and every solve of
+``basis_ground_state`` starts from the pair Hamiltonian contracted onto
+self-consistent single-atom orbitals (Beck, Jaeckle, Worth and Meyer,
+Phys. Rep. 324, 1 (2000); Echave and Clary, Chem. Phys. Lett. 190, 225
+(1992)).  Gauss-Hermite rules and the tables of Hermite values on them
+are cached.
 ``axial_hamiltonian_matrix`` and ``symmetric_eigensolve`` build
 and diagonalize the dense matrix: unexported test oracles.
 ``gaussian_ground_state`` is the quadratic limit: the closed-form
@@ -105,7 +109,7 @@ def hermite_values(n_max: int, xi: np.ndarray) -> np.ndarray:
 def _hermite_table(n_max: int, order: int) -> np.ndarray:
     """Read-only ``hermite_values(n_max, xi)`` at the order-``order``
     Gauss-Hermite nodes, computed once while among the _HERMITE_TABLES
-    most recently used: ``basis_ground_state`` reads the same four (eight
+    most recently used: ``basis_ground_state`` reads the same two (four
     when it ramps) at every separation.  The largest, n_max 60 at order
     264, takes 0.13 MB."""
     table = hermite_values(n_max, _gauss_hermite(order)[0])
@@ -169,8 +173,10 @@ def axial_hamiltonian_matrix(config: SystemConfig, z0: float, n_max: int,
     """
     potential_fn, offset = _axial_problem(config, z0, n_max, potential_fn)
     order = 4 * n_max + _QUAD_MARGIN
-    block = _dense_block(*_interaction_grid(config, z0, n_max, order, potential_fn))
-    check = _dense_block(*_interaction_grid(config, z0, n_max, order + 16, potential_fn))
+    coarse = _quadrature(config, z0, n_max, order, potential_fn)
+    fine = _quadrature(config, z0, n_max, order + 16, potential_fn)
+    block = _dense_block(coarse.q, coarse.grid)
+    check = _dense_block(fine.q, fine.grid)
     scale = np.max(np.abs(check))
     drift = np.max(np.abs(block - check))
     if scale > 0.0 and drift > 1e-8 * scale:
@@ -322,19 +328,6 @@ def _quadrature(config: SystemConfig, z0: float, n_max: int, order: int,
                        potential * np.outer(weights, weights))
 
 
-def _interaction_grid(config: SystemConfig, z0: float, n_max: int, order: int,
-                      potential_fn) -> tuple[np.ndarray, np.ndarray]:
-    """Hermite values Q[a, n] = p_n(xi_a) at the Gauss-Hermite nodes and the
-    weighted interaction w_a w_b W(z1_a, z2_b) on the node grid, hbar w_az.
-
-    With these, the interaction block is the action
-    C -> Q^T (grid * (Q C Q^T)) Q on (N, N) coefficient matrices, or the
-    dense matrix of ``_dense_block``.
-    """
-    quadrature = _quadrature(config, z0, n_max, order, potential_fn)
-    return quadrature.q, quadrature.grid
-
-
 def _dense_block(q: np.ndarray, grid: np.ndarray, q2: np.ndarray | None = None) -> np.ndarray:
     """The (N^2, N^2) matrix of the action C -> Q^T (grid * (Q C Q^T)) Q, flat
     index n1 * N + n2; with ``q2``, atom 2's functions are its columns
@@ -406,24 +399,21 @@ def _stack(quadrature: _Quadrature, f: np.ndarray) -> np.ndarray:
     return (weighted.reshape(-1, order) @ q).reshape(f.shape[1], n, n)
 
 
-def _extreme_pair(apply, n: int, which: str, tol: float,
-                  v0: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+def _extreme_pair(apply, n: int, v0: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of the symmetric operator ``apply`` on (n, n)
-    coefficient matrices, flattened row-major.  ``which`` is ARPACK's name
-    of that one mode, "SA", so that ARPACK can stand in for this routine
-    in the tests; it labels the errors.
+    coefficient matrices, flattened row-major.
 
     Lanczos from ``v0`` (default: all ones), reorthogonalized twice per
     step against the whole stored basis and never restarted.  After every
     step the Ritz pair (theta, V s) of the tridiagonal T is accepted
-    when Paige's residual estimate beta |s_m| is at most
-    tol max|theta| (tol 0: machine epsilon), and at once when the Krylov
-    space is invariant (beta = 0, or the whole space).  Parlett, The
-    Symmetric Eigenvalue Problem (1980), ch. 13.
+    when Paige's residual estimate beta |s_m| is at most machine epsilon
+    times max|theta|, and at once when the Krylov space is invariant
+    (beta = 0, or the whole space).  Parlett, The Symmetric Eigenvalue
+    Problem (1980), ch. 13.
     """
     dim = n * n
     steps = min(dim, _LANCZOS_STEPS)
-    tol = tol or np.finfo(float).eps
+    tol = np.finfo(float).eps
     basis = np.empty((steps, dim))
     t = np.zeros((steps, steps))   # T, filled step by step; eigh reads its lower triangle
     beta = np.empty(steps)
@@ -432,8 +422,7 @@ def _extreme_pair(apply, n: int, which: str, tol: float,
     for m in range(steps):
         w = apply(basis[m].reshape(n, n)).ravel()
         if not np.isfinite(w).all():
-            raise AccuracyError(f"Lanczos ({which}) at dimension {dim}: operator output "
-                                "is not finite")
+            raise AccuracyError(f"Lanczos at dimension {dim}: operator output is not finite")
         size = m + 1
         overlaps = basis[:size] @ w
         t[m, m] = overlaps[m]
@@ -447,8 +436,7 @@ def _extreme_pair(apply, n: int, which: str, tol: float,
         if size < steps:
             basis[size] = w / beta[m]
             t[size, m] = beta[m]
-    raise AccuracyError(f"Lanczos ({which}) not converged in {steps} steps at "
-                        f"dimension {dim}")
+    raise AccuracyError(f"Lanczos not converged in {steps} steps at dimension {dim}")
 
 
 def lowest_pair(config: SystemConfig, z0: float, n_max: int,
@@ -459,91 +447,99 @@ def lowest_pair(config: SystemConfig, z0: float, n_max: int,
     n1 * N + n2, largest-magnitude component positive) and the relative
     quadrature drift.  ``potential_fn`` and the folded constants are as
     in ``axial_hamiltonian_matrix``; ``start``, a flat vector of the same
-    layout, is where Lanczos starts (default: all ones).  Work is in
-    units of hbar w_az with the constants left out, so the kinetic part
-    is the diagonal n1 + n2 + 1.
+    layout, is where Lanczos starts (default: all ones).  It is the solve
+    of ``_pair_solver`` on the basis itself at orders 4n + 8 and 4n + 24,
+    the orders of the dense matrix, with both gates measured against the
+    dense ones:
 
-    The interaction grid W of order 4n+24 is cross-approximated
-    (``_cross``) to W ~ sum_k x_k(z1) y_k(z2), the product form of MCTDH
-    (Jaeckle and Meyer, J. Chem. Phys. 104, 7974 (1996)), and the same
-    cross functions are evaluated at the nodes of orders 4n+8 and 4n+24
-    (``_cross_functions``).  At order g the interaction block is then
-    C -> sum_k A_k C B_k, and it is off by at most the separation error
-    e_g = max|W - sum_k x_k y_k| over that grid in 2-norm, because
-    diag(sqrt w) Q has orthonormal columns; for the same reason
-    ||A_k||_2 <= max|x_k| and ||B_k||_2 <= max|y_k|.  Lanczos applies
-    C -> K * C + sum_k A_k C B_k at order 4n+24.  Every solve, whatever
-    its start, passes the quadrature gate before that Lanczos and the
-    residual gate after it, both measured against the dense ones:
-
-    - quadrature: U <= 1e-8 s, where
-      U = sum_k (||A_k^lo - A_k^hi||_F max|y_k^lo|
-      + max|x_k^hi| ||B_k^lo - B_k^hi||_F) + e_lo + e_hi
-      bounds ||D||_2, D the drift operator between orders 4n+8 and
-      4n+24, in exact arithmetic, and s is the larger of max|diag B|
-      and max|B e_00| (B at order 4n+24).  Both
-      are exact entries of B, so s <= max|B_ij|; s is zero only if the
-      interaction projects to zero on every basis product.  The gate is
-      therefore never weaker than the dense entrywise max|D_ij| <= 1e-8
-      max|B_ij|.  The returned drift is U / s.
+    - quadrature: U <= 1e-8 s, with U >= ||D||_2 for the drift D between
+      the two orders' interaction blocks, and s the larger of max|diag B|
+      and max|B e_00| (B at order 4n + 24).  Both are exact entries of
+      B, so s <= max|B_ij|; s is zero only if the interaction projects
+      to zero on every basis product.  The gate is therefore never
+      weaker than the dense entrywise max|D_ij| <= 1e-8 max|B_ij|.  The
+      returned drift is U / s.
     - residual: ||H v - E v|| + e_hi <= 1e-10 max|diag H|, with the
-      constants folded into H as in the dense matrix; the first term is
-      measured with the separated operator, and e_hi bounds what it
-      leaves out.  max|diag H| <= ||H||_2, the scale of the dense gate
-      on every pair.
+      constants folded into H as in the dense matrix.  max|diag H| <=
+      ||H||_2, the scale of the dense gate on every pair.
     """
     potential_fn, offset = _axial_problem(config, z0, n_max, potential_fn)
     order = 4 * n_max + _QUAD_MARGIN
-    return _gated_pair(config, offset, potential_fn,
-                       _quadrature(config, z0, n_max, order, potential_fn),
-                       _quadrature(config, z0, n_max, order + 16, potential_fn), start)
+    solve = _pair_solver(config, offset, potential_fn,
+                         _quadrature(config, z0, n_max, order, potential_fn),
+                         _quadrature(config, z0, n_max, order + 16, potential_fn))
+    return solve(n_max, start)
 
 
-def _gated_pair(config: SystemConfig, offset: float, potential_fn,
-                coarse: _Quadrature, fine: _Quadrature, start
-                ) -> tuple[float, np.ndarray, float]:
-    """``lowest_pair`` on the ``_quadrature`` rules of orders 4n + 8
-    (``coarse``) and 4n + 24 (``fine``) and the cross of the fine grid."""
+def _pair_solver(config: SystemConfig, offset: float, potential_fn,
+                 coarse: _Quadrature, fine: _Quadrature):
+    """``solve(n_max, start)``: ``lowest_pair`` on the products of
+    p_0..p_n_max, a leading block of the basis that ``coarse`` and
+    ``fine`` tabulate, two ``_quadrature`` rules 16 orders apart.  Work is
+    in units of hbar w_az with ``offset`` left out, so the kinetic part K
+    is the diagonal n1 + n2 + 1.
+
+    The fine grid W is cross-approximated once (``_cross``) to
+    W ~ sum_k x_k(z1) y_k(z2), whose functions ``_cross_functions`` also
+    evaluates at the coarse nodes.  At order g the interaction block is
+    then C -> sum_k A_k C B_k with A_k = Q^T diag(w x_k) Q, and it is off
+    by at most the separation error e_g = max|W - sum_k x_k y_k| over
+    that grid in 2-norm, because diag(sqrt w) Q has orthonormal columns;
+    for the same reason ||A_k||_2 <= max|x_k| and ||B_k||_2 <= max|y_k|.
+    So U = sum_k (||A_k^lo - A_k^hi||_F max|y_k^lo|
+    + max|x_k^hi| ||B_k^lo - B_k^hi||_F) + e_lo + e_hi bounds the 2-norm
+    of the drift between the two orders' blocks in exact arithmetic.
+
+    Each solve works on the leading (n_max + 1)-blocks of K, the A_k and
+    B_k at the fine order, and diag B.  The drift of a leading block has
+    2-norm at most U, and its s (see ``lowest_pair``), taken on that
+    block, is at most the whole basis's, so U <= 1e-8 s is gated before
+    the Lanczos of every solve, and the residual gate after it adds e_hi
+    to ||H v - E v||, measured with the separated operator.
+    """
     unit = _axial_energy_scale(config)
     cross = _cross(fine)
     x_lo, y_lo, e_lo = _cross_functions(coarse, cross, potential_fn, unit)
-    x, y, e_hi = _cross_functions(fine, cross, potential_fn, unit)
-    a, b = _stack(fine, x), _stack(fine, y)
+    e_hi = np.max(np.abs(fine.potential - cross.x @ cross.y.T))
+    a, b = _stack(fine, cross.x), _stack(fine, cross.y)
     bound = e_lo + e_hi + np.sum(
         np.linalg.norm(_stack(coarse, x_lo) - a, axis=(1, 2)) * np.max(np.abs(y_lo), axis=0)
-        + np.max(np.abs(x), axis=0) * np.linalg.norm(_stack(coarse, y_lo) - b, axis=(1, 2)))
+        + np.max(np.abs(cross.x), axis=0) * np.linalg.norm(_stack(coarse, y_lo) - b, axis=(1, 2)))
     q, grid = fine.q, fine.grid
-    n = q.shape[1]
     q_sq = q * q
     diag_b = q_sq.T @ grid @ q_sq
     column_b = q.T @ (grid * np.outer(q[:, 0], q[:, 0])) @ q
-    scale = max(np.max(np.abs(diag_b)), np.max(np.abs(column_b)))
-    if not bound <= 1e-8 * scale:
-        raise AccuracyError(
-            f"quadrature not converged: orders {coarse.weights.size} and {fine.weights.size} "
-            f"differ by ||D||_2 <= {bound:.3g} > 1e-8 max(|diag B|, |B e_00|) = "
-            f"{1e-8 * scale:.3g} hbar w_az"
-        )
-    drift = bound / scale if scale > 0.0 else 0.0
-
-    kinetic = np.add.outer(np.arange(n), np.arange(n)) + 1.0
     rank = cross.pivots.size
-    a = a.transpose(1, 0, 2).reshape(n, rank * n)   # [A_1 ... A_r]
 
-    def hamiltonian(c):
-        return kinetic * c + a @ (c @ b).reshape(rank * n, n)
+    def solve(n_max: int, start) -> tuple[float, np.ndarray, float]:
+        n = n_max + 1
+        scale = max(np.max(np.abs(diag_b[:n, :n])), np.max(np.abs(column_b[:n, :n])))
+        if not bound <= 1e-8 * scale:
+            raise AccuracyError(
+                f"quadrature not converged: orders {coarse.weights.size} and "
+                f"{fine.weights.size} differ by ||D||_2 <= {bound:.3g} > 1e-8 "
+                f"max(|diag B|, |B e_00|) = {1e-8 * scale:.3g} hbar w_az"
+            )
+        kinetic = np.add.outer(np.arange(n), np.arange(n)) + 1.0
+        a_n = a[:, :n, :n].transpose(1, 0, 2).reshape(n, rank * n)   # [A_1 ... A_r]
+        b_n = np.ascontiguousarray(b[:, :n, :n])
 
-    value, vector = _extreme_pair(hamiltonian, n, "SA", 0.0, start)
-    vector = _lead_positive(vector[:, None])[:, 0]
+        def hamiltonian(c):
+            return kinetic * c + a_n @ (c @ b_n).reshape(rank * n, n)
 
-    residual = np.linalg.norm(hamiltonian(vector.reshape(n, n)).ravel() - value * vector)
-    limit = 1e-10 * np.max(np.abs(kinetic + diag_b + offset / unit))
-    if not residual + e_hi <= limit:
-        raise AccuracyError(
-            f"eigenpair residual {residual:.3g} plus separation error {e_hi:.3g} exceeds "
-            f"1e-10 max|diag H| = {limit:.3g} hbar w_az"
-        )
-    return unit * value + offset, vector, drift
+        value, vector = _extreme_pair(hamiltonian, n, start)
+        vector = _lead_positive(vector[:, None])[:, 0]
+
+        residual = np.linalg.norm(hamiltonian(vector.reshape(n, n)).ravel() - value * vector)
+        limit = 1e-10 * np.max(np.abs(kinetic + diag_b[:n, :n] + offset / unit))
+        if not residual + e_hi <= limit:
+            raise AccuracyError(
+                f"eigenpair residual {residual:.3g} plus separation error {e_hi:.3g} exceeds "
+                f"1e-10 max|diag H| = {limit:.3g} hbar w_az"
+            )
+        return unit * value + offset, vector, bound / scale if scale > 0.0 else 0.0
+
+    return solve
 
 
 def _mean_field_start(q: np.ndarray, grid: np.ndarray, orbital: np.ndarray | None = None
@@ -594,15 +590,16 @@ def basis_ground_state(config: SystemConfig, z0: float, n_max: int = 30) -> Basi
 
     The basis is ramped from ``n_max`` to 50 if the ground energy has
     not settled to 1e-6 relative (measured on the axial part of the
-    energy) between n_max and n_max + 4.  Each basis size is solved as
-    by ``lowest_pair``; the order-(4n + 24) grid serves as the fine
-    grid of the solve at n and the coarse one of the check at n + 4.
-    Every solve starts from ``_mean_field_start`` on that grid: the pair
-    is nearly a product state, so the contracted mean-field pair state
-    (Beck, Jaeckle, Worth and Meyer, Phys. Rep. 324, 1 (2000); Echave
-    and Clary, Chem. Phys. Lett. 190, 225 (1992)) lies close to the
+    energy) between n_max and n_max + 4.  Each basis size builds one
+    ``_pair_solver`` over the n + 4 basis at orders 4n + 24 and 4n + 40,
+    the operator and gates of ``lowest_pair`` at n + 4, and solves n on
+    its leading block and n + 4 on the whole.  Both solves start from
+    ``_mean_field_start`` on the order-(4n + 40) grid: the pair is nearly
+    a product state, so the contracted mean-field pair state (Beck,
+    Jaeckle, Worth and Meyer, Phys. Rep. 324, 1 (2000); Echave and
+    Clary, Chem. Phys. Lett. 190, 225 (1992)) lies close to the
     solution.  The check's Hartree iterations start from the orbital
-    at n.  Each of the two solves cross-approximates its own fine grid.
+    at n.
     """
     cap = _MAX_BASIS - _CONVERGENCE_STEP
     if not 0 <= n_max <= cap:
@@ -615,16 +612,13 @@ def basis_ground_state(config: SystemConfig, z0: float, n_max: int = 30) -> Basi
             break
         big = n + _CONVERGENCE_STEP
         potential_fn, offset = _axial_problem(config, z0, big, None)
-        order = 4 * n + _QUAD_MARGIN
-        coarse = _quadrature(config, z0, n, order, potential_fn)
-        shared = _quadrature(config, z0, big, order + 16, potential_fn)
-        fine = shared._replace(q=_hermite_table(n, order + 16))
-        start, orbital = _mean_field_start(fine.q, fine.grid)
-        energy, vector, _ = _gated_pair(config, offset, potential_fn, coarse, fine, start)
-        check_start, _ = _mean_field_start(shared.q, shared.grid, orbital)
-        energy_check, _, _ = _gated_pair(
-            config, offset, potential_fn, shared,
-            _quadrature(config, z0, big, order + 32, potential_fn), check_start)
+        order = 4 * big + _QUAD_MARGIN
+        fine = _quadrature(config, z0, big, order + 16, potential_fn)
+        solve = _pair_solver(config, offset, potential_fn,
+                             _quadrature(config, z0, big, order, potential_fn), fine)
+        start, orbital = _mean_field_start(fine.q[:, :n + 1], fine.grid)
+        energy, vector, _ = solve(n, start)
+        energy_check, _, _ = solve(big, _mean_field_start(fine.q, fine.grid, orbital)[0])
         scale = max(abs(energy_check - offset), _axial_energy_scale(config))
         residual = abs(energy - energy_check) / scale
         if residual < 1e-6:

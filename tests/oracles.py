@@ -335,14 +335,15 @@ def oracle_min_ion_energy(geometry, config, max_iter=500):
     raise AccuracyError(f"ion-energy minimization did not converge in {max_iter} iterations")
 
 
-def arpack_pair(apply, n, which, tol, v0=None):
+def arpack_pair(apply, n, v0=None):
     """``motion._extreme_pair`` through ARPACK ``eigsh``: the lowest ("SA")
-    pair of ``apply`` on (n, n) matrices, flattened row-major, started
-    from ``v0`` (default: all ones).  ARPACK needs a dimension above 2."""
+    pair of ``apply`` on (n, n) matrices, flattened row-major, to machine
+    precision (tol 0), started from ``v0`` (default: all ones).  ARPACK
+    needs a dimension above 2."""
     dim = n * n
     operator = LinearOperator((dim, dim), matvec=lambda v: apply(v.reshape(n, n)).ravel(),
                               dtype=float)
-    values, vectors = eigsh(operator, k=1, which=which, tol=tol,
+    values, vectors = eigsh(operator, k=1, which="SA", tol=0.0,
                             v0=np.ones(dim) if v0 is None else v0)
     return values[0], vectors[:, 0]
 
@@ -350,5 +351,5 @@ def arpack_pair(apply, n, which, tol, v0=None):
 def block_action(q, grid, c):
     """The interaction block on an (N, N) coefficient matrix through the
     node grid: C -> Q^T (grid * (Q C Q^T)) Q, with ``grid`` the weighted
-    interaction of ``motion._interaction_grid``."""
+    interaction ``motion._quadrature(...).grid``."""
     return q.T @ (grid * (q @ c @ q.T)) @ q

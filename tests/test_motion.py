@@ -29,7 +29,6 @@ from ionbridge import motion
 from ionbridge.motion import (
     _QUAD_MARGIN,
     _dense_block,
-    _interaction_grid,
     axial_hamiltonian_matrix,
     hermite_values,
     lowest_pair,
@@ -86,14 +85,14 @@ class TestGaussHermiteCache:
         assert not table.flags.writeable
 
     def test_separations_share_the_tables(self):
-        # a solve reads the tables of (n, 4n+8), (n+4, 4n+24), (n, 4n+24)
-        # and (n+4, 4n+40); a second separation rebuilds none of them
+        # a basis size reads the tables of (n+4, 4n+24) and (n+4, 4n+40);
+        # a second separation rebuilds neither
         motion._hermite_table.cache_clear()
         for separation_um in (16, 24):
             z0 = 0.5e-6 * separation_um
             assert basis_ground_state(reference_config("rr", z0=z0), z0, n_max=30).n_max == 30
         info = motion._hermite_table.cache_info()
-        assert (info.misses, info.hits) == (4, 4)
+        assert (info.misses, info.hits) == (2, 2)
         assert info.maxsize == motion._HERMITE_TABLES
 
 
@@ -299,21 +298,21 @@ class TestClosedFormGaussian:
 
 
 def lanczos_counts(monkeypatch):
-    """Lists, keyed by "SA" (lowest pair) and "LM" (largest magnitude, a
-    mode the solver no longer runs), to which every Lanczos solve appends
-    its number of operator applications."""
+    """A dict of one list, under "SA" (the lowest pair, the one mode the
+    solver runs), to which every Lanczos solve appends its number of
+    operator applications."""
     solve = motion._extreme_pair
-    counts = {"SA": [], "LM": []}
+    counts = {"SA": []}
 
-    def counting(apply, n, which, tol, v0=None):
+    def counting(apply, n, v0=None):
         count = [0]
 
         def counted(c):
             count[0] += 1
             return apply(c)
 
-        result = solve(counted, n, which, tol, v0)
-        counts[which].append(count[0])
+        result = solve(counted, n, v0)
+        counts["SA"].append(count[0])
         return result
 
     monkeypatch.setattr(motion, "_extreme_pair", counting)
@@ -327,17 +326,20 @@ def sa_matvec_counts(monkeypatch):
 
 def shared_grid(config, z0, n_max):
     """The Hermite values and weighted interaction grid on which
-    basis_ground_state builds the start at n_max: order 4n + 24."""
-    return _interaction_grid(config, z0, n_max, 4 * n_max + _QUAD_MARGIN + 16,
-                             partial(axial_interaction, config=config))
+    basis_ground_state builds the start at n_max: order 4n + 40, the
+    fine grid of its operator over the n_max + 4 basis."""
+    quadrature = motion._quadrature(config, z0, n_max, 4 * n_max + _QUAD_MARGIN + 32,
+                                    partial(axial_interaction, config=config))
+    return quadrature.q, quadrature.grid
 
 
 def entrywise_drift(config, z0, n_max, potential_fn):
     """The dense gate's measure: max|B1 - B2| / max|B2| between the blocks
     of orders 4n+8 and 4n+24."""
     order = 4 * n_max + _QUAD_MARGIN
-    coarse = _dense_block(*_interaction_grid(config, z0, n_max, order, potential_fn))
-    fine = _dense_block(*_interaction_grid(config, z0, n_max, order + 16, potential_fn))
+    coarse = motion._quadrature(config, z0, n_max, order, potential_fn)
+    fine = motion._quadrature(config, z0, n_max, order + 16, potential_fn)
+    coarse, fine = _dense_block(coarse.q, coarse.grid), _dense_block(fine.q, fine.grid)
     return np.max(np.abs(coarse - fine)) / np.max(np.abs(fine))
 
 
@@ -421,12 +423,10 @@ class TestMatrixFreeSolver:
             lowest_pair(cfg_rr, z0, 4, potential_fn=kink(cfg_rr))
 
     def test_gate_keeps_the_exact_drift_entries(self, cfg_rr, monkeypatch):
-        # a Lanczos estimate that misses ||D||_2 altogether still leaves
-        # the exact entries diag D and D e_00 in the gate
-        solve = motion._extreme_pair
-
-        def blind(apply, n, which, tol):
-            return (0.0, None) if which == "LM" else solve(apply, n, which, tol)
+        # the quadrature gate raises before any Lanczos runs: a Lanczos
+        # that returns no vector at all is never called
+        def blind(apply, n, v0=None):
+            return 0.0, None
 
         monkeypatch.setattr(motion, "_extreme_pair", blind)
         z0 = cfg_rr.half_separation_z0
@@ -535,10 +535,11 @@ class TestMatrixFreeSolver:
         assert projected < ones
 
     def test_benchmark_jobs_keep_their_application_budget(self, monkeypatch):
-        # the four benchmark density jobs take 39/17/5/32 lowest-pair
+        # the four benchmark density jobs take 41/14/4/31 lowest-pair
         # applications (solve and check) on a 2-core OpenBLAS host
-        # (42/15/5/35 through the grid action); the quadrature gate is a
-        # bound, with no Lanczos, and each grid's cross has rank 5 to 7
+        # (39/17/5/32 with a cross per solve, 42/15/5/35 through the grid
+        # action); the quadrature gate is a bound, with no Lanczos, and
+        # each basis size's one cross has rank 6 or 7
         counts = lanczos_counts(monkeypatch)
         cross = motion._cross
         ranks = []
@@ -552,10 +553,27 @@ class TestMatrixFreeSolver:
         for separation_um, n_max in [(12, 30), (16, 30), (24, 30), (12, 40)]:
             z0 = 0.5e-6 * separation_um
             basis_ground_state(reference_config("rr", z0=z0), z0, n_max=n_max)
-        assert len(counts["SA"]) == len(ranks) == 8
+        assert len(counts["SA"]) == 8
+        assert len(ranks) == 4
         assert sum(counts["SA"]) <= 97
-        assert counts["LM"] == []
         assert max(ranks) <= 9
+
+    @pytest.mark.parametrize("pair", ["rr", "rg"])
+    @pytest.mark.parametrize("n_max, separation_um", [(8, 12), (12, 12), (8, 16), (12, 16)])
+    def test_ground_state_solves_the_leading_block(self, pair, n_max, separation_um):
+        # the solve at n runs on the leading (n + 1)^2 block of the n + 4
+        # operator: indices n1, n2 <= n of the flat n1 (n + 5) + n2 layout.
+        # By Cauchy interlacing its energy lies above the n + 4 one (at
+        # 2z0 = 12 um both n_max ramp to 50)
+        z0 = 0.5e-6 * separation_um
+        config = reference_config(pair, z0=z0)
+        state = basis_ground_state(config, z0, n_max=n_max)
+        n, big = state.n_max, state.n_max + motion._CONVERGENCE_STEP
+        kept = (np.arange(n + 1)[:, None] * (big + 1) + np.arange(n + 1)).ravel()
+        block = axial_hamiltonian_matrix(config, z0, big)[np.ix_(kept, kept)]
+        unit = cst.HBAR * config.atom_trap.axial
+        assert abs(state.energy - np.linalg.eigvalsh(block)[0]) <= 1e-12 * unit
+        assert state.energy >= lowest_pair(config, z0, big)[0] - 1e-12 * unit
 
     @pytest.mark.parametrize("n_max", [1, 30, 56, 60])
     def test_bare_product_state_projects_onto_e00(self, n_max):
@@ -586,7 +604,7 @@ class TestMatrixFreeSolver:
 
     def test_check_start_reuses_the_orbital_at_n_max(self, monkeypatch):
         # the check at n + 4 begins its Hartree iterations from atom 2's
-        # orbital at n, given on the shared nodes
+        # orbital at n, given on the shared order-(4n + 40) nodes
         z0 = 8.0e-6
         config = reference_config("rg", z0=z0)
         build = motion._mean_field_start
@@ -600,7 +618,7 @@ class TestMatrixFreeSolver:
         monkeypatch.setattr(motion, "_mean_field_start", recording)
         basis_ground_state(config, z0, n_max=30)
         (first_shape, first_orbital, first_out), (check_shape, check_orbital, _) = calls
-        assert first_shape[0] == check_shape[0] == 4 * 30 + _QUAD_MARGIN + 16
+        assert first_shape[0] == check_shape[0] == 4 * 30 + _QUAD_MARGIN + 32
         assert (first_shape[1], check_shape[1]) == (31, 35)
         assert first_orbital is None and check_orbital is first_out
 
@@ -742,8 +760,9 @@ def separated(config, z0, n_max, order, potential_fn):
 
 
 BENCHMARK_GRIDS = [
-    # (2z0 um, basis, order): the solve's and the check's fine grids of
-    # the four benchmark density jobs
+    # (2z0 um, basis, order) of the four benchmark density jobs: the fine
+    # grid of lowest_pair at n_max, and that of basis_ground_state's one
+    # operator, over the n_max + 4 basis at order 4n + 40
     (separation_um, n_max + step, 4 * n_max + _QUAD_MARGIN + 16 + 4 * step)
     for separation_um, n_max in [(12, 30), (16, 30), (24, 30), (12, 40)]
     for step in (0, 4)
@@ -768,8 +787,9 @@ class TestSeparatedInteraction:
     @staticmethod
     def assert_bound_covers_the_drift(config, z0, n_max, potential_fn):
         order = 4 * n_max + _QUAD_MARGIN
-        coarse = _dense_block(*_interaction_grid(config, z0, n_max, order, potential_fn))
-        fine = _dense_block(*_interaction_grid(config, z0, n_max, order + 16, potential_fn))
+        coarse = motion._quadrature(config, z0, n_max, order, potential_fn)
+        fine = motion._quadrature(config, z0, n_max, order + 16, potential_fn)
+        coarse, fine = _dense_block(coarse.q, coarse.grid), _dense_block(fine.q, fine.grid)
         scale = max(np.max(np.abs(np.diag(fine))), np.max(np.abs(fine[:, 0])))
         norm = np.max(np.abs(np.linalg.eigvalsh(coarse - fine)))
         _, _, drift = lowest_pair(config, z0, n_max, potential_fn=potential_fn)
@@ -777,13 +797,16 @@ class TestSeparatedInteraction:
 
     @pytest.mark.parametrize("separation_um, n_max, order", BENCHMARK_GRIDS)
     def test_separated_action_matches_the_grid_action(self, separation_um, n_max, order):
-        # off by at most e_hi ||C||_F in exact arithmetic; rounding adds
-        # about eps max|W| per rank-one term
+        # the solver's factors, the cross's own x_k and y_k, are off by at
+        # most e_hi ||C||_F in exact arithmetic; rounding adds about
+        # eps max|W| per rank-one term
         z0 = 0.5e-6 * separation_um
         config = reference_config("rr", z0=z0)
-        quadrature, cross, x, y, error = separated(
-            config, z0, n_max, order, partial(axial_interaction, config=config))
-        a, b = motion._stack(quadrature, x), motion._stack(quadrature, y)
+        quadrature = motion._quadrature(config, z0, n_max, order,
+                                        partial(axial_interaction, config=config))
+        cross = motion._cross(quadrature)
+        error = np.max(np.abs(quadrature.potential - cross.x @ cross.y.T))
+        a, b = motion._stack(quadrature, cross.x), motion._stack(quadrature, cross.y)
         c = np.random.default_rng(order).normal(size=(n_max + 1, n_max + 1))
         action = sum(a_k @ c @ b_k for a_k, b_k in zip(a, b))
         expected = oracles.block_action(quadrature.q, quadrature.grid, c)
@@ -824,14 +847,13 @@ def random_symmetric(n, seed):
 
 
 class TestLanczos:
-    @pytest.mark.parametrize("which", ["SA"])
     @pytest.mark.parametrize("n", [1, 2, 5])
-    def test_matches_the_dense_eigenpair(self, n, which):
+    def test_matches_the_dense_eigenpair(self, n):
         # dimensions 1 and 4 (n_max 0 and 1, solved densely before) end with
         # an invariant Krylov space; the dimension n^2 is never 2
         apply, a = random_symmetric(n, seed=n)
         values, vectors = np.linalg.eigh(a)
-        theta, vector = motion._extreme_pair(apply, n, which, 0.0)
+        theta, vector = motion._extreme_pair(apply, n)
         assert abs(theta - values[0]) <= 1e-12 * np.max(np.abs(values))
         assert abs(abs(vector @ vectors[:, 0]) - 1.0) <= 1e-12
 
@@ -845,7 +867,7 @@ class TestLanczos:
 
         start = np.zeros(4)
         start[1] = 2.0
-        theta, vector = motion._extreme_pair(diagonal, 2, "SA", 0.0, start)
+        theta, vector = motion._extreme_pair(diagonal, 2, start)
         assert len(calls) == 1
         assert theta == 1.0
         assert np.array_equal(vector, [0.0, 1.0, 0.0, 0.0])
@@ -863,14 +885,14 @@ class TestLanczos:
             return out
 
         with pytest.raises(AccuracyError, match="not finite"):
-            motion._extreme_pair(failing, 4, "SA", 0.0)
+            motion._extreme_pair(failing, 4)
 
     def test_step_cap_is_an_accuracy_error(self, monkeypatch):
         # a random operator of dimension 400 needs far more than 16 steps
         apply, _ = random_symmetric(20, seed=2)
         monkeypatch.setattr(motion, "_LANCZOS_STEPS", 16)
         with pytest.raises(AccuracyError, match="not converged in 16 steps"):
-            motion._extreme_pair(apply, 20, "SA", 0.0)
+            motion._extreme_pair(apply, 20)
 
     @pytest.mark.parametrize("n_max, separation_um", [(30, 12), (30, 16), (30, 24), (40, 12)])
     def test_arpack_agrees_on_the_benchmark_jobs(self, n_max, separation_um, monkeypatch):
