@@ -25,12 +25,15 @@ Lanczos converges faster the more its start overlaps the wanted
 eigenvector (ibid.).  The two atoms interact only through the ion, so
 the pair ground state is nearly a product state, and every solve of
 ``basis_ground_state`` starts from the pair Hamiltonian contracted onto
-self-consistent single-atom orbitals (Beck, Jaeckle, Worth and Meyer,
-Phys. Rep. 324, 1 (2000); Echave and Clary, Chem. Phys. Lett. 190, 225
-(1992)).  Gauss-Hermite rules and the tables of Hermite values on them
-are cached.
-``axial_hamiltonian_matrix`` and ``symmetric_eigensolve`` build
-and diagonalize the dense matrix: unexported test oracles.
+self-consistent single-atom orbitals, whose mean fields
+sum_k <u|B_k|u> A_k are contractions of the same factors (Beck,
+Jaeckle, Worth and Meyer, Phys. Rep. 324, 1 (2000); Echave and Clary,
+Chem. Phys. Lett. 190, 225 (1992)): start, Lanczos and gates read one
+operator.  Gauss-Hermite rules and the tables of Hermite values on
+them are cached; ``_axial_rules`` alone builds the rules of a solve.
+``axial_hamiltonian_matrix`` and ``symmetric_eigensolve`` build (with
+``_dense_block``) and diagonalize the dense matrix: unexported test
+oracles.
 ``gaussian_ground_state`` is the quadratic limit: the closed-form
 normal modes of ``phonons``, centered on the equilibrium shift.
 """
@@ -140,22 +143,27 @@ def axial_collision_threshold(config: SystemConfig) -> float:
     )
 
 
-def _axial_problem(config: SystemConfig, z0: float, n_max: int, potential_fn):
-    """The interaction and the constant folded into the energy for the
-    solvers: the default interaction and ``_constant_offset``, or an
-    injected ``potential_fn`` and 0.  Checks n_max and, for the default,
-    that z0 lies beyond ``axial_collision_threshold``."""
-    if not 0 <= n_max <= _MAX_BASIS:
-        raise ConfigError(f"n_max must lie in [0, {_MAX_BASIS}], got {n_max}")
-    if potential_fn is not None:
-        return potential_fn, 0.0
-    threshold = axial_collision_threshold(config)
-    if z0 <= threshold:
-        raise InstabilityError(
-            f"no bound axial well at z0 = {z0:.4g} m; collision threshold is "
-            f"{threshold:.4g} m"
-        )
-    return partial(axial_interaction, config=config), _constant_offset(config)
+def _axial_rules(config: SystemConfig, z0: float, size: int, potential_fn):
+    """The interaction, the constant folded into the energy, and the two
+    ``_quadrature`` rules of orders 4 size + 8 and 4 size + 24 over the
+    basis p_0..p_size.  The interaction and constant are the default one
+    and ``_constant_offset``, or an injected ``potential_fn`` and 0.
+    Checks size and, for the default, that z0 lies beyond
+    ``axial_collision_threshold``, before either rule is built."""
+    if not 0 <= size <= _MAX_BASIS:
+        raise ConfigError(f"n_max must lie in [0, {_MAX_BASIS}], got {size}")
+    offset = 0.0
+    if potential_fn is None:
+        threshold = axial_collision_threshold(config)
+        if z0 <= threshold:
+            raise InstabilityError(
+                f"no bound axial well at z0 = {z0:.4g} m; collision threshold is "
+                f"{threshold:.4g} m"
+            )
+        potential_fn, offset = partial(axial_interaction, config=config), _constant_offset(config)
+    order = 4 * size + _QUAD_MARGIN
+    return (potential_fn, offset, _quadrature(config, z0, size, order, potential_fn),
+            _quadrature(config, z0, size, order + 16, potential_fn))
 
 
 def axial_hamiltonian_matrix(config: SystemConfig, z0: float, n_max: int,
@@ -171,15 +179,13 @@ def axial_hamiltonian_matrix(config: SystemConfig, z0: float, n_max: int,
     blocks of the two orders must agree to 1e-8 relative.  A test oracle, kept
     here for ``perfbench/tracer.py`` until it moves to ``tests/oracles.py``.
     """
-    potential_fn, offset = _axial_problem(config, z0, n_max, potential_fn)
-    order = 4 * n_max + _QUAD_MARGIN
-    coarse = _quadrature(config, z0, n_max, order, potential_fn)
-    fine = _quadrature(config, z0, n_max, order + 16, potential_fn)
+    _, offset, coarse, fine = _axial_rules(config, z0, n_max, potential_fn)
     block = _dense_block(coarse.q, coarse.grid)
     check = _dense_block(fine.q, fine.grid)
     scale = np.max(np.abs(check))
     drift = np.max(np.abs(block - check))
     if scale > 0.0 and drift > 1e-8 * scale:
+        order = coarse.weights.size
         raise AccuracyError(
             f"quadrature not converged: order {order} vs {order + 16} differ by "
             f"{drift / scale:.3g} relative"
@@ -290,20 +296,6 @@ class _Quadrature(NamedTuple):
     grid: np.ndarray       # w_a w_b W(z1_a, z2_b)
 
 
-class _Cross(NamedTuple):
-    """Cross approximation W(z1, z2) ~ sum_k x_k(z1) y_k(z2) of one order's
-    grid: the pivot positions and what the LU recurrence of
-    ``_cross_functions`` takes from the pivot order."""
-
-    z1: np.ndarray            # atom 1's pivot nodes z1_{I_k}, m
-    z2: np.ndarray            # atom 2's pivot nodes z2_{J_k}, m
-    pivots: np.ndarray        # p_k, the residual's largest entry at step k
-    x_at_rows: np.ndarray     # [k, l] = x_l(z1_{I_k})
-    y_at_columns: np.ndarray  # [k, l] = y_l(z2_{J_k})
-    x: np.ndarray             # x_k at the pivot order's nodes, (order, rank)
-    y: np.ndarray             # y_k at the pivot order's nodes, (order, rank)
-
-
 def _field(potential_fn, unit: float, z1: np.ndarray, z2: np.ndarray,
            order: int) -> np.ndarray:
     """``potential_fn`` at the broadcasting positions z1, z2 in units of
@@ -328,30 +320,29 @@ def _quadrature(config: SystemConfig, z0: float, n_max: int, order: int,
                        potential * np.outer(weights, weights))
 
 
-def _dense_block(q: np.ndarray, grid: np.ndarray, q2: np.ndarray | None = None) -> np.ndarray:
+def _dense_block(q: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """The (N^2, N^2) matrix of the action C -> Q^T (grid * (Q C Q^T)) Q, flat
-    index n1 * N + n2; with ``q2``, atom 2's functions are its columns
-    instead of Q's."""
-    q2 = q if q2 is None else q2
+    index n1 * N + n2: the interaction block of the dense test oracle."""
     order, n = q.shape
-    pair1 = (q[:, :, None] * q[:, None, :]).reshape(order, n * n)     # [a, (bra, ket)]
-    pair2 = (q2[:, :, None] * q2[:, None, :]).reshape(order, n * n)
-    block = pair1.T @ grid @ pair2                                    # [(bra1, ket1), (bra2, ket2)]
+    pair = (q[:, :, None] * q[:, None, :]).reshape(order, n * n)   # [a, (bra, ket)]
+    block = pair.T @ grid @ pair                                   # [(bra1, ket1), (bra2, ket2)]
     return block.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
 
-def _cross(quadrature: _Quadrature) -> _Cross:
-    """Full-pivot adaptive cross approximation of the unweighted grid W.
+def _cross(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Full-pivot adaptive cross approximation of the unweighted grid W:
+    the pivot rows I and columns J and the functions x_k, y_k at the
+    grid's nodes, as (order, rank) columns, with W ~ x y^T.
 
     Each step takes the residual's largest entry p_k = R[I_k, J_k] and
     subtracts x_k y_k^T with x_k = R[:, J_k] and y_k = R[I_k, :] / p_k
-    (LU with complete pivoting), until no entry exceeds 4 eps max|W|.
-    A zero grid has rank 0.  Bebendorf, Numer. Math. 86, 565 (2000).
+    (LU with complete pivoting), until no entry exceeds 4 eps max|W|, so
+    p_k = x[I_k, k].  A zero grid has rank 0.  Bebendorf, Numer. Math.
+    86, 565 (2000).
     """
-    w = quadrature.potential
     residual = w.copy()
     tol = 4.0 * np.finfo(float).eps * np.max(np.abs(w))
-    rows, columns, pivots, xs, ys = [], [], [], [], []
+    rows, columns, xs, ys = [], [], [], []
     for _ in range(min(w.shape)):
         i, j = np.unravel_index(np.argmax(np.abs(residual)), residual.shape)
         pivot = residual[i, j]
@@ -362,32 +353,34 @@ def _cross(quadrature: _Quadrature) -> _Cross:
         residual -= np.outer(x, y)
         rows.append(i)
         columns.append(j)
-        pivots.append(pivot)
         xs.append(x)
         ys.append(y)
-    x = np.array(xs).T.reshape(w.shape[0], len(xs))
-    y = np.array(ys).T.reshape(w.shape[1], len(ys))
-    return _Cross(quadrature.z1[rows], quadrature.z2[columns], np.array(pivots),
-                  x[rows], y[columns], x, y)
+    return (np.array(rows, dtype=np.intp), np.array(columns, dtype=np.intp),
+            np.array(xs).T.reshape(w.shape[0], len(xs)),
+            np.array(ys).T.reshape(w.shape[1], len(ys)))
 
 
-def _cross_functions(quadrature: _Quadrature, cross: _Cross, potential_fn, unit: float
-                     ) -> tuple[np.ndarray, np.ndarray, float]:
-    """The cross functions x_k, y_k at this order's nodes, as (order, rank)
-    columns, and the separation error max|W - sum_k x_k y_k^T| on its grid.
+def _cross_functions(coarse: _Quadrature, fine: _Quadrature, cross, potential_fn,
+                     unit: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """The functions of ``cross``, the ``_cross`` of the ``fine`` grid, at
+    the ``coarse`` nodes, as (order, rank) columns, and the separation
+    error max|W - sum_k x_k y_k^T| on the coarse grid.
 
     x_k = W(., z2_{J_k}) - sum_{l<k} x_l y_l(z2_{J_k}) and
     y_k = (W(z1_{I_k}, .) - sum_{l<k} x_l(z1_{I_k}) y_l) / p_k, from the
-    potential on the pivot lines: the LU recurrence, which never inverts
-    the pivot matrix W(I, J).
+    potential on the pivot lines through the fine nodes z1_I and z2_J:
+    the LU recurrence, which never inverts the pivot matrix W(I, J).
     """
-    order = quadrature.weights.size
-    x = _field(potential_fn, unit, quadrature.z1[:, None], cross.z2[None, :], order)
-    y = _field(potential_fn, unit, cross.z1[None, :], quadrature.z2[:, None], order)
-    for k in range(cross.pivots.size):
-        x[:, k] -= x[:, :k] @ cross.y_at_columns[k, :k]
-        y[:, k] = (y[:, k] - y[:, :k] @ cross.x_at_rows[k, :k]) / cross.pivots[k]
-    return x, y, np.max(np.abs(quadrature.potential - x @ y.T))
+    rows, columns, x_fine, y_fine = cross
+    pivots = x_fine[rows, np.arange(rows.size)]
+    x_at_rows, y_at_columns = x_fine[rows], y_fine[columns]
+    order = coarse.weights.size
+    x = _field(potential_fn, unit, coarse.z1[:, None], fine.z2[columns][None, :], order)
+    y = _field(potential_fn, unit, fine.z1[rows][None, :], coarse.z2[:, None], order)
+    for k in range(rows.size):
+        x[:, k] -= x[:, :k] @ y_at_columns[k, :k]
+        y[:, k] = (y[:, k] - y[:, :k] @ x_at_rows[k, :k]) / pivots[k]
+    return x, y, np.max(np.abs(coarse.potential - x @ y.T))
 
 
 def _stack(quadrature: _Quadrature, f: np.ndarray) -> np.ndarray:
@@ -448,9 +441,9 @@ def lowest_pair(config: SystemConfig, z0: float, n_max: int,
     quadrature drift.  ``potential_fn`` and the folded constants are as
     in ``axial_hamiltonian_matrix``; ``start``, a flat vector of the same
     layout, is where Lanczos starts (default: all ones).  It is the solve
-    of ``_pair_solver`` on the basis itself at orders 4n + 8 and 4n + 24,
-    the orders of the dense matrix, with both gates measured against the
-    dense ones:
+    of ``_pair_solver`` over the basis itself, whose two rules, orders
+    4n + 8 and 4n + 24, are those of the dense matrix (both come from
+    ``_axial_rules``), with both gates measured against the dense ones:
 
     - quadrature: U <= 1e-8 s, with U >= ||D||_2 for the drift D between
       the two orders' interaction blocks, and s the larger of max|diag B|
@@ -463,21 +456,18 @@ def lowest_pair(config: SystemConfig, z0: float, n_max: int,
       constants folded into H as in the dense matrix.  max|diag H| <=
       ||H||_2, the scale of the dense gate on every pair.
     """
-    potential_fn, offset = _axial_problem(config, z0, n_max, potential_fn)
-    order = 4 * n_max + _QUAD_MARGIN
-    solve = _pair_solver(config, offset, potential_fn,
-                         _quadrature(config, z0, n_max, order, potential_fn),
-                         _quadrature(config, z0, n_max, order + 16, potential_fn))
+    solve, _, _ = _pair_solver(config, z0, n_max, potential_fn)
     return solve(n_max, start)
 
 
-def _pair_solver(config: SystemConfig, offset: float, potential_fn,
-                 coarse: _Quadrature, fine: _Quadrature):
-    """``solve(n_max, start)``: ``lowest_pair`` on the products of
-    p_0..p_n_max, a leading block of the basis that ``coarse`` and
-    ``fine`` tabulate, two ``_quadrature`` rules 16 orders apart.  Work is
-    in units of hbar w_az with ``offset`` left out, so the kinetic part K
-    is the diagonal n1 + n2 + 1.
+def _pair_solver(config: SystemConfig, z0: float, size: int, potential_fn):
+    """``(solve, a, b)`` for the pair at +-z0 over the products of
+    p_0..p_size, on the two rules of ``_axial_rules``, orders 4 size + 8
+    (coarse) and 4 size + 24 (fine).  ``solve(n_max, start)`` is
+    ``lowest_pair`` on a leading block of that basis, and a and b are the
+    fine order's factor stacks A_k and B_k, each (rank, N, N).  Work is
+    in units of hbar w_az with the folded constant left out, so the
+    kinetic part K is the diagonal n1 + n2 + 1.
 
     The fine grid W is cross-approximated once (``_cross``) to
     W ~ sum_k x_k(z1) y_k(z2), whose functions ``_cross_functions`` also
@@ -497,19 +487,21 @@ def _pair_solver(config: SystemConfig, offset: float, potential_fn,
     the Lanczos of every solve, and the residual gate after it adds e_hi
     to ||H v - E v||, measured with the separated operator.
     """
+    potential_fn, offset, coarse, fine = _axial_rules(config, z0, size, potential_fn)
     unit = _axial_energy_scale(config)
-    cross = _cross(fine)
-    x_lo, y_lo, e_lo = _cross_functions(coarse, cross, potential_fn, unit)
-    e_hi = np.max(np.abs(fine.potential - cross.x @ cross.y.T))
-    a, b = _stack(fine, cross.x), _stack(fine, cross.y)
+    cross = _cross(fine.potential)
+    _, _, x, y = cross
+    x_lo, y_lo, e_lo = _cross_functions(coarse, fine, cross, potential_fn, unit)
+    e_hi = np.max(np.abs(fine.potential - x @ y.T))
+    a, b = _stack(fine, x), _stack(fine, y)
     bound = e_lo + e_hi + np.sum(
         np.linalg.norm(_stack(coarse, x_lo) - a, axis=(1, 2)) * np.max(np.abs(y_lo), axis=0)
-        + np.max(np.abs(cross.x), axis=0) * np.linalg.norm(_stack(coarse, y_lo) - b, axis=(1, 2)))
+        + np.max(np.abs(x), axis=0) * np.linalg.norm(_stack(coarse, y_lo) - b, axis=(1, 2)))
     q, grid = fine.q, fine.grid
     q_sq = q * q
     diag_b = q_sq.T @ grid @ q_sq
     column_b = q.T @ (grid * np.outer(q[:, 0], q[:, 0])) @ q
-    rank = cross.pivots.size
+    rank = x.shape[1]
 
     def solve(n_max: int, start) -> tuple[float, np.ndarray, float]:
         n = n_max + 1
@@ -539,50 +531,53 @@ def _pair_solver(config: SystemConfig, offset: float, potential_fn,
             )
         return unit * value + offset, vector, bound / scale if scale > 0.0 else 0.0
 
-    return solve
+    return solve, a, b
 
 
-def _mean_field_start(q: np.ndarray, grid: np.ndarray, orbital: np.ndarray | None = None
+def _mean_field_start(a: np.ndarray, b: np.ndarray, orbital: np.ndarray | None = None
                       ) -> tuple[np.ndarray | None, np.ndarray]:
     """Lanczos start for the lowest pair of the kinetic part plus the
-    interaction block ``_dense_block(q, grid)``, and atom 2's lowest
-    orbital on the nodes.
+    separated interaction C -> sum_k A_k C B_k of the (rank, N, N) stacks
+    ``a`` and ``b``, and atom 2's lowest orbital as N coefficients.
 
     Alternating Hartree iterations each diagonalize one atom's
-    diag(n + 1/2) + Q^T diag(grid u^2) Q, with u the other atom's lowest
-    orbital on the nodes (grid^T for atom 2).  They start from atom 2 in
-    the bare trap ground state and run _MEAN_FIELD_ITERATIONS times, or
-    from atom 2 in ``orbital``, already self-consistent, and run once
-    per atom.  The pair Hamiltonian contracted onto the lowest
-    _MEAN_FIELD_ORBITALS orbitals U of each atom (``_dense_block`` with
-    Q U in place of Q) is diagonalized, and its lowest vector, expanded
-    back, is the start: flat as in ``lowest_pair``, or None (the
-    all-ones start) when it is not finite or zero.
+    diag(n + 1/2) + sum_k <u|B_k|u> A_k, with u the other atom's lowest
+    orbital (A and B swapped for atom 2): the separated operator's mean
+    field, its contraction over the other atom.  They start from atom 2
+    in e_0, the bare trap ground state, and run _MEAN_FIELD_ITERATIONS
+    times, or from atom 2 in ``orbital`` zero-padded to N, already
+    self-consistent on a smaller basis, and run once per atom.  The pair
+    Hamiltonian contracted onto the lowest _MEAN_FIELD_ORBITALS orbitals
+    U_1, U_2 of each atom, sum_k (U_1^T A_k U_1) (x) (U_2^T B_k U_2) plus
+    the two level sums, is diagonalized, and its lowest vector, expanded
+    back, is the start: flat as in ``lowest_pair``, or None (the all-ones
+    start) when it is not finite or zero.
     """
-    n = q.shape[1]
+    n = a.shape[1]
     k = min(_MEAN_FIELD_ORBITALS, n)
     levels = np.arange(n) + 0.5
-    fields = (grid, grid.T)
+    stacks = (a, b)
     orbitals = [None, None]
-    nodes = [None, q[:, 0] if orbital is None else orbital]
+    lowest = [None, np.eye(n)[0] if orbital is None else np.pad(orbital, (0, n - orbital.size))]
     with np.errstate(all="ignore"):
         try:
             for i in range(_MEAN_FIELD_ITERATIONS if orbital is None else 2):
                 atom = i % 2
-                h = q.T @ ((fields[atom] @ nodes[1 - atom] ** 2)[:, None] * q)
+                u = lowest[1 - atom]
+                h = np.tensordot(stacks[1 - atom] @ u @ u, stacks[atom], axes=1)
                 h[np.diag_indices(n)] += levels
                 orbitals[atom] = np.linalg.eigh(h)[1]
-                nodes[atom] = q @ orbitals[atom][:, 0]
+                lowest[atom] = orbitals[atom][:, 0]
             c1, c2 = (c[:, :k] for c in orbitals)
             eye = np.eye(k)
-            pair = _dense_block(q @ c1, grid, q @ c2).reshape(k, k, k, k)
+            pair = np.einsum("rac,rbd->abcd", c1.T @ a @ c1, c2.T @ b @ c2)
             pair += ((c1.T * levels) @ c1)[:, None, :, None] * eye[None, :, None, :]
             pair += eye[:, None, :, None] * ((c2.T * levels) @ c2)[None, :, None, :]
             _, vectors = np.linalg.eigh(pair.reshape(k * k, k * k))
         except np.linalg.LinAlgError:
-            return None, nodes[1]
+            return None, lowest[1]
         start = (c1 @ vectors[:, 0].reshape(k, k) @ c2.T).ravel()
-    return (start if np.isfinite(start).all() and start.any() else None), nodes[1]
+    return (start if np.isfinite(start).all() and start.any() else None), lowest[1]
 
 
 def basis_ground_state(config: SystemConfig, z0: float, n_max: int = 30) -> BasisExpansionState:
@@ -591,15 +586,15 @@ def basis_ground_state(config: SystemConfig, z0: float, n_max: int = 30) -> Basi
     The basis is ramped from ``n_max`` to 50 if the ground energy has
     not settled to 1e-6 relative (measured on the axial part of the
     energy) between n_max and n_max + 4.  Each basis size builds one
-    ``_pair_solver`` over the n + 4 basis at orders 4n + 24 and 4n + 40,
-    the operator and gates of ``lowest_pair`` at n + 4, and solves n on
-    its leading block and n + 4 on the whole.  Both solves start from
-    ``_mean_field_start`` on the order-(4n + 40) grid: the pair is nearly
-    a product state, so the contracted mean-field pair state (Beck,
-    Jaeckle, Worth and Meyer, Phys. Rep. 324, 1 (2000); Echave and
-    Clary, Chem. Phys. Lett. 190, 225 (1992)) lies close to the
-    solution.  The check's Hartree iterations start from the orbital
-    at n.
+    ``_pair_solver`` over the n + 4 basis, the operator and gates of
+    ``lowest_pair`` at n + 4, and solves n on its leading block and
+    n + 4 on the whole.  Both solves start from ``_mean_field_start`` on
+    that operator's own factor stacks, their leading blocks for n: the
+    pair is nearly a product state, so the contracted mean-field pair
+    state (Beck, Jaeckle, Worth and Meyer, Phys. Rep. 324, 1 (2000);
+    Echave and Clary, Chem. Phys. Lett. 190, 225 (1992)) lies close to
+    the solution.  The check's Hartree iterations start from atom 2's
+    orbital at n.
     """
     cap = _MAX_BASIS - _CONVERGENCE_STEP
     if not 0 <= n_max <= cap:
@@ -611,15 +606,11 @@ def basis_ground_state(config: SystemConfig, z0: float, n_max: int = 30) -> Basi
         if attempt and n <= n_max:
             break
         big = n + _CONVERGENCE_STEP
-        potential_fn, offset = _axial_problem(config, z0, big, None)
-        order = 4 * big + _QUAD_MARGIN
-        fine = _quadrature(config, z0, big, order + 16, potential_fn)
-        solve = _pair_solver(config, offset, potential_fn,
-                             _quadrature(config, z0, big, order, potential_fn), fine)
-        start, orbital = _mean_field_start(fine.q[:, :n + 1], fine.grid)
+        solve, a, b = _pair_solver(config, z0, big, None)
+        start, orbital = _mean_field_start(a[:, :n + 1, :n + 1], b[:, :n + 1, :n + 1])
         energy, vector, _ = solve(n, start)
-        energy_check, _, _ = solve(big, _mean_field_start(fine.q, fine.grid, orbital)[0])
-        scale = max(abs(energy_check - offset), _axial_energy_scale(config))
+        energy_check, _, _ = solve(big, _mean_field_start(a, b, orbital)[0])
+        scale = max(abs(energy_check - _constant_offset(config)), _axial_energy_scale(config))
         residual = abs(energy - energy_check) / scale
         if residual < 1e-6:
             return BasisExpansionState(

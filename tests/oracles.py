@@ -10,7 +10,8 @@ The unexpanded ion potential and its finite-difference minimizer check
 the closed-form ion displacement, and ARPACK (``arpack_pair``) is a
 second oracle for the library's Lanczos routine.  ``block_action`` is
 the pair solver's former operator: the interaction block applied
-through the whole node grid.
+through the whole node grid, and ``mean_field_start`` its former
+Lanczos start, built on that grid.
 """
 
 import math
@@ -31,6 +32,7 @@ from ionbridge import (
 )
 from ionbridge.gauge import _jacobian, _ladder_derivatives
 from ionbridge.model import require_valid
+from ionbridge.motion import _MEAN_FIELD_ITERATIONS, _MEAN_FIELD_ORBITALS
 from ionbridge.phonons import _TIE_WEIGHT, ModeBranch, PhononSpectrum
 from ionbridge.potentials import _squared_distances
 
@@ -353,3 +355,35 @@ def block_action(q, grid, c):
     node grid: C -> Q^T (grid * (Q C Q^T)) Q, with ``grid`` the weighted
     interaction ``motion._quadrature(...).grid``."""
     return q.T @ (grid * (q @ c @ q.T)) @ q
+
+
+def mean_field_start(q, grid, orbital=None):
+    """``motion._mean_field_start`` on the node grid: the Hartree matrices
+    diag(n + 1/2) + Q^T diag(grid u^2) Q, with u the other atom's lowest
+    orbital on the nodes (grid^T for atom 2), and the contracted pair
+    through the grid with Q U in place of Q.  ``q`` holds p_0..p_n at the
+    nodes of the weighted interaction ``grid`` (``motion._quadrature(...)``),
+    and ``orbital`` is atom 2's on the nodes.  Returns the flat start and
+    atom 2's lowest orbital on the nodes."""
+    order, n = q.shape
+    k = min(_MEAN_FIELD_ORBITALS, n)
+    levels = np.arange(n) + 0.5
+    fields = (grid, grid.T)
+    orbitals = [None, None]
+    nodes = [None, q[:, 0] if orbital is None else orbital]
+    for i in range(_MEAN_FIELD_ITERATIONS if orbital is None else 2):
+        atom = i % 2
+        h = q.T @ ((fields[atom] @ nodes[1 - atom] ** 2)[:, None] * q)
+        h[np.diag_indices(n)] += levels
+        orbitals[atom] = np.linalg.eigh(h)[1]
+        nodes[atom] = q @ orbitals[atom][:, 0]
+    c1, c2 = (c[:, :k] for c in orbitals)
+    p1, p2 = q @ c1, q @ c2
+    pair1 = (p1[:, :, None] * p1[:, None, :]).reshape(order, k * k)
+    pair2 = (p2[:, :, None] * p2[:, None, :]).reshape(order, k * k)
+    pair = (pair1.T @ grid @ pair2).reshape(k, k, k, k).transpose(0, 2, 1, 3)
+    eye = np.eye(k)
+    pair = pair + ((c1.T * levels) @ c1)[:, None, :, None] * eye[None, :, None, :]
+    pair += eye[:, None, :, None] * ((c2.T * levels) @ c2)[None, :, None, :]
+    _, vectors = np.linalg.eigh(pair.reshape(k * k, k * k))
+    return (c1 @ vectors[:, 0].reshape(k, k) @ c2.T).ravel(), nodes[1]

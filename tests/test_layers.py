@@ -1,6 +1,6 @@
 """The modules of the package import one another without a cycle, and
 numpy and the standard library alone from outside; none of them calls
-the dense test oracles."""
+the dense test oracles, and the pair solver's helpers keep one owner."""
 
 import ast
 from graphlib import TopologicalSorter
@@ -58,3 +58,35 @@ def test_no_module_calls_the_dense_oracles():
                 if name in oracles:
                     calls.append(f"{path.name}:{node.lineno} {name}")
     assert calls == []
+
+
+def callers(name: str) -> set[str]:
+    """``module:function`` of every call to ``name`` in the package, by the
+    innermost function that encloses it (``<module>`` outside any)."""
+    found = set()
+
+    def visit(node, module, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == name:
+                    found.add(f"{module}:{owner}")
+            visit(child, module, owner)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem, "<module>")
+    return found
+
+
+def test_dense_block_serves_only_the_dense_oracle():
+    assert callers("_dense_block") == {"motion:axial_hamiltonian_matrix"}
+
+
+def test_quadrature_rules_have_one_owner():
+    # the solvers take their two rules from one helper, which also holds
+    # the checks of the basis size and the collision threshold
+    assert callers("_quadrature") == {"motion:_axial_rules"}

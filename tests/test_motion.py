@@ -324,13 +324,19 @@ def sa_matvec_counts(monkeypatch):
     return lanczos_counts(monkeypatch)["SA"]
 
 
-def shared_grid(config, z0, n_max):
-    """The Hermite values and weighted interaction grid on which
-    basis_ground_state builds the start at n_max: order 4n + 40, the
-    fine grid of its operator over the n_max + 4 basis."""
-    quadrature = motion._quadrature(config, z0, n_max, 4 * n_max + _QUAD_MARGIN + 32,
-                                    partial(axial_interaction, config=config))
-    return quadrature.q, quadrature.grid
+def start_stacks(config, z0, n_max):
+    """The factor stacks A and B from which basis_ground_state builds the
+    start at n_max: the leading (n_max + 1)-blocks of its operator's,
+    over the n_max + 4 basis."""
+    _, a, b = motion._pair_solver(config, z0, n_max + motion._CONVERGENCE_STEP, None)
+    n = n_max + 1
+    return a[:, :n, :n], b[:, :n, :n]
+
+
+def unit_lead_positive(v):
+    """``v`` scaled to unit norm with its largest-magnitude component positive."""
+    v = v / np.linalg.norm(v)
+    return v * np.sign(v[np.argmax(np.abs(v))])
 
 
 def entrywise_drift(config, z0, n_max, potential_fn):
@@ -516,7 +522,7 @@ class TestMatrixFreeSolver:
     def test_projected_start_matches_the_all_ones_start(self, pair, n_max, separation_um):
         z0 = 0.5e-6 * separation_um
         config = reference_config(pair, z0=z0)
-        start, _ = motion._mean_field_start(*shared_grid(config, z0, n_max))
+        start, _ = motion._mean_field_start(*start_stacks(config, z0, n_max))
         projected_energy, projected_vector, _ = lowest_pair(config, z0, n_max, start=start)
         ones_energy, ones_vector, _ = lowest_pair(config, z0, n_max)
         unit = cst.HBAR * config.atom_trap.axial
@@ -535,18 +541,19 @@ class TestMatrixFreeSolver:
         assert projected < ones
 
     def test_benchmark_jobs_keep_their_application_budget(self, monkeypatch):
-        # the four benchmark density jobs take 41/14/4/31 lowest-pair
-        # applications (solve and check) on a 2-core OpenBLAS host
-        # (39/17/5/32 with a cross per solve, 42/15/5/35 through the grid
-        # action); the quadrature gate is a bound, with no Lanczos, and
-        # each basis size's one cross has rank 6 or 7
+        # the four benchmark density jobs take 38/10/4/32 lowest-pair
+        # applications (solve and check) on a 2-core OpenBLAS host from
+        # starts built on the factor stacks (41/14/4/31 from starts built
+        # on the node grid, 39/17/5/32 with a cross per solve, 42/15/5/35
+        # through the grid action); the quadrature gate is a bound, with
+        # no Lanczos, and each basis size's one cross has rank 6 or 7
         counts = lanczos_counts(monkeypatch)
         cross = motion._cross
         ranks = []
 
-        def recording(quadrature):
-            result = cross(quadrature)
-            ranks.append(result.pivots.size)
+        def recording(w):
+            result = cross(w)
+            ranks.append(result[0].size)
             return result
 
         monkeypatch.setattr(motion, "_cross", recording)
@@ -578,13 +585,36 @@ class TestMatrixFreeSolver:
     @pytest.mark.parametrize("n_max", [1, 30, 56, 60])
     def test_bare_product_state_projects_onto_e00(self, n_max):
         # without an interaction the mean-field start is the bare product
-        # state e_00; n_max 60 uses the order-264 rule
-        xi, _ = motion._gauss_hermite(4 * n_max + _QUAD_MARGIN + 16)
-        q = hermite_values(n_max, xi)
-        start, orbital = motion._mean_field_start(q, np.zeros((xi.size, xi.size)))
-        assert abs(start[0]) == 1.0
-        assert np.max(np.abs(start[1:])) == 0.0
-        assert np.array_equal(np.abs(orbital), np.abs(q[:, 0]))
+        # state e_00, from zero stacks of rank 0 (the cross of a zero grid)
+        # or of any other rank; n_max 60 is _MAX_BASIS
+        for rank in (0, 2):
+            zero = np.zeros((rank, n_max + 1, n_max + 1))
+            start, orbital = motion._mean_field_start(zero, zero)
+            assert abs(start[0]) == 1.0
+            assert np.max(np.abs(start[1:])) == 0.0
+            assert np.array_equal(np.abs(orbital), np.eye(n_max + 1)[0])
+
+    @pytest.mark.parametrize("pair", ["rr", "rg", "gg"])
+    @pytest.mark.parametrize("n_max, separation_um", [(n_max, separation_um)
+                                                      for n_max in (30, 40)
+                                                      for separation_um in (11.2, 12, 16, 24)])
+    def test_factor_start_matches_the_node_grid_start(self, pair, n_max, separation_um):
+        # both starts of a basis size, at n and the check's at n + 4 seeded
+        # with the orbital at n, from the operator's factor stacks and from
+        # its order-(4n + 40) node grid through oracles.mean_field_start
+        z0 = 0.5e-6 * separation_um
+        config = reference_config(pair, z0=z0)
+        n, big = n_max + 1, n_max + motion._CONVERGENCE_STEP
+        _, a, b = motion._pair_solver(config, z0, big, None)
+        start, orbital = motion._mean_field_start(a[:, :n, :n], b[:, :n, :n])
+        check, _ = motion._mean_field_start(a, b, orbital)
+        fine = motion._quadrature(config, z0, big, 4 * big + _QUAD_MARGIN + 16,
+                                  partial(axial_interaction, config=config))
+        expected, nodes = oracles.mean_field_start(fine.q[:, :n], fine.grid)
+        expected_check, _ = oracles.mean_field_start(fine.q, fine.grid, nodes)
+        for got, want in ((start, expected), (check, expected_check)):
+            got, want = unit_lead_positive(got), unit_lead_positive(want)
+            assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_unstable_quadratic_limit_starts_from_the_bare_product(self, monkeypatch):
         # the start no longer depends on the quadratic limit: its Hartree
@@ -604,30 +634,33 @@ class TestMatrixFreeSolver:
 
     def test_check_start_reuses_the_orbital_at_n_max(self, monkeypatch):
         # the check at n + 4 begins its Hartree iterations from atom 2's
-        # orbital at n, given on the shared order-(4n + 40) nodes
+        # orbital at n, n + 1 coefficients over the leading blocks of the
+        # same stacks
         z0 = 8.0e-6
         config = reference_config("rg", z0=z0)
         build = motion._mean_field_start
         calls = []
 
-        def recording(q, grid, orbital=None):
-            result = build(q, grid, orbital)
-            calls.append((q.shape, orbital, result[1]))
+        def recording(a, b, orbital=None):
+            result = build(a, b, orbital)
+            calls.append((a.shape, b.shape, orbital, result[1]))
             return result
 
         monkeypatch.setattr(motion, "_mean_field_start", recording)
         basis_ground_state(config, z0, n_max=30)
-        (first_shape, first_orbital, first_out), (check_shape, check_orbital, _) = calls
-        assert first_shape[0] == check_shape[0] == 4 * 30 + _QUAD_MARGIN + 32
-        assert (first_shape[1], check_shape[1]) == (31, 35)
+        (first_a, first_b, first_orbital, first_out), (check_a, check_b, check_orbital, _) = calls
+        assert first_a == first_b and check_a == check_b
+        assert first_a[0] == check_a[0]
+        assert (first_a[1:], check_a[1:]) == ((31, 31), (35, 35))
         assert first_orbital is None and check_orbital is first_out
+        assert first_out.shape == (31,)
 
     @pytest.mark.parametrize("bad", ["overflow", "zero"])
     def test_unusable_start_falls_back_to_all_ones(self, cfg_rg, bad, monkeypatch):
         z0 = cfg_rg.half_separation_z0
-        q, grid = shared_grid(cfg_rg, z0, 12)
+        a, b = start_stacks(cfg_rg, z0, 12)
         if bad == "overflow":
-            grid = np.full_like(grid, 1e308)
+            a, b = np.full_like(a, 1e308), np.full_like(b, 1e308)
         else:
             eigh = np.linalg.eigh
 
@@ -636,7 +669,7 @@ class TestMatrixFreeSolver:
                 return values, 0.0 * vectors
 
             monkeypatch.setattr(np.linalg, "eigh", zero_vectors)
-        start, _ = motion._mean_field_start(q, grid)
+        start, _ = motion._mean_field_start(a, b)
         assert start is None
 
     def test_all_ones_fallback_reaches_the_same_ground_state(self, cfg_rg, monkeypatch):
@@ -644,7 +677,7 @@ class TestMatrixFreeSolver:
         expected = basis_ground_state(cfg_rg, z0, n_max=20)
         build = motion._mean_field_start
         monkeypatch.setattr(motion, "_mean_field_start",
-                            lambda q, grid, orbital=None: (None, build(q, grid, orbital)[1]))
+                            lambda a, b, orbital=None: (None, build(a, b, orbital)[1]))
         state = basis_ground_state(cfg_rg, z0, n_max=20)
         unit = cst.HBAR * cfg_rg.atom_trap.axial
         assert abs(state.energy - expected.energy) <= 1e-12 * unit
@@ -754,9 +787,10 @@ def separated(config, z0, n_max, order, potential_fn):
     """The quadrature rule of that order, the cross of its grid, and the
     cross functions and separation error there."""
     quadrature = motion._quadrature(config, z0, n_max, order, potential_fn)
-    cross = motion._cross(quadrature)
+    cross = motion._cross(quadrature.potential)
     unit = cst.HBAR * config.atom_trap.axial
-    return (quadrature, cross) + motion._cross_functions(quadrature, cross, potential_fn, unit)
+    return (quadrature, cross) + motion._cross_functions(quadrature, quadrature, cross,
+                                                         potential_fn, unit)
 
 
 BENCHMARK_GRIDS = [
@@ -804,13 +838,13 @@ class TestSeparatedInteraction:
         config = reference_config("rr", z0=z0)
         quadrature = motion._quadrature(config, z0, n_max, order,
                                         partial(axial_interaction, config=config))
-        cross = motion._cross(quadrature)
-        error = np.max(np.abs(quadrature.potential - cross.x @ cross.y.T))
-        a, b = motion._stack(quadrature, cross.x), motion._stack(quadrature, cross.y)
+        rows, _, x, y = motion._cross(quadrature.potential)
+        error = np.max(np.abs(quadrature.potential - x @ y.T))
+        a, b = motion._stack(quadrature, x), motion._stack(quadrature, y)
         c = np.random.default_rng(order).normal(size=(n_max + 1, n_max + 1))
         action = sum(a_k @ c @ b_k for a_k, b_k in zip(a, b))
         expected = oracles.block_action(quadrature.q, quadrature.grid, c)
-        rounding = cross.pivots.size * np.finfo(float).eps * np.max(np.abs(quadrature.potential))
+        rounding = rows.size * np.finfo(float).eps * np.max(np.abs(quadrature.potential))
         assert np.linalg.norm(action - expected) <= (error + rounding) * np.linalg.norm(c)
 
     @pytest.mark.parametrize("potential, rank", [(zero, 0), (tilt, 1), (gaussian_bump, 1),
@@ -818,9 +852,9 @@ class TestSeparatedInteraction:
     def test_rank_of_separable_potentials(self, cfg_rr, potential, rank):
         potential_fn = (partial(potential, width=1.0) if potential is gaussian_bump
                         else potential)(cfg_rr)
-        *_, cross, _, _, error = separated(cfg_rr, cfg_rr.half_separation_z0, 4, 40,
-                                           potential_fn)
-        assert cross.pivots.size == rank
+        *_, (rows, _, _, _), _, _, error = separated(cfg_rr, cfg_rr.half_separation_z0, 4, 40,
+                                                     potential_fn)
+        assert rows.size == rank
         if rank == 0:
             assert error == 0.0
 
@@ -830,11 +864,12 @@ class TestSeparatedInteraction:
         # same columns x_k and rows p_k y_k, up to one rounding per term
         z0 = 0.5e-6 * separation_um
         config = reference_config("rr", z0=z0)
-        quadrature, cross, x, y, error = separated(
+        quadrature, (rows, _, x_cross, y_cross), x, y, error = separated(
             config, z0, n_max, order, partial(axial_interaction, config=config))
-        rounding = cross.pivots.size * np.finfo(float).eps * np.max(np.abs(quadrature.potential))
-        assert np.max(np.abs(x - cross.x)) <= rounding
-        assert np.max(np.abs((y - cross.y) * cross.pivots)) <= rounding
+        pivots = x_cross[rows, np.arange(rows.size)]
+        rounding = rows.size * np.finfo(float).eps * np.max(np.abs(quadrature.potential))
+        assert np.max(np.abs(x - x_cross)) <= rounding
+        assert np.max(np.abs((y - y_cross) * pivots)) <= rounding
         assert error <= 4.0 * np.finfo(float).eps * np.max(np.abs(quadrature.potential))
 
 
