@@ -6,7 +6,8 @@ in the scaled relative/center-of-mass coordinates, whose eigenvectors
 label the branches.  Eigenvalues are signed squared frequencies; a
 negative value marks an unstable (in practice collisional)
 configuration.  The critical separation is the bisection root of the
-smallest squared frequency.  The axial block in atom coordinates,
+smallest squared frequency, found and labeled on Python floats by scalar
+twins of the array kernel.  The axial block in atom coordinates,
 [[omega_bar_z1^2, omega_zz^2], [omega_zz^2, omega_bar_z2^2]], gives the
 equilibrium shift, and ``_rotation`` the Gaussian ground state of ``motion``.
 """
@@ -115,12 +116,11 @@ def _sector_entries(squares):
 def _branches(t, z0):
     """The EffectiveFrequencies fields at half-separations z0, and
     ``_diagonalize_sector`` of both sectors there: each of its results has
-    shape (2,) + shape(z0), axial first.  z0 is an ndarray, or a float
-    whose powers stay in the float range (``critical_separation``'s, in
-    its bracket).  Beyond the float range of z0^12 every correction is 0
-    and the bare trap remains.  ConfigError when the branches leave the
-    float range; the force scales Omega_j^2 share their terms with
-    omega_bar_zj^2, so they are finite too."""
+    shape (2,) + shape(z0), axial first.  z0 is ``mode_sweep``'s ndarray
+    or ``_expansion_at``'s float64.  Beyond the float range of z0^12 every
+    correction is 0 and the bare trap remains.  ConfigError when the
+    branches leave the float range; the force scales Omega_j^2 share their
+    terms with omega_bar_zj^2, so they are finite too."""
     with np.errstate(all="ignore"):
         squares = _frequency_squares(t, z0)
         a, b, c = (np.array(pair) for pair in _sector_entries(squares))
@@ -160,6 +160,32 @@ def _lower_eigenvalue(a: float, b: float, c: float) -> float:
     return 0.5 * (a + b) - math.hypot(0.5 * (a - b), c)
 
 
+def _lower_character(a: float, b: float, c: float, bare_sq: float) -> str | None:
+    """Character, "com" or "stretch", of the lower branch of [[a, c], [c, b]]
+    in Python floats: ``_diagonalize_sector``'s com_first step by step, with
+    ``math`` for numpy.  None unless both branches are finite (which needs
+    finite entries), where ``_branches`` raises."""
+    if c == 0.0:
+        theta, lam_rel, lam_com = 0.0, a, b
+    else:
+        mean, disc = 0.5 * (a + b), math.hypot(0.5 * (a - b), c)
+        theta = 0.5 * math.atan2(2.0 * c, a - b)
+        if theta > 0.25 * math.pi:
+            theta, lam_rel, lam_com = theta - 0.5 * math.pi, mean - disc, mean + disc
+        elif theta <= -0.25 * math.pi:
+            theta, lam_rel, lam_com = theta + 0.5 * math.pi, mean - disc, mean + disc
+        else:
+            lam_rel, lam_com = mean + disc, mean - disc
+    if not (math.isfinite(lam_rel) and math.isfinite(lam_com)):
+        return None
+
+    # Atom-local eigenvectors carry no label: compare with the bare trap.
+    rel_is_com = (abs(math.sin(theta) ** 2 - 0.5) < _TIE_WEIGHT
+                  and abs(lam_rel - bare_sq) <= abs(lam_com - bare_sq))
+    stretch, com = (lam_com, lam_rel) if rel_is_com else (lam_rel, lam_com)
+    return "com" if com < stretch or (com == stretch and rel_is_com) else "stretch"
+
+
 def _min_omega_sq(t, separation: float) -> float:
     """Smallest squared mode frequency at one separation, from ``_terms``:
     the lower of the two sectors' lower eigenvalues, in Python floats."""
@@ -175,7 +201,11 @@ def critical_separation(config: SystemConfig) -> StabilityResult:
     NotBracketedError when the smallest squared frequency does not change
     sign there.  The bracket is resolved to 1e-13 m (far below the 1 nm
     reporting precision) so that the spectrum is guaranteed stable at
-    critical*(1 + 1e-6) and unstable at critical*(1 - 1e-6).
+    critical*(1 + 1e-6) and unstable at critical*(1 - 1e-6).  The limiting
+    branch is the lower branch of the softer sector at critical*(1 - 1e-6),
+    axial on a tie, by ``_lower_eigenvalue`` and ``_lower_character``; a
+    ConfigError as in ``_branches`` when the expansion leaves the float
+    range there.  No numpy code runs.
     """
     require_valid(config)
     t = _terms(config)
@@ -201,10 +231,16 @@ def critical_separation(config: SystemConfig) -> StabilityResult:
     critical = 0.5 * (lo + hi)
 
     # The lower branch of the softer sector, axial on a tie.
-    _, (stretch, com, _, com_first) = _branches(t, 0.5 * critical * (1.0 - 1e-6))
-    k = int(min(stretch[1], com[1]) < min(stretch[0], com[0]))
-    branch = f"{('axial', 'transverse')[k]}-{'com' if com_first[k] else 'stretch'}"
-    return StabilityResult(critical_2z0=critical, limiting_branch=branch)
+    z0 = 0.5 * critical * (1.0 - 1e-6)
+    sectors = tuple(zip(*_sector_entries(_frequency_squares(t, z0)), (t.w_az_sq, t.w_ar_sq)))
+    characters = [_lower_character(*sector) for sector in sectors]
+    if None in characters:
+        raise ConfigError("the quadratic expansion leaves the float range between "
+                          f"2z0 = {2.0 * z0:.3g} and {2.0 * z0:.3g} m")
+    lower = [_lower_eigenvalue(a, b, c) for a, b, c, _ in sectors]
+    k = int(lower[1] < lower[0])
+    return StabilityResult(critical_2z0=critical,
+                           limiting_branch=f"{('axial', 'transverse')[k]}-{characters[k]}")
 
 
 def mode_sweep(config: SystemConfig, separations) -> dict[str, np.ndarray]:

@@ -1,6 +1,7 @@
 """The modules of the package import one another without a cycle, and
 numpy and the standard library alone from outside; none of them calls
-the dense test oracles, and the pair solver's helpers keep one owner."""
+the dense test oracles, the pair solver's helpers keep one owner, and
+the stability search runs on Python floats alone."""
 
 import ast
 from graphlib import TopologicalSorter
@@ -90,3 +91,26 @@ def test_quadrature_rules_have_one_owner():
     # the solvers take their two rules from one helper, which also holds
     # the checks of the basis size and the collision threshold
     assert callers("_quadrature") == {"motion:_axial_rules"}
+
+
+def test_critical_separation_runs_no_numpy():
+    # the bisection and its limiting-branch label stay on Python floats:
+    # neither critical_separation nor a phonons helper that it reaches
+    # calls the array kernel _branches or touches an np. attribute
+    tree = ast.parse((PACKAGE / "phonons.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reached, todo, found = set(), ["critical_separation"], []
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "np":
+                found.append(f"{name}:{node.lineno} np.{node.attr}")
+            elif isinstance(node, ast.Name) and node.id in functions:
+                if node.id == "_branches":
+                    found.append(f"{name}:{node.lineno} _branches")
+                todo.append(node.id)
+    assert found == []
+    assert "_lower_character" in reached

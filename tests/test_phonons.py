@@ -1,6 +1,7 @@
 """Phonon branches, the stability threshold, and equilibrium shifts."""
 
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -24,10 +25,15 @@ from ionbridge import (
     phonon_spectrum,
     reference_config,
 )
-from ionbridge import constants as cst
+from ionbridge import constants as cst, phonons
 from ionbridge.expansion import _Coefficients, _terms
-from ionbridge.model import ElectronicState
-from ionbridge.phonons import _diagonalize_sector, _min_omega_sq
+from ionbridge.model import ElectronicState, TrapFrequencies
+from ionbridge.phonons import (
+    _diagonalize_sector,
+    _lower_character,
+    _lower_eigenvalue,
+    _min_omega_sq,
+)
 
 SWEEP_GRID = np.linspace(5.0, 40.0, 351) * 1e-6  # reaches below every threshold
 
@@ -44,6 +50,15 @@ def kernel_configs():
         configs.append(dataclasses.replace(configs[0], state_pair=states,
                                            coefficients=attractive))
     return configs
+
+
+def transverse_limited(config):
+    """``config`` with the ion radial trap 1e-3 and the atom radial trap 0.1
+    times as stiff: the transverse sector then softens first."""
+    ion, atom = config.ion_trap, config.atom_trap
+    return dataclasses.replace(
+        config, ion_trap=TrapFrequencies(ion.radial * 1e-3, ion.axial),
+        atom_trap=TrapFrequencies(atom.radial * 0.1, atom.axial))
 
 
 class TestSpectrum:
@@ -95,6 +110,14 @@ class TestCriticalSeparation:
         crit_25 = critical_separation(cfg_25)
         assert crit_25.critical_2z0 == pytest.approx(7.428045e-6, abs=1e-9)
 
+        # soft radial traps: the transverse sector limits, with either character
+        soft_rr = critical_separation(transverse_limited(cfg_rr))
+        assert soft_rr.critical_2z0 == pytest.approx(11.1946e-6, abs=1e-10)
+        assert soft_rr.limiting_branch == "transverse-com"
+        soft_rg = critical_separation(transverse_limited(cfg_rg))
+        assert soft_rg.critical_2z0 == pytest.approx(10.5487e-6, abs=1e-10)
+        assert soft_rg.limiting_branch == "transverse-stretch"
+
     def test_sign_flip_around_threshold(self, cfg_rr):
         crit = critical_separation(cfg_rr).critical_2z0
         below = phonon_spectrum(cfg_rr, 0.5 * crit * (1 - 1e-4))
@@ -121,15 +144,36 @@ class TestCriticalSeparation:
     @pytest.mark.parametrize("n", range(20, 61))  # the benchmark's level grid
     def test_bisection_is_bit_identical_to_the_scalar_one(self, n, scaling):
         for pair in ("rr", "rg", "gg"):
-            config = reference_config(pair, n, 8e-6, scaling)
-            try:
-                want = oracles.critical_separation(config)
-            except NotBracketedError:
-                with pytest.raises(NotBracketedError):
-                    critical_separation(config)
-                continue
-            got = critical_separation(config)
-            assert (got.critical_2z0, got.limiting_branch) == want
+            reference = reference_config(pair, n, 8e-6, scaling)
+            for config in (reference, transverse_limited(reference)):
+                try:
+                    want = oracles.critical_separation(config)
+                except NotBracketedError:
+                    with pytest.raises(NotBracketedError):
+                        critical_separation(config)
+                    continue
+                got = critical_separation(config)
+                assert (got.critical_2z0, got.limiting_branch) == want
+
+    def test_the_limiting_branch_needs_finite_sector_entries(self, cfg_rr, monkeypatch):
+        # the label point critical * (1 - 1e-6) may lie just below the
+        # bracket; entries out of the float range there are the kernel's
+        # range error, never a label
+        crit = critical_separation(cfg_rr).critical_2z0
+        label_z0 = 0.5 * crit * (1.0 - 1e-6)
+        frequency_squares = phonons._frequency_squares
+        # omega_bar_rho1^2 enters only the transverse entries, omega_bar_z1^2 the axial c
+        for field, bad in itertools.product((0, 2), (math.inf, -math.inf, math.nan)):
+            def patched(t, z0, field=field, bad=bad):
+                squares = list(frequency_squares(t, z0))
+                if z0 == label_z0:
+                    squares[field] = bad
+                return tuple(squares)
+            monkeypatch.setattr(phonons, "_frequency_squares", patched)
+            with pytest.raises(ConfigError) as err:
+                critical_separation(cfg_rr)
+            assert str(err.value) == ("the quadratic expansion leaves the float range between "
+                                      f"2z0 = {2.0 * label_z0:.3g} and {2.0 * label_z0:.3g} m")
 
     @pytest.mark.parametrize("pair", ["rr", "rg", "gg"])
     def test_bisection_step_is_the_scalar_minimum(self, pair):
@@ -232,6 +276,36 @@ class TestKernel:
             assert abs(angle[k] - low.mixing_angle) <= 4 * np.spacing(math.pi / 4), entries
             assert -math.pi / 4 < angle[k] <= math.pi / 4
             assert bool(com_first[k]) == (low.character == "com"), entries
+
+    def test_scalar_label_matches_the_kernel(self):
+        # critical_separation's Python-float twin of the kernel's rule
+        a, b, c, bare = (np.array(column) for column in zip(*self.SECTORS))
+        stretch, com, _, com_first = _diagonalize_sector(a, b, c, bare)
+        for k, entries in enumerate(self.SECTORS):
+            assert (_lower_character(*entries) == "com") == bool(com_first[k]), entries
+            assert _lower_eigenvalue(*entries[:3]) == min(stretch[k], com[k]), entries
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-1e150, 1e150), st.floats(-1e150, 1e150), st.floats(-1e150, 1e150),
+           st.floats(-1e150, 1e150), st.booleans(), st.sampled_from([None, 0.0, -0.0]))
+    def test_scalar_label_matches_the_kernel_on_any_finite_sector(self, a, b, c, bare, even, uncoupled):
+        b = a if even else b
+        c = c if uncoupled is None else uncoupled
+        stretch, com, _, com_first = _diagonalize_sector(*map(np.array, (a, b, c, bare)))
+        assert (_lower_character(a, b, c, bare) == "com") == bool(com_first)
+        # math.hypot and np.hypot may round apart by an ulp
+        scale = max(abs(a), abs(b), abs(c))
+        assert abs(_lower_eigenvalue(a, b, c) - min(stretch, com)) <= 4 * np.spacing(scale)
+
+    @pytest.mark.parametrize("entries", [
+        (math.inf, 1.0, 0.5), (1.0, -math.inf, 0.0), (math.nan, 1.0, 0.0), (1.0, 1.0, math.inf),
+        (1.0, 2.0, -math.inf), (1.0, 1.0, math.nan), (1e308, -1e308, 1.0), (1.7e308, 1.7e308, 1e308),
+    ])
+    def test_scalar_label_is_none_where_the_kernel_leaves_the_float_range(self, entries):
+        with np.errstate(all="ignore"):
+            branches = _diagonalize_sector(*map(np.array, entries), 1.0)
+        assert not np.all(np.isfinite(branches[:3]))
+        assert _lower_character(*entries, 1.0) is None
 
     def test_uncoupled_sector_is_exact(self):
         # c == 0 gives the diagonal itself, not mean -+ hypot, and a +0.0 angle
