@@ -19,11 +19,13 @@ The same factors at two quadrature orders bound the quadrature drift,
 and Lanczos with full reorthogonalization finds the lowest pair.  On a
 smaller basis the pair Hamiltonian is the leading block of the larger
 basis's (a Galerkin restriction), so one operator per basis size serves
-the solve at n and the check at n + 4, and E_n >= E_{n+4} by Cauchy
-interlacing (Parlett, The Symmetric Eigenvalue Problem, 1980, ch. 10).
-Lanczos converges faster the more its start overlaps the wanted
-eigenvector (ibid.).  The two atoms interact only through the ion, so
-the pair ground state is nearly a product state, and every solve of
+the solve at n and, applied once to the padded solution, the gate at
+n + 4: its residual r bounds the energy the n + 4 basis could gain by
+r^2 / delta, delta a floor on the gap (Temple's inequality; Kato, J.
+Phys. Soc. Jpn. 4, 334 (1949)).  Lanczos converges faster the more its
+start overlaps the wanted eigenvector (Parlett, The Symmetric Eigenvalue
+Problem, 1980).  The two atoms interact only through the ion, so the
+pair ground state is nearly a product state, and every solve of
 ``basis_ground_state`` starts from the pair Hamiltonian contracted onto
 self-consistent single-atom orbitals, whose mean fields
 sum_k <u|B_k|u> A_k are contractions of the same factors (Beck,
@@ -73,7 +75,11 @@ _QUAD_MARGIN = 8
 _HERMITE_TABLES = 16   # Hermite tables cached: at most 2.1 MB
 _LANCZOS_STEPS = 240   # step cap: n_max 60 from all ones, the hardest tested solve, takes 158
 _MEAN_FIELD_ORBITALS = 6     # orbitals per atom in the contracted Lanczos start
-_MEAN_FIELD_ITERATIONS = 8   # single-atom Hartree diagonalizations of an unseeded start
+_MEAN_FIELD_ITERATIONS = 8   # single-atom Hartree diagonalizations of a start
+# Floor on the n + 4 pair gap E_1 - E_0, hbar w_az, for Temple's bound: the
+# exact gap shrinks towards the collision threshold, to 0.62 (rr and rg) at
+# 2z0 = 11.2 um, the accepted case closest to it (0.85 at 12, 0.98 at 16 um)
+_GAP_FLOOR = 0.5
 
 
 @lru_cache(maxsize=None)
@@ -245,7 +251,7 @@ class BasisExpansionState:
     energy: float              # J, full absolute energy
     half_separation: float     # z0, m
     osc_length: float          # atom axial oscillator length, m
-    residual: float            # relative energy drift of the convergence check
+    residual: float            # Temple bound r^2 / (delta scale) on the n_max + 4 energy change
 
     def wavefunction(self, z1, z2) -> np.ndarray:
         """psi(z1, z2) on the tensor grid, 1/m."""
@@ -432,42 +438,33 @@ def _extreme_pair(apply, n: int, v0: np.ndarray | None = None) -> tuple[float, n
     raise AccuracyError(f"Lanczos not converged in {steps} steps at dimension {dim}")
 
 
-def lowest_pair(config: SystemConfig, z0: float, n_max: int,
-                potential_fn=None, start=None) -> tuple[float, np.ndarray, float]:
-    """Lowest eigenpair of ``axial_hamiltonian_matrix``, without forming it.
-
-    Returns the energy in J, the unit coefficient vector (flat index
-    n1 * N + n2, largest-magnitude component positive) and the relative
-    quadrature drift.  ``potential_fn`` and the folded constants are as
-    in ``axial_hamiltonian_matrix``; ``start``, a flat vector of the same
-    layout, is where Lanczos starts (default: all ones).  It is the solve
-    of ``_pair_solver`` over the basis itself, whose two rules, orders
-    4n + 8 and 4n + 24, are those of the dense matrix (both come from
-    ``_axial_rules``), with both gates measured against the dense ones:
-
-    - quadrature: U <= 1e-8 s, with U >= ||D||_2 for the drift D between
-      the two orders' interaction blocks, and s the larger of max|diag B|
-      and max|B e_00| (B at order 4n + 24).  Both are exact entries of
-      B, so s <= max|B_ij|; s is zero only if the interaction projects
-      to zero on every basis product.  The gate is therefore never
-      weaker than the dense entrywise max|D_ij| <= 1e-8 max|B_ij|.  The
-      returned drift is U / s.
-    - residual: ||H v - E v|| + e_hi <= 1e-10 max|diag H|, with the
-      constants folded into H as in the dense matrix.  max|diag H| <=
-      ||H||_2, the scale of the dense gate on every pair.
-    """
-    solve, _, _ = _pair_solver(config, z0, n_max, potential_fn)
-    return solve(n_max, start)
-
-
 def _pair_solver(config: SystemConfig, z0: float, size: int, potential_fn):
     """``(solve, a, b)`` for the pair at +-z0 over the products of
     p_0..p_size, on the two rules of ``_axial_rules``, orders 4 size + 8
-    (coarse) and 4 size + 24 (fine).  ``solve(n_max, start)`` is
-    ``lowest_pair`` on a leading block of that basis, and a and b are the
-    fine order's factor stacks A_k and B_k, each (rank, N, N).  Work is
-    in units of hbar w_az with the folded constant left out, so the
-    kinetic part K is the diagonal n1 + n2 + 1.
+    (coarse) and 4 size + 24 (fine).  a and b are the fine order's
+    factor stacks A_k and B_k, each (rank, N, N).  Work is in units of
+    hbar w_az with the folded constant left out, so the kinetic part K
+    is the diagonal n1 + n2 + 1.
+
+    ``solve(n_max, start)`` is the lowest pair on the leading
+    (n_max + 1)-block, without forming it: Lanczos from the flat vector
+    ``start`` (index n1 (n_max + 1) + n2; None: all ones).  It returns
+    the energy in J, constants folded in as in ``axial_hamiltonian_matrix``,
+    the unit vector (largest-magnitude component positive), the relative
+    quadrature drift U / s, and r + e_hi, with r = ||H' p - E p|| for the
+    vector p zero-padded to the whole basis and H' the whole operator.
+    Over the basis itself the rules are those of the dense matrix, and
+    both gates are measured against the dense ones:
+
+    - quadrature: U <= 1e-8 s, with U >= ||D||_2 for the drift D between
+      the two orders' interaction blocks, and s the larger of max|diag B|
+      and max|B e_00| (B at the fine order).  Both are exact entries of
+      B, so s <= max|B_ij|; s is zero only if the interaction projects
+      to zero on every basis product.  The gate is therefore never
+      weaker than the dense entrywise max|D_ij| <= 1e-8 max|B_ij|.
+    - residual: ||H v - E v|| + e_hi <= 1e-10 max|diag H|, with the
+      constants folded into H as in the dense matrix.  max|diag H| <=
+      ||H||_2, the scale of the dense gate on every pair.
 
     The fine grid W is cross-approximated once (``_cross``) to
     W ~ sum_k x_k(z1) y_k(z2), whose functions ``_cross_functions`` also
@@ -482,10 +479,11 @@ def _pair_solver(config: SystemConfig, z0: float, size: int, potential_fn):
 
     Each solve works on the leading (n_max + 1)-blocks of K, the A_k and
     B_k at the fine order, and diag B.  The drift of a leading block has
-    2-norm at most U, and its s (see ``lowest_pair``), taken on that
-    block, is at most the whole basis's, so U <= 1e-8 s is gated before
-    the Lanczos of every solve, and the residual gate after it adds e_hi
-    to ||H v - E v||, measured with the separated operator.
+    2-norm at most U, and its s, taken on that block, is at most the
+    whole basis's, so U <= 1e-8 s is gated before the Lanczos of every
+    solve.  After it, H' is applied once to p: the leading block of the
+    result gives the residual gate, the whole of it r (the same number
+    when n_max = size).
     """
     potential_fn, offset, coarse, fine = _axial_rules(config, z0, size, potential_fn)
     unit = _axial_energy_scale(config)
@@ -501,9 +499,10 @@ def _pair_solver(config: SystemConfig, z0: float, size: int, potential_fn):
     q_sq = q * q
     diag_b = q_sq.T @ grid @ q_sq
     column_b = q.T @ (grid * np.outer(q[:, 0], q[:, 0])) @ q
-    rank = x.shape[1]
+    diag_h = np.add.outer(np.arange(size + 1), np.arange(size + 1)) + 1.0 + diag_b + offset / unit
+    whole = _block_operator(a, b, size + 1)
 
-    def solve(n_max: int, start) -> tuple[float, np.ndarray, float]:
+    def solve(n_max: int, start) -> tuple[float, np.ndarray, float, float]:
         n = n_max + 1
         scale = max(np.max(np.abs(diag_b[:n, :n])), np.max(np.abs(column_b[:n, :n])))
         if not bound <= 1e-8 * scale:
@@ -512,56 +511,63 @@ def _pair_solver(config: SystemConfig, z0: float, size: int, potential_fn):
                 f"{fine.weights.size} differ by ||D||_2 <= {bound:.3g} > 1e-8 "
                 f"max(|diag B|, |B e_00|) = {1e-8 * scale:.3g} hbar w_az"
             )
-        kinetic = np.add.outer(np.arange(n), np.arange(n)) + 1.0
-        a_n = a[:, :n, :n].transpose(1, 0, 2).reshape(n, rank * n)   # [A_1 ... A_r]
-        b_n = np.ascontiguousarray(b[:, :n, :n])
-
-        def hamiltonian(c):
-            return kinetic * c + a_n @ (c @ b_n).reshape(rank * n, n)
-
-        value, vector = _extreme_pair(hamiltonian, n, start)
+        value, vector = _extreme_pair(_block_operator(a, b, n), n, start)
         vector = _lead_positive(vector[:, None])[:, 0]
 
-        residual = np.linalg.norm(hamiltonian(vector.reshape(n, n)).ravel() - value * vector)
-        limit = 1e-10 * np.max(np.abs(kinetic + diag_b[:n, :n] + offset / unit))
+        padded = np.pad(vector.reshape(n, n), (0, size + 1 - n))
+        excess = whole(padded) - value * padded
+        residual = np.linalg.norm(excess[:n, :n])
+        limit = 1e-10 * np.max(np.abs(diag_h[:n, :n]))
         if not residual + e_hi <= limit:
             raise AccuracyError(
                 f"eigenpair residual {residual:.3g} plus separation error {e_hi:.3g} exceeds "
                 f"1e-10 max|diag H| = {limit:.3g} hbar w_az"
             )
-        return unit * value + offset, vector, bound / scale if scale > 0.0 else 0.0
+        return (unit * value + offset, vector, bound / scale if scale > 0.0 else 0.0,
+                np.linalg.norm(excess) + e_hi)
 
     return solve, a, b
 
 
-def _mean_field_start(a: np.ndarray, b: np.ndarray, orbital: np.ndarray | None = None
-                      ) -> tuple[np.ndarray | None, np.ndarray]:
+def _block_operator(a: np.ndarray, b: np.ndarray, n: int):
+    """C -> K * C + sum_k A_k C B_k, hbar w_az, on (n, n) matrices C: the pair
+    Hamiltonian on the leading blocks of K and of the stacks ``a``, ``b``."""
+    rank = a.shape[0]
+    kinetic = np.add.outer(np.arange(n), np.arange(n)) + 1.0
+    a_n = a[:, :n, :n].transpose(1, 0, 2).reshape(n, rank * n)   # [A_1 ... A_r]
+    b_n = np.ascontiguousarray(b[:, :n, :n])
+
+    def hamiltonian(c):
+        return kinetic * c + a_n @ (c @ b_n).reshape(rank * n, n)
+
+    return hamiltonian
+
+
+def _mean_field_start(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """Lanczos start for the lowest pair of the kinetic part plus the
     separated interaction C -> sum_k A_k C B_k of the (rank, N, N) stacks
-    ``a`` and ``b``, and atom 2's lowest orbital as N coefficients.
+    ``a`` and ``b``.
 
-    Alternating Hartree iterations each diagonalize one atom's
-    diag(n + 1/2) + sum_k <u|B_k|u> A_k, with u the other atom's lowest
-    orbital (A and B swapped for atom 2): the separated operator's mean
-    field, its contraction over the other atom.  They start from atom 2
-    in e_0, the bare trap ground state, and run _MEAN_FIELD_ITERATIONS
-    times, or from atom 2 in ``orbital`` zero-padded to N, already
-    self-consistent on a smaller basis, and run once per atom.  The pair
-    Hamiltonian contracted onto the lowest _MEAN_FIELD_ORBITALS orbitals
-    U_1, U_2 of each atom, sum_k (U_1^T A_k U_1) (x) (U_2^T B_k U_2) plus
-    the two level sums, is diagonalized, and its lowest vector, expanded
-    back, is the start: flat as in ``lowest_pair``, or None (the all-ones
-    start) when it is not finite or zero.
+    _MEAN_FIELD_ITERATIONS alternating Hartree iterations each
+    diagonalize one atom's diag(n + 1/2) + sum_k <u|B_k|u> A_k, with u
+    the other atom's lowest orbital (A and B swapped for atom 2): the
+    separated operator's mean field, its contraction over the other
+    atom.  They start from atom 2 in e_0, the bare trap ground state.
+    The pair Hamiltonian contracted onto the lowest _MEAN_FIELD_ORBITALS
+    orbitals U_1, U_2 of each atom, sum_k (U_1^T A_k U_1) (x) (U_2^T B_k U_2)
+    plus the two level sums, is diagonalized, and its lowest vector,
+    expanded back, is the start: flat as in ``_pair_solver``'s solve, or
+    None (the all-ones start) when it is not finite or zero.
     """
     n = a.shape[1]
     k = min(_MEAN_FIELD_ORBITALS, n)
     levels = np.arange(n) + 0.5
     stacks = (a, b)
     orbitals = [None, None]
-    lowest = [None, np.eye(n)[0] if orbital is None else np.pad(orbital, (0, n - orbital.size))]
+    lowest = [None, np.eye(n)[0]]
     with np.errstate(all="ignore"):
         try:
-            for i in range(_MEAN_FIELD_ITERATIONS if orbital is None else 2):
+            for i in range(_MEAN_FIELD_ITERATIONS):
                 atom = i % 2
                 u = lowest[1 - atom]
                 h = np.tensordot(stacks[1 - atom] @ u @ u, stacks[atom], axes=1)
@@ -575,43 +581,36 @@ def _mean_field_start(a: np.ndarray, b: np.ndarray, orbital: np.ndarray | None =
             pair += eye[:, None, :, None] * ((c2.T * levels) @ c2)[None, :, None, :]
             _, vectors = np.linalg.eigh(pair.reshape(k * k, k * k))
         except np.linalg.LinAlgError:
-            return None, lowest[1]
+            return None
         start = (c1 @ vectors[:, 0].reshape(k, k) @ c2.T).ravel()
-    return (start if np.isfinite(start).all() and start.any() else None), lowest[1]
+    return start if np.isfinite(start).all() and start.any() else None
 
 
 def basis_ground_state(config: SystemConfig, z0: float, n_max: int = 30) -> BasisExpansionState:
     """Variational ground state of the full axial pair Hamiltonian.
 
-    The basis is ramped from ``n_max`` to 50 if the ground energy has
-    not settled to 1e-6 relative (measured on the axial part of the
-    energy) between n_max and n_max + 4.  Each basis size builds one
-    ``_pair_solver`` over the n + 4 basis, the operator and gates of
-    ``lowest_pair`` at n + 4, and solves n on its leading block and
-    n + 4 on the whole.  Both solves start from ``_mean_field_start`` on
-    that operator's own factor stacks, their leading blocks for n: the
-    pair is nearly a product state, so the contracted mean-field pair
-    state (Beck, Jaeckle, Worth and Meyer, Phys. Rep. 324, 1 (2000);
-    Echave and Clary, Chem. Phys. Lett. 190, 225 (1992)) lies close to
-    the solution.  The check's Hartree iterations start from atom 2's
-    orbital at n.
+    Each basis size n builds one ``_pair_solver`` over the n + 4 basis
+    and solves n on its leading block, from ``_mean_field_start`` on the
+    leading blocks of that operator's own factor stacks (the pair is
+    nearly a product state).  By Temple's inequality the n + 4 basis
+    lowers that energy by at most (r + e_hi)^2 / _GAP_FLOOR, from the
+    solve's residual bound for the zero-padded solution.  Relative to the
+    axial energy (at least hbar w_az) that is the state's ``residual``;
+    below 1e-6 the basis is accepted, and otherwise ramped from ``n_max``
+    to 50.
     """
     cap = _MAX_BASIS - _CONVERGENCE_STEP
     if not 0 <= n_max <= cap:
         raise ConfigError(
             f"n_max must lie in [0, {cap}]: the basis is capped at {_MAX_BASIS} and the "
-            f"convergence check solves at n_max + {_CONVERGENCE_STEP}; got {n_max}"
+            f"convergence gate applies the n_max + {_CONVERGENCE_STEP} operator; got {n_max}"
         )
-    for attempt, n in enumerate((n_max, _RAMP_LIMIT)):
-        if attempt and n <= n_max:
-            break
-        big = n + _CONVERGENCE_STEP
-        solve, a, b = _pair_solver(config, z0, big, None)
-        start, orbital = _mean_field_start(a[:, :n + 1, :n + 1], b[:, :n + 1, :n + 1])
-        energy, vector, _ = solve(n, start)
-        energy_check, _, _ = solve(big, _mean_field_start(a, b, orbital)[0])
-        scale = max(abs(energy_check - _constant_offset(config)), _axial_energy_scale(config))
-        residual = abs(energy - energy_check) / scale
+    for n in (n_max, _RAMP_LIMIT) if n_max < _RAMP_LIMIT else (n_max,):
+        solve, a, b = _pair_solver(config, z0, n + _CONVERGENCE_STEP, None)
+        energy, vector, _, coupling = solve(
+            n, _mean_field_start(a[:, :n + 1, :n + 1], b[:, :n + 1, :n + 1]))
+        scale = max(abs(energy - _constant_offset(config)) / _axial_energy_scale(config), 1.0)
+        residual = coupling**2 / (_GAP_FLOOR * scale)
         if residual < 1e-6:
             return BasisExpansionState(
                 n_max=n,
@@ -622,8 +621,8 @@ def basis_ground_state(config: SystemConfig, z0: float, n_max: int = 30) -> Basi
                 residual=residual,
             )
     raise AccuracyError(
-        f"ground energy not converged to 1e-6 at n_max = {_RAMP_LIMIT} "
-        f"(relative drift {residual:.3g})"
+        f"ground energy not converged to 1e-6 at n_max = {n} "
+        f"(Temple bound {residual:.3g})"
     )
 
 

@@ -8,10 +8,13 @@ the loop segments, the one-pair connection element, the Berry-phase
 line integral and the path-ordered Wilson product.
 The unexpanded ion potential and its finite-difference minimizer check
 the closed-form ion displacement, and ARPACK (``arpack_pair``) is a
-second oracle for the library's Lanczos routine.  ``block_action`` is
-the pair solver's former operator: the interaction block applied
-through the whole node grid, and ``mean_field_start`` its former
-Lanczos start, built on that grid.
+second oracle for the library's Lanczos routine.  ``lowest_pair`` is the
+pair solver over its whole basis, the tests' matrix-free counterpart of
+the dense matrix.  ``block_action`` is the pair solver's former
+operator: the interaction block applied through the whole node grid,
+and ``mean_field_start`` its former Lanczos start, built on that grid.
+``check_solve`` is the ground-state convergence check that the Temple
+bound replaced: a second Lanczos solve on the n_max + 4 basis.
 """
 
 import math
@@ -32,7 +35,13 @@ from ionbridge import (
 )
 from ionbridge.gauge import _jacobian, _ladder_derivatives
 from ionbridge.model import require_valid
-from ionbridge.motion import _MEAN_FIELD_ITERATIONS, _MEAN_FIELD_ORBITALS
+from ionbridge.motion import (
+    _CONVERGENCE_STEP,
+    _MEAN_FIELD_ITERATIONS,
+    _MEAN_FIELD_ORBITALS,
+    _mean_field_start,
+    _pair_solver,
+)
 from ionbridge.phonons import _TIE_WEIGHT, ModeBranch, PhononSpectrum
 from ionbridge.potentials import _squared_distances
 
@@ -350,6 +359,25 @@ def arpack_pair(apply, n, v0=None):
     return values[0], vectors[:, 0]
 
 
+def lowest_pair(config, z0, n_max, potential_fn=None, start=None):
+    """The lowest pair of ``motion.axial_hamiltonian_matrix`` without
+    forming it: ``motion._pair_solver``'s solve over its whole basis, as
+    (energy in J, flat unit vector, relative quadrature drift)."""
+    solve, _, _ = _pair_solver(config, z0, n_max, potential_fn)
+    return solve(n_max, start)[:3]
+
+
+def check_solve(config, z0, n_max):
+    """The convergence check that ``motion.basis_ground_state`` ran before
+    the Temple bound replaced it: the lowest pair of the whole n_max + 4
+    operator whose leading block the solve at n_max uses, by a second
+    Lanczos from the mean-field start of its whole stacks.  Returns the
+    energy, J, and the flat unit vector."""
+    big = n_max + _CONVERGENCE_STEP
+    solve, a, b = _pair_solver(config, z0, big, None)
+    return solve(big, _mean_field_start(a, b))[:2]
+
+
 def block_action(q, grid, c):
     """The interaction block on an (N, N) coefficient matrix through the
     node grid: C -> Q^T (grid * (Q C Q^T)) Q, with ``grid`` the weighted
@@ -357,21 +385,20 @@ def block_action(q, grid, c):
     return q.T @ (grid * (q @ c @ q.T)) @ q
 
 
-def mean_field_start(q, grid, orbital=None):
+def mean_field_start(q, grid):
     """``motion._mean_field_start`` on the node grid: the Hartree matrices
     diag(n + 1/2) + Q^T diag(grid u^2) Q, with u the other atom's lowest
     orbital on the nodes (grid^T for atom 2), and the contracted pair
     through the grid with Q U in place of Q.  ``q`` holds p_0..p_n at the
-    nodes of the weighted interaction ``grid`` (``motion._quadrature(...)``),
-    and ``orbital`` is atom 2's on the nodes.  Returns the flat start and
-    atom 2's lowest orbital on the nodes."""
+    nodes of the weighted interaction ``grid`` (``motion._quadrature(...)``).
+    Returns the flat start."""
     order, n = q.shape
     k = min(_MEAN_FIELD_ORBITALS, n)
     levels = np.arange(n) + 0.5
     fields = (grid, grid.T)
     orbitals = [None, None]
-    nodes = [None, q[:, 0] if orbital is None else orbital]
-    for i in range(_MEAN_FIELD_ITERATIONS if orbital is None else 2):
+    nodes = [None, q[:, 0]]
+    for i in range(_MEAN_FIELD_ITERATIONS):
         atom = i % 2
         h = q.T @ ((fields[atom] @ nodes[1 - atom] ** 2)[:, None] * q)
         h[np.diag_indices(n)] += levels
@@ -386,4 +413,4 @@ def mean_field_start(q, grid, orbital=None):
     pair = pair + ((c1.T * levels) @ c1)[:, None, :, None] * eye[None, :, None, :]
     pair += eye[:, None, :, None] * ((c2.T * levels) @ c2)[None, :, None, :]
     _, vectors = np.linalg.eigh(pair.reshape(k * k, k * k))
-    return (c1 @ vectors[:, 0].reshape(k, k) @ c2.T).ravel(), nodes[1]
+    return (c1 @ vectors[:, 0].reshape(k, k) @ c2.T).ravel()

@@ -7,8 +7,10 @@ from functools import partial
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 import oracles
+from oracles import lowest_pair
 from ionbridge import (
     AccuracyError,
     ConfigError,
@@ -31,7 +33,6 @@ from ionbridge.motion import (
     _dense_block,
     axial_hamiltonian_matrix,
     hermite_values,
-    lowest_pair,
     symmetric_eigensolve,
 )
 from ionbridge.potentials import axial_interaction
@@ -501,17 +502,6 @@ class TestMatrixFreeSolver:
         assert abs(warm_energy - cold_energy) <= 1e-12 * unit
         assert np.max(np.abs(warm_vector - cold_vector)) <= 1e-10
 
-    def test_warm_started_check_needs_fewer_matvecs(self, monkeypatch):
-        # 2z0 = 16 um, n_max 30: the check solve at 34 from the padded
-        # solution at 30 against the same solve from all ones
-        counts = sa_matvec_counts(monkeypatch)
-        z0 = 8.0e-6
-        config = reference_config("rr", z0=z0)
-        basis_ground_state(config, z0, n_max=30)
-        lowest_pair(config, z0, 34)
-        _, warm, cold = counts
-        assert warm < cold
-
     # The Lanczos start of basis_ground_state is the pair Hamiltonian
     # projected onto products of self-consistent single-atom orbitals
     # (motion._mean_field_start): 11.2 um lies just beyond the collision
@@ -522,7 +512,7 @@ class TestMatrixFreeSolver:
     def test_projected_start_matches_the_all_ones_start(self, pair, n_max, separation_um):
         z0 = 0.5e-6 * separation_um
         config = reference_config(pair, z0=z0)
-        start, _ = motion._mean_field_start(*start_stacks(config, z0, n_max))
+        start = motion._mean_field_start(*start_stacks(config, z0, n_max))
         projected_energy, projected_vector, _ = lowest_pair(config, z0, n_max, start=start)
         ones_energy, ones_vector, _ = lowest_pair(config, z0, n_max)
         unit = cst.HBAR * config.atom_trap.axial
@@ -537,16 +527,16 @@ class TestMatrixFreeSolver:
         config = reference_config("rr", z0=z0)
         basis_ground_state(config, z0, n_max=30)
         lowest_pair(config, z0, 30)
-        projected, _, ones = counts
+        projected, ones = counts
         assert projected < ones
 
     def test_benchmark_jobs_keep_their_application_budget(self, monkeypatch):
-        # the four benchmark density jobs take 38/10/4/32 lowest-pair
-        # applications (solve and check) on a 2-core OpenBLAS host from
-        # starts built on the factor stacks (41/14/4/31 from starts built
-        # on the node grid, 39/17/5/32 with a cross per solve, 42/15/5/35
-        # through the grid action); the quadrature gate is a bound, with
-        # no Lanczos, and each basis size's one cross has rank 6 or 7
+        # the four benchmark density jobs take 20/4/2/16 lowest-pair
+        # applications on a 2-core OpenBLAS host, one Lanczos per basis
+        # size (38/10/4/32 with the former check solve at n + 4, whose
+        # Temple bound now needs one application outside Lanczos); the
+        # quadrature gate is a bound, with no Lanczos, and each basis
+        # size's one cross has rank 6 or 7
         counts = lanczos_counts(monkeypatch)
         cross = motion._cross
         ranks = []
@@ -560,9 +550,9 @@ class TestMatrixFreeSolver:
         for separation_um, n_max in [(12, 30), (16, 30), (24, 30), (12, 40)]:
             z0 = 0.5e-6 * separation_um
             basis_ground_state(reference_config("rr", z0=z0), z0, n_max=n_max)
-        assert len(counts["SA"]) == 8
+        assert len(counts["SA"]) == 4
         assert len(ranks) == 4
-        assert sum(counts["SA"]) <= 97
+        assert sum(counts["SA"]) <= 48
         assert max(ranks) <= 9
 
     @pytest.mark.parametrize("pair", ["rr", "rg"])
@@ -589,32 +579,28 @@ class TestMatrixFreeSolver:
         # or of any other rank; n_max 60 is _MAX_BASIS
         for rank in (0, 2):
             zero = np.zeros((rank, n_max + 1, n_max + 1))
-            start, orbital = motion._mean_field_start(zero, zero)
+            start = motion._mean_field_start(zero, zero)
             assert abs(start[0]) == 1.0
             assert np.max(np.abs(start[1:])) == 0.0
-            assert np.array_equal(np.abs(orbital), np.eye(n_max + 1)[0])
 
     @pytest.mark.parametrize("pair", ["rr", "rg", "gg"])
     @pytest.mark.parametrize("n_max, separation_um", [(n_max, separation_um)
                                                       for n_max in (30, 40)
                                                       for separation_um in (11.2, 12, 16, 24)])
     def test_factor_start_matches_the_node_grid_start(self, pair, n_max, separation_um):
-        # both starts of a basis size, at n and the check's at n + 4 seeded
-        # with the orbital at n, from the operator's factor stacks and from
-        # its order-(4n + 40) node grid through oracles.mean_field_start
+        # the start of a basis size at n, from the leading blocks of the
+        # operator's factor stacks and from its order-(4n + 40) node grid
+        # through oracles.mean_field_start
         z0 = 0.5e-6 * separation_um
         config = reference_config(pair, z0=z0)
         n, big = n_max + 1, n_max + motion._CONVERGENCE_STEP
         _, a, b = motion._pair_solver(config, z0, big, None)
-        start, orbital = motion._mean_field_start(a[:, :n, :n], b[:, :n, :n])
-        check, _ = motion._mean_field_start(a, b, orbital)
+        start = motion._mean_field_start(a[:, :n, :n], b[:, :n, :n])
         fine = motion._quadrature(config, z0, big, 4 * big + _QUAD_MARGIN + 16,
                                   partial(axial_interaction, config=config))
-        expected, nodes = oracles.mean_field_start(fine.q[:, :n], fine.grid)
-        expected_check, _ = oracles.mean_field_start(fine.q, fine.grid, nodes)
-        for got, want in ((start, expected), (check, expected_check)):
-            got, want = unit_lead_positive(got), unit_lead_positive(want)
-            assert np.max(np.abs(got - want)) <= 1e-12
+        expected = oracles.mean_field_start(fine.q[:, :n], fine.grid)
+        got, want = unit_lead_positive(start), unit_lead_positive(expected)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_unstable_quadratic_limit_starts_from_the_bare_product(self, monkeypatch):
         # the start no longer depends on the quadratic limit: its Hartree
@@ -632,29 +618,6 @@ class TestMatrixFreeSolver:
         assert state.energy == expected.energy
         assert np.array_equal(state.coefficients, expected.coefficients)
 
-    def test_check_start_reuses_the_orbital_at_n_max(self, monkeypatch):
-        # the check at n + 4 begins its Hartree iterations from atom 2's
-        # orbital at n, n + 1 coefficients over the leading blocks of the
-        # same stacks
-        z0 = 8.0e-6
-        config = reference_config("rg", z0=z0)
-        build = motion._mean_field_start
-        calls = []
-
-        def recording(a, b, orbital=None):
-            result = build(a, b, orbital)
-            calls.append((a.shape, b.shape, orbital, result[1]))
-            return result
-
-        monkeypatch.setattr(motion, "_mean_field_start", recording)
-        basis_ground_state(config, z0, n_max=30)
-        (first_a, first_b, first_orbital, first_out), (check_a, check_b, check_orbital, _) = calls
-        assert first_a == first_b and check_a == check_b
-        assert first_a[0] == check_a[0]
-        assert (first_a[1:], check_a[1:]) == ((31, 31), (35, 35))
-        assert first_orbital is None and check_orbital is first_out
-        assert first_out.shape == (31,)
-
     @pytest.mark.parametrize("bad", ["overflow", "zero"])
     def test_unusable_start_falls_back_to_all_ones(self, cfg_rg, bad, monkeypatch):
         z0 = cfg_rg.half_separation_z0
@@ -669,15 +632,12 @@ class TestMatrixFreeSolver:
                 return values, 0.0 * vectors
 
             monkeypatch.setattr(np.linalg, "eigh", zero_vectors)
-        start, _ = motion._mean_field_start(a, b)
-        assert start is None
+        assert motion._mean_field_start(a, b) is None
 
     def test_all_ones_fallback_reaches_the_same_ground_state(self, cfg_rg, monkeypatch):
         z0 = cfg_rg.half_separation_z0
         expected = basis_ground_state(cfg_rg, z0, n_max=20)
-        build = motion._mean_field_start
-        monkeypatch.setattr(motion, "_mean_field_start",
-                            lambda a, b, orbital=None: (None, build(a, b, orbital)[1]))
+        monkeypatch.setattr(motion, "_mean_field_start", lambda a, b: None)
         state = basis_ground_state(cfg_rg, z0, n_max=20)
         unit = cst.HBAR * cfg_rg.atom_trap.axial
         assert abs(state.energy - expected.energy) <= 1e-12 * unit
@@ -686,7 +646,7 @@ class TestMatrixFreeSolver:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_largest_basis_passes_both_gates(self):
         # n_max 60 is _MAX_BASIS, the order-264 rule; the ground state at
-        # n_max 56 checks at 60
+        # n_max 56 applies the n_max 60 operator
         z0 = 6.0e-6
         config = reference_config("rr", z0=z0)
         energy, _, drift = lowest_pair(config, z0, 60)
@@ -757,10 +717,103 @@ class TestMatrixFreeSolver:
                                            (float("inf"), ConfigError), (5e293, ConfigError)])
     def test_refused_half_separations_keep_their_errors(self, cfg_rr, z0, error):
         # whatever the start (the Gaussian, the bare product, or all ones
-        # where neither projects to finite numbers), lowest_pair reports
+        # where neither projects to finite numbers), the solver reports
         # the fault
         with pytest.raises(error):
             basis_ground_state(cfg_rr, z0, n_max=4)
+
+
+class TestTempleGate:
+    """basis_ground_state accepts a basis size n when the Temple bound
+    (r + e_hi)^2 / delta, with r the residual of the zero-padded solution
+    under the n + 4 operator and delta = _GAP_FLOOR, lies below 1e-6 of
+    the energy scale; oracles.check_solve is the n + 4 Lanczos solve that
+    the bound replaced."""
+
+    @pytest.mark.parametrize("pair", ["rr", "rg"])
+    @pytest.mark.parametrize("n_max, separation_um", [(50, 11.2), (30, 11.5), (30, 12),
+                                                      (30, 16)])
+    def test_bound_covers_the_check_solve(self, pair, n_max, separation_um):
+        # the energy bound covers the drift the check measured, up to the
+        # rounding of its two Lanczos energies (the whole drift at 16 um),
+        # and (r + e_hi) / delta (Davis-Kahan) covers the change of the
+        # sign-aligned coefficients
+        z0 = 0.5e-6 * separation_um
+        config = reference_config(pair, z0=z0)
+        energy, padded, coupling = padded_solve(config, z0, n_max)
+        check_energy, check_vector = oracles.check_solve(config, z0, n_max)
+        unit = cst.HBAR * config.atom_trap.axial
+        scale = max(abs(check_energy - motion._constant_offset(config)), unit)
+        rounding = 1e-12 * unit / scale
+        assert temple_bound(config, energy, coupling) + rounding >= abs(energy - check_energy) / scale
+        aligned = check_vector * np.sign(padded @ check_vector)
+        assert coupling / motion._GAP_FLOOR >= np.linalg.norm(padded - aligned)
+
+    @pytest.mark.parametrize("pair", ["rr", "rg", "gg"])
+    @pytest.mark.parametrize("n_max, separation_um", [(30, 12), (30, 16), (40, 12)])
+    def test_state_reports_the_bound(self, pair, n_max, separation_um):
+        z0 = 0.5e-6 * separation_um
+        config = reference_config(pair, z0=z0)
+        state = basis_ground_state(config, z0, n_max=n_max)
+        energy, padded, coupling = padded_solve(config, z0, n_max)
+        n = n_max + 1
+        assert state.n_max == n_max and state.energy == energy
+        assert np.array_equal(state.coefficients, padded.reshape(n + 4, n + 4)[:n, :n])
+        assert state.residual == temple_bound(config, energy, coupling) < 1e-6
+
+    @pytest.mark.parametrize("pair", ["rr", "rg"])
+    def test_gap_floor_lies_below_the_exact_gap(self, pair):
+        # 2z0 = 11.2 um at n_max 50 is the accepted case closest to the
+        # collision threshold; its n + 4 operator's gap is 0.62 hbar w_az
+        z0 = 5.6e-6
+        size = 50 + motion._CONVERGENCE_STEP
+        _, a, b = motion._pair_solver(reference_config(pair, z0=z0), z0, size, None)
+        apply = motion._block_operator(a, b, size + 1)
+        dim = (size + 1) ** 2
+        operator = LinearOperator((dim, dim), dtype=float,
+                                  matvec=lambda v: apply(v.reshape(size + 1, size + 1)).ravel())
+        values = eigsh(operator, k=2, which="SA", tol=1e-10, return_eigenvectors=False)
+        gap = np.max(values) - np.min(values)
+        assert motion._GAP_FLOOR < gap < 0.63
+
+    @pytest.mark.parametrize("pair", ["rr", "rg"])
+    def test_stricter_near_the_threshold(self, pair):
+        # the check solve's drift accepted 11.5 um at n_max 30 (8.8e-8 for
+        # rr); the bound reads 1.7e-6 there, so the basis ramps to 50
+        z0 = 5.75e-6
+        assert basis_ground_state(reference_config(pair, z0=z0), z0, n_max=30).n_max == 50
+
+    def test_rg_at_11_2_um_does_not_converge(self):
+        # the drift accepted n_max 50 here (3.8e-8); the bound reads 1.3e-6
+        z0 = 5.6e-6
+        with pytest.raises(AccuracyError, match=r"n_max = 50 \(Temple bound 1\.3e-06\)"):
+            basis_ground_state(reference_config("rg", z0=z0), z0, n_max=30)
+        assert basis_ground_state(reference_config("rr", z0=z0), z0, n_max=30).n_max == 50
+
+    def test_error_names_the_last_basis_size_solved(self):
+        # n_max above the ramp limit solves that basis alone
+        z0 = 5.55e-6
+        with pytest.raises(AccuracyError, match="not converged to 1e-6 at n_max = 56 "):
+            basis_ground_state(reference_config("rr", z0=z0), z0, n_max=56)
+
+
+def padded_solve(config, z0, n_max):
+    """basis_ground_state's solve at n_max: its energy, J, its coefficients
+    zero-padded to the n_max + 4 basis, flat, and r + e_hi."""
+    n, big = n_max + 1, n_max + 1 + motion._CONVERGENCE_STEP
+    solve, a, b = motion._pair_solver(config, z0, big - 1, None)
+    energy, vector, _, coupling = solve(n_max, motion._mean_field_start(a[:, :n, :n],
+                                                                        b[:, :n, :n]))
+    padded = np.zeros((big, big))
+    padded[:n, :n] = vector.reshape(n, n)
+    return energy, padded.ravel(), coupling
+
+
+def temple_bound(config, energy, coupling):
+    """(r + e_hi)^2 / delta relative to max(|E - offset|, hbar w_az)."""
+    unit = cst.HBAR * config.atom_trap.axial
+    scale = max(abs(energy - motion._constant_offset(config)) / unit, 1.0)
+    return coupling**2 / (motion._GAP_FLOOR * scale)
 
 
 def tilt(config):
