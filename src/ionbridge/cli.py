@@ -256,7 +256,7 @@ def cmd_density(args) -> int:
             overwrite=args.overwrite,
         )
         print(f"2z0 = {sep_um:g} um: n_max = {state.n_max}, "
-              f"energy drift {state.residual:.3g}, wrote {path}")
+              f"Temple bound {state.residual:.3g}, wrote {path}")
     return EXIT_OK
 
 

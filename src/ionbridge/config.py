@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import constants as cst
@@ -180,5 +179,8 @@ def reference_config(pair: str = "rr", n: int = 30, z0: float = 8e-6,
     states = {"rr": (rydberg, rydberg), "rg": (rydberg, GROUND), "gg": (GROUND, GROUND)}
     if pair not in states:
         raise ConfigError(f"unknown state pair {pair!r}, expected rr, rg, or gg")
-    return replace(_DEFAULT_CONFIG, half_separation_z0=z0, state_pair=states[pair],
-                   coefficients=replace(_DEFAULT_CONFIG.coefficients, scaling=scaling))
+    d, coefficients = _DEFAULT_CONFIG, _DEFAULT_CONFIG.coefficients
+    return SystemConfig(d.ion, d.ion_trap, d.atom, d.atom_trap, z0, states[pair],
+                        InteractionCoefficients(coefficients.c4_ground,
+                                                coefficients.c6_rydberg_anchor, scaling),
+                        d.ion_mode)

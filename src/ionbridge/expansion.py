@@ -3,10 +3,12 @@
 The expansion is carried out in the trap-centered (primed) coordinates.
 ``effective_frequencies`` gives its closed-form frequency scales: the
 per-atom curvatures, the two-atom couplings and the linear-force scales.
-``phonons`` assembles them into the axial block in atom coordinates and
-the relative/center-of-mass sector forms.  All frequency corrections are
-stored as signed squares so the stability search can bracket sign
-changes.
+Each formula is written once, in one of three pieces (axial, transverse
+and force) that every caller composes, so a caller computes only the
+pieces it reads.  ``phonons`` assembles them into the axial block in
+atom coordinates and the relative/center-of-mass sector forms.  All
+frequency corrections are stored as signed squares so the stability
+search can bracket sign changes.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ _Coefficients = namedtuple("_Coefficients", ["A12_1", "A12_2", "A12_ab",
                                              "A10_1", "A10_2", "A10_ab",
                                              "A6_1", "A6_2", "A4_1", "A4_2",
                                              "c6", "m_a", "w_ar_sq", "w_az_sq"])
-# The coefficients, then the products of them that ``_frequency_squares``
-# forms first, combined once per configuration: the A10 numerators of
+# The coefficients, then the products of them that ``_pieces`` use,
+# combined once per configuration: the A10 numerators of
 # omega_bar_rhoj^2 (rho10_j), the A4 and A10 numerators of omega_bar_zj^2
 # (z4_j, z10_j) and of omega_zz^2 (zz10), those of Omega_j^2 (force4_j,
 # force10_j), 3 C6, 21 C6 and 128 m_a.  A product that overflows is inf,
@@ -53,43 +55,30 @@ def _terms(config: SystemConfig) -> _Terms:
         c4_1, c4_2 = config.c4_pair
         m_a, m_i = config.atom.mass, config.ion.mass
         w_ir_sq, w_iz_sq = config.ion_trap.radial**2, config.ion_trap.axial**2
-        k = _Coefficients(
-            A12_1=16.0 * c4_1**2 / (m_a * m_i * w_ir_sq),
-            A12_2=16.0 * c4_2**2 / (m_a * m_i * w_ir_sq),
-            A12_ab=16.0 * c4_1 * c4_2 / (m_a * m_i * w_ir_sq),
-            A10_1=16.0 * c4_1**2 / (m_a * m_i * w_iz_sq),
-            A10_2=16.0 * c4_2**2 / (m_a * m_i * w_iz_sq),
-            A10_ab=16.0 * c4_1 * c4_2 / (m_a * m_i * w_iz_sq),
-            A6_1=4.0 * c4_1 / m_a,
-            A6_2=4.0 * c4_2 / m_a,
-            A4_1=2.0 * c4_1 / m_a,
-            A4_2=2.0 * c4_2 / m_a,
-            c6=config.c6_pair,
-            m_a=m_a,
-            w_ar_sq=config.atom_trap.radial**2,
-            w_az_sq=config.atom_trap.axial**2,
-        )
+        k = (16.0 * c4_1**2 / (m_a * m_i * w_ir_sq),      # A12_1, A12_2, A12_ab
+             16.0 * c4_2**2 / (m_a * m_i * w_ir_sq),
+             16.0 * c4_1 * c4_2 / (m_a * m_i * w_ir_sq),
+             16.0 * c4_1**2 / (m_a * m_i * w_iz_sq),      # A10_1, A10_2, A10_ab
+             16.0 * c4_2**2 / (m_a * m_i * w_iz_sq),
+             16.0 * c4_1 * c4_2 / (m_a * m_i * w_iz_sq),
+             4.0 * c4_1 / m_a, 4.0 * c4_2 / m_a,          # A6_1, A6_2
+             2.0 * c4_1 / m_a, 2.0 * c4_2 / m_a,          # A4_1, A4_2
+             config.c6_pair, m_a, config.atom_trap.radial**2, config.atom_trap.axial**2)
     except (OverflowError, ZeroDivisionError):
         k = None
     if k is None or not all(map(math.isfinite, k)):
         raise ConfigError("the configured masses, trap frequencies, C4 or C6 put the "
                           "expansion coefficients out of the float range")
+    _, _, _, A10_1, A10_2, A10_ab, _, _, A4_1, A4_2, c6, m_a, _, _ = k
     return _Terms(
         *k,
-        rho10_1=6.0 * (k.A10_1 - k.A10_ab),
-        rho10_2=6.0 * (k.A10_2 - k.A10_ab),
-        z4_1=10.0 * k.A4_1,
-        z4_2=10.0 * k.A4_2,
-        z10_1=55.0 * k.A10_1 - 30.0 * k.A10_ab,
-        z10_2=55.0 * k.A10_2 - 30.0 * k.A10_ab,
-        zz10=-25.0 * k.A10_ab,
-        force4_1=2.0 * k.A4_1,
-        force4_2=2.0 * k.A4_2,
-        force10_1=5.0 * (k.A10_1 - k.A10_ab),
-        force10_2=5.0 * (k.A10_2 - k.A10_ab),
-        c6x3=3.0 * k.c6,
-        c6x21=21.0 * k.c6,
-        m_ax128=128.0 * k.m_a,
+        6.0 * (A10_1 - A10_ab), 6.0 * (A10_2 - A10_ab),       # rho10_j
+        10.0 * A4_1, 10.0 * A4_2,                             # z4_j
+        55.0 * A10_1 - 30.0 * A10_ab, 55.0 * A10_2 - 30.0 * A10_ab,   # z10_j
+        -25.0 * A10_ab,                                       # zz10
+        2.0 * A4_1, 2.0 * A4_2,                               # force4_j
+        5.0 * (A10_1 - A10_ab), 5.0 * (A10_2 - A10_ab),       # force10_j
+        3.0 * c6, 21.0 * c6, 128.0 * m_a,
     )
 
 
@@ -124,30 +113,48 @@ def _half_separation(z0):
     return z0
 
 
-def _frequency_squares(t: _Terms, z0):
-    """The fields of EffectiveFrequencies at z0, in their order.  Only
-    + - * / and ** act on z0, so it may be a float or an ndarray."""
+def _pieces(t: _Terms):
+    """The EffectiveFrequencies fields of ``t`` in three pieces, as closures
+    (powers, axial, transverse, force) over its terms.  powers(z0) gives
+    (z0^6, z0^12, 128 m_a z0^8); from those, axial gives (omega_bar_z1^2,
+    omega_bar_z2^2, omega_prime_z^2, omega_zz^2), transverse the rho and xy
+    ones in that order, and force (Omega_1^2, Omega_2^2).  Only + - * / and
+    ** act on z0, so it may be a float or an ndarray."""
     (A12_1, A12_2, A12_ab, _, _, _, A6_1, A6_2, _, _, _, _, w_ar_sq, w_az_sq,
      rho10_1, rho10_2, z4_1, z4_2, z10_1, z10_2, zz10,
      force4_1, force4_2, force10_1, force10_2, c6x3, c6x21, m_ax128) = t
-    z6 = z0**6
-    z12 = z0**12
-    c6_den = m_ax128 * z0**8
-    c6_rho = c6x3 / c6_den
-    c6_z = c6x21 / c6_den
-    wbr1 = w_ar_sq + A6_1 / z6 - A12_1 / z12 + rho10_1 / z12 + c6_rho
-    wbr2 = w_ar_sq + A6_2 / z6 - A12_2 / z12 + rho10_2 / z12 + c6_rho
-    wbz1 = w_az_sq - z4_1 / z6 - z10_1 / z12 - c6_z
-    wbz2 = w_az_sq - z4_2 / z6 - z10_2 / z12 - c6_z
-    return (
-        wbr1, wbr2, wbz1, wbz2,
-        0.5 * (wbr1 + wbr2),
-        0.5 * (wbz1 + wbz2),
-        A12_ab / z12 + c6_rho,
-        zz10 / z12 + c6_z,
-        force4_1 / z6 + force10_1 / z12 + 2.0 * c6_rho,
-        force4_2 / z6 + force10_2 / z12 + 2.0 * c6_rho,
-    )
+
+    def powers(z0):
+        return z0**6, z0**12, m_ax128 * z0**8
+
+    def axial(z6, z12, c6_den):
+        c6_z = c6x21 / c6_den
+        wbz1 = w_az_sq - z4_1 / z6 - z10_1 / z12 - c6_z
+        wbz2 = w_az_sq - z4_2 / z6 - z10_2 / z12 - c6_z
+        return wbz1, wbz2, 0.5 * (wbz1 + wbz2), zz10 / z12 + c6_z
+
+    def transverse(z6, z12, c6_den):
+        c6_rho = c6x3 / c6_den
+        wbr1 = w_ar_sq + A6_1 / z6 - A12_1 / z12 + rho10_1 / z12 + c6_rho
+        wbr2 = w_ar_sq + A6_2 / z6 - A12_2 / z12 + rho10_2 / z12 + c6_rho
+        return wbr1, wbr2, 0.5 * (wbr1 + wbr2), A12_ab / z12 + c6_rho
+
+    def force(z6, z12, c6_den):
+        c6_rho = c6x3 / c6_den
+        return (force4_1 / z6 + force10_1 / z12 + 2.0 * c6_rho,
+                force4_2 / z6 + force10_2 / z12 + 2.0 * c6_rho)
+
+    return powers, axial, transverse, force
+
+
+def _frequency_squares(t: _Terms, z0):
+    """The fields of EffectiveFrequencies at z0, in their order: the
+    ``_pieces`` of ``t`` put together."""
+    powers, axial, transverse, force = _pieces(t)
+    p = powers(z0)
+    wbz1, wbz2, wpz, wzz = axial(*p)
+    wbr1, wbr2, wpr, wxy = transverse(*p)
+    return (wbr1, wbr2, wbz1, wbz2, wpr, wpz, wxy, wzz) + force(*p)
 
 
 def effective_frequencies(config: SystemConfig, z0) -> EffectiveFrequencies:

@@ -282,29 +282,24 @@ def characteristic_scales(config: SystemConfig) -> CharacteristicScales:
         mu_aa = 0.5 * m_a
         r_aa = (2.0 * c6 * mu_aa / hbar**2) ** 0.25 if c6 > 0.0 else 0.0
 
-        scales = CharacteristicScales(
-            a_z=math.sqrt(hbar / (m_a * config.atom_trap.axial)),
-            a_rho=math.sqrt(hbar / (m_a * config.atom_trap.radial)),
-            L_i=math.sqrt(hbar / (m_i * wbar_i)),
-            L_a=math.sqrt(hbar / (m_a * wbar_a)),
-            T_i=cst.TWO_PI / wbar_i,
-            T_a=cst.TWO_PI / wbar_a,
-            R_ia_star=r_ia,
-            R_aa_star=r_aa,
-            eta=math.sqrt(m_i / m_a) * math.sqrt(wbar_a / wbar_i),
-        )
-        may_vanish = {"R_ia_star": c4 == 0.0, "R_aa_star": c6 == 0.0}
+        # the CharacteristicScales fields in order, and whether each may be 0
+        values = (math.sqrt(hbar / (m_a * config.atom_trap.axial)),
+                  math.sqrt(hbar / (m_a * config.atom_trap.radial)),
+                  math.sqrt(hbar / (m_i * wbar_i)), math.sqrt(hbar / (m_a * wbar_a)),
+                  cst.TWO_PI / wbar_i, cst.TWO_PI / wbar_a, r_ia, r_aa,
+                  math.sqrt(m_i / m_a) * math.sqrt(wbar_a / wbar_i))
+        may_vanish = (False,) * 6 + (c4 == 0.0, c6 == 0.0, False)
         frequencies = (config.atom_trap.radial, config.atom_trap.axial,
                        config.ion_trap.radial, config.ion_trap.axial)
         in_range = (all(w * w >= sys.float_info.min for w in frequencies)
-                    and all((value > 0.0 or may_vanish.get(name, False)) and value < math.inf
-                            for name, value in vars(scales).items()))
+                    and all((value > 0.0 or vanish) and value < math.inf
+                            for value, vanish in zip(values, may_vanish)))
     except (OverflowError, ZeroDivisionError):
         in_range = False
     if not in_range:
         raise ConfigError("the configured masses, trap frequencies, C4 or C6 put the "
                           "characteristic scales out of the float range")
-    return scales
+    return CharacteristicScales(*values)
 
 
 def validate(config: SystemConfig) -> list[str]:

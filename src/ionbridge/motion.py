@@ -54,7 +54,7 @@ from . import constants as cst
 from .errors import AccuracyError, ConfigError, InstabilityError
 from .expansion import _half_separation
 from .model import SystemConfig, characteristic_scales
-from .phonons import _axial_shift, _expansion_at, _rotation, _sector_entries
+from .phonons import _axial_entries, _axial_shift, _expansion_at, _rotation
 from .potentials import axial_interaction
 
 __all__ = [
@@ -638,14 +638,13 @@ def gaussian_ground_state(config: SystemConfig, z0: float) -> CorrelatedGaussian
     convention, so the density along a normal axis u is proportional to
     exp(-u^2 / sigma^2).
     """
-    squares, (stretch, com, _, _) = _expansion_at(config, z0)
-    (a, _), (b, _), (c, _) = _sector_entries(squares)
-    mean, disc, theta = _rotation(a, b, c)
+    axial, force, (stretch, com, _, _) = _expansion_at(config, z0)
+    mean, disc, theta = _rotation(*_axial_entries(*axial))
     if not (np.all(stretch > 0.0) and np.all(com > 0.0) and mean - disc > 0.0):
         raise InstabilityError(
             f"configuration unstable at 2z0 = {2.0 * z0:.4g} m, no Gaussian ground state"
         )
-    dz1, dz2 = _axial_shift(squares, z0)
+    dz1, dz2 = _axial_shift(axial, force, z0)
     # (-sin, cos) and (cos, sin) in the (relative, com) frame, taken to (z1, z2)
     cos, sin = math.cos(theta) / math.sqrt(2.0), math.sin(theta) / math.sqrt(2.0)
     axes = _lead_positive(np.array([[cos - sin, cos + sin], [cos + sin, sin - cos]]))

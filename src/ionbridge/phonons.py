@@ -7,7 +7,10 @@ label the branches.  Eigenvalues are signed squared frequencies; a
 negative value marks an unstable (in practice collisional)
 configuration.  The critical separation is the bisection root of the
 smallest squared frequency, found and labeled on Python floats by scalar
-twins of the array kernel.  The axial block in atom coordinates,
+twins of the array kernel; each step needs only its sign, and forms the
+transverse sector only where the axial lower eigenvalue is at least 0.
+Each caller composes the ``expansion`` pieces it reads: the sweep forms
+no force scale.  The axial block in atom coordinates,
 [[omega_bar_z1^2, omega_zz^2], [omega_zz^2, omega_bar_z2^2]], gives the
 equilibrium shift, and ``_rotation`` the Gaussian ground state of ``motion``.
 """
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InstabilityError, NotBracketedError
-from .expansion import _frequency_squares, _half_separation, _terms
+from .expansion import _half_separation, _pieces, _terms
 from .model import SystemConfig, require_valid
 
 __all__ = [
@@ -98,6 +101,8 @@ def _diagonalize_sector(a, b, c, bare_sq):
 
     # Atom-local eigenvectors carry no label: compare with the bare trap.
     tie = np.abs(np.sin(theta) ** 2 - 0.5) < _TIE_WEIGHT
+    if not tie.any():
+        return lam_rel, lam_com, theta, lam_com < lam_rel
     rel_is_com = tie & (np.abs(lam_rel - bare_sq) <= np.abs(lam_com - bare_sq))
     stretch = np.where(rel_is_com, lam_com, lam_rel)
     com = np.where(rel_is_com, lam_rel, lam_com)
@@ -105,44 +110,55 @@ def _diagonalize_sector(a, b, c, bare_sq):
     return stretch, com, theta, com_first
 
 
-def _sector_entries(squares):
-    """Entries (a, b, c) of each sector's form from the EffectiveFrequencies
-    fields ``squares``, every one an (axial, transverse) pair."""
-    wbr1, wbr2, wbz1, wbz2, wpr, wpz, wxy, wzz, _, _ = squares
-    return ((wpz - wzz, wpr + wxy), (wpz + wzz, wpr - wxy),
-            (0.5 * (wbz1 - wbz2), 0.5 * (wbr1 - wbr2)))
+def _axial_entries(wbz1, wbz2, wpz, wzz):
+    """Entries (a, b, c) of the axial sector's form from the axial piece of
+    ``expansion._pieces``."""
+    return wpz - wzz, wpz + wzz, 0.5 * (wbz1 - wbz2)
+
+
+def _transverse_entries(wbr1, wbr2, wpr, wxy):
+    """Entries (a, b, c) of the transverse sector's form from the transverse
+    piece of ``expansion._pieces``."""
+    return wpr + wxy, wpr - wxy, 0.5 * (wbr1 - wbr2)
 
 
 def _branches(t, z0):
-    """The EffectiveFrequencies fields at half-separations z0, and
-    ``_diagonalize_sector`` of both sectors there: each of its results has
-    shape (2,) + shape(z0), axial first.  z0 is ``mode_sweep``'s ndarray
-    or ``_expansion_at``'s float64.  Beyond the float range of z0^12 every
-    correction is 0 and the bare trap remains.  ConfigError when the
-    branches leave the float range; the force scales Omega_j^2 share their
-    terms with omega_bar_zj^2, so they are finite too."""
+    """``_diagonalize_sector`` of both sectors at half-separations z0, from
+    the axial and transverse pieces (``expansion._pieces``) of ``_terms`` t:
+    each of its results has shape (2,) + shape(z0), axial first.  z0 is
+    ``mode_sweep``'s ndarray or a float64.  Beyond the float range of z0^12
+    every correction is 0 and the bare trap remains.  ConfigError when the
+    branches leave the float range."""
+    powers, axial, transverse, _ = _pieces(t)
     with np.errstate(all="ignore"):
-        squares = _frequency_squares(t, z0)
-        a, b, c = (np.array(pair) for pair in _sector_entries(squares))
+        p = powers(z0)
+        a, b, c = (np.array(pair) for pair in zip(_axial_entries(*axial(*p)),
+                                                  _transverse_entries(*transverse(*p))))
         bare = np.reshape([t.w_az_sq, t.w_ar_sq], (2,) + (1,) * np.ndim(z0))
         branches = _diagonalize_sector(a, b, c, bare)
     if not np.all(np.isfinite(branches[:3])):
         raise ConfigError("the quadratic expansion leaves the float range between "
                           f"2z0 = {2.0 * np.min(z0):.3g} and {2.0 * np.max(z0):.3g} m")
-    return squares, branches
+    return branches
 
 
 def _expansion_at(config: SystemConfig, z0: float):
-    """``_branches`` of a configuration at one half-separation z0, with the
-    EffectiveFrequencies fields as Python floats and branches of shape (2,);
-    ConfigError unless z0 is positive and finite."""
-    squares, branches = _branches(_terms(config), _half_separation(z0))
-    return tuple(map(float, squares)), branches
+    """The axial and the force piece (``expansion._pieces``) of a
+    configuration at one half-separation z0 in Python floats, and its
+    ``_branches`` there, of shape (2,); ConfigError unless z0 is positive
+    and finite.  The force scales Omega_j^2 share their terms with
+    omega_bar_zj^2, so they are finite where the branches are."""
+    t, z0 = _terms(config), _half_separation(z0)
+    powers, axial, _, force = _pieces(t)
+    with np.errstate(all="ignore"):
+        p = powers(z0)
+        pieces = tuple(map(float, axial(*p))), tuple(map(float, force(*p)))
+    return pieces + (_branches(t, z0),)
 
 
 def phonon_spectrum(config: SystemConfig, z0: float) -> PhononSpectrum:
     """Normal modes of the quadratic expansion at half-separation z0."""
-    _, (stretch, com, angle, com_first) = _expansion_at(config, z0)
+    stretch, com, angle, com_first = _branches(_terms(config), _half_separation(z0))
     pairs = []
     for k in range(2):
         s = ModeBranch(float(stretch[k]), float(angle[k]), "stretch")
@@ -186,12 +202,39 @@ def _lower_character(a: float, b: float, c: float, bare_sq: float) -> str | None
     return "com" if com < stretch or (com == stretch and rel_is_com) else "stretch"
 
 
-def _min_omega_sq(t, separation: float) -> float:
-    """Smallest squared mode frequency at one separation, from ``_terms``:
-    the lower of the two sectors' lower eigenvalues, in Python floats."""
-    (a_ax, a_tr), (b_ax, b_tr), (c_ax, c_tr) = _sector_entries(
-        _frequency_squares(t, 0.5 * separation))
-    return min(_lower_eigenvalue(a_ax, b_ax, c_ax), _lower_eigenvalue(a_tr, b_tr, c_tr))
+def _scalar_sectors(t):
+    """The stability search's closures over the ``expansion._pieces`` of
+    ``_terms`` t, in Python floats.  sectors(z0) gives the (a, b, c, bare_sq)
+    of the axial, then the transverse sector's form at a half-separation z0.
+    unstable(separation) is the bisection step: whether ``_min_omega_sq`` is
+    negative at a full separation, bit for bit, as min(axial, transverse) < 0
+    decides it.  The axial sector decides alone unless its lower eigenvalue
+    is at least 0, and a NaN there is stable."""
+    powers, axial, transverse, _ = _pieces(t)
+    w_az_sq, w_ar_sq = t.w_az_sq, t.w_ar_sq
+
+    def sectors(z0: float):
+        p = powers(z0)
+        return ((*_axial_entries(*axial(*p)), w_az_sq),
+                (*_transverse_entries(*transverse(*p)), w_ar_sq))
+
+    def unstable(separation: float) -> bool:
+        z6, z12, c6_den = powers(0.5 * separation)
+        a, b, c = _axial_entries(*axial(z6, z12, c6_den))
+        lower = _lower_eigenvalue(a, b, c)
+        if not lower >= 0.0:
+            return lower < 0.0
+        a, b, c = _transverse_entries(*transverse(z6, z12, c6_den))
+        return _lower_eigenvalue(a, b, c) < 0.0
+
+    return sectors, unstable
+
+
+def _min_omega_sq(sectors, separation: float) -> float:
+    """Smallest squared mode frequency at one separation, from the sectors
+    closure of ``_scalar_sectors``: the lower of the two sectors' lower
+    eigenvalues, in Python floats."""
+    return min(_lower_eigenvalue(a, b, c) for a, b, c, _ in sectors(0.5 * separation))
 
 
 def critical_separation(config: SystemConfig) -> StabilityResult:
@@ -208,10 +251,10 @@ def critical_separation(config: SystemConfig) -> StabilityResult:
     range there.  No numpy code runs.
     """
     require_valid(config)
-    t = _terms(config)
+    sectors, unstable = _scalar_sectors(_terms(config))
     lo, hi = 1e-6, 40e-6
-    f_lo = _min_omega_sq(t, lo)
-    f_hi = _min_omega_sq(t, hi)
+    f_lo = _min_omega_sq(sectors, lo)
+    f_hi = _min_omega_sq(sectors, hi)
     if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
         raise ConfigError("the quadratic expansion leaves the float range in the "
                           f"bracket [{lo:.3g}, {hi:.3g}] m")
@@ -224,7 +267,7 @@ def critical_separation(config: SystemConfig) -> StabilityResult:
         )
     while hi - lo > 1e-13:
         mid = 0.5 * (lo + hi)
-        if _min_omega_sq(t, mid) < 0.0:
+        if unstable(mid):
             lo = mid
         else:
             hi = mid
@@ -232,12 +275,12 @@ def critical_separation(config: SystemConfig) -> StabilityResult:
 
     # The lower branch of the softer sector, axial on a tie.
     z0 = 0.5 * critical * (1.0 - 1e-6)
-    sectors = tuple(zip(*_sector_entries(_frequency_squares(t, z0)), (t.w_az_sq, t.w_ar_sq)))
-    characters = [_lower_character(*sector) for sector in sectors]
+    forms = sectors(z0)
+    characters = [_lower_character(*form) for form in forms]
     if None in characters:
         raise ConfigError("the quadratic expansion leaves the float range between "
                           f"2z0 = {2.0 * z0:.3g} and {2.0 * z0:.3g} m")
-    lower = [_lower_eigenvalue(a, b, c) for a, b, c, _ in sectors]
+    lower = [_lower_eigenvalue(a, b, c) for a, b, c, _ in forms]
     k = int(lower[1] < lower[0])
     return StabilityResult(critical_2z0=critical,
                            limiting_branch=f"{('axial', 'transverse')[k]}-{characters[k]}")
@@ -253,7 +296,7 @@ def mode_sweep(config: SystemConfig, separations) -> dict[str, np.ndarray]:
     if steps.size and not (np.all(steps > 0.0) or np.all(steps < 0.0)):
         raise ConfigError("separation grid must be monotone")
 
-    _, (stretch, com, angle, _) = _branches(_terms(config), 0.5 * separations)
+    stretch, com, angle, _ = _branches(_terms(config), 0.5 * separations)
     return {
         "separation": separations.copy(),
         "axial_stretch_sq": stretch[0],
@@ -266,11 +309,13 @@ def mode_sweep(config: SystemConfig, separations) -> dict[str, np.ndarray]:
     }
 
 
-def _axial_shift(squares, z0: float) -> tuple[float, float]:
+def _axial_shift(axial, force, z0: float) -> tuple[float, float]:
     """Solution (dz1, dz2) of the axial block d = (-z0 Omega_1^2, z0 Omega_2^2)
-    by Cramer's rule, m, from the EffectiveFrequencies fields ``squares``: the
-    force per unit mass at the trap centers; InstabilityError unless positive definite."""
-    _, _, a, b, _, _, _, c, o1_sq, o2_sq = squares
+    by Cramer's rule, m, from the axial and the force piece of
+    ``expansion._pieces``: the force per unit mass at the trap centers;
+    InstabilityError unless positive definite."""
+    a, b, _, c = axial
+    o1_sq, o2_sq = force
     det = a * b - c * c
     if not (a > 0.0 and det > 0.0):
         raise InstabilityError(
@@ -287,5 +332,5 @@ def equilibrium_shift(config: SystemConfig, z0: float) -> tuple[float, float]:
     axial block in atom coordinates.  Both atoms are pulled toward the
     ion; for identical states the shifts are exactly opposite.
     """
-    squares, _ = _expansion_at(config, z0)
-    return _axial_shift(squares, z0)
+    axial, force, _ = _expansion_at(config, z0)
+    return _axial_shift(axial, force, z0)

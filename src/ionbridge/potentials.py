@@ -204,10 +204,11 @@ def axial_bo_curve(z_grid, mu: IonModeIndex, config: SystemConfig,
     center -z0 and atom 1 at -z0 + z ("atom2-fixed").  Columns hold
     V - E0 for the rr, rg, and gg state pairs built from the configured
     Rydberg level, on ``axial_interaction``'s path: the geometry and its
-    checks once, then each pair's energy from E0, minus E0.  That rounds
-    to the spacing of E0 (9e-44 J at 7.3e-28 J), so V_gg (2e-37 to 3e-34 J)
-    keeps only about 7 significant digits; the subtraction is kept until
-    the ``bo-curve`` digests are taken again.
+    checks once, then one ``_energy`` over (3, 1) columns of the pairs' C4_1,
+    C4_2 and C6, which is each pair's energy from E0 element by element,
+    minus E0.  That rounds to the spacing of E0 (9e-44 J at 7.3e-28 J), so
+    V_gg (2e-37 to 3e-34 J) keeps only about 7 significant digits; the
+    subtraction is kept until the ``bo-curve`` digests are taken again.
     """
     if placement not in ("symmetric", "atom2-fixed"):
         raise ConfigError(f"unknown placement {placement!r}")
@@ -225,7 +226,10 @@ def axial_bo_curve(z_grid, mu: IonModeIndex, config: SystemConfig,
 
     e0 = mu.bare_energy(config.ion_trap)
     c4, c6 = config.coefficients.c4, config.coefficients.c6
+    pairs = config.named_pairs()
+    columns = np.array([(c4(a), c4(b), c6(a, b)) for a, b in pairs.values()]).T
+    c4_1, c4_2, c6_ab = columns.reshape(columns.shape + (1,) * z_grid.ndim)
+    energies = _energy(e0, z1, z2, distances, c4_1, c4_2, c6_ab, config) - e0
     out: dict[str, np.ndarray] = {"z": z_grid.copy()}
-    for name, (a, b) in config.named_pairs().items():
-        out["V_" + name] = _energy(e0, z1, z2, distances, c4(a), c4(b), c6(a, b), config) - e0
+    out.update(("V_" + name, energy) for name, energy in zip(pairs, energies))
     return out

@@ -15,6 +15,10 @@ operator: the interaction block applied through the whole node grid,
 and ``mean_field_start`` its former Lanczos start, built on that grid.
 ``check_solve`` is the ground-state convergence check that the Temple
 bound replaced: a second Lanczos solve on the n_max + 4 basis.
+``branches`` is the former array kernel of the phonon modes, which formed
+every EffectiveFrequencies field and ran the tie relabelling everywhere,
+and ``axial_bo_curve`` the former curve loop, one ``_energy`` per pair;
+the library's kernels must equal them byte for byte.
 """
 
 import math
@@ -42,8 +46,9 @@ from ionbridge.motion import (
     _mean_field_start,
     _pair_solver,
 )
-from ionbridge.phonons import _TIE_WEIGHT, ModeBranch, PhononSpectrum
-from ionbridge.potentials import _squared_distances
+from ionbridge.expansion import _terms
+from ionbridge.phonons import _TIE_WEIGHT, ModeBranch, PhononSpectrum, _rotation
+from ionbridge.potentials import _energy, _squared_distances
 
 
 def diagonalize_sector(a, b, c, bare_sq):
@@ -171,6 +176,75 @@ def mode_sweep(config, separations):
     names = ("axial_stretch_sq", "axial_com_sq", "transverse_stretch_sq",
              "transverse_com_sq", "axial_angle", "transverse_angle", "stable")
     return {name: np.array(column) for name, column in zip(names, zip(*rows))}
+
+
+def branches(config, z0):
+    """The EffectiveFrequencies fields at half-separations z0 (an ndarray or
+    a float64) and both sectors' (stretch, com, angle, com_first), each of
+    shape (2,) + shape(z0), axial first: the array kernel as it was while it
+    formed every field, force scales included, in one expression list and
+    ran the tie relabelling whether or not any element was a tie."""
+    (A12_1, A12_2, A12_ab, _, _, _, A6_1, A6_2, _, _, _, _, w_ar_sq, w_az_sq,
+     rho10_1, rho10_2, z4_1, z4_2, z10_1, z10_2, zz10,
+     force4_1, force4_2, force10_1, force10_2, c6x3, c6x21, m_ax128) = _terms(config)
+    with np.errstate(all="ignore"):
+        z6 = z0**6
+        z12 = z0**12
+        c6_den = m_ax128 * z0**8
+        c6_rho = c6x3 / c6_den
+        c6_z = c6x21 / c6_den
+        wbr1 = w_ar_sq + A6_1 / z6 - A12_1 / z12 + rho10_1 / z12 + c6_rho
+        wbr2 = w_ar_sq + A6_2 / z6 - A12_2 / z12 + rho10_2 / z12 + c6_rho
+        wbz1 = w_az_sq - z4_1 / z6 - z10_1 / z12 - c6_z
+        wbz2 = w_az_sq - z4_2 / z6 - z10_2 / z12 - c6_z
+        wpr, wpz = 0.5 * (wbr1 + wbr2), 0.5 * (wbz1 + wbz2)
+        wxy, wzz = A12_ab / z12 + c6_rho, zz10 / z12 + c6_z
+        squares = (wbr1, wbr2, wbz1, wbz2, wpr, wpz, wxy, wzz,
+                   force4_1 / z6 + force10_1 / z12 + 2.0 * c6_rho,
+                   force4_2 / z6 + force10_2 / z12 + 2.0 * c6_rho)
+        a, b, c = (np.array(pair) for pair in ((wpz - wzz, wpr + wxy), (wpz + wzz, wpr - wxy),
+                                               (0.5 * (wbz1 - wbz2), 0.5 * (wbr1 - wbr2))))
+        bare = np.reshape([w_az_sq, w_ar_sq], (2,) + (1,) * np.ndim(z0))
+        return squares, diagonalize_sectors(a, b, c, bare)
+
+
+def diagonalize_sectors(a, b, c, bare_sq):
+    """``phonons._diagonalize_sector`` with the tie relabelling run on every
+    element, as it was before it skipped the relabelling where no element
+    is a tie."""
+    mean, disc, theta = _rotation(a, b, c)
+    high = theta > 0.25 * np.pi
+    low = theta <= -0.25 * np.pi
+    flipped = high | low
+    theta = np.where(high, theta - 0.5 * np.pi, np.where(low, theta + 0.5 * np.pi, theta))
+    exact = c == 0.0
+    theta = np.where(exact, 0.0, theta)
+    lam_rel = np.where(exact, a, np.where(flipped, mean - disc, mean + disc))
+    lam_com = np.where(exact, b, np.where(flipped, mean + disc, mean - disc))
+    tie = np.abs(np.sin(theta) ** 2 - 0.5) < _TIE_WEIGHT
+    rel_is_com = tie & (np.abs(lam_rel - bare_sq) <= np.abs(lam_com - bare_sq))
+    stretch = np.where(rel_is_com, lam_com, lam_rel)
+    com = np.where(rel_is_com, lam_rel, lam_com)
+    com_first = (com < stretch) | ((com == stretch) & rel_is_com)
+    return stretch, com, theta, com_first
+
+
+def axial_bo_curve(z_grid, mu, config, placement="symmetric"):
+    """``potentials.axial_bo_curve`` as it was while it took one ``_energy``
+    per state pair, on a one-dimensional positive grid."""
+    z_grid = np.asarray(z_grid, dtype=float)
+    if placement == "symmetric":
+        z1, z2 = 0.5 * z_grid, -0.5 * z_grid
+    else:
+        z2 = np.asarray(-config.half_separation_z0)
+        z1 = z2 + z_grid
+    distances = _squared_distances(z1, z2, np.square)
+    e0 = mu.bare_energy(config.ion_trap)
+    c4, c6 = config.coefficients.c4, config.coefficients.c6
+    out = {"z": z_grid.copy()}
+    for name, (a, b) in config.named_pairs().items():
+        out["V_" + name] = _energy(e0, z1, z2, distances, c4(a), c4(b), c6(a, b), config) - e0
+    return out
 
 
 def min_omega_sq(config, separation):

@@ -36,11 +36,11 @@ CASES = [
      "72ed58a79821c34ee4ad3d88c7ebde38046f37b18b880863c54def2165609d40"),
     ("gauge --max-n 3 --out {out}", 0,
      "cc6b3198f335307baede21ddf920752aff932b15f5e6b9c7e55f794bffd19ed4"),
-    # prints its Temple bound, 3.33e-11, to 3 digits as the energy drift:
-    # the square of the n_max 8 state's coupling to the n_max 12 basis, not
-    # a difference of two rounded energies; the same at 1 and 2 OpenBLAS threads
+    # prints its Temple bound, 3.33e-11, to 3 digits under that name: the
+    # square of the n_max 8 state's coupling to the n_max 12 basis, not a
+    # difference of two rounded energies; the same at 1 and 2 OpenBLAS threads
     ("density --separations-um 16 --n-max 8 --points 41 --out {out}", 0,
-     "a3f7c271f28811f76cf57a705c4d6580149917e56e59391f07fbe855abff393a"),
+     "9d5024c5cde67a1e4849a63a22460cf9426d00fc65e9fe980a797008f4302e73"),
     # printing commands without a table
     ("scales", 0,
      "bf66e68bf29dab5104adafba2331877ba2d7f212546a5f1983da022b1a0e51d3"),

@@ -95,22 +95,29 @@ def test_quadrature_rules_have_one_owner():
 
 def test_critical_separation_runs_no_numpy():
     # the bisection and its limiting-branch label stay on Python floats:
-    # neither critical_separation nor a phonons helper that it reaches
+    # neither critical_separation nor a function that it reaches, in phonons
+    # or in a module phonons imports from (the expansion pieces among them),
     # calls the array kernel _branches or touches an np. attribute
-    tree = ast.parse((PACKAGE / "phonons.py").read_text())
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    functions = {}
+    for module in ["phonons"] + sorted(relative_imports(PACKAGE / "phonons.py")):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                functions.setdefault(node.name, (module, node))
     reached, todo, found = set(), ["critical_separation"], []
     while todo:
         name = todo.pop()
         if name in reached:
             continue
         reached.add(name)
-        for node in ast.walk(functions[name]):
+        module, function = functions[name]
+        for node in ast.walk(function):
             if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "np":
-                found.append(f"{name}:{node.lineno} np.{node.attr}")
+                found.append(f"{module}.{name}:{node.lineno} np.{node.attr}")
             elif isinstance(node, ast.Name) and node.id in functions:
                 if node.id == "_branches":
-                    found.append(f"{name}:{node.lineno} _branches")
+                    found.append(f"{module}.{name}:{node.lineno} _branches")
                 todo.append(node.id)
     assert found == []
-    assert "_lower_character" in reached
+    assert {"_lower_character", "_scalar_sectors", "_pieces", "_terms", "require_valid",
+            "characteristic_scales"} <= reached

@@ -29,10 +29,13 @@ from ionbridge import constants as cst, phonons
 from ionbridge.expansion import _Coefficients, _terms
 from ionbridge.model import ElectronicState, TrapFrequencies
 from ionbridge.phonons import (
+    _branches,
     _diagonalize_sector,
+    _expansion_at,
     _lower_character,
     _lower_eigenvalue,
     _min_omega_sq,
+    _scalar_sectors,
 )
 
 SWEEP_GRID = np.linspace(5.0, 40.0, 351) * 1e-6  # reaches below every threshold
@@ -50,6 +53,32 @@ def kernel_configs():
         configs.append(dataclasses.replace(configs[0], state_pair=states,
                                            coefficients=attractive))
     return configs
+
+
+def assert_same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def config_id(config):
+    return ("-".join(s.label() for s in config.state_pair) + "/" + config.coefficients.scaling
+            + ("/soft" if config.ion_trap.radial < 1e5 else ""))
+
+
+def sector_root(config, sector):
+    """(lo, hi) within 1e-13 m around the separation where the lower squared
+    frequency of ``sector`` changes sign, by bisecting the scalar oracle
+    between 1 and 40 um; None where it does not change sign there."""
+    def lower(sep):
+        return min(m.omega_sq for m in getattr(oracles.phonon_spectrum(config, 0.5 * sep), sector))
+    lo, hi = 1e-6, 40e-6
+    if not lower(lo) < 0.0 < lower(hi):
+        return None
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if lower(mid) < 0.0 else (lo, mid)
+    return lo, hi
 
 
 def transverse_limited(config):
@@ -161,15 +190,20 @@ class TestCriticalSeparation:
         # range error, never a label
         crit = critical_separation(cfg_rr).critical_2z0
         label_z0 = 0.5 * crit * (1.0 - 1e-6)
-        frequency_squares = phonons._frequency_squares
-        # omega_bar_rho1^2 enters only the transverse entries, omega_bar_z1^2 the axial c
-        for field, bad in itertools.product((0, 2), (math.inf, -math.inf, math.nan)):
-            def patched(t, z0, field=field, bad=bad):
-                squares = list(frequency_squares(t, z0))
-                if z0 == label_z0:
-                    squares[field] = bad
-                return tuple(squares)
-            monkeypatch.setattr(phonons, "_frequency_squares", patched)
+        pieces = phonons._pieces
+        # omega_bar_z1^2 leads the axial piece and enters only the axial c,
+        # omega_bar_rho1^2 leads the transverse one and enters only its entries
+        for k, bad in itertools.product((1, 2), (math.inf, -math.inf, math.nan)):
+            def patched(t, k=k, bad=bad):
+                closures = list(pieces(t))
+                piece, label_powers = closures[k], closures[0](label_z0)
+
+                def corrupted(*p):
+                    fields = piece(*p)
+                    return (bad,) + fields[1:] if p == label_powers else fields
+                closures[k] = corrupted
+                return tuple(closures)
+            monkeypatch.setattr(phonons, "_pieces", patched)
             with pytest.raises(ConfigError) as err:
                 critical_separation(cfg_rr)
             assert str(err.value) == ("the quadratic expansion leaves the float range between "
@@ -179,9 +213,57 @@ class TestCriticalSeparation:
     def test_bisection_step_is_the_scalar_minimum(self, pair):
         for scaling in ("bare_n", "quantum_defect"):
             config = reference_config(pair, 44, 8e-6, scaling)
-            terms = _terms(config)
+            sectors, _ = _scalar_sectors(_terms(config))
             for sep in np.linspace(1e-6, 40e-6, 157):
-                assert _min_omega_sq(terms, sep) == oracles.min_omega_sq(config, sep)
+                assert _min_omega_sq(sectors, sep) == oracles.min_omega_sq(config, sep)
+
+    @pytest.mark.parametrize("config", kernel_configs() + [transverse_limited(c) for c in
+                                                            kernel_configs()[:12:3]],
+                             ids=config_id)
+    def test_step_decides_as_the_scalar_minimum(self, config):
+        # on both sides of each sector's own root, where the axial sector
+        # decides alone and where the transverse one must be formed
+        _, unstable = _scalar_sectors(_terms(config))
+        points = list(np.linspace(1e-6, 40e-6, 79))
+        roots = {sector: sector_root(config, sector) for sector in ("axial", "transverse")}
+        for root in filter(None, roots.values()):
+            for sep in root:
+                points += [sep, np.nextafter(sep, 0.0), np.nextafter(sep, 1.0)]
+            points += [root[0] * (1.0 - 1e-6), root[1] * (1.0 + 1e-6)]
+        decided = set()
+        for sep in map(float, points):
+            want = oracles.min_omega_sq(config, sep) < 0.0
+            assert unstable(sep) == want, sep
+            spectrum = oracles.phonon_spectrum(config, 0.5 * sep)
+            decided.add((min(m.omega_sq for m in spectrum.axial) < 0.0, want))
+        # (axial negative, unstable): the axial sector decides alone, or the
+        # transverse one decides below its root where the axial one is stable
+        expected = {(False, False)}
+        if roots["axial"]:
+            expected.add((True, True))
+        if roots["transverse"] and (not roots["axial"]
+                                    or roots["transverse"][0] > roots["axial"][1]):
+            expected.add((False, True))
+        assert decided == expected
+
+    @pytest.mark.parametrize("field", ["w_az_sq", "w_ar_sq"])
+    def test_step_takes_a_nan_sector_as_min_does(self, field):
+        # a NaN axial lower eigenvalue is stable whatever the transverse one
+        # is, as min(NaN, x) is NaN; a NaN transverse one leaves the axial
+        # sector to decide, as min(x, NaN) is x
+        config = transverse_limited(reference_config("rr"))
+        t = _terms(config)._replace(**{field: math.nan})
+        sectors, unstable = _scalar_sectors(t)
+        roots = [sector_root(config, sector) for sector in ("axial", "transverse")]
+        assert roots[0][1] < roots[1][0]
+        for sep in (*roots[0], *roots[1], 1e-6, 10e-6, 40e-6):
+            axial, transverse = (_lower_eigenvalue(a, b, c) for a, b, c, _ in
+                                 sectors(0.5 * sep))
+            assert math.isnan(axial if field == "w_az_sq" else transverse)
+            want = min(axial, transverse) < 0.0
+            assert unstable(sep) == want == (_min_omega_sq(sectors, sep) < 0.0)
+            if field == "w_az_sq":
+                assert not want
 
     def test_overflow_in_the_bracket_is_a_config_error(self):
         rr = reference_config("rr")
@@ -327,9 +409,7 @@ class TestKernel:
                   for entries, tie in zip(self.SECTORS, ties) if tie]
         assert {"stretch", "com"} <= set(labels)
 
-    @pytest.mark.parametrize("config", kernel_configs(),
-                             ids=lambda cfg: "-".join(s.label() for s in cfg.state_pair)
-                             + "/" + cfg.coefficients.scaling)
+    @pytest.mark.parametrize("config", kernel_configs(), ids=config_id)
     def test_sweep_matches_the_scalar_oracle(self, config):
         got = mode_sweep(config, SWEEP_GRID)
         want = oracles.mode_sweep(config, SWEEP_GRID)
@@ -346,6 +426,48 @@ class TestKernel:
             assert np.all(np.isfinite(got[name]))
             np.testing.assert_allclose(got[name], want[name], rtol=0,
                                        atol=4 * np.spacing(math.pi / 4), err_msg=name)
+
+    def test_sector_is_the_former_kernel_byte_for_byte(self):
+        # ties included, where the relabelling runs
+        a, b, c, bare = (np.array(column) for column in zip(*self.SECTORS))
+        for got, want in zip(_diagonalize_sector(a, b, c, bare),
+                             oracles.diagonalize_sectors(a, b, c, bare)):
+            assert_same_bytes(got, want)
+        rng = np.random.default_rng(7)
+        a, b, c = rng.normal(size=(3, 500))
+        for got, want in zip(_diagonalize_sector(a, b, c, 1.0),
+                             oracles.diagonalize_sectors(a, b, c, 1.0)):
+            assert_same_bytes(got, want)
+
+    @pytest.mark.parametrize("config", kernel_configs(), ids=config_id)
+    def test_sweep_is_the_former_kernel_byte_for_byte(self, config):
+        # test_sweep_matches_the_scalar_oracle allows ulps; this allows no
+        # byte, on the sweep grid and on the bracket through every threshold
+        for grid in (SWEEP_GRID, np.linspace(1e-6, 40e-6, 391)):
+            got = mode_sweep(config, grid)
+            _, (stretch, com, angle, com_first) = oracles.branches(config, 0.5 * grid)
+            want = {"separation": grid, "stable": np.all((stretch > 0.0) & (com > 0.0), axis=0)}
+            for k, sector in enumerate(("axial", "transverse")):
+                want.update({f"{sector}_stretch_sq": stretch[k], f"{sector}_com_sq": com[k],
+                             f"{sector}_angle": angle[k]})
+            assert list(got) == ["separation", "axial_stretch_sq", "axial_com_sq",
+                                 "transverse_stretch_sq", "transverse_com_sq", "axial_angle",
+                                 "transverse_angle", "stable"]
+            for name, column in got.items():
+                assert_same_bytes(column, want[name])
+            for got_part, want_part in zip(_branches(_terms(config), 0.5 * grid),
+                                           (stretch, com, angle, com_first)):
+                assert_same_bytes(got_part, want_part)
+
+    @pytest.mark.parametrize("config", kernel_configs()[::2], ids=config_id)
+    def test_single_points_are_the_former_kernel_byte_for_byte(self, config):
+        for z0 in (2.6e-6, 4.8e-6, 8e-6, 15e-6):
+            squares, want = oracles.branches(config, np.float64(z0))
+            axial, force, got = _expansion_at(config, z0)
+            assert axial == tuple(float(squares[k]) for k in (2, 3, 5, 7))
+            assert force == tuple(map(float, squares[8:]))
+            for got_part, want_part in zip(got, want):
+                assert_same_bytes(got_part, want_part)
 
     def test_sweep_reaches_the_unstable_region_and_both_clamps(self):
         configs = kernel_configs()

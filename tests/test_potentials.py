@@ -378,6 +378,28 @@ class TestOnAxisPath:
             expected = bo_energy(r1, r2, config.with_states(*pair), e0) - e0
             assert np.array_equal(curves["V_" + name], expected)
 
+    @pytest.mark.parametrize("scaling", ["bare_n", "quantum_defect"])
+    @pytest.mark.parametrize("n", [20, 44, 60])
+    @pytest.mark.parametrize("placement", ["symmetric", "atom2-fixed"])
+    def test_curves_are_the_former_pair_loop_byte_for_byte(self, scaling, n, placement):
+        # one _energy over the three pairs' coefficient columns against one
+        # per pair: the same columns, errors and messages
+        def outcome(curve, grid, config):
+            try:
+                curves = curve(grid, config.ion_mode, config, placement=placement)
+            except (ConfigError, SingularGeometryError) as err:
+                return type(err), str(err)
+            return {name: (column.dtype, column.shape, column.tobytes())
+                    for name, column in curves.items()}
+
+        grids = (np.linspace(10e-6, 30e-6, 201), np.linspace(1e-6, 40e-6, 391), [16e-6],
+                 [12e-6, 8e-6], [12e-6, 1e-46])
+        for pair in ("rr", "rg", "gg"):
+            config = reference_config(pair, n, 8e-6, scaling)
+            for grid in grids:
+                assert (outcome(axial_bo_curve, grid, config)
+                        == outcome(oracles.axial_bo_curve, grid, config))
+
     @pytest.mark.parametrize("z1, z2, error, fragment", [
         (0.0, -8e-6, SingularGeometryError, "atom at the ion-trap center"),
         (8e-6, 0.0, SingularGeometryError, "atom at the ion-trap center"),
