@@ -25,6 +25,7 @@ from .model import (
     Species,
     SystemConfig,
     TrapFrequencies,
+    _named_pairs,
     characteristic_scales,
 )
 
@@ -175,8 +176,7 @@ def reference_config(pair: str = "rr", n: int = 30, z0: float = 8e-6,
     """The default document's system with the state ``pair`` ("rr", "rg"
     or "gg"), the Rydberg level ``n``, the half-separation ``z0`` (m) and
     the C4 ``scaling`` replaced."""
-    rydberg = ElectronicState("rydberg", n)
-    states = {"rr": (rydberg, rydberg), "rg": (rydberg, GROUND), "gg": (GROUND, GROUND)}
+    states = _named_pairs(ElectronicState("rydberg", n))
     if pair not in states:
         raise ConfigError(f"unknown state pair {pair!r}, expected rr, rg, or gg")
     d, coefficients = _DEFAULT_CONFIG, _DEFAULT_CONFIG.coefficients

@@ -32,54 +32,35 @@ __all__ = [
 # multiplies in the frequency corrections; _1/_2 refer to the per-atom C4
 # values and _ab to the cross product C4_1 * C4_2.  A4 and A6 carry
 # m^6/s^2, A10 and A12 m^12/s^2.  Then C6 (J m^6), the atom mass (kg) and
-# the atom trap squares (rad^2/s^2).
-_Coefficients = namedtuple("_Coefficients", ["A12_1", "A12_2", "A12_ab",
-                                             "A10_1", "A10_2", "A10_ab",
-                                             "A6_1", "A6_2", "A4_1", "A4_2",
-                                             "c6", "m_a", "w_ar_sq", "w_az_sq"])
-# The coefficients, then the products of them that ``_pieces`` use,
-# combined once per configuration: the A10 numerators of
-# omega_bar_rhoj^2 (rho10_j), the A4 and A10 numerators of omega_bar_zj^2
-# (z4_j, z10_j) and of omega_zz^2 (zz10), those of Omega_j^2 (force4_j,
-# force10_j), 3 C6, 21 C6 and 128 m_a.  A product that overflows is inf,
-# and the kernel's range check reports it.
-_Terms = namedtuple("_Terms", _Coefficients._fields + (
-    "rho10_1", "rho10_2", "z4_1", "z4_2", "z10_1", "z10_2", "zz10",
-    "force4_1", "force4_2", "force10_1", "force10_2", "c6x3", "c6x21", "m_ax128"))
+# the atom trap squares (rad^2/s^2).  ``_pieces`` combines them into the
+# products its formulas divide.
+_Terms = namedtuple("_Terms", ["A12_1", "A12_2", "A12_ab", "A10_1", "A10_2", "A10_ab",
+                               "A6_1", "A6_2", "A4_1", "A4_2",
+                               "c6", "m_a", "w_ar_sq", "w_az_sq"])
 
 
 def _terms(config: SystemConfig) -> _Terms:
-    """The ``_Terms`` of a configuration; ConfigError when one of its
-    ``_Coefficients`` leaves the float range."""
+    """The ``_Terms`` of a configuration; ConfigError when one of them
+    leaves the float range."""
     try:
         c4_1, c4_2 = config.c4_pair
         m_a, m_i = config.atom.mass, config.ion.mass
         w_ir_sq, w_iz_sq = config.ion_trap.radial**2, config.ion_trap.axial**2
-        k = (16.0 * c4_1**2 / (m_a * m_i * w_ir_sq),      # A12_1, A12_2, A12_ab
-             16.0 * c4_2**2 / (m_a * m_i * w_ir_sq),
-             16.0 * c4_1 * c4_2 / (m_a * m_i * w_ir_sq),
-             16.0 * c4_1**2 / (m_a * m_i * w_iz_sq),      # A10_1, A10_2, A10_ab
-             16.0 * c4_2**2 / (m_a * m_i * w_iz_sq),
-             16.0 * c4_1 * c4_2 / (m_a * m_i * w_iz_sq),
-             4.0 * c4_1 / m_a, 4.0 * c4_2 / m_a,          # A6_1, A6_2
-             2.0 * c4_1 / m_a, 2.0 * c4_2 / m_a,          # A4_1, A4_2
-             config.c6_pair, m_a, config.atom_trap.radial**2, config.atom_trap.axial**2)
+        t = _Terms(16.0 * c4_1**2 / (m_a * m_i * w_ir_sq),      # A12_1, A12_2, A12_ab
+                   16.0 * c4_2**2 / (m_a * m_i * w_ir_sq),
+                   16.0 * c4_1 * c4_2 / (m_a * m_i * w_ir_sq),
+                   16.0 * c4_1**2 / (m_a * m_i * w_iz_sq),      # A10_1, A10_2, A10_ab
+                   16.0 * c4_2**2 / (m_a * m_i * w_iz_sq),
+                   16.0 * c4_1 * c4_2 / (m_a * m_i * w_iz_sq),
+                   4.0 * c4_1 / m_a, 4.0 * c4_2 / m_a,          # A6_1, A6_2
+                   2.0 * c4_1 / m_a, 2.0 * c4_2 / m_a,          # A4_1, A4_2
+                   config.c6_pair, m_a, config.atom_trap.radial**2, config.atom_trap.axial**2)
     except (OverflowError, ZeroDivisionError):
-        k = None
-    if k is None or not all(map(math.isfinite, k)):
+        t = None
+    if t is None or not all(map(math.isfinite, t)):
         raise ConfigError("the configured masses, trap frequencies, C4 or C6 put the "
                           "expansion coefficients out of the float range")
-    _, _, _, A10_1, A10_2, A10_ab, _, _, A4_1, A4_2, c6, m_a, _, _ = k
-    return _Terms(
-        *k,
-        6.0 * (A10_1 - A10_ab), 6.0 * (A10_2 - A10_ab),       # rho10_j
-        10.0 * A4_1, 10.0 * A4_2,                             # z4_j
-        55.0 * A10_1 - 30.0 * A10_ab, 55.0 * A10_2 - 30.0 * A10_ab,   # z10_j
-        -25.0 * A10_ab,                                       # zz10
-        2.0 * A4_1, 2.0 * A4_2,                               # force4_j
-        5.0 * (A10_1 - A10_ab), 5.0 * (A10_2 - A10_ab),       # force10_j
-        3.0 * c6, 21.0 * c6, 128.0 * m_a,
-    )
+    return t
 
 
 @dataclass(frozen=True)
@@ -105,6 +86,15 @@ class EffectiveFrequencies:
     Omega_2_sq: float
 
 
+def _one_real(z0) -> float:
+    """``z0`` as a Python float; ConfigError unless numpy takes it as one real
+    number: not a string, None, a list or an array with ndim > 0."""
+    value = np.asarray(z0)
+    if value.ndim or value.dtype.kind not in "biuf":
+        raise ConfigError(f"half-separation must be one real number, got {z0!r}")
+    return float(value)
+
+
 def _half_separation(z0):
     """``z0`` in float64; ConfigError unless every half-separation in it is positive and finite."""
     z0 = np.float64(z0)
@@ -115,14 +105,22 @@ def _half_separation(z0):
 
 def _pieces(t: _Terms):
     """The EffectiveFrequencies fields of ``t`` in three pieces, as closures
-    (powers, axial, transverse, force) over its terms.  powers(z0) gives
-    (z0^6, z0^12, 128 m_a z0^8); from those, axial gives (omega_bar_z1^2,
-    omega_bar_z2^2, omega_prime_z^2, omega_zz^2), transverse the rho and xy
-    ones in that order, and force (Omega_1^2, Omega_2^2).  Only + - * / and
-    ** act on z0, so it may be a float or an ndarray."""
-    (A12_1, A12_2, A12_ab, _, _, _, A6_1, A6_2, _, _, _, _, w_ar_sq, w_az_sq,
-     rho10_1, rho10_2, z4_1, z4_2, z10_1, z10_2, zz10,
-     force4_1, force4_2, force10_1, force10_2, c6x3, c6x21, m_ax128) = t
+    (powers, axial, transverse, force) over its terms and the products of
+    them that the formulas divide.  powers(z0) gives (z0^6, z0^12,
+    128 m_a z0^8); from those, axial gives (omega_bar_z1^2, omega_bar_z2^2,
+    omega_prime_z^2, omega_zz^2), transverse the rho and xy ones in that
+    order, and force (Omega_1^2, Omega_2^2).  Only + - * / and ** act on
+    z0, so it may be a float or an ndarray.  A product that overflows is
+    inf, and the caller's range check reports it."""
+    (A12_1, A12_2, A12_ab, A10_1, A10_2, A10_ab, A6_1, A6_2, A4_1, A4_2, c6, m_a,
+     w_ar_sq, w_az_sq) = t
+    # the A10 numerators of omega_bar_rhoj^2, the A4 and A10 ones of
+    # omega_bar_zj^2 and omega_zz^2, and those of Omega_j^2
+    rho10_1, rho10_2 = 6.0 * (A10_1 - A10_ab), 6.0 * (A10_2 - A10_ab)
+    z10_1, z10_2 = 55.0 * A10_1 - 30.0 * A10_ab, 55.0 * A10_2 - 30.0 * A10_ab
+    force10_1, force10_2 = 5.0 * (A10_1 - A10_ab), 5.0 * (A10_2 - A10_ab)
+    z4_1, z4_2, force4_1, force4_2 = 10.0 * A4_1, 10.0 * A4_2, 2.0 * A4_1, 2.0 * A4_2
+    zz10, c6x3, c6x21, m_ax128 = -25.0 * A10_ab, 3.0 * c6, 21.0 * c6, 128.0 * m_a
 
     def powers(z0):
         return z0**6, z0**12, m_ax128 * z0**8
@@ -147,16 +145,6 @@ def _pieces(t: _Terms):
     return powers, axial, transverse, force
 
 
-def _frequency_squares(t: _Terms, z0):
-    """The fields of EffectiveFrequencies at z0, in their order: the
-    ``_pieces`` of ``t`` put together."""
-    powers, axial, transverse, force = _pieces(t)
-    p = powers(z0)
-    wbz1, wbz2, wpz, wzz = axial(*p)
-    wbr1, wbr2, wpr, wxy = transverse(*p)
-    return (wbr1, wbr2, wbz1, wbz2, wpr, wpz, wxy, wzz) + force(*p)
-
-
 def effective_frequencies(config: SystemConfig, z0) -> EffectiveFrequencies:
     """Closed-form frequency corrections of the quadratic expansion at z0.
 
@@ -171,7 +159,11 @@ def effective_frequencies(config: SystemConfig, z0) -> EffectiveFrequencies:
     """
     z0 = _half_separation(z0)
     with np.errstate(all="ignore"):
-        squares = _frequency_squares(_terms(config), z0)
+        powers, axial, transverse, force = _pieces(_terms(config))
+        p = powers(z0)
+        wbz1, wbz2, wpz, wzz = axial(*p)
+        wbr1, wbr2, wpr, wxy = transverse(*p)
+        squares = (wbr1, wbr2, wbz1, wbz2, wpr, wpz, wxy, wzz) + force(*p)
     if not np.all(np.isfinite(squares)):
         raise ConfigError("the quadratic expansion leaves the float range between "
                           f"2z0 = {2.0 * np.min(z0):.3g} and {2.0 * np.max(z0):.3g} m")

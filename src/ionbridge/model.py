@@ -73,6 +73,11 @@ class ElectronicState:
 GROUND = ElectronicState("ground")
 
 
+def _named_pairs(rydberg: ElectronicState) -> dict[str, tuple[ElectronicState, ElectronicState]]:
+    """The rr, rg and gg state pairs with the Rydberg level ``rydberg``."""
+    return {"rr": (rydberg, rydberg), "rg": (rydberg, GROUND), "gg": (GROUND, GROUND)}
+
+
 @dataclass(frozen=True)
 class TrapFrequencies:
     """Radial and axial angular trap frequencies in rad/s."""
@@ -234,7 +239,7 @@ class SystemConfig:
         rydberg = next((s for s in self.state_pair if s.is_rydberg), None)
         if rydberg is None:
             raise ConfigError("rr and rg pairs need a Rydberg level in the configured states")
-        return {"rr": (rydberg, rydberg), "rg": (rydberg, GROUND), "gg": (GROUND, GROUND)}
+        return _named_pairs(rydberg)
 
     def with_states(self, a: ElectronicState, b: ElectronicState) -> "SystemConfig":
         return replace(self, state_pair=(a, b))

@@ -52,7 +52,7 @@ from numpy.polynomial.hermite import hermgauss
 
 from . import constants as cst
 from .errors import AccuracyError, ConfigError, InstabilityError
-from .expansion import _half_separation
+from .expansion import _half_separation, _one_real
 from .model import SystemConfig, characteristic_scales
 from .phonons import _axial_entries, _axial_shift, _expansion_at, _rotation
 from .potentials import axial_interaction
@@ -597,8 +597,9 @@ def basis_ground_state(config: SystemConfig, z0: float, n_max: int = 30) -> Basi
     solve's residual bound for the zero-padded solution.  Relative to the
     axial energy (at least hbar w_az) that is the state's ``residual``;
     below 1e-6 the basis is accepted, and otherwise ramped from ``n_max``
-    to 50.
+    to 50.  ConfigError unless z0 is one real number.
     """
+    z0 = _one_real(z0)
     cap = _MAX_BASIS - _CONVERGENCE_STEP
     if not 0 <= n_max <= cap:
         raise ConfigError(
@@ -636,8 +637,10 @@ def gaussian_ground_state(config: SystemConfig, z0: float) -> CorrelatedGaussian
     component positive.  It is centered on the equilibrium shift, from
     the same frequency squares.  Widths use the sqrt(hbar / (m omega))
     convention, so the density along a normal axis u is proportional to
-    exp(-u^2 / sigma^2).
+    exp(-u^2 / sigma^2).  ConfigError unless z0 is one positive and finite
+    number.
     """
+    z0 = _one_real(z0)
     axial, force, (stretch, com, _, _) = _expansion_at(config, z0)
     mean, disc, theta = _rotation(*_axial_entries(*axial))
     if not (np.all(stretch > 0.0) and np.all(com > 0.0) and mean - disc > 0.0):
@@ -659,7 +662,8 @@ def gaussian_ground_state(config: SystemConfig, z0: float) -> CorrelatedGaussian
 
 def bare_product_state(config: SystemConfig, z0: float) -> CorrelatedGaussian:
     """Uncoupled trap ground state: the no-interaction reference;
-    ConfigError unless z0 is positive and finite."""
+    ConfigError unless z0 is one positive and finite number."""
+    z0 = _one_real(z0)
     _half_separation(z0)
     a_z = characteristic_scales(config).a_z
     return CorrelatedGaussian(center=(z0, -z0), normal_axes=np.eye(2), widths=(a_z, a_z))

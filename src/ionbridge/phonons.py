@@ -9,6 +9,7 @@ configuration.  The critical separation is the bisection root of the
 smallest squared frequency, found and labeled on Python floats by scalar
 twins of the array kernel; each step needs only its sign, and forms the
 transverse sector only where the axial lower eigenvalue is at least 0.
+``_lower_branch`` gives the label's value and character in one pass.
 Each caller composes the ``expansion`` pieces it reads: the sweep forms
 no force scale.  The axial block in atom coordinates,
 [[omega_bar_z1^2, omega_zz^2], [omega_zz^2, omega_bar_z2^2]], gives the
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InstabilityError, NotBracketedError
-from .expansion import _half_separation, _pieces, _terms
+from .expansion import _half_separation, _one_real, _pieces, _terms
 from .model import SystemConfig, require_valid
 
 __all__ = [
@@ -157,8 +158,9 @@ def _expansion_at(config: SystemConfig, z0: float):
 
 
 def phonon_spectrum(config: SystemConfig, z0: float) -> PhononSpectrum:
-    """Normal modes of the quadratic expansion at half-separation z0."""
-    stretch, com, angle, com_first = _branches(_terms(config), _half_separation(z0))
+    """Normal modes of the quadratic expansion at half-separation z0;
+    ConfigError unless z0 is one positive and finite number."""
+    stretch, com, angle, com_first = _branches(_terms(config), _half_separation(_one_real(z0)))
     pairs = []
     for k in range(2):
         s = ModeBranch(float(stretch[k]), float(angle[k]), "stretch")
@@ -176,11 +178,12 @@ def _lower_eigenvalue(a: float, b: float, c: float) -> float:
     return 0.5 * (a + b) - math.hypot(0.5 * (a - b), c)
 
 
-def _lower_character(a: float, b: float, c: float, bare_sq: float) -> str | None:
-    """Character, "com" or "stretch", of the lower branch of [[a, c], [c, b]]
-    in Python floats: ``_diagonalize_sector``'s com_first step by step, with
-    ``math`` for numpy.  None unless both branches are finite (which needs
-    finite entries), where ``_branches`` raises."""
+def _lower_branch(a: float, b: float, c: float, bare_sq: float) -> tuple[float, str] | None:
+    """(value, character) of the lower branch of [[a, c], [c, b]] in Python
+    floats: ``_diagonalize_sector``'s com_first step by step, with ``math``
+    for numpy.  The value equals ``_lower_eigenvalue``'s and the character
+    is "com" or "stretch".  None unless both branches are finite (which
+    needs finite entries), where ``_branches`` raises."""
     if c == 0.0:
         theta, lam_rel, lam_com = 0.0, a, b
     else:
@@ -199,17 +202,19 @@ def _lower_character(a: float, b: float, c: float, bare_sq: float) -> str | None
     rel_is_com = (abs(math.sin(theta) ** 2 - 0.5) < _TIE_WEIGHT
                   and abs(lam_rel - bare_sq) <= abs(lam_com - bare_sq))
     stretch, com = (lam_com, lam_rel) if rel_is_com else (lam_rel, lam_com)
-    return "com" if com < stretch or (com == stretch and rel_is_com) else "stretch"
+    com_first = com < stretch or (com == stretch and rel_is_com)
+    return (com, "com") if com_first else (stretch, "stretch")
 
 
 def _scalar_sectors(t):
     """The stability search's closures over the ``expansion._pieces`` of
     ``_terms`` t, in Python floats.  sectors(z0) gives the (a, b, c, bare_sq)
     of the axial, then the transverse sector's form at a half-separation z0.
-    unstable(separation) is the bisection step: whether ``_min_omega_sq`` is
-    negative at a full separation, bit for bit, as min(axial, transverse) < 0
-    decides it.  The axial sector decides alone unless its lower eigenvalue
-    is at least 0, and a NaN there is stable."""
+    unstable(separation) is the bisection step: whether the smaller of the
+    sectors' ``_lower_eigenvalue`` is negative at a full separation, bit for
+    bit, as min(axial, transverse) < 0 decides it.  The axial sector decides
+    alone unless its lower eigenvalue is at least 0, and a NaN there is
+    stable."""
     powers, axial, transverse, _ = _pieces(t)
     w_az_sq, w_ar_sq = t.w_az_sq, t.w_ar_sq
 
@@ -230,13 +235,6 @@ def _scalar_sectors(t):
     return sectors, unstable
 
 
-def _min_omega_sq(sectors, separation: float) -> float:
-    """Smallest squared mode frequency at one separation, from the sectors
-    closure of ``_scalar_sectors``: the lower of the two sectors' lower
-    eigenvalues, in Python floats."""
-    return min(_lower_eigenvalue(a, b, c) for a, b, c, _ in sectors(0.5 * separation))
-
-
 def critical_separation(config: SystemConfig) -> StabilityResult:
     """Bisection root of the smallest squared mode frequency over 2z0.
 
@@ -246,15 +244,14 @@ def critical_separation(config: SystemConfig) -> StabilityResult:
     reporting precision) so that the spectrum is guaranteed stable at
     critical*(1 + 1e-6) and unstable at critical*(1 - 1e-6).  The limiting
     branch is the lower branch of the softer sector at critical*(1 - 1e-6),
-    axial on a tie, by ``_lower_eigenvalue`` and ``_lower_character``; a
-    ConfigError as in ``_branches`` when the expansion leaves the float
-    range there.  No numpy code runs.
+    axial on a tie, by ``_lower_branch``; a ConfigError as in ``_branches``
+    when the expansion leaves the float range there.  No numpy code runs.
     """
     require_valid(config)
     sectors, unstable = _scalar_sectors(_terms(config))
     lo, hi = 1e-6, 40e-6
-    f_lo = _min_omega_sq(sectors, lo)
-    f_hi = _min_omega_sq(sectors, hi)
+    f_lo, f_hi = (min(_lower_eigenvalue(a, b, c) for a, b, c, _ in sectors(0.5 * end))
+                  for end in (lo, hi))
     if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
         raise ConfigError("the quadratic expansion leaves the float range in the "
                           f"bracket [{lo:.3g}, {hi:.3g}] m")
@@ -275,15 +272,13 @@ def critical_separation(config: SystemConfig) -> StabilityResult:
 
     # The lower branch of the softer sector, axial on a tie.
     z0 = 0.5 * critical * (1.0 - 1e-6)
-    forms = sectors(z0)
-    characters = [_lower_character(*form) for form in forms]
-    if None in characters:
+    lower = [_lower_branch(*form) for form in sectors(z0)]
+    if None in lower:
         raise ConfigError("the quadratic expansion leaves the float range between "
                           f"2z0 = {2.0 * z0:.3g} and {2.0 * z0:.3g} m")
-    lower = [_lower_eigenvalue(a, b, c) for a, b, c, _ in forms]
-    k = int(lower[1] < lower[0])
+    k = int(lower[1][0] < lower[0][0])
     return StabilityResult(critical_2z0=critical,
-                           limiting_branch=f"{('axial', 'transverse')[k]}-{characters[k]}")
+                           limiting_branch=f"{('axial', 'transverse')[k]}-{lower[k][1]}")
 
 
 def mode_sweep(config: SystemConfig, separations) -> dict[str, np.ndarray]:
@@ -330,7 +325,9 @@ def equilibrium_shift(config: SystemConfig, z0: float) -> tuple[float, float]:
 
     Solves the stationarity condition of the quadratic expansion on its
     axial block in atom coordinates.  Both atoms are pulled toward the
-    ion; for identical states the shifts are exactly opposite.
+    ion; for identical states the shifts are exactly opposite.  ConfigError
+    unless z0 is one positive and finite number.
     """
+    z0 = _one_real(z0)
     axial, force, _ = _expansion_at(config, z0)
     return _axial_shift(axial, force, z0)

@@ -184,9 +184,15 @@ def branches(config, z0):
     shape (2,) + shape(z0), axial first: the array kernel as it was while it
     formed every field, force scales included, in one expression list and
     ran the tie relabelling whether or not any element was a tie."""
-    (A12_1, A12_2, A12_ab, _, _, _, A6_1, A6_2, _, _, _, _, w_ar_sq, w_az_sq,
-     rho10_1, rho10_2, z4_1, z4_2, z10_1, z10_2, zz10,
-     force4_1, force4_2, force10_1, force10_2, c6x3, c6x21, m_ax128) = _terms(config)
+    (A12_1, A12_2, A12_ab, A10_1, A10_2, A10_ab, A6_1, A6_2, A4_1, A4_2, c6, m_a,
+     w_ar_sq, w_az_sq) = _terms(config)
+    rho10_1, rho10_2 = 6.0 * (A10_1 - A10_ab), 6.0 * (A10_2 - A10_ab)
+    z4_1, z4_2 = 10.0 * A4_1, 10.0 * A4_2
+    z10_1, z10_2 = 55.0 * A10_1 - 30.0 * A10_ab, 55.0 * A10_2 - 30.0 * A10_ab
+    zz10 = -25.0 * A10_ab
+    force4_1, force4_2 = 2.0 * A4_1, 2.0 * A4_2
+    force10_1, force10_2 = 5.0 * (A10_1 - A10_ab), 5.0 * (A10_2 - A10_ab)
+    c6x3, c6x21, m_ax128 = 3.0 * c6, 21.0 * c6, 128.0 * m_a
     with np.errstate(all="ignore"):
         z6 = z0**6
         z12 = z0**12

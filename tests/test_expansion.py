@@ -14,12 +14,15 @@ from ionbridge import (
     AtomPairGeometry,
     ConfigError,
     bare_product_state,
+    basis_ground_state,
     effective_frequencies,
     effective_potential_U,
+    equilibrium_shift,
+    gaussian_ground_state,
     phonon_spectrum,
     reference_config,
 )
-from ionbridge.expansion import _frequency_squares, _terms
+from ionbridge.expansion import _pieces, _terms
 
 FD_STEP = 2e-9  # m, balances cancellation noise against truncation
 
@@ -178,6 +181,17 @@ class TestHalfSeparationInputs:
                 refuse(cfg_rr, z0)
             assert str(error.value) == f"half-separation must be positive and finite, got {z0}"
 
+    @pytest.mark.parametrize("z0", [np.array([8e-6, 9e-6]), [8e-6], "8e-6", None],
+                             ids=["array", "list", "string", "none"])
+    @pytest.mark.parametrize("call", [phonon_spectrum, equilibrium_shift, gaussian_ground_state,
+                                      bare_product_state, basis_ground_state],
+                             ids=lambda call: call.__name__)
+    def test_a_half_separation_that_is_not_one_number_is_a_config_error(self, cfg_rr, call, z0):
+        # the one-point callers take z0 as one real number, never elementwise
+        with pytest.raises(ConfigError) as error:
+            call(cfg_rr, z0)
+        assert str(error.value) == f"half-separation must be one real number, got {z0!r}"
+
     def test_half_separation_below_the_float_range_of_its_powers(self, cfg_rr):
         with pytest.raises(ConfigError, match="float range"):
             effective_frequencies(cfg_rr, 1e-300)
@@ -195,11 +209,18 @@ class TestHalfSeparationInputs:
     @pytest.mark.parametrize("kind", ["rr", "rg", "gg"])
     def test_valid_half_separations_give_the_python_float_values(self, kind):
         config = reference_config(kind)
-        t = _terms(config)
+        powers, axial, transverse, force = _pieces(_terms(config))
+
+        def squares(z0):
+            # the EffectiveFrequencies fields, in their order, from the pieces
+            p = powers(z0)
+            wbz1, wbz2, wpz, wzz = axial(*p)
+            wbr1, wbr2, wpr, wxy = transverse(*p)
+            return (wbr1, wbr2, wbz1, wbz2, wpr, wpz, wxy, wzz) + force(*p)
+
         for z0 in np.geomspace(1e-7, 1e-3, 97).tolist():
-            assert dataclasses.astuple(effective_frequencies(config, z0)) \
-                == _frequency_squares(t, z0)
+            assert dataclasses.astuple(effective_frequencies(config, z0)) == squares(z0)
         grid = np.linspace(2e-6, 20e-6, 31)
         observed = dataclasses.astuple(effective_frequencies(config, grid))
-        for got, expected in zip(observed, _frequency_squares(t, grid)):
+        for got, expected in zip(observed, squares(grid)):
             assert np.array_equal(got, expected)

@@ -119,5 +119,5 @@ def test_critical_separation_runs_no_numpy():
                     found.append(f"{module}.{name}:{node.lineno} _branches")
                 todo.append(node.id)
     assert found == []
-    assert {"_lower_character", "_scalar_sectors", "_pieces", "_terms", "require_valid",
+    assert {"_lower_branch", "_scalar_sectors", "_pieces", "_terms", "require_valid",
             "characteristic_scales"} <= reached

@@ -26,15 +26,14 @@ from ionbridge import (
     reference_config,
 )
 from ionbridge import constants as cst, phonons
-from ionbridge.expansion import _Coefficients, _terms
+from ionbridge.expansion import _Terms, _terms
 from ionbridge.model import ElectronicState, TrapFrequencies
 from ionbridge.phonons import (
     _branches,
     _diagonalize_sector,
     _expansion_at,
-    _lower_character,
+    _lower_branch,
     _lower_eigenvalue,
-    _min_omega_sq,
     _scalar_sectors,
 )
 
@@ -215,7 +214,8 @@ class TestCriticalSeparation:
             config = reference_config(pair, 44, 8e-6, scaling)
             sectors, _ = _scalar_sectors(_terms(config))
             for sep in np.linspace(1e-6, 40e-6, 157):
-                assert _min_omega_sq(sectors, sep) == oracles.min_omega_sq(config, sep)
+                lowest = min(_lower_eigenvalue(a, b, c) for a, b, c, _ in sectors(0.5 * sep))
+                assert lowest == oracles.min_omega_sq(config, sep)
 
     @pytest.mark.parametrize("config", kernel_configs() + [transverse_limited(c) for c in
                                                             kernel_configs()[:12:3]],
@@ -261,7 +261,7 @@ class TestCriticalSeparation:
                                  sectors(0.5 * sep))
             assert math.isnan(axial if field == "w_az_sq" else transverse)
             want = min(axial, transverse) < 0.0
-            assert unstable(sep) == want == (_min_omega_sq(sectors, sep) < 0.0)
+            assert unstable(sep) == want
             if field == "w_az_sq":
                 assert not want
 
@@ -294,8 +294,8 @@ class TestCriticalSeparation:
         config = dataclasses.replace(
             gg, coefficients=dataclasses.replace(gg.coefficients, c4_ground=c4))
         terms = _terms(config)
-        assert all(map(math.isfinite, terms[:len(_Coefficients._fields)]))
-        assert terms.z10_1 == math.inf
+        assert len(terms) == len(_Terms._fields) and all(map(math.isfinite, terms))
+        assert 55.0 * terms.A10_1 - 30.0 * terms.A10_ab == math.inf
         with pytest.raises(ConfigError) as err:
             call(config)
         assert str(err.value) == message
@@ -364,8 +364,10 @@ class TestKernel:
         a, b, c, bare = (np.array(column) for column in zip(*self.SECTORS))
         stretch, com, _, com_first = _diagonalize_sector(a, b, c, bare)
         for k, entries in enumerate(self.SECTORS):
-            assert (_lower_character(*entries) == "com") == bool(com_first[k]), entries
+            value, character = _lower_branch(*entries)
+            assert (character == "com") == bool(com_first[k]), entries
             assert _lower_eigenvalue(*entries[:3]) == min(stretch[k], com[k]), entries
+            assert value == _lower_eigenvalue(*entries[:3]), entries
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(-1e150, 1e150), st.floats(-1e150, 1e150), st.floats(-1e150, 1e150),
@@ -374,7 +376,9 @@ class TestKernel:
         b = a if even else b
         c = c if uncoupled is None else uncoupled
         stretch, com, _, com_first = _diagonalize_sector(*map(np.array, (a, b, c, bare)))
-        assert (_lower_character(a, b, c, bare) == "com") == bool(com_first)
+        value, character = _lower_branch(a, b, c, bare)
+        assert (character == "com") == bool(com_first)
+        assert value == _lower_eigenvalue(a, b, c)
         # math.hypot and np.hypot may round apart by an ulp
         scale = max(abs(a), abs(b), abs(c))
         assert abs(_lower_eigenvalue(a, b, c) - min(stretch, com)) <= 4 * np.spacing(scale)
@@ -387,7 +391,7 @@ class TestKernel:
         with np.errstate(all="ignore"):
             branches = _diagonalize_sector(*map(np.array, entries), 1.0)
         assert not np.all(np.isfinite(branches[:3]))
-        assert _lower_character(*entries, 1.0) is None
+        assert _lower_branch(*entries, 1.0) is None
 
     def test_uncoupled_sector_is_exact(self):
         # c == 0 gives the diagonal itself, not mean -+ hypot, and a +0.0 angle
