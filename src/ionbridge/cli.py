@@ -3,10 +3,10 @@
 Subcommands mirror the library surface: scales, bo-curve, phonons,
 critical, density, and gauge.  Every command takes --config PATH and
 --out DIR [--overwrite], which all but scales and critical require.
-Each table goes to --out as columns through ``_write`` (density grids
-stream through ``write_grid_table``) with the same ``_metadata``.  Exit
-codes, from ``_EXIT_CODES``: 0 on success, 2 for configuration problems,
-3 for accuracy or convergence failures, 4 when the request lands in the
+Each table goes to --out through ``write_table`` as columns that
+broadcast to its rows, with the same ``_metadata``.  Exit codes, from
+``_EXIT_CODES``: 0 on success, 2 for configuration problems, 3 for
+accuracy or convergence failures, 4 when the request lands in the
 unstable or collisional domain.
 """
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import constants as cst
 from .config import load_config, parse_state
-from .csvio import write_grid_table, write_table
+from .csvio import write_table
 from .errors import (
     AccuracyError,
     ConfigError,
@@ -29,7 +29,7 @@ from .errors import (
     NotBracketedError,
     SingularGeometryError,
 )
-from .gauge import berry_phase, cartesian_modes, connection_records, \
+from .gauge import berry_phase, cartesian_modes, connection_matrix, \
     gauge_hermiticity_check, square_loop
 from .model import GROUND, characteristic_scales, require_valid
 from .motion import basis_ground_state, gaussian_ground_state, pair_density
@@ -46,11 +46,11 @@ FORMAT_VERSION = 1
 _KHZ2 = (cst.TWO_PI * 1e3) ** 2  # rad^2/s^2 per kHz^2
 
 # Input caps that keep a run well inside memory.  A 1001-point density
-# grid writes a 1,002,001-row table (45 MB) per separation, in blocks,
-# and the process peaks at 69 MB RSS; max-n 6 gives 343 modes and 705,894
-# connection rows (14 MB), with a 215 MB peak.  Memory grows with the
+# grid writes a 1,002,001-row table (47 MB) per separation, in blocks, and
+# peaks at 68 MB RSS; max-n 6 gives 343 modes and 705,894 connection rows
+# (14 MB) from two 5.6 MB tensors, with a 62 MB peak.  Memory grows with the
 # square of the points and the sixth power of max-n + 1.  A 100,001-point
-# bo-curve or phonons sweep (7 MB table) peaks at 58 or 66 MB, linear in the points.
+# bo-curve or phonons sweep (7 MB table) peaks at 60 or 64 MB, linear in the points.
 MAX_DENSITY_POINTS = 1001
 MAX_GAUGE_N = 6
 MAX_SWEEP_POINTS = 100_001
@@ -244,7 +244,7 @@ def cmd_density(args) -> int:
                               "below the float resolution of its positions")
         density = pair_density(state, z1, z2)
 
-        path = write_grid_table(
+        path = write_table(
             Path(args.out) / f"density_{sep_um:g}um.csv",
             _metadata(args, digest, separation_um=sep_um,
                       n_max_used=state.n_max,
@@ -252,9 +252,7 @@ def cmd_density(args) -> int:
                       ground_energy_kHz=_to_khz(state.energy),
                       grid_points=args.points, grid_half_width_um=reach * 1e6),
             ["z1_um", "z2_um", "density_per_um2"],
-            z1 * 1e6, z2 * 1e6, density * 1e-12,
-            overwrite=args.overwrite,
-        )
+            [z1[:, None] * 1e6, z2 * 1e6, density * 1e-12], overwrite=args.overwrite)
         print(f"2z0 = {sep_um:g} um: n_max = {state.n_max}, "
               f"Temple bound {state.residual:.3g}, wrote {path}")
     return EXIT_OK
@@ -269,21 +267,17 @@ def cmd_gauge(args) -> int:
 
     modes = cartesian_modes(args.max_n)
     geometry = AtomPairGeometry.at_trap_centers(config)
-    records = connection_records(modes, geometry, config)
     hermiticity = gauge_hermiticity_check(modes, geometry, config)
 
-    # records run over atom, bra and ket, row-major; one row per axis
+    # rows run over atom, bra, ket and axis, row-major, as the connection tensors
+    values = np.concatenate([connection_matrix(modes, a, geometry, config) for a in (1, 2)])
     numbers = np.array([(mode.n1, mode.n2, mode.n3) for mode in modes])
-    count = len(modes)
-    atom = np.repeat([1, 2], count * count)
-    bra = np.tile(np.repeat(numbers, count, axis=0), (2, 1))
-    ket = np.tile(numbers, (2 * count, 1))
-    indices = np.repeat(np.column_stack([atom, bra, ket]), 3, axis=0)
-    values = np.array([rec.value for rec in records]).ravel()
     _write(args, digest, "connection.csv",
            ["atom", "bra_nx", "bra_ny", "bra_nz", "ket_nx", "ket_ny", "ket_nz",
             "axis", "re_Js_per_m", "im_Js_per_m"],
-           [*indices.T, list("xyz") * len(records), values.real, values.imag],
+           [np.repeat([1, 2], len(modes))[:, None, None],
+            *np.tile(numbers.T, 2)[..., None, None], *numbers.T[:, :, None],
+            np.array(list("xyz")), values.real, values.imag],
            note=f" (hermiticity residual {hermiticity:.3g} J s/m)",
            max_n=args.max_n, geometry="trap-centers",
            hermiticity_residual_Js_per_m=hermiticity)

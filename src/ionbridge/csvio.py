@@ -7,22 +7,24 @@ Layout of every table:
     1.5,2.25,...           (data rows, floats rendered with %.12g)
 
 Floats go through a fixed format so repeated runs produce byte-identical
-files.  ``write_table`` takes one column per header entry.  Every
-float64 array column goes through ``_format_values``, a kernel with
-exactly the bytes of ``"%.12g" % v``; other columns (bools, ints,
-strings, a list mixing floats and text) and the metadata values go cell
-by cell through ``format_value``.  ``write_grid_table`` writes the (x,
-y, value) rows of a value grid.  Both join NUL-padded cell blocks into
-rows in ``_join``, about _CHUNK_ROWS rows at a time.  Writes land in a
-temporary file in the target directory and are moved into place with
-os.replace, so a crashed run never leaves a truncated table behind.  A
-metadata entry with a line break, or a path that cannot be written, is
-a ``ConfigError``.
+files.  ``write_table`` takes one column per header entry; the columns
+broadcast to the table's shape and each element of it, row-major, is
+one row, so a value grid passes its axes unexpanded.  A float64 array
+of the whole shape goes through ``_format_values``, a kernel with
+exactly the bytes of ``"%.12g" % v``; every other column (an axis,
+bools, ints, strings, a list mixing floats and text) and the metadata
+values go cell by cell through ``format_value``.  ``_join`` joins
+NUL-padded cell blocks into rows, about _CHUNK_ROWS rows at a time.
+Writes land in a temporary file in the target directory and are moved
+into place with os.replace, so a crashed run never leaves a truncated
+table behind.  A metadata entry with a line break, or a path that
+cannot be written, is a ``ConfigError``.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import os
 import tempfile
 from collections.abc import Iterable
@@ -32,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigError
 
-__all__ = ["format_value", "write_grid_table", "write_table"]
+__all__ = ["format_value", "write_table"]
 
 _FLOAT_FORMAT = "%.12g"
 
@@ -46,50 +48,43 @@ def format_value(value) -> str:
 
 
 def write_table(path, metadata, header, columns, overwrite: bool = False) -> Path:
-    """Write one CSV table of ``columns``, one sequence per header entry;
-    refuses to clobber unless overwrite is set.  Other than float64
-    arrays, an array is formatted after ``tolist()``, so numpy bools
-    print as bools."""
+    """Write one CSV table of ``columns``, one per header entry; refuses to
+    clobber unless overwrite is set.  The columns broadcast to the table's
+    shape, and each element of that shape, row-major, is one row: 1-D
+    columns of one length give their rows, and ``(x[:, None], y, v)`` the
+    rows (x_i, y_j, v_ij) of a grid.  A float64 array of the whole shape
+    stays numeric until its block is formatted; every other column is
+    formatted once, at its own shape, an array after ``tolist()``, so
+    numpy bools print as bools."""
     shapes = [np.shape(column) for column in columns]
-    if len(shapes) != len(header) or len(set(shapes)) > 1 or any(len(s) != 1 for s in shapes):
-        raise ValueError(f"columns of shapes {shapes} do not match header {list(header)}")
-    # float columns stay 1-D until their block is formatted; the rest become padded matrices
-    cells = [column if isinstance(column, np.ndarray) and column.dtype == np.float64 else
-             _padded([format_value(v) for v in
-                      (column.tolist() if isinstance(column, np.ndarray) else column)])
-             for column in columns]
+    shape = np.broadcast_shapes(*shapes)   # numpy's ValueError unless they broadcast
+    if len(shapes) != len(header) or not shape:
+        raise ValueError(f"columns of shapes {shapes} do not broadcast to the rows of "
+                         f"header {list(header)}")
+    cells = [column if isinstance(column, np.ndarray) and column.dtype == np.float64
+             and column.shape == shape else _text_cells(column, shape) for column in columns]
+    step = max(1, _CHUNK_ROWS // max(math.prod(shape[1:]), 1))
 
     def chunks():
-        for first in range(0, shapes[0][0] if shapes else 0, _CHUNK_ROWS):
-            blocks = (cell[first:first + _CHUNK_ROWS] for cell in cells)
-            yield _join([_format_values(b) if b.ndim == 1 else b for b in blocks])
+        for first in range(0, shape[0], step):
+            blocks = (cell[first:first + step] for cell in cells)
+            yield _join([b if b.dtype == np.uint8 else
+                         _format_values(b.ravel()).reshape(b.shape + (_WIDTH,))
+                         for b in blocks])
 
     return _write(path, metadata, header, chunks(), overwrite)
 
 
-def write_grid_table(path, metadata, header, x, y, values, overwrite: bool = False) -> Path:
-    """Write ``values[i, j]`` on the grid x (outer) by y as rows (x_i, y_j,
-    value), the bytes ``write_table`` gives for those columns.  Each axis
-    value goes through ``"%.12g"`` once (through the kernel it raised the
-    ground_state benchmark's peak RSS by 1 MB), and the values through
-    ``_format_values`` in blocks of whole x rows, about _CHUNK_ROWS each."""
-    x, y, values = (np.asarray(a, dtype=float) for a in (x, y, values))
-    if len(header) != 3 or x.ndim != 1 or y.ndim != 1 or values.shape != (x.size, y.size):
-        raise ValueError(f"values of shape {values.shape} on axes of {x.size} and {y.size} "
-                         f"points do not match header {len(header)}")
-    starts, ends = (_padded([_FLOAT_FORMAT % a for a in axis.tolist()]) for axis in (x, y))
-    step = max(1, _CHUNK_ROWS // max(y.size, 1))
-
-    def chunks():
-        for first in range(0, x.size if values.size else 0, step):
-            block = values[first:first + step]
-            yield _join([starts[first:first + step, None], ends,
-                         _format_values(block.ravel()).reshape(block.shape + (_WIDTH,))])
-
-    return _write(path, metadata, header, chunks(), overwrite)
+def _text_cells(column, shape) -> np.ndarray:
+    """``column`` cell by cell through ``format_value``, NUL padded and
+    broadcast to ``shape``; a sequence is taken as objects, not parsed."""
+    values = column if isinstance(column, np.ndarray) else np.array(column, dtype=object)
+    cells = _padded([format_value(v) for v in values.ravel().tolist()])
+    return np.broadcast_to(cells.reshape(values.shape + cells.shape[-1:]),
+                           shape + cells.shape[-1:])
 
 
-# Table rows per block of both writers.  A block's arrays take a few MB;
+# Table rows per block of the writer.  A block's arrays take a few MB;
 # blocks of 65,536 rows, one per 161 x 161 table, raised the peak RSS of the
 # ground_state benchmark by 0.6 MB over formatting through "%" in one piece.
 _CHUNK_ROWS = 1 << 14

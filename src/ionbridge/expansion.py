@@ -86,18 +86,32 @@ class EffectiveFrequencies:
     Omega_2_sq: float
 
 
+def _reals(value, rule: str) -> np.ndarray:
+    """``np.asarray(value)``; ConfigError "{rule}, got {value!r}" for a ragged
+    sequence or a dtype other than bool, int or float (strings, bytes,
+    None, objects, complex)."""
+    try:
+        array = np.asarray(value)
+    except ValueError:   # a ragged sequence
+        array = None
+    if array is None or array.dtype.kind not in "biuf":
+        raise ConfigError(f"{rule}, got {value!r}")
+    return array
+
+
 def _one_real(z0) -> float:
     """``z0`` as a Python float; ConfigError unless numpy takes it as one real
     number: not a string, None, a list or an array with ndim > 0."""
-    value = np.asarray(z0)
-    if value.ndim or value.dtype.kind not in "biuf":
-        raise ConfigError(f"half-separation must be one real number, got {z0!r}")
+    rule = "half-separation must be one real number"
+    value = _reals(z0, rule)
+    if value.ndim:
+        raise ConfigError(f"{rule}, got {z0!r}")
     return float(value)
 
 
 def _half_separation(z0):
     """``z0`` in float64; ConfigError unless every half-separation in it is positive and finite."""
-    z0 = np.float64(z0)
+    z0 = np.float64(_reals(z0, "half-separation must be real numbers"))
     if not np.all((0.0 < z0) & (z0 < math.inf)):
         raise ConfigError(f"half-separation must be positive and finite, got {z0}")
     return z0

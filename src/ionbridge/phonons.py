@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InstabilityError, NotBracketedError
-from .expansion import _half_separation, _one_real, _pieces, _terms
+from .expansion import _half_separation, _one_real, _pieces, _reals, _terms
 from .model import SystemConfig, require_valid
 
 __all__ = [
@@ -282,18 +282,21 @@ def critical_separation(config: SystemConfig) -> StabilityResult:
 
 
 def mode_sweep(config: SystemConfig, separations) -> dict[str, np.ndarray]:
-    """Phonon spectra over a monotone grid of full separations 2z0, SI;
+    """Phonon spectra over a monotone 1-D grid of full separations 2z0, SI;
     ConfigError unless the grid is non-empty, positive and finite."""
-    separations = np.asarray(separations, dtype=float)
-    if separations.size < 1 or not np.all((separations > 0.0) & (separations < np.inf)):
+    rule = "separation grid must be a 1-D sequence of real numbers"
+    grid = np.asarray(_reals(separations, rule), dtype=float)
+    if grid.size < 1 or not np.all((grid > 0.0) & (grid < np.inf)):
         raise ConfigError("separation grid must be positive, finite and non-empty")
-    steps = np.diff(separations)
+    if grid.ndim != 1:
+        raise ConfigError(f"{rule}, got {separations!r}")
+    steps = np.diff(grid)
     if steps.size and not (np.all(steps > 0.0) or np.all(steps < 0.0)):
         raise ConfigError("separation grid must be monotone")
 
-    stretch, com, angle, _ = _branches(_terms(config), 0.5 * separations)
+    stretch, com, angle, _ = _branches(_terms(config), 0.5 * grid)
     return {
-        "separation": separations.copy(),
+        "separation": grid.copy(),
         "axial_stretch_sq": stretch[0],
         "axial_com_sq": com[0],
         "transverse_stretch_sq": stretch[1],

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SingularGeometryError
+from .expansion import _reals
 from .model import IonModeIndex, SystemConfig
 
 __all__ = [
@@ -212,7 +213,7 @@ def axial_bo_curve(z_grid, mu: IonModeIndex, config: SystemConfig,
     """
     if placement not in ("symmetric", "atom2-fixed"):
         raise ConfigError(f"unknown placement {placement!r}")
-    z_grid = np.asarray(z_grid, dtype=float)
+    z_grid = np.asarray(_reals(z_grid, "separation grid must be real numbers"), dtype=float)
     if not np.all(np.isfinite(z_grid)):
         raise ConfigError("separation grid must be finite")
     if np.any(z_grid <= 0.0):

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ionbridge import DEFAULT_DOCUMENT, cli, csvio, motion
+from ionbridge import AtomPairGeometry, DEFAULT_DOCUMENT, cartesian_modes, cli, \
+    connection_records, csvio, load_config, motion
 from ionbridge.cli import MAX_DENSITY_POINTS, MAX_GAUGE_N, MAX_SWEEP_POINTS, main
 
 
@@ -425,6 +426,28 @@ class TestGauge:
         assert all(abs(float(row[-1])) <= 1e-8 for row in phases)
         assert "Berry phase" in out
 
+    @pytest.mark.parametrize("max_n", [0, 1, 4])
+    def test_connection_table_is_the_records_cell_by_cell(self, max_n, config_file, tmp_path,
+                                                          capsys):
+        # the command writes the connection tensors whole; the records API
+        # must give the same rows, one per element and axis, cells by %.12g
+        path = config_file()
+        out_dir = tmp_path / "out"
+        assert run(capsys, "gauge", "--config", str(path), "--out", str(out_dir),
+                   "--max-n", str(max_n))[0] == 0
+        config = load_config(path)[0]
+        records = connection_records(cartesian_modes(max_n),
+                                     AtomPairGeometry.at_trap_centers(config), config)
+        rows = [",".join([str(rec.atom_index),
+                          *(str(n) for mode in (rec.bra_mode, rec.ket_mode)
+                            for n in (mode.n1, mode.n2, mode.n3)),
+                          axis, format(value.real, ".12g"), format(value.imag, ".12g")])
+                for rec in records for axis, value in zip("xyz", rec.value.tolist())]
+        lines = (out_dir / "connection.csv").read_text().splitlines()
+        assert lines[lines.index("atom,bra_nx,bra_ny,bra_nz,ket_nx,ket_ny,ket_nz,axis,"
+                                 "re_Js_per_m,im_Js_per_m") + 1:] == rows
+        assert len(rows) == 2 * 3 * (max_n + 1) ** 6
+
     def test_argument_validation(self, config_file, tmp_path, capsys):
         base = ["gauge", "--config", str(config_file()),
                 "--out", str(tmp_path / "x")]
@@ -463,7 +486,7 @@ class TestRefusedBeforeAnyWork:
             raise AssertionError("computed a table for a refused request")
 
         for name in ("axial_bo_curve", "mode_sweep", "basis_ground_state",
-                     "connection_records"):
+                     "connection_matrix"):
             monkeypatch.setattr(cli, name, unreachable)
         config = str(config_file())
         monkeypatch.chdir(tmp_path)

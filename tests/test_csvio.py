@@ -1,5 +1,6 @@
-"""Table writers: columns and value grids give the bytes that per-cell
-formatting gives, floats through %.12g."""
+"""The table writer: columns that broadcast to the table's shape, value
+grids among them, give the bytes that per-cell formatting gives, floats
+through %.12g."""
 
 import os
 import tempfile
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ionbridge import ConfigError, csvio
-from ionbridge.csvio import format_value, write_grid_table, write_table
+from ionbridge.csvio import format_value, write_table
 
 SPECIAL = [
     0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -42,6 +43,11 @@ def grid_columns(x, y, values):
     return [grid_x.ravel(), grid_y.ravel(), values.ravel()]
 
 
+def broadcast_columns(columns):
+    """The 1-D columns of the rows that broadcast columns stand for, row-major."""
+    return [column.ravel() for column in np.broadcast_arrays(*columns)]
+
+
 @pytest.mark.parametrize("value, text", [
     (True, "true"), (False, "false"), (3, "3"), (-7, "-7"), (0.1, "0.1"),
     (np.float64(1.0 / 3.0), "0.333333333333"), (-0.0, "-0"), ("30S-25S", "30S-25S"),
@@ -63,7 +69,7 @@ def test_float_array_bytes_match_per_cell_format(tmp_path):
     metadata = {"command": "test", "count": 3, "flag": True, "value": np.float64(0.1)}
     header = ["a", "b", "c"]
 
-    path = write_grid_table(tmp_path / "t.csv", metadata, header, x, y, values)
+    path = write_table(tmp_path / "t.csv", metadata, header, [x[:, None], y, values])
     assert path.read_bytes() == per_cell_text(metadata, header, grid_columns(x, y, values)).encode()
 
 
@@ -79,7 +85,7 @@ def test_small_float_arrays_match_per_cell_format(tmp_path, shape):
 def test_float_array_and_tuple_rows_agree(tmp_path):
     x, y = np.array(SPECIAL[:6]), np.array(SPECIAL[6:9])
     values = np.array(SPECIAL).reshape(6, 3)
-    bulk = write_grid_table(tmp_path / "bulk.csv", {}, ["a", "b", "c"], x, y, values)
+    bulk = write_table(tmp_path / "bulk.csv", {}, ["a", "b", "c"], [x[:, None], y, values])
     a, b, v = grid_columns(x, y, values)
     # tuples of floats and numpy floats go cell by cell through format_value
     cells = write_table(tmp_path / "cells.csv", {}, ["a", "b", "c"],
@@ -98,7 +104,8 @@ def test_float_array_width_must_match_header(tmp_path):
     [np.zeros(4), [1, 2, 3]],                         # ragged mixed columns
     [["a", "b"], np.zeros(2), [True, False]],         # more columns than header entries
     [np.zeros(2)],                                    # fewer
-    [np.zeros((2, 2)), np.zeros(2)],                  # a column that is not 1-D
+    [np.zeros((2, 3)), np.zeros(2)],                  # shapes that do not broadcast
+    [np.float64(1.0), np.zeros(())],                  # no rows: the shape is 0-d
 ])
 def test_columns_that_do_not_form_the_table_are_refused_before_anything_is_written(
         tmp_path, columns):
@@ -106,6 +113,15 @@ def test_columns_that_do_not_form_the_table_are_refused_before_anything_is_writt
     with pytest.raises(ValueError):
         write_table(out / "t.csv", {}, ["a", "b"], columns)
     assert not out.exists()
+
+
+def test_a_matrix_and_a_row_broadcast_to_one_row_per_element(tmp_path):
+    # a (2, 2) column and a length-2 one form a 2 x 2 table of 4 rows
+    columns = [np.array([[0.5, -0.0], [np.inf, 1e300]]), np.array([3.0, np.nan])]
+    path = write_table(tmp_path / "t.csv", {}, ["a", "b"], columns)
+    assert path.read_text().splitlines() == ["a,b", "0.5,3", "-0,nan", "inf,3", "1e+300,nan"]
+    assert path.read_bytes() == per_cell_text({}, ["a", "b"],
+                                              broadcast_columns(columns)).encode()
 
 
 def test_mixed_float_and_text_list_column(tmp_path):
@@ -165,26 +181,29 @@ def test_grid_table_bytes_match_the_row_table(tmp_path, nx, ny):
     values.flat[:len(SPECIAL)] = SPECIAL[:values.size]
     metadata = {"command": "density", "grid_points": nx}
     header = ["z1_um", "z2_um", "density_per_um2"]
-    grid = write_grid_table(tmp_path / "grid.csv", metadata, header, x, y, values)
+    grid = write_table(tmp_path / "grid.csv", metadata, header, [x[:, None], y, values])
     table = write_table(tmp_path / "rows.csv", metadata, header, grid_columns(x, y, values))
     assert grid.read_bytes() == table.read_bytes()
 
 
 def test_grid_table_shape_must_match(tmp_path):
     with pytest.raises(ValueError):
-        write_grid_table(tmp_path / "t.csv", {}, ["a", "b", "c"], np.zeros(3), np.zeros(4),
-                         np.zeros((4, 3)))
+        write_table(tmp_path / "t.csv", {}, ["a", "b", "c"],
+                    [np.zeros(3)[:, None], np.zeros(4), np.zeros((4, 3))])
     with pytest.raises(ValueError):
-        write_grid_table(tmp_path / "t.csv", {}, ["a", "b"], np.zeros(3), np.zeros(4),
-                         np.zeros((3, 4)))
+        write_table(tmp_path / "t.csv", {}, ["a", "b"],
+                    [np.zeros(3)[:, None], np.zeros(4), np.zeros((3, 4))])
     assert not (tmp_path / "t.csv").exists()
 
 
 def test_grid_table_refuses_to_clobber(tmp_path):
-    path = write_grid_table(tmp_path / "t.csv", {}, ["a", "b", "c"], [1.0], [2.0], [[3.0]])
+    def grid(value):
+        return [np.array([[1.0]]), np.array([2.0]), np.array([[value]])]
+
+    path = write_table(tmp_path / "t.csv", {}, ["a", "b", "c"], grid(3.0))
     with pytest.raises(ConfigError, match="already exists"):
-        write_grid_table(path, {}, ["a", "b", "c"], [1.0], [2.0], [[4.0]])
-    write_grid_table(path, {}, ["a", "b", "c"], [1.0], [2.0], [[4.0]], overwrite=True)
+        write_table(path, {}, ["a", "b", "c"], grid(4.0))
+    write_table(path, {}, ["a", "b", "c"], grid(4.0), overwrite=True)
     assert path.read_text() == "a,b,c\n1,2,4\n"
 
 
@@ -200,14 +219,15 @@ HEADER = ["z1_um", "z2_um", "density_per_um2"]
 
 
 def assert_grid_bytes_match_per_cell_format(x, y, values):
-    """write_grid_table writes the table that per-cell %.12g gives."""
+    """The grid's columns (x[:, None], y, values) give the table that per-cell
+    %.12g gives."""
     with tempfile.TemporaryDirectory() as folder:
-        path = write_grid_table(Path(folder) / "t.csv", {}, HEADER, x, y, values)
+        path = write_table(Path(folder) / "t.csv", {}, HEADER, [x[:, None], y, values])
         assert path.read_bytes() == per_cell_text({}, HEADER, grid_columns(x, y, values)).encode()
 
 
 def assert_values_match_per_cell_format(values):
-    """The values, one per row, as write_grid_table writes them."""
+    """The values, one per row, as a grid of one column writes them."""
     values = np.asarray(values, dtype=float).reshape(-1, 1)
     assert_grid_bytes_match_per_cell_format(np.arange(float(len(values))), np.array([0.5]),
                                             values)
@@ -268,6 +288,20 @@ def test_blocks_end_between_grid_rows(monkeypatch, chunk_rows):
     assert_grid_bytes_match_per_cell_format(np.arange(6.0), np.array([0.1, -2.5, 1e16]), values)
 
 
+@pytest.mark.parametrize("chunk_rows", [5, 6, 12, 18])   # blocks of 1, 1, 2 and 3 planes
+def test_blocks_end_between_rows_of_a_three_dimensional_table(tmp_path, monkeypatch,
+                                                              chunk_rows):
+    # the connection table's layout: index columns along each axis, the
+    # values over the whole (3, 2, 3) shape
+    monkeypatch.setattr(csvio, "_CHUNK_ROWS", chunk_rows)
+    values = np.array(SPECIAL).reshape(3, 2, 3)
+    columns = [np.array([1, 1, 2])[:, None, None], np.array([[True], [False]]),
+               np.array(list("xyz")), values, np.array([0.1, -2.5, 1e16]), -values]
+    header = ["a", "b", "c", "d", "e", "f"]
+    path = write_table(tmp_path / "t.csv", {}, header, columns)
+    assert path.read_bytes() == per_cell_text({}, header, broadcast_columns(columns)).encode()
+
+
 @pytest.mark.parametrize("chunk_rows", [1, 5, len(SPECIAL) - 1, len(SPECIAL)])
 def test_column_blocks_match_per_cell_format(tmp_path, monkeypatch, chunk_rows):
     monkeypatch.setattr(csvio, "_CHUNK_ROWS", chunk_rows)
@@ -276,3 +310,30 @@ def test_column_blocks_match_per_cell_format(tmp_path, monkeypatch, chunk_rows):
                -values]
     path = write_table(tmp_path / "t.csv", {}, ["a", "b", "c", "d"], columns)
     assert path.read_bytes() == per_cell_text({}, ["a", "b", "c", "d"], columns).encode()
+
+
+@st.composite
+def broadcast_tables(draw):
+    """Columns of 1 to 3 dims and sides 0 to 6 that broadcast to one shape:
+    float64 arrays of any value mixed with bool, int and str arrays."""
+    count = draw(st.integers(1, 6))
+    shapes = draw(hnp.mutually_broadcastable_shapes(num_shapes=count, min_dims=1, max_dims=3,
+                                                    min_side=0, max_side=6)).input_shapes
+    floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    kinds = {
+        "float": lambda shape: hnp.arrays(np.float64, shape, elements=floats),
+        "bool": lambda shape: hnp.arrays(np.bool_, shape),
+        "int": lambda shape: hnp.arrays(np.int64, shape),
+        "str": lambda shape: hnp.arrays("U8", shape, elements=st.text("abcxyz-/_ ", max_size=8)),
+    }
+    return [draw(kinds[draw(st.sampled_from(sorted(kinds)))](shape)) for shape in shapes]
+
+
+@settings(max_examples=200, deadline=None)
+@given(broadcast_tables())
+def test_any_broadcast_columns_match_per_cell_format_of_their_rows(columns):
+    header = [f"c{i}" for i in range(len(columns))]
+    with tempfile.TemporaryDirectory() as folder:
+        path = write_table(Path(folder) / "t.csv", {}, header, columns)
+        assert path.read_bytes() == per_cell_text({}, header,
+                                                  broadcast_columns(columns)).encode()

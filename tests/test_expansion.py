@@ -13,12 +13,14 @@ import pytest
 from ionbridge import (
     AtomPairGeometry,
     ConfigError,
+    axial_bo_curve,
     bare_product_state,
     basis_ground_state,
     effective_frequencies,
     effective_potential_U,
     equilibrium_shift,
     gaussian_ground_state,
+    mode_sweep,
     phonon_spectrum,
     reference_config,
 )
@@ -161,6 +163,19 @@ class TestSymmetriesAndStructure:
             < without.branch("transverse", "stretch").omega_sq
 
 
+RAGGED = [1e-6, [2e-6]]
+# separation inputs that numpy would take as numbers or raise on itself
+NOT_REAL = [
+    (mode_sweep, 1e-5), (mode_sweep, "1e-5"), (mode_sweep, [[1e-5, 2e-5]]),
+    (mode_sweep, ["1e-5", "2e-5"]), (mode_sweep, RAGGED),
+    (axial_bo_curve, ["1e-5", "2e-5"]), (axial_bo_curve, RAGGED),
+    (effective_frequencies, "8e-6"), (effective_frequencies, b"8e-6"),
+    (effective_frequencies, RAGGED),
+    *((call, RAGGED) for call in (phonon_spectrum, equilibrium_shift, gaussian_ground_state,
+                                  bare_product_state, basis_ground_state)),
+]
+
+
 class TestHalfSeparationInputs:
     """effective_frequencies takes z0 in float64: positive and finite, else
     ConfigError; a result that leaves the float range is ConfigError too."""
@@ -191,6 +206,19 @@ class TestHalfSeparationInputs:
         with pytest.raises(ConfigError) as error:
             call(cfg_rr, z0)
         assert str(error.value) == f"half-separation must be one real number, got {z0!r}"
+
+    @pytest.mark.parametrize("call, value", NOT_REAL,
+                             ids=[f"{call.__name__}-{value!r}" for call, value in NOT_REAL])
+    def test_separations_that_are_not_real_numbers_are_config_errors(self, cfg_rr, call,
+                                                                     value):
+        # numpy would parse the strings as numbers, take a scalar or a 2-D
+        # grid for a sweep, or raise its own ValueError on a ragged sequence
+        with pytest.raises(ConfigError) as error:
+            if call is axial_bo_curve:
+                call(value, cfg_rr.ion_mode, cfg_rr)
+            else:
+                call(cfg_rr, value)
+        assert str(error.value).endswith(f", got {value!r}")
 
     def test_half_separation_below_the_float_range_of_its_powers(self, cfg_rr):
         with pytest.raises(ConfigError, match="float range"):

@@ -1,13 +1,15 @@
 """The modules of the package import one another without a cycle, and
 numpy and the standard library alone from outside; none of them calls
-the dense test oracles, the pair solver's helpers keep one owner, and
-the stability search runs on Python floats alone."""
+the dense test oracles, the pair solver's helpers keep one owner, every
+table has one writer, and the stability search runs on Python floats
+alone."""
 
 import ast
 from graphlib import TopologicalSorter
 from pathlib import Path
 
 import ionbridge
+from ionbridge import csvio
 
 PACKAGE = Path(ionbridge.__file__).parent
 
@@ -91,6 +93,15 @@ def test_quadrature_rules_have_one_owner():
     # the solvers take their two rules from one helper, which also holds
     # the checks of the basis size and the collision threshold
     assert callers("_quadrature") == {"motion:_axial_rules"}
+
+
+def test_one_table_writer_and_no_record_loop():
+    # every table goes through write_table, from cli._write or, for the
+    # density grids, cmd_density; the gauge table comes from the connection
+    # tensors, not from one record per element
+    assert callers("write_table") == {"cli:_write", "cli:cmd_density"}
+    assert csvio.__all__ == ["format_value", "write_table"]
+    assert callers("connection_records") == set()
 
 
 def test_critical_separation_runs_no_numpy():
