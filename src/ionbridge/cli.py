@@ -65,9 +65,9 @@ def _to_khz(energy_j):
 
 
 def _load(args, check_stability: bool = False):
-    """Load and validate the config; with ``check_stability`` warn on
-    stderr when the configured separation is below the stability
-    threshold."""
+    """Load the config and check ``model.validate``'s preconditions, once
+    per run and nowhere else; with ``check_stability`` warn on stderr
+    when the configured separation is below the stability threshold."""
     config, _, digest = load_config(args.config)
     require_valid(config)
     if check_stability:

@@ -142,17 +142,19 @@ def _format_values(values: np.ndarray) -> np.ndarray:
 
     The row is ten 4-byte words: sign and leading "0", the digits before
     the point, the point and any zeros after it, the digits after those,
-    and the exponent.  A finite value with |v| > 1e-297 takes this
-    vectorized path when its 12-digit mantissa m = |v| 10**(11 - e), e =
-    floor(log10|v|), lies at least 1e-2 above 1e11, rounds below 1e12
-    and lies at least 1e-3 from a rounding tie.  Computed with two
-    roundings, m is then within 3e-4 of its exact value, so rounding it
-    gives the digits of the correctly rounded decimal.  Every other value
-    (zero, nan, +-inf, |v| <= 1e-297, and those near a tie or a power of
-    ten) goes through ``"%.12g" % v`` itself.
+    and the exponent.  A zero is its sign and "0" alone: "0" or "-0".  A
+    finite value with |v| > 1e-297 takes this vectorized path when its
+    12-digit mantissa m = |v| 10**(11 - e), e = floor(log10|v|), lies at
+    least 1e-2 above 1e11, rounds below 1e12 and lies at least 1e-3 from
+    a rounding tie.  Computed with two roundings, m is then within 3e-4
+    of its exact value, so rounding it gives the digits of the correctly
+    rounded decimal.  Every other value (nan, +-inf, 0 < |v| <= 1e-297,
+    and those near a tie or a power of ten) goes through ``"%.12g" % v``
+    itself.
     """
     scales, quads, trailing, keep, heads, points, exponents = _tables()
     size = np.abs(values)
+    zero = size == 0.0
     fast = np.isfinite(size) & (size > 1e-297)
     size = np.where(fast, size, 1.0)
     exp = np.maximum(np.floor(np.log10(size)), -297).astype(np.int64)
@@ -168,19 +170,20 @@ def _format_values(values: np.ndarray) -> np.ndarray:
     # %.12g: fixed notation for -4 <= exp < 12, else d[.ddd]e+XX
     fixed = (exp >= -4) & (exp < 12)
     below_one = fixed & (exp < 0)
-    split = np.where(fixed, np.maximum(exp + 1, 0), 1)    # digits before the point
-    shown = np.maximum(count, split)                       # digits printed
+    # digits before the point, and digits printed: none for a zero
+    split = np.where(zero, 0, np.where(fixed, np.maximum(exp + 1, 0), 1))
+    shown = np.where(zero, 0, np.maximum(count, split))
     before = np.take(keep, split, axis=0)
 
     words = np.empty((values.size, _WIDTH // 4), dtype=np.uint32)
-    words[:, 0] = heads[2 * (values < 0) + below_one]
+    words[:, 0] = heads[2 * np.signbit(values) + (below_one | zero)]
     words[:, 1:4] = digits & before
     words[:, 4] = points[np.where(below_one, 1 - exp, shown > split)]
     words[:, 5:8] = digits & np.take(keep, shown, axis=0) & ~before
     words[:, 8:].view(np.uint64)[:, 0] = exponents[np.where(fixed, -1, exp + 297)]
 
     text = words.view(np.uint8)
-    slow = np.flatnonzero(~fast)
+    slow = np.flatnonzero(~(fast | zero))
     if slow.size:
         text[slow] = _padded([_FLOAT_FORMAT % v for v in values[slow].tolist()], _WIDTH)
     return text

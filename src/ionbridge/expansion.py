@@ -99,6 +99,15 @@ def _reals(value, rule: str) -> np.ndarray:
     return array
 
 
+def _axis(value, rule: str) -> np.ndarray:
+    """``value`` as a 1-D float64 array; ConfigError "{rule}, got {value!r}"
+    unless ``_reals`` takes it and it has one dimension."""
+    array = _reals(value, rule)
+    if array.ndim != 1:
+        raise ConfigError(f"{rule}, got {value!r}")
+    return np.asarray(array, dtype=float)
+
+
 def _one_real(z0) -> float:
     """``z0`` as a Python float; ConfigError unless numpy takes it as one real
     number: not a string, None, a list or an array with ndim > 0."""

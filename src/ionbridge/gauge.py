@@ -23,7 +23,7 @@ import numpy as np
 
 from . import constants as cst
 from .errors import ConfigError, SingularGeometryError
-from .model import IonModeIndex, SystemConfig
+from .model import IonModeIndex, SystemConfig, _integer
 from .potentials import AtomPairGeometry, _ion_shift, _shift_coefficients, _squared_distances
 
 __all__ = [
@@ -44,11 +44,9 @@ _SQRT2 = math.sqrt(2.0)
 
 def cartesian_modes(max_n: int) -> list[IonModeIndex]:
     """All Cartesian ion modes with every quantum number <= max_n,
-    ordered lexicographically."""
-    return [IonModeIndex.cartesian(nx, ny, nz)
-            for nx in range(max_n + 1)
-            for ny in range(max_n + 1)
-            for nz in range(max_n + 1)]
+    ordered lexicographically; ConfigError unless max_n is an integer."""
+    levels = range(_integer(max_n, "max_n") + 1)
+    return [IonModeIndex.cartesian(nx, ny, nz) for nx in levels for ny in levels for nz in levels]
 
 
 def _quantum_numbers(modes: list[IonModeIndex]) -> np.ndarray:

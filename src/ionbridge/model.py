@@ -10,6 +10,7 @@ term between Rydberg pairs.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -32,6 +33,17 @@ __all__ = [
 ]
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int; ConfigError unless it is a Python or numpy
+    integer other than a bool."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Species:
     """A particle species: text label and mass in kg."""
@@ -40,8 +52,9 @@ class Species:
     mass: float
 
     def __post_init__(self):
-        if not self.mass > 0.0:
-            raise ConfigError(f"species {self.name!r}: mass must be positive, got {self.mass}")
+        if not 0.0 < self.mass < math.inf:
+            raise ConfigError(f"species {self.name!r}: mass must be positive and finite, "
+                              f"got {self.mass}")
 
 
 @dataclass(frozen=True)
@@ -49,7 +62,8 @@ class ElectronicState:
     """Atomic electronic state: the ground state or an S Rydberg level.
 
     Only S states are supported; ``principal_n`` is meaningful for
-    Rydberg states only and lies above the ground level 5S.
+    Rydberg states only and is an integer above the ground level 5S,
+    stored as a Python int.
     """
 
     kind: str  # "ground" or "rydberg"
@@ -58,9 +72,11 @@ class ElectronicState:
     def __post_init__(self):
         if self.kind not in ("ground", "rydberg"):
             raise ConfigError(f"unknown state kind {self.kind!r}")
-        if self.kind == "rydberg" and not (self.principal_n or 0) > cst.RB_GROUND_N:
-            raise ConfigError(f"rydberg state needs principal_n > {cst.RB_GROUND_N}, "
-                              f"got {self.principal_n}")
+        if self.kind == "rydberg":
+            object.__setattr__(self, "principal_n", _integer(self.principal_n, "principal_n"))
+            if not self.principal_n > cst.RB_GROUND_N:
+                raise ConfigError(f"rydberg state needs principal_n > {cst.RB_GROUND_N}, "
+                                  f"got {self.principal_n}")
 
     @property
     def is_rydberg(self) -> bool:
@@ -123,7 +139,19 @@ def rydberg_c4(base_c4_ground: float, n: int, scaling: str = "bare_n") -> float:
     if n <= cst.RB_GROUND_N:
         raise ConfigError(f"rydberg n must be > {cst.RB_GROUND_N} (or 0 for ground), got {n}")
     anchor = cst.C4_30S_ANCHOR_FACTOR * base_c4_ground
-    return anchor * _n_scale(n, scaling) ** 7
+    return _in_range(lambda: anchor * _n_scale(n, scaling) ** 7, "C4")
+
+
+def _in_range(law, name: str) -> float:
+    """``law()``, the scaling law of a coefficient; ConfigError when it
+    overflows or is not finite."""
+    try:
+        value = law()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} of the configured Rydberg level leaves the float range")
+    return value
 
 
 @dataclass(frozen=True)
@@ -156,9 +184,11 @@ class InteractionCoefficients:
         """Signed atom-atom coefficient for the state pair, J m^6."""
         if not (a.is_rydberg and b.is_rydberg):
             return 0.0
-        sa = _n_scale(a.principal_n, self.scaling)
-        sb = _n_scale(b.principal_n, self.scaling)
-        return self.c6_rydberg_anchor * (sa * sb) ** 5.5
+
+        def law():
+            ratio = _n_scale(a.principal_n, self.scaling) * _n_scale(b.principal_n, self.scaling)
+            return self.c6_rydberg_anchor * ratio ** 5.5
+        return _in_range(law, "C6")
 
 
 @dataclass(frozen=True)
@@ -174,6 +204,10 @@ class IonModeIndex:
     def __post_init__(self):
         if self.basis not in ("cylindrical", "cartesian"):
             raise ConfigError(f"unknown mode basis {self.basis!r}")
+        for name in ("n1", "n2", "n3"):
+            value = getattr(self, name)
+            if type(value) is not int:   # numpy integers become Python ints
+                object.__setattr__(self, name, _integer(value, f"{self.basis} quantum number"))
         if self.basis == "cylindrical":
             if self.n1 < 0 or self.n3 < 0:
                 raise ConfigError(f"cylindrical mode needs n_rho, n_z >= 0, got {self}")
@@ -215,9 +249,9 @@ class SystemConfig:
     ion_mode: IonModeIndex = field(default_factory=lambda: IonModeIndex.cylindrical(0, 0, 0))
 
     def __post_init__(self):
-        if not self.half_separation_z0 > 0.0:
+        if not 0.0 < self.half_separation_z0 < math.inf:
             raise ConfigError(
-                f"half_separation_z0 must be positive, got {self.half_separation_z0}"
+                f"half_separation_z0 must be positive and finite, got {self.half_separation_z0}"
             )
         if len(self.state_pair) != 2:
             raise ConfigError("state_pair must hold exactly two states")
@@ -312,7 +346,10 @@ def validate(config: SystemConfig) -> list[str]:
 
     Returns the error messages, empty when everything holds: the
     atom/ion speed ratio eta must stay below 1 and the trap separation
-    must dominate the atomic oscillator length (2 z0 >= 10 a_z).
+    must dominate the atomic oscillator length (2 z0 >= 10 a_z).  These
+    are the model's preconditions as a whole; the library functions
+    compute for any configuration in the float range and check neither,
+    and the command line applies them once, when it loads a config.
     """
     out: list[str] = []
     scales = characteristic_scales(config)

@@ -52,8 +52,8 @@ from numpy.polynomial.hermite import hermgauss
 
 from . import constants as cst
 from .errors import AccuracyError, ConfigError, InstabilityError
-from .expansion import _half_separation, _one_real
-from .model import SystemConfig, characteristic_scales
+from .expansion import _axis, _half_separation, _one_real
+from .model import SystemConfig, _integer, characteristic_scales
 from .phonons import _axial_entries, _axial_shift, _expansion_at, _rotation
 from .potentials import axial_interaction
 
@@ -597,9 +597,9 @@ def basis_ground_state(config: SystemConfig, z0: float, n_max: int = 30) -> Basi
     solve's residual bound for the zero-padded solution.  Relative to the
     axial energy (at least hbar w_az) that is the state's ``residual``;
     below 1e-6 the basis is accepted, and otherwise ramped from ``n_max``
-    to 50.  ConfigError unless z0 is one real number.
+    to 50.  ConfigError unless z0 is one real number and n_max an integer.
     """
-    z0 = _one_real(z0)
+    z0, n_max = _one_real(z0), _integer(n_max, "n_max")
     cap = _MAX_BASIS - _CONVERGENCE_STEP
     if not 0 <= n_max <= cap:
         raise ConfigError(
@@ -675,9 +675,10 @@ def pair_density(state, z1_grid, z2_grid) -> np.ndarray:
     The grid must resolve and cover the state: the trapezoid integral of
     the density is required to equal 1 within 1e-3 (defaults land well
     inside 1e-4); AccuracyError otherwise, a non-finite integral included.
+    ConfigError unless both axes are 1-D sequences of real numbers.
     """
-    z1 = np.asarray(z1_grid, dtype=float)
-    z2 = np.asarray(z2_grid, dtype=float)
+    z1, z2 = (_axis(grid, "grid axes must be 1-D sequences of real numbers")
+              for grid in (z1_grid, z2_grid))
     psi = state.wavefunction(z1, z2)
     density = psi * psi
     total = np.trapezoid(np.trapezoid(density, z2, axis=1), z1)
@@ -691,9 +692,10 @@ def pair_density(state, z1_grid, z2_grid) -> np.ndarray:
 
 def state_overlap(state_a, state_b, z1_grid, z2_grid) -> float:
     """Trapezoid overlap integral <a|b> of two real pair states;
-    AccuracyError when it is not finite."""
-    z1 = np.asarray(z1_grid, dtype=float)
-    z2 = np.asarray(z2_grid, dtype=float)
+    AccuracyError when it is not finite, and ConfigError as in
+    ``pair_density`` for the axes."""
+    z1, z2 = (_axis(grid, "grid axes must be 1-D sequences of real numbers")
+              for grid in (z1_grid, z2_grid))
     product = state_a.wavefunction(z1, z2) * state_b.wavefunction(z1, z2)
     overlap = float(np.trapezoid(np.trapezoid(product, z2, axis=1), z1))
     if not math.isfinite(overlap):

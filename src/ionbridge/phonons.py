@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InstabilityError, NotBracketedError
-from .expansion import _half_separation, _one_real, _pieces, _reals, _terms
-from .model import SystemConfig, require_valid
+from .expansion import _axis, _half_separation, _one_real, _pieces, _terms
+from .model import SystemConfig
 
 __all__ = [
     "ModeBranch",
@@ -236,18 +236,17 @@ def _scalar_sectors(t):
 
 
 def critical_separation(config: SystemConfig) -> StabilityResult:
-    """Bisection root of the smallest squared mode frequency over 2z0.
+    """Bisection root over 2z0 of the smallest squared mode frequency, from
+    the states' C4 and C6, the masses and the traps: z0 does not enter.
 
-    The root is searched between 2z0 = 1 um and 40 um, a fixed bracket;
+    The bracket, 2z0 = 1 um to 40 um, is resolved to 1e-13 m, so the spectrum
+    is stable at critical*(1 + 1e-6) and unstable at critical*(1 - 1e-6);
     NotBracketedError when the smallest squared frequency does not change
-    sign there.  The bracket is resolved to 1e-13 m (far below the 1 nm
-    reporting precision) so that the spectrum is guaranteed stable at
-    critical*(1 + 1e-6) and unstable at critical*(1 - 1e-6).  The limiting
-    branch is the lower branch of the softer sector at critical*(1 - 1e-6),
-    axial on a tie, by ``_lower_branch``; a ConfigError as in ``_branches``
-    when the expansion leaves the float range there.  No numpy code runs.
+    sign there.  The limiting branch is the lower branch of the softer sector
+    at critical*(1 - 1e-6), axial on a tie, by ``_lower_branch``; a ConfigError
+    as in ``_branches`` when the expansion leaves the float range there.  No
+    numpy code runs, and the command line checks ``model.validate`` at load.
     """
-    require_valid(config)
     sectors, unstable = _scalar_sectors(_terms(config))
     lo, hi = 1e-6, 40e-6
     f_lo, f_hi = (min(_lower_eigenvalue(a, b, c) for a, b, c, _ in sectors(0.5 * end))
@@ -284,12 +283,9 @@ def critical_separation(config: SystemConfig) -> StabilityResult:
 def mode_sweep(config: SystemConfig, separations) -> dict[str, np.ndarray]:
     """Phonon spectra over a monotone 1-D grid of full separations 2z0, SI;
     ConfigError unless the grid is non-empty, positive and finite."""
-    rule = "separation grid must be a 1-D sequence of real numbers"
-    grid = np.asarray(_reals(separations, rule), dtype=float)
+    grid = _axis(separations, "separation grid must be a 1-D sequence of real numbers")
     if grid.size < 1 or not np.all((grid > 0.0) & (grid < np.inf)):
         raise ConfigError("separation grid must be positive, finite and non-empty")
-    if grid.ndim != 1:
-        raise ConfigError(f"{rule}, got {separations!r}")
     steps = np.diff(grid)
     if steps.size and not (np.all(steps > 0.0) or np.all(steps < 0.0)):
         raise ConfigError("separation grid must be monotone")

@@ -38,7 +38,6 @@ from ionbridge import (
     constants as cst,
 )
 from ionbridge.gauge import _jacobian, _ladder_derivatives
-from ionbridge.model import require_valid
 from ionbridge.motion import (
     _CONVERGENCE_STEP,
     _MEAN_FIELD_ITERATIONS,
@@ -263,7 +262,6 @@ def critical_separation(config):
     """Bisection of the smallest squared frequency between 1 and 40 um to
     1e-13 m, then the limiting branch at critical * (1 - 1e-6):
     (critical_2z0, label)."""
-    require_valid(config)
     lo, hi = 1e-6, 40e-6
     f_lo = min_omega_sq(config, lo)
     f_hi = min_omega_sq(config, hi)

@@ -588,6 +588,21 @@ class TestErrorPaths:
         assert "float range" in err and "Traceback" not in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("command", ["critical", "scales", "bo-curve", "gauge"])
+    @pytest.mark.parametrize("document, message", [
+        ({"z0_um": 0.5}, "trap separation 2z0 = 1e-06 m is below 10 a_z = 1.137e-06 m"),
+        ({"atom": {"omega_rho_kHz": 5000.0, "omega_z_kHz": 5000.0}},
+         "adiabatic separation requires eta < 1, got eta = 1.983"),
+    ])
+    def test_the_model_preconditions_are_checked_at_load(self, config_file, tmp_path, capsys,
+                                                         command, document, message):
+        # the library computes for these configs; the command line refuses them
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, command, "--config", str(config_file(**document)),
+                             "--out", str(out_dir))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not out_dir.exists()
+
     def test_overflow_inside_the_bracket_is_a_config_error(self, config_file, capsys):
         code, out, err = run(capsys, "critical", "--config",
                              str(config_file(c4_ground_Jm4=1e90)))

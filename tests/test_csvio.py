@@ -235,9 +235,11 @@ def assert_values_match_per_cell_format(values):
 
 @st.composite
 def float_grids(draw):
-    """Axes and a value grid of any float64: nan, +-inf, subnormals, +-0."""
+    """Axes and a value grid of any float64: nan, +-inf, subnormals, and
+    +-0 (which the kernel writes itself) drawn as often as all the rest."""
     shape = draw(hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=12))
-    floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    floats = st.one_of(st.sampled_from([0.0, -0.0]),
+                       st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
     return (draw(hnp.arrays(np.float64, shape[0], elements=floats)),
             draw(hnp.arrays(np.float64, shape[1], elements=floats)),
             draw(hnp.arrays(np.float64, shape, elements=floats)))
@@ -258,6 +260,12 @@ def test_thirteen_digit_ties_match_per_cell_format(draws):
     ties = np.array([sign * float(f"{digits}5e{k}") for digits, k, sign in draws])
     assert_values_match_per_cell_format(
         np.concatenate([ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf)]))
+
+
+def test_signed_zeros_match_per_cell_format():
+    # "0" and "-0", beside values of every other path of the kernel
+    assert_values_match_per_cell_format([0.0, -0.0, 1.5, -0.0, -2e-5, 0.0, np.nan, -np.inf,
+                                         5e-324, -1e300, 123456789012.5])
 
 
 def test_neighbours_of_powers_of_ten_match_per_cell_format():

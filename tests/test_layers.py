@@ -1,8 +1,8 @@
 """The modules of the package import one another without a cycle, and
 numpy and the standard library alone from outside; none of them calls
 the dense test oracles, the pair solver's helpers keep one owner, every
-table has one writer, and the stability search runs on Python floats
-alone."""
+table has one writer, the stability search runs on Python floats
+alone, and the model's preconditions are checked in one place."""
 
 import ast
 from graphlib import TopologicalSorter
@@ -130,5 +130,14 @@ def test_critical_separation_runs_no_numpy():
                     found.append(f"{module}.{name}:{node.lineno} _branches")
                 todo.append(node.id)
     assert found == []
-    assert {"_lower_branch", "_scalar_sectors", "_pieces", "_terms", "require_valid",
-            "characteristic_scales"} <= reached
+    assert {"_lower_branch", "_scalar_sectors", "_pieces", "_terms"} <= reached
+    # it reads only the expansion's terms: the model's preconditions, which
+    # depend on a z0 the search never reads, are not checked on its way
+    assert not {"require_valid", "validate", "characteristic_scales"} & reached
+
+
+def test_the_model_preconditions_have_one_owner():
+    # validate's adiabaticity and separation rules are checked once per
+    # command-line run, when the config loads; no library function runs them
+    assert callers("require_valid") == {"cli:_load"}
+    assert callers("validate") == {"model:require_valid"}

@@ -16,6 +16,9 @@ from ionbridge import (
     IonModeIndex,
     Species,
     TrapFrequencies,
+    axial_bo_curve,
+    basis_ground_state,
+    cartesian_modes,
     characteristic_scales,
     constants as cst,
     ion_displacement,
@@ -212,6 +215,54 @@ class TestScalesOutOfRange:
                                     ion_trap=TrapFrequencies(1e150, 1e150))
         with pytest.raises(ConfigError, match="float range"):
             characteristic_scales(heavy)
+
+
+class TestIntegerAndFiniteFields:
+    """Integer fields take Python and numpy integers, never a bool; masses
+    and z0 are finite.  Anything else is a ConfigError, before any work."""
+
+    @pytest.mark.parametrize("build, match", [
+        (lambda: ElectronicState("rydberg", 30.5), "integer"),
+        (lambda: ElectronicState("rydberg", float("inf")), "integer"),
+        (lambda: ElectronicState("rydberg", "40"), "integer"),
+        (lambda: ElectronicState("rydberg", True), "integer"),
+        (lambda: reference_config("rr", 30.5), "integer"),
+        (lambda: IonModeIndex.cartesian(0.5, 0, 0), "integer"),
+        (lambda: IonModeIndex.cartesian("1", 0, 0), "integer"),
+        (lambda: IonModeIndex.cylindrical(0, False, 0), "integer"),
+        (lambda: basis_ground_state(reference_config(), 8e-6, 30.0), "integer"),
+        (lambda: basis_ground_state(reference_config(), 8e-6, True), "integer"),
+        (lambda: cartesian_modes(1.5), "integer"),
+        (lambda: cartesian_modes(True), "integer"),
+        (lambda: Species("x", float("inf")), "finite"),
+        (lambda: reference_config("rr", 30, float("inf")), "finite"),
+    ], ids=["n-half", "n-inf", "n-text", "n-bool", "reference-n", "mode-half", "mode-text",
+            "mode-bool", "n_max-float", "n_max-bool", "max_n-float", "max_n-bool",
+            "mass-inf", "z0-inf"])
+    def test_other_values_are_config_errors(self, build, match):
+        with pytest.raises(ConfigError, match=match):
+            build()
+
+    def test_numpy_integers_are_taken_as_ints(self):
+        state = ElectronicState("rydberg", np.int64(30))
+        assert state == ElectronicState("rydberg", 30) and type(state.principal_n) is int
+        assert state.label() == "30S"
+        mode = IonModeIndex.cartesian(np.uint8(1), np.int32(0), np.int64(2))
+        assert [type(n) for n in (mode.n1, mode.n2, mode.n3)] == [int] * 3
+        assert cartesian_modes(np.int64(1)) == cartesian_modes(1)
+
+    @pytest.mark.parametrize("n, coefficient", [
+        (10**30, "c6_pair"), (10**50, "c4_pair"), (10**400, "c4_pair"), (10**400, "c6_pair"),
+    ], ids=["c6-1e30", "c4-1e50", "c4-1e400", "c6-1e400"])
+    def test_coefficients_beyond_the_float_range_are_config_errors(self, n, coefficient):
+        config = reference_config("rr", n)
+        with pytest.raises(ConfigError, match="float range"):
+            getattr(config, coefficient)
+
+    def test_a_curve_of_an_overflowing_c6_is_a_config_error(self):
+        config = reference_config("rr", 10**30)
+        with pytest.raises(ConfigError, match="float range"):
+            axial_bo_curve(np.linspace(10e-6, 30e-6, 5), config.ion_mode, config)
 
 
 class TestValidation:

@@ -255,6 +255,23 @@ class TestGroundStates:
         with pytest.raises(AccuracyError, match="not finite"):
             state_overlap(gauss, gauss, z1, z2)
 
+    @pytest.mark.parametrize("bad", [
+        "strings", "complex", "ragged", "two-dimensional", "scalar"])
+    def test_grid_axes_must_be_one_dimensional_reals(self, cfg_rr, bad):
+        # no axis is parsed from text, truncated from complex or left to numpy
+        z0 = cfg_rr.half_separation_z0
+        gauss = gaussian_ground_state(cfg_rr, z0)
+        z1 = np.linspace(gauss.center[0] - 1e-6, gauss.center[0] + 1e-6, 81)
+        z2 = np.linspace(gauss.center[1] - 1e-6, gauss.center[1] + 1e-6, 81)
+        axis = {"strings": [str(v) for v in z1], "complex": z1 + 0j,
+                "ragged": [1e-6, [2e-6]], "two-dimensional": z1[None, :],
+                "scalar": z0}[bad]
+        for grids in ((axis, z2), (z1, axis)):
+            with pytest.raises(ConfigError, match="grid axes must be 1-D sequences"):
+                pair_density(gauss, *grids)
+            with pytest.raises(ConfigError, match="grid axes must be 1-D sequences"):
+                state_overlap(gauss, gauss, *grids)
+
     @pytest.mark.parametrize("z0", [0.0, -8e-6, float("nan"), float("inf")])
     def test_bare_product_state_needs_a_positive_finite_half_separation(self, cfg_rr, z0):
         with pytest.raises(ConfigError, match="positive and finite"):

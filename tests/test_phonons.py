@@ -183,6 +183,14 @@ class TestCriticalSeparation:
                 got = critical_separation(config)
                 assert (got.critical_2z0, got.limiting_branch) == want
 
+    @pytest.mark.parametrize("z0", [0.5e-6, 8e-6, 1.0])
+    def test_the_threshold_does_not_read_the_configured_z0(self, z0):
+        # 2z0 = 1 um fails validate's separation rule and 2 m lies far outside
+        # the bracket; the search reads neither, so each gives the 8 um bits
+        result = critical_separation(reference_config("rr", 30, z0))
+        assert (result.critical_2z0.hex(), result.limiting_branch) == (
+            (9.18866953905672e-06).hex(), "axial-com")
+
     def test_the_limiting_branch_needs_finite_sector_entries(self, cfg_rr, monkeypatch):
         # the label point critical * (1 - 1e-6) may lie just below the
         # bracket; entries out of the float range there are the kernel's
